@@ -22,6 +22,12 @@
 //! handled: during inline run-ahead the scheduler's clock still shows the
 //! outer dispatch instant, so `emit_now`/`emit_after` must anchor on the
 //! bus's time, not the scheduler's.
+//!
+//! A handler may also claim seqs itself ([`Bus::claim_seq`]) and enqueue
+//! the events later under them ([`Bus::push_claimed`],
+//! [`Bus::requeue_claimed`]). The serial halt/ready broadcasts use this to
+//! keep one event per broadcast pending instead of one per peer (see
+//! `handlers::nic`).
 
 use sim_core::engine::{SchedError, Scheduler};
 use sim_core::time::{Cycles, SimTime};
@@ -37,6 +43,9 @@ pub struct Bus<'a> {
     sched: &'a mut Scheduler<Event>,
     now: SimTime,
     agenda: Option<&'a mut Vec<Pending>>,
+    /// The event being handled came off the agenda (inline run-ahead), not
+    /// out of the scheduler's queue.
+    inline: bool,
 }
 
 impl<'a> Bus<'a> {
@@ -48,20 +57,25 @@ impl<'a> Bus<'a> {
             sched,
             now,
             agenda: None,
+            inline: false,
         }
     }
 
     /// Deferred dispatch: emissions claim a seq and park in `agenda`.
+    /// `inline` says whether the event being handled was itself taken off
+    /// the agenda.
     #[inline]
     pub(crate) fn deferred(
         sched: &'a mut Scheduler<Event>,
         now: SimTime,
         agenda: &'a mut Vec<Pending>,
+        inline: bool,
     ) -> Self {
         Bus {
             sched,
             now,
             agenda: Some(agenda),
+            inline,
         }
     }
 
@@ -102,6 +116,42 @@ impl<'a> Bus<'a> {
     #[inline]
     pub fn emit_now<E: Into<Event>>(&mut self, event: E) {
         self.emit(self.now, event);
+    }
+
+    /// Claim the next FIFO sequence number without emitting anything: the
+    /// seq an [`Bus::emit`] at this point would have drawn.
+    #[inline]
+    pub(crate) fn claim_seq(&mut self) -> u64 {
+        self.sched.claim_seq()
+    }
+
+    /// Emit `event` at `t` under a seq [claimed](Bus::claim_seq) earlier
+    /// in this dispatch: it lands where an [`Bus::emit`] at the claim
+    /// point would have put it (the queue when direct, the agenda when
+    /// deferred).
+    #[inline]
+    pub(crate) fn push_claimed<E: Into<Event>>(&mut self, t: SimTime, seq: u64, event: E) {
+        debug_assert!(t >= self.now, "claimed push into the past");
+        match &mut self.agenda {
+            None => self.sched.push_claimed(t, seq, event.into()),
+            Some(agenda) => agenda.push((t, seq, event.into())),
+        }
+    }
+
+    /// Enqueue `event` at `t` under a seq claimed in an *earlier* dispatch
+    /// together with the event being handled (its sibling). It goes where
+    /// an [`Bus::emit`] at the claim point would have put it by now: if the
+    /// event being handled ran inline off the agenda, both were emitted in
+    /// this same engine dispatch and the sibling would still be on the
+    /// agenda; if it came out of the queue, the sibling was flushed to the
+    /// queue with it.
+    #[inline]
+    pub(crate) fn requeue_claimed<E: Into<Event>>(&mut self, t: SimTime, seq: u64, event: E) {
+        debug_assert!(t >= self.now, "claimed push into the past");
+        match &mut self.agenda {
+            Some(agenda) if self.inline => agenda.push((t, seq, event.into())),
+            _ => self.sched.push_claimed(t, seq, event.into()),
+        }
     }
 
     /// The window `(limit, fence)` inside which the burst fast path may

@@ -11,25 +11,13 @@ use fastmsg::packet::Packet;
 use hostsim::process::Pid;
 use parpar::protocol::{MasterMsg, NodedCmd, TreeMsg};
 
-/// A frame on the Myrinet data network.
+/// A frame on the Myrinet data network. (The halt and ready control
+/// packets of the serial broadcasts arrive as
+/// [`NicEvent::BroadcastArrive`] instead.)
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// An FM data or refill packet.
     Data(Packet),
-    /// A specially-tagged halt control packet (flush protocol).
-    Halt {
-        /// Switch epoch it belongs to.
-        epoch: u64,
-        /// Emitting node.
-        src: usize,
-    },
-    /// A ready control packet (release protocol).
-    Ready {
-        /// Switch epoch it belongs to.
-        epoch: u64,
-        /// Emitting node.
-        src: usize,
-    },
     /// A per-packet acknowledgement (AckDrain strategy only).
     Ack {
         /// Node whose packet is being acknowledged.
@@ -148,6 +136,14 @@ pub enum NicEvent {
     ReadyBroadcastDone {
         /// The node.
         node: usize,
+    },
+    /// The earliest still-undelivered halt or ready packet of a serial
+    /// broadcast arrived. Its destination and contents live in the world's
+    /// broadcast-train slab, so a broadcast keeps one pending event
+    /// instead of one per peer.
+    BroadcastArrive {
+        /// Slab index of the broadcast train.
+        train: u32,
     },
 }
 
@@ -291,7 +287,9 @@ impl Event {
             Event::Daemon(DaemonEvent::CtrlToNode { .. }) => 2,
             Event::Daemon(DaemonEvent::CtrlToMaster { .. }) => 3,
             Event::Daemon(DaemonEvent::NodedAct { .. }) => 4,
-            Event::Nic(NicEvent::FrameArrive { .. }) => 5,
+            // A train entry is one frame arrival, so it counts (and
+            // digests) as one.
+            Event::Nic(NicEvent::FrameArrive { .. } | NicEvent::BroadcastArrive { .. }) => 5,
             Event::Nic(NicEvent::SendEngineDone { .. }) => 6,
             Event::Nic(NicEvent::RecvEngineDone { .. }) => 7,
             Event::Nic(NicEvent::HaltBroadcastDone { .. }) => 8,

@@ -1,5 +1,12 @@
 //! Data-plane handler: the NIC send/receive engines, frame arrival, and
 //! the halt/ready serial broadcasts.
+//!
+//! A serial broadcast sends N−1 frames back to back (paper §3.2). Rather
+//! than queueing N−1 arrival events at once, the world parks the
+//! broadcast's arrivals as a *train* ([`Trains`]) and keeps only the
+//! earliest in the engine queue; handling it queues the next. Every
+//! arrival keeps the seq it would have drawn as its own event, so the
+//! delivery order is unchanged (DESIGN.md §3i).
 
 use fastmsg::packet::{Packet, PacketKind};
 use gang_comm::strategy::SwitchStrategy;
@@ -22,6 +29,7 @@ impl NicHandler for World {
             NicEvent::RecvEngineDone { node, pkt } => self.land_packet(now, node, pkt, bus),
             NicEvent::HaltBroadcastDone { node } => self.on_halt_broadcast_done(now, node, bus),
             NicEvent::ReadyBroadcastDone { node } => self.on_ready_broadcast_done(now, node, bus),
+            NicEvent::BroadcastArrive { train } => self.on_broadcast_arrive(now, train, bus),
         }
     }
 
@@ -83,55 +91,12 @@ impl NicHandler for World {
         let n = &mut self.nodes[node];
         debug_assert!(n.nic.halt_bit() && n.halt_requested);
         n.halt_broadcast_started = true;
-        n.send_engine_busy = true;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Halt { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::HaltBroadcastDone { node });
+        self.serial_control_broadcast(now, node, Signal::Halt, bus);
     }
 
     /// Start the serial ready broadcast (release phase).
     fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        let n = &mut self.nodes[node];
-        n.send_engine_busy = true;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Ready { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::ReadyBroadcastDone { node });
+        self.serial_control_broadcast(now, node, Signal::Ready, bus);
     }
 
     /// The receive engine landed one packet (also the re-entry point for
@@ -325,26 +290,6 @@ impl World {
                 let end = n.nic.reserve_engine(now, work);
                 bus.emit(end, NicEvent::RecvEngineDone { node, pkt });
             }
-            Frame::Halt { epoch, src } => {
-                let n = &mut self.nodes[node];
-                n.nic.stats.control_received += 1;
-                self.trace.emit(now, Category::Switch, Some(node), || {
-                    format!("halt from n{src} (epoch {epoch})")
-                });
-                if self.nodes[node].seq.on_halt_msg(epoch, src) {
-                    self.finish_flush(now, node, bus);
-                }
-            }
-            Frame::Ready { epoch, src } => {
-                let n = &mut self.nodes[node];
-                n.nic.stats.control_received += 1;
-                self.trace.emit(now, Category::Switch, Some(node), || {
-                    format!("ready from n{src} (epoch {epoch})")
-                });
-                if self.nodes[node].seq.on_ready_msg(epoch, src) {
-                    self.finish_release(now, node, bus);
-                }
-            }
             Frame::Ack { to } => {
                 debug_assert_eq!(to, node);
                 let n = &mut self.nodes[node];
@@ -424,62 +369,200 @@ impl World {
     /// epoch (a ResendProtocol response). Every receiver treats the copies
     /// idempotently, including our own completion event.
     pub(crate) fn rebroadcast_halt(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        debug_assert!(self.cfg.reliability.enabled);
-        let n = &mut self.nodes[node];
-        debug_assert!(!n.send_engine_busy);
-        n.send_engine_busy = true;
-        self.stats.rebroadcasts += 1;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Halt { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::HaltBroadcastDone { node });
+        self.rebroadcast(now, node, Signal::Halt, bus);
     }
 
     /// Reliability layer: repeat the ready broadcast (see
     /// [`World::rebroadcast_halt`]).
     pub(crate) fn rebroadcast_ready(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+        self.rebroadcast(now, node, Signal::Ready, bus);
+    }
+
+    fn rebroadcast(&mut self, now: SimTime, node: usize, signal: Signal, bus: &mut Bus) {
         debug_assert!(self.cfg.reliability.enabled);
-        let n = &mut self.nodes[node];
-        debug_assert!(!n.send_engine_busy);
-        n.send_engine_busy = true;
+        debug_assert!(!self.nodes[node].send_engine_busy);
         self.stats.rebroadcasts += 1;
+        self.serial_control_broadcast(now, node, signal, bus);
+    }
+
+    /// The LANai's serial-loop broadcast of one halt or ready frame to
+    /// every peer, with its send engine held for the whole loop.
+    ///
+    /// The frames go on the wire (and through the loss draw) in
+    /// destination order, and each surviving frame claims the seq its own
+    /// arrival event would take. The arrivals are then sorted by
+    /// `(time, seq)` — on a fat-tree they are not monotone in destination
+    /// order — and parked as a train; only the earliest is queued.
+    fn serial_control_broadcast(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        signal: Signal,
+        bus: &mut Bus,
+    ) {
+        let n = &mut self.nodes[node];
+        n.send_engine_busy = true;
         let peers = self.cfg.nodes - 1;
         let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
+        let frame = ControlFrame {
+            signal,
+            epoch: n.seq.epoch,
+            src: node,
+        };
         n.nic.stats.control_sent += peers as u64;
         let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
+        let mut sends = std::mem::take(&mut self.bcast_sends);
+        serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES, &mut sends);
+        let train = self.trains.open(frame);
+        for &(dst, tx) in &sends {
             if self.lose_frame() {
                 continue;
             }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Ready { epoch, src: node },
-                },
-            );
+            let seq = bus.claim_seq();
+            self.trains.add(train, tx.arrival, seq, dst);
         }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
+        let done = sends.last().map_or(start, |(_, tx)| tx.injection_done);
+        self.bcast_sends = sends;
         self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::ReadyBroadcastDone { node });
+        bus.emit(done, signal.done(node));
+        if let Some((t, seq)) = self.trains.seal(train) {
+            bus.push_claimed(t, seq, NicEvent::BroadcastArrive { train });
+        }
+    }
+
+    /// The head of a broadcast train arrived: queue the train's next
+    /// arrival, then deliver this one.
+    fn on_broadcast_arrive(&mut self, now: SimTime, train: u32, bus: &mut Bus) {
+        let (node, frame, next) = self.trains.advance(train);
+        if let Some((t, seq)) = next {
+            bus.requeue_claimed(t, seq, NicEvent::BroadcastArrive { train });
+        }
+        let ControlFrame { signal, epoch, src } = frame;
+        self.nodes[node].nic.stats.control_received += 1;
+        match signal {
+            Signal::Halt => {
+                self.trace.emit(now, Category::Switch, Some(node), || {
+                    format!("halt from n{src} (epoch {epoch})")
+                });
+                if self.nodes[node].seq.on_halt_msg(epoch, src) {
+                    self.finish_flush(now, node, bus);
+                }
+            }
+            Signal::Ready => {
+                self.trace.emit(now, Category::Switch, Some(node), || {
+                    format!("ready from n{src} (epoch {epoch})")
+                });
+                if self.nodes[node].seq.on_ready_msg(epoch, src) {
+                    self.finish_release(now, node, bus);
+                }
+            }
+        }
+    }
+}
+
+/// Which serial control broadcast a NIC sends.
+#[derive(Debug, Clone, Copy)]
+enum Signal {
+    /// Flush phase: the specially-tagged halt packet.
+    Halt,
+    /// Release phase: the ready packet.
+    Ready,
+}
+
+impl Signal {
+    /// The event that ends the broadcast on the sending NIC.
+    fn done(self, node: usize) -> NicEvent {
+        match self {
+            Signal::Halt => NicEvent::HaltBroadcastDone { node },
+            Signal::Ready => NicEvent::ReadyBroadcastDone { node },
+        }
+    }
+}
+
+/// The control packet a serial broadcast carries to every peer.
+#[derive(Debug, Clone, Copy)]
+struct ControlFrame {
+    signal: Signal,
+    /// Switch epoch it belongs to.
+    epoch: u64,
+    /// Emitting node.
+    src: usize,
+}
+
+/// One arrival of a broadcast train: `(time, claimed seq, destination)`.
+type Stop = (SimTime, u64, usize);
+
+/// One in-flight serial broadcast: the frame and its undelivered arrivals.
+#[derive(Debug)]
+struct Train {
+    frame: ControlFrame,
+    /// Arrivals sorted by `(time, seq)`; `stops[next]` is the queued one.
+    stops: Vec<Stop>,
+    next: usize,
+}
+
+/// Slab of in-flight broadcast trains, indexed by
+/// [`NicEvent::BroadcastArrive`]'s `train`. Finished slots (and their
+/// arrival buffers) are recycled, so a steady rotation allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Trains {
+    slab: Vec<Train>,
+    free: Vec<u32>,
+}
+
+impl Trains {
+    /// Start an empty train carrying `frame`.
+    fn open(&mut self, frame: ControlFrame) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                let t = &mut self.slab[id as usize];
+                t.frame = frame;
+                t.stops.clear();
+                t.next = 0;
+                id
+            }
+            None => {
+                self.slab.push(Train {
+                    frame,
+                    stops: Vec::new(),
+                    next: 0,
+                });
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Add one arrival to an open train.
+    fn add(&mut self, id: u32, t: SimTime, seq: u64, dst: usize) {
+        self.slab[id as usize].stops.push((t, seq, dst));
+    }
+
+    /// Close a train: sort its arrivals and return the head's key, or free
+    /// the slot and return `None` if every frame was lost.
+    fn seal(&mut self, id: u32) -> Option<(SimTime, u64)> {
+        let stops = &mut self.slab[id as usize].stops;
+        // Seqs are unique, so `(time, seq)` alone decides the order.
+        stops.sort_unstable();
+        match stops.first() {
+            Some(&(t, seq, _)) => Some((t, seq)),
+            None => {
+                self.free.push(id);
+                None
+            }
+        }
+    }
+
+    /// Take a train's head: its destination and frame, plus the next
+    /// arrival's key. A train whose last arrival this was is freed.
+    fn advance(&mut self, id: u32) -> (usize, ControlFrame, Option<(SimTime, u64)>) {
+        let train = &mut self.slab[id as usize];
+        let (_, _, dst) = train.stops[train.next];
+        train.next += 1;
+        let next = train.stops.get(train.next).map(|&(t, seq, _)| (t, seq));
+        let frame = train.frame;
+        if next.is_none() {
+            self.free.push(id);
+        }
+        (dst, frame, next)
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use fastmsg::packet::PACKET_BYTES;
 use lanai::nic::Nic;
-use myrinet::network::Network;
+use myrinet::network::{Network, Transmit};
 use myrinet::topology::{LinkTier, Topology};
 use parpar::arrivals::{ArrivalPlan, ArrivalSpec};
 use parpar::control::{ControlNet, ControlPlane};
@@ -22,6 +22,7 @@ use workloads::program::{Program, Workload};
 use crate::bus::{Bus, Pending};
 use crate::config::ClusterConfig;
 use crate::event::{DaemonEvent, Event};
+use crate::handlers::nic::Trains;
 use crate::handlers::{
     AppHandler, DaemonHandler, FmHandler, NicHandler, SwitchHandler, WorldState,
 };
@@ -86,6 +87,10 @@ pub struct World {
     /// Taken out of the world for the duration of a dispatch, always empty
     /// between dispatches.
     agenda_buf: Vec<Pending>,
+    /// In-flight serial halt/ready broadcasts (see `handlers::nic`).
+    pub(crate) trains: Trains,
+    /// Pooled per-peer transmit buffer for the serial broadcasts.
+    pub(crate) bcast_sends: Vec<(usize, Transmit)>,
 }
 
 impl World {
@@ -151,6 +156,8 @@ impl World {
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
             agenda_buf: Vec::with_capacity(16),
+            trains: Trains::default(),
+            bcast_sends: Vec::new(),
             cfg,
         };
         w.stats.tree_depth = w.tree.as_ref().map_or(0, ControlTree::depth);
@@ -242,6 +249,8 @@ impl World {
             tree_agg: Vec::new(),
             switch_ordered_at: SimTime::ZERO,
             agenda_buf: Vec::with_capacity(16),
+            trains: Trains::default(),
+            bcast_sends: Vec::new(),
         }
     }
 
@@ -327,7 +336,7 @@ impl Model for World {
         // mode produces: observable behavior is bit-for-bit the same.
         let mut agenda = std::mem::take(&mut self.agenda_buf);
         debug_assert!(agenda.is_empty());
-        let mut bus = Bus::deferred(sched, now, &mut agenda);
+        let mut bus = Bus::deferred(sched, now, &mut agenda, false);
         self.dispatch(now, event, &mut bus);
 
         let fence = sched.fence();
@@ -354,7 +363,7 @@ impl Model for World {
             let (t, _seq, ev) = agenda.swap_remove(min);
             sched.note_inline_dispatch();
             budget -= 1;
-            let mut bus = Bus::deferred(sched, t, &mut agenda);
+            let mut bus = Bus::deferred(sched, t, &mut agenda, true);
             self.dispatch(t, ev, &mut bus);
         }
 

@@ -163,8 +163,20 @@ pub fn scatter<R: Send + 'static>(
 mod tests {
     use super::*;
 
+    /// Serializes the tests that lease from the global [`Budget`]: the
+    /// test harness runs them on parallel threads, and each one asserts on
+    /// the process-wide `SLOTS_TAKEN` counter the others move.
+    static BUDGET_LOCK: Mutex<()> = Mutex::new(());
+
+    fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+        // A failed sibling poisons the lock; its slots were still released
+        // by the unwinding `Grant` drops, so the counter is consistent.
+        BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn budget_never_exceeds_machine() {
+        let _serial = budget_lock();
         let cap = max_parallelism();
         let a = Budget::acquire(usize::MAX);
         assert!(a.count() >= 1 && a.count() <= cap);
@@ -178,6 +190,7 @@ mod tests {
 
     #[test]
     fn grants_release_on_drop() {
+        let _serial = budget_lock();
         let before = SLOTS_TAKEN.load(Ordering::Relaxed);
         {
             let _g = Budget::acquire(1);
@@ -188,6 +201,7 @@ mod tests {
 
     #[test]
     fn scatter_preserves_order() {
+        let _serial = budget_lock();
         let pool = WorkerPool::new(4);
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
             .map(|i| Box::new(move || i * 10) as Box<dyn FnOnce() -> usize + Send>)
@@ -198,6 +212,7 @@ mod tests {
 
     #[test]
     fn pool_survives_many_rounds() {
+        let _serial = budget_lock();
         let pool = WorkerPool::new(2);
         for round in 0..100 {
             let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4)

@@ -73,10 +73,21 @@ impl Cycles {
     /// Cycles needed to move `bytes` at `bytes_per_sec`, rounded up.
     ///
     /// This is the conversion used throughout the memory and link cost
-    /// models: `cycles = ceil(bytes * CPU_HZ / bandwidth)`.
+    /// models: `cycles = ceil(bytes * CPU_HZ / bandwidth)`. The product
+    /// fits in a `u64` for any size below ~92 GB, so the 128-bit division
+    /// only runs when it would overflow.
     #[inline]
     pub fn for_bytes_at(bytes: u64, bytes_per_sec: u64) -> Cycles {
         debug_assert!(bytes_per_sec > 0, "bandwidth must be positive");
+        match bytes.checked_mul(CPU_HZ) {
+            Some(num) => Cycles(num.div_ceil(bytes_per_sec)),
+            None => Self::for_bytes_at_wide(bytes, bytes_per_sec),
+        }
+    }
+
+    /// [`Cycles::for_bytes_at`] computed in 128 bits throughout.
+    #[cold]
+    fn for_bytes_at_wide(bytes: u64, bytes_per_sec: u64) -> Cycles {
         let num = bytes as u128 * CPU_HZ as u128;
         let den = bytes_per_sec as u128;
         Cycles(num.div_ceil(den) as u64)
@@ -256,6 +267,26 @@ mod tests {
         // 1 byte at 2*CPU_HZ rounds up to one cycle, not zero.
         assert_eq!(Cycles::for_bytes_at(1, 2 * CPU_HZ).raw(), 1);
         assert_eq!(Cycles::for_bytes_at(0, 1).raw(), 0);
+    }
+
+    proptest::proptest! {
+        /// The 64-bit fast path and the 128-bit path agree everywhere:
+        /// `bytes` and `bytes_per_sec` are drawn at every magnitude up to
+        /// `u64::MAX`, so both sides of the overflow edge are covered.
+        #[test]
+        fn bytes_at_fast_path_matches_wide(
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+            bw_raw in proptest::prelude::any::<u64>(),
+            bw_shift in 0u32..64,
+        ) {
+            let bytes = raw >> shift;
+            let bw = (bw_raw >> bw_shift).max(1);
+            proptest::prop_assert_eq!(
+                Cycles::for_bytes_at(bytes, bw),
+                Cycles::for_bytes_at_wide(bytes, bw)
+            );
+        }
     }
 
     #[test]

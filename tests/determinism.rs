@@ -2,7 +2,7 @@
 //! bit-identical runs; the figures are exactly reproducible.
 
 use cluster::measure::{switch_overhead_run, Measurement};
-use cluster::{ClusterConfig, Sim};
+use cluster::{ClusterConfig, ControlPlane, FatTreeShape, Sim, TopologyKind};
 use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
@@ -484,6 +484,96 @@ fn logical_fingerprint_goldens_per_policy_and_batch() {
             }
         }
     }
+}
+
+/// A 64-host fat-tree gang rotation under FullBuffer, serial control: slot
+/// 0 holds a whole-machine compute job, slot 1 a whole-machine 64 KB ring,
+/// and the run stops after [`ROTATE64_SWITCHES`] switches. Every switch
+/// runs 64 serial halt broadcasts and 64 serial ready broadcasts of 63
+/// frames each, so this is the scenario where the broadcast trains matter.
+fn rotate64(wire_loss_ppm: u32, batch: usize) -> Sim {
+    let hosts = 64;
+    let mut cfg = ClusterConfig::parpar(hosts, 2, BufferPolicy::FullBuffer);
+    cfg.topology = TopologyKind::FatTree {
+        shape: FatTreeShape::for_hosts(hosts),
+    };
+    cfg.control = ControlPlane::Serial;
+    cfg.quantum = Cycles::from_ms(10);
+    cfg.seed = 6401;
+    cfg.batch = batch;
+    cfg.wire_loss_ppm = wire_loss_ppm;
+    cfg.reliability.enabled = wire_loss_ppm > 0;
+    let mut sim = Sim::new(cfg);
+    let all: Vec<usize> = (0..hosts).collect();
+    for name in ["compute", "ring"] {
+        let job = workloads::registry::build(name, hosts, 1, 1_000_000).unwrap();
+        sim.submit(&*job, Some(all.clone())).unwrap();
+    }
+    sim
+}
+
+/// Switches [`rotate64`] runs for.
+const ROTATE64_SWITCHES: u64 = 6;
+
+/// Run [`rotate64`] to its switch count: `(events, digest, fingerprint)`.
+fn run_rotate64(wire_loss_ppm: u32, batch: usize) -> (u64, u64, u64) {
+    let mut sim = rotate64(wire_loss_ppm, batch);
+    sim.engine
+        .run_until_pred(SimTime::ZERO + Cycles::from_secs(60), |w| {
+            w.stats.switches >= ROTATE64_SWITCHES
+        });
+    assert_eq!(sim.world().stats.switches, ROTATE64_SWITCHES);
+    assert_eq!(sim.engine.causality_clamps(), 0);
+    if wire_loss_ppm > 0 {
+        // The loss run exercises lost control frames and re-broadcasts.
+        assert!(sim.world().stats.rebroadcasts > 0);
+    }
+    (
+        sim.engine.events_processed(),
+        sim.engine.stream_digest(),
+        sim.logical_fingerprint(),
+    )
+}
+
+/// Golden event count, stream digest and logical fingerprint of
+/// [`rotate64`]: plain; with 2000 ppm wire loss and reliability on (lost
+/// halt/ready frames and the recovery re-broadcasts); and with `batch =
+/// 16` (the deferred bus). Recorded with every serial broadcast's frames
+/// queued as separate engine events, so they pin that delivery order.
+#[test]
+fn fat_tree_rotation_goldens() {
+    let cells: &[(u32, usize, u64, u64, u64)] = &[
+        (0, 0, 64_550, 0xe436_99e3_120f_14d9, 0x50e1_15b9_704e_ec20),
+        (
+            2000,
+            0,
+            123_614,
+            0x345f_20ba_81c0_1e53,
+            0x8fb8_29c5_e17e_0665,
+        ),
+        (0, 16, 59_686, 0x2aea_439d_3dcc_5bde, 0x50e1_15b9_704e_ec20),
+    ];
+    for &(loss, batch, events, digest, fingerprint) in cells {
+        let got = run_rotate64(loss, batch);
+        let want = (events, digest, fingerprint);
+        assert_eq!(got, want, "wire_loss_ppm={loss} batch={batch}");
+    }
+}
+
+/// A serial broadcast keeps one engine event pending, not one per peer:
+/// stepping [`rotate64`] event by event, the queue never holds more than
+/// 8 events per host.
+#[test]
+fn fat_tree_rotation_pending_stays_linear_in_hosts() {
+    let mut sim = rotate64(0, 0);
+    let bound = 8 * sim.world().cfg.nodes;
+    let horizon = SimTime::ZERO + Cycles::from_secs(60);
+    let mut peak = 0;
+    while sim.world().stats.switches < ROTATE64_SWITCHES {
+        assert!(sim.engine.step_bounded(horizon).is_some(), "run stalled");
+        peak = peak.max(sim.engine.pending());
+    }
+    assert!(peak <= bound, "{peak} pending events > {bound}");
 }
 
 #[test]
