@@ -22,12 +22,10 @@ fn main() {
     let seed = opts.seed;
     let full = opts.full;
     let batch = opts.batch;
-    let threads = opts.threads;
     let results = par_sweep(params.clone(), |&(n, sz)| {
         Measurement::fig5(n, sz, fig5_count(sz, full))
             .seed(seed)
             .batch(batch)
-            .threads(threads)
             .run()
     });
 

@@ -30,12 +30,10 @@ fn main() {
     }
     let seed = opts.seed;
     let batch = opts.batch;
-    let threads = opts.threads;
     let results = par_sweep(params, |&(k, sz)| {
         Measurement::fig6(k, sz, quantum, window)
             .seed(seed)
             .batch(batch)
-            .threads(threads)
             .run()
     });
 

@@ -17,7 +17,6 @@ fn main() {
     let switches = if opts.full { 12 } else { 5 };
     let seed = opts.seed;
     let batch = opts.batch;
-    let threads = opts.threads;
     let results = par_sweep(FIG7_NODES.to_vec(), |&nodes| {
         Measurement::switch_overhead(
             nodes,
@@ -27,7 +26,6 @@ fn main() {
         )
         .seed(seed)
         .batch(batch)
-        .threads(threads)
         .run()
     });
     let mut table = Table::new(

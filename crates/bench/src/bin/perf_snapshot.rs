@@ -3,41 +3,26 @@
 //!
 //! Two default scenarios (`--scenario NAME` swaps in any scenario from
 //! [`workloads::registry`] instead — resolved by name, run on 8 nodes at
-//! the same thread/batch grid):
+//! both batch settings):
 //!
-//! * `ring_1mib` — the `engine_throughput` criterion scenario: 4 nodes,
-//!   one ring job pushing 1 MiB messages for 4 laps. Bidirectional traffic
-//!   on shared links, so it never shards; it measures the sequential core
-//!   and the burst fast path.
+//! * `ring_1mib` — 4 nodes, one ring job pushing 1 MiB messages for 4
+//!   laps: bidirectional traffic on shared links, the burst fast path's
+//!   best case.
 //! * `pairs64` — 64 nodes, 32 disjoint point-to-point pairs, static
-//!   division, no rotation. Link-disjoint jobs, so the windowed parallel
-//!   engine shards it; it measures the multi-shard path.
+//!   division, no rotation: the data plane at scale.
 //!
-//! Each scenario runs at `--batch off` and `--batch 16`, at every thread
-//! count in the sweep. The default sweep is `1 2 4 8` **clipped to the
-//! host's cores**: an oversubscribed run measures scheduler contention,
-//! not engine scaling, and used to produce rows that read as parallel
-//! slowdowns on small CI hosts. An explicit `--threads N` (the form CI
-//! uses to compare two counts) always runs and is instead marked
-//! `oversubscribed` in the table and the JSON when `N` exceeds the cores.
-//! Every row carries a determinism digest, printed as stable `DIGEST`
-//! lines for CI to diff across thread counts. For `batch == 0` rows that
-//! is the physical event-stream digest, bit-identical at any thread
-//! count. `batch > 0` rows run on the windowed engine too (shard-local
-//! trains fence at the shard queue head, so the *elision pattern* may
-//! legally differ from the sequential batched run); their determinism
-//! contract is pinned one level up, at the logical stream, so those rows
-//! carry [`Sim::logical_fingerprint`] instead. Each row also records why
-//! it was ineligible for windowing (`ineligible_reason`), separating
-//! "sequential by design" from "eligible but never found a sound
-//! window".
+//! Each scenario runs at `--batch off` and `--batch 16`. Every row carries
+//! a determinism digest, printed as stable `DIGEST` lines for CI to diff.
+//! For `batch == 0` rows that is the physical event-stream digest. Burst
+//! trains elide physical events, so `batch > 0` rows pin the run one level
+//! up, at [`Sim::logical_fingerprint`], which equals the unbatched run's.
 //!
 //! The row format and its JSON round-trip live in
 //! [`bench_harness::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin perf_snapshot \
-//!     [--threads N] [--seed N] [--out FILE] [--quick] [--scenario NAME]
+//!     [--seed N] [--out FILE] [--quick] [--scenario NAME]
 //! ```
 
 use std::time::Instant;
@@ -54,101 +39,71 @@ struct Outcome {
     /// Physical stream digest at `batch == 0`, logical fingerprint at
     /// `batch > 0` (see the module docs for why the contract moves).
     digest: u64,
-    windows: u64,
-    ineligible: Option<&'static str>,
 }
 
-/// The digest a `(batch, threads)` cell pins: the physical dispatch
-/// stream when nothing is elided, the logical fingerprint when the burst
-/// fast path may legally re-shape the physical stream per shard.
-fn pinned_digest(sim: &Sim, batch: usize) -> u64 {
-    if batch == 0 {
-        sim.engine.stream_digest()
-    } else {
-        sim.logical_fingerprint()
-    }
-}
-
-fn run_ring(threads: usize, batch: usize, seed: u64, laps: u64) -> Outcome {
-    let mut cfg = ClusterConfig::parpar(4, 1, BufferPolicy::StaticDivision);
+/// A static-division cluster of `nodes` one-slot hosts with rotation off.
+fn config(nodes: usize, batch: usize, seed: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::parpar(nodes, 1, BufferPolicy::StaticDivision);
     cfg.auto_rotate = false;
     cfg.seed = seed;
     cfg.batch = batch;
-    cfg.threads = threads;
-    let mut sim = Sim::new(cfg);
+    cfg
+}
+
+/// Run every submitted job to completion and collect the row's outcome.
+fn finish(mut sim: Sim, batch: usize, what: &str) -> Outcome {
+    assert!(
+        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
+        "{what} did not finish"
+    );
+    Outcome {
+        logical_events: sim.engine.logical_events(),
+        digest: if batch == 0 {
+            sim.engine.stream_digest()
+        } else {
+            sim.logical_fingerprint()
+        },
+    }
+}
+
+fn run_ring(batch: usize, seed: u64, laps: u64) -> Outcome {
+    let mut sim = Sim::new(config(4, batch, seed));
     let ring = Ring {
         nprocs: 4,
         msg_bytes: 1 << 20,
         laps,
     };
     sim.submit(&ring, Some(vec![0, 1, 2, 3])).unwrap();
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
-        "ring did not finish"
-    );
-    Outcome {
-        logical_events: sim.engine.logical_events(),
-        digest: pinned_digest(&sim, batch),
-        windows: sim.parallel_windows(),
-        ineligible: sim.windows_ineligible(),
-    }
+    finish(sim, batch, "ring")
 }
 
-fn run_pairs64(threads: usize, batch: usize, seed: u64, count: u64) -> Outcome {
-    let mut cfg = ClusterConfig::parpar(64, 1, BufferPolicy::StaticDivision);
-    cfg.auto_rotate = false;
-    cfg.seed = seed;
-    cfg.batch = batch;
-    cfg.threads = threads;
-    let mut sim = Sim::new(cfg);
+fn run_pairs64(batch: usize, seed: u64, count: u64) -> Outcome {
+    let mut sim = Sim::new(config(64, batch, seed));
     let bench = workloads::registry::build("p2p", 2, seed, count).expect("registry has p2p");
     for pair in 0..32 {
         sim.submit(&*bench, Some(vec![2 * pair, 2 * pair + 1]))
             .unwrap();
     }
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
-        "pairs did not finish"
-    );
-    Outcome {
-        logical_events: sim.engine.logical_events(),
-        digest: pinned_digest(&sim, batch),
-        windows: sim.parallel_windows(),
-        ineligible: sim.windows_ineligible(),
-    }
+    finish(sim, batch, "pairs")
 }
 
 /// One registry scenario on 8 nodes, static division, no rotation: the
 /// shared path every sweep bin resolves scenario names through.
-fn run_scenario(name: &str, threads: usize, batch: usize, seed: u64, size: u64) -> Outcome {
+fn run_scenario(name: &str, batch: usize, seed: u64, size: u64) -> Outcome {
     let bench = workloads::registry::build(name, 8, seed, size).unwrap_or_else(|| {
         panic!(
             "unknown scenario {name:?} (known: {:?})",
             workloads::registry::names()
         )
     });
-    let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::StaticDivision);
-    cfg.auto_rotate = false;
-    cfg.seed = seed;
-    cfg.batch = batch;
-    cfg.threads = threads;
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::new(config(8, batch, seed));
     let nodes: Vec<usize> = (0..bench.nprocs()).collect();
     sim.submit(&*bench, Some(nodes)).unwrap();
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
-        "{name} did not finish"
-    );
-    Outcome {
-        logical_events: sim.engine.logical_events(),
-        digest: pinned_digest(&sim, batch),
-        windows: sim.parallel_windows(),
-        ineligible: sim.windows_ineligible(),
-    }
+    finish(sim, batch, name)
 }
 
-/// Median-of-three wall time (single run with `--quick`).
-fn measure(quick: bool, f: impl Fn() -> Outcome) -> (f64, Outcome) {
+/// Median-of-three wall time (single run with `--quick`), as a row.
+fn measure(quick: bool, scenario: &str, batch: usize, f: impl Fn() -> Outcome) -> Row {
     let reps = if quick { 1 } else { 3 };
     let mut times = Vec::with_capacity(reps);
     let mut out = None;
@@ -159,13 +114,19 @@ fn measure(quick: bool, f: impl Fn() -> Outcome) -> (f64, Outcome) {
         out = Some(o);
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("wall time is finite"));
-    (times[times.len() / 2], out.expect("at least one rep"))
+    let wall_ms = times[times.len() / 2];
+    let o = out.expect("at least one rep");
+    Row {
+        scenario: scenario.into(),
+        batch,
+        wall_ms,
+        logical_events: o.logical_events,
+        events_per_sec: o.logical_events as f64 / (wall_ms / 1e3),
+        digest: o.digest,
+    }
 }
 
 fn main() {
-    let host_cores = sim_core::pool::max_parallelism();
-    let mut threads_sweep: Vec<usize> = vec![1, 2, 4, 8];
-    let mut threads_explicit = false;
     let mut seed = 42u64;
     let mut out_path = String::from("BENCH_engine.json");
     let mut quick = false;
@@ -176,22 +137,7 @@ fn main() {
             args.next()
                 .unwrap_or_else(|| panic!("{flag} needs a value"))
         };
-        if let Some(rest) = a.strip_prefix("--threads") {
-            let v = match rest.strip_prefix('=') {
-                Some(v) => v.to_string(),
-                None if rest.is_empty() => take(&mut args, "--threads"),
-                _ => panic!("unknown flag {a}"),
-            };
-            threads_sweep = v
-                .split(',')
-                .map(|t| {
-                    let n: usize = t.parse().expect("--threads takes integers");
-                    assert!(n >= 1, "--threads must be at least 1");
-                    n
-                })
-                .collect();
-            threads_explicit = true;
-        } else if let Some(rest) = a.strip_prefix("--seed") {
+        if let Some(rest) = a.strip_prefix("--seed") {
             let v = match rest.strip_prefix('=') {
                 Some(v) => v.to_string(),
                 None if rest.is_empty() => take(&mut args, "--seed"),
@@ -214,7 +160,7 @@ fn main() {
             quick = true;
         } else if a == "--help" || a == "-h" {
             eprintln!(
-                "flags: --threads N[,N...] --seed N --out FILE --quick --scenario NAME\n\
+                "flags: --seed N --out FILE --quick --scenario NAME\n\
                  scenarios: {:?}",
                 workloads::registry::names()
             );
@@ -223,95 +169,37 @@ fn main() {
             panic!("unknown flag {a}");
         }
     }
-    if !threads_explicit {
-        let before = threads_sweep.len();
-        threads_sweep.retain(|&t| t == 1 || t <= host_cores);
-        if threads_sweep.len() < before {
-            eprintln!(
-                "host has {host_cores} cores: clipping the default thread sweep to \
-                 {threads_sweep:?} (pass --threads N to force an oversubscribed run)"
-            );
-        }
-    }
 
     let (ring_laps, pairs_count) = if quick { (1, 60) } else { (4, 400) };
     let scenario_size = if quick { 20 } else { 100 };
     let mut rows = Vec::new();
-    for &threads in &threads_sweep {
-        let oversubscribed = threads > host_cores;
-        for batch in [0usize, 16] {
-            if let Some(name) = &scenario {
-                let (wall_ms, o) = measure(quick, || {
-                    run_scenario(name, threads, batch, seed, scenario_size)
-                });
-                rows.push(Row {
-                    scenario: name.clone(),
-                    threads,
-                    batch,
-                    wall_ms,
-                    logical_events: o.logical_events,
-                    events_per_sec: o.logical_events as f64 / (wall_ms / 1e3),
-                    digest: o.digest,
-                    windows: o.windows,
-                    ineligible_reason: o.ineligible.map(str::to_string),
-                    oversubscribed,
-                });
-                continue;
-            }
-            let (wall_ms, o) = measure(quick, || run_ring(threads, batch, seed, ring_laps));
-            rows.push(Row {
-                scenario: "ring_1mib".into(),
-                threads,
-                batch,
-                wall_ms,
-                logical_events: o.logical_events,
-                events_per_sec: o.logical_events as f64 / (wall_ms / 1e3),
-                digest: o.digest,
-                windows: o.windows,
-                ineligible_reason: o.ineligible.map(str::to_string),
-                oversubscribed,
-            });
-            let (wall_ms, o) = measure(quick, || run_pairs64(threads, batch, seed, pairs_count));
-            rows.push(Row {
-                scenario: "pairs64".into(),
-                threads,
-                batch,
-                wall_ms,
-                logical_events: o.logical_events,
-                events_per_sec: o.logical_events as f64 / (wall_ms / 1e3),
-                digest: o.digest,
-                windows: o.windows,
-                ineligible_reason: o.ineligible.map(str::to_string),
-                oversubscribed,
-            });
+    for batch in [0usize, 16] {
+        if let Some(name) = &scenario {
+            rows.push(measure(quick, name, batch, || {
+                run_scenario(name, batch, seed, scenario_size)
+            }));
+            continue;
         }
+        rows.push(measure(quick, "ring_1mib", batch, || {
+            run_ring(batch, seed, ring_laps)
+        }));
+        rows.push(measure(quick, "pairs64", batch, || {
+            run_pairs64(batch, seed, pairs_count)
+        }));
     }
 
     println!(
-        "{:<10} {:>7} {:>5} {:>10} {:>12} {:>12} {:>8}  digest",
-        "scenario", "threads", "batch", "wall ms", "events", "events/s", "windows"
+        "{:<10} {:>5} {:>10} {:>12} {:>12}  digest",
+        "scenario", "batch", "wall ms", "events", "events/s"
     );
     for r in &rows {
         println!(
-            "{:<10} {:>7} {:>5} {:>10.1} {:>12} {:>12.0} {:>8}  {:#018x}{}",
-            r.scenario,
-            r.threads,
-            r.batch,
-            r.wall_ms,
-            r.logical_events,
-            r.events_per_sec,
-            r.windows,
-            r.digest,
-            if r.oversubscribed {
-                "  [oversubscribed]"
-            } else {
-                ""
-            }
+            "{:<10} {:>5} {:>10.1} {:>12} {:>12.0}  {:#018x}",
+            r.scenario, r.batch, r.wall_ms, r.logical_events, r.events_per_sec, r.digest,
         );
     }
-    // Determinism lines for CI: identical across thread counts by
-    // construction, so two runs at different --threads must print the
-    // same set (compare with `grep ^DIGEST | sort -u`).
+    // Determinism lines for CI: a fixed function of the seed, so two runs
+    // must print the same set (compare with `grep ^DIGEST | sort -u`).
     for r in &rows {
         println!(
             "DIGEST scenario={} batch={} kind={} events={} digest={:#018x}",
@@ -322,32 +210,11 @@ fn main() {
             r.digest
         );
     }
-    for &batch in &[0usize, 16] {
-        let base = rows
-            .iter()
-            .find(|r| r.scenario == "pairs64" && r.threads == 1 && r.batch == batch);
-        let best = rows
-            .iter()
-            .filter(|r| r.scenario == "pairs64" && r.batch == batch && !r.oversubscribed)
-            .max_by_key(|r| r.threads);
-        if let (Some(b), Some(t)) = (base, best) {
-            if t.threads > 1 {
-                println!(
-                    "SPEEDUP pairs64 batch={} threads={}x over 1: {:.2}x \
-                     (host has {} cores)",
-                    batch,
-                    t.threads,
-                    b.wall_ms / t.wall_ms,
-                    host_cores
-                );
-            }
-        }
-    }
 
     let snap = Snapshot {
         bench: "engine_throughput".into(),
         seed,
-        host_cores,
+        host_cores: sim_core::pool::max_parallelism(),
         rows,
     };
     std::fs::write(&out_path, snap.to_json()).expect("write snapshot json");

@@ -55,7 +55,6 @@ fn main() {
             .buffer_policy(policy)
             .seed(opts.seed)
             .batch(opts.batch)
-            .threads(opts.threads)
             .wire_loss_ppm(ppm)
             .reliability(rel)
             .run()
@@ -126,7 +125,6 @@ fn main() {
             .buffer_policy(policy)
             .seed(opts.seed)
             .batch(opts.batch)
-            .threads(opts.threads)
             .run()
     });
     let mut serve_t = Table::new(

@@ -19,14 +19,13 @@
 //!
 //! Rows ascend in N, so the CSV from `--max-n 256` (the CI smoke run) is
 //! a byte prefix of the committed full `results/scale_sweep.csv`. All
-//! table values come from deterministic simulation stats: the CSV is
-//! bit-identical at any `--threads`, and per-cell `DIGEST` lines are
-//! printed for CI to diff across thread counts. Wall-clock throughput of
+//! table values come from deterministic simulation stats, and per-cell
+//! `DIGEST` lines pin each cell's event stream. Wall-clock throughput of
 //! each cell is appended to `BENCH_scale.json` via [`bench_harness::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin scale_sweep -- \
-//!     [--max-n N] [--out FILE] [--full] [--csv DIR] [--seed N] [--threads N]
+//!     [--max-n N] [--out FILE] [--full] [--csv DIR] [--seed N]
 //! ```
 
 use std::time::Instant;
@@ -54,8 +53,6 @@ struct CellOut {
     wall_ms: f64,
     logical_events: u64,
     digest: u64,
-    windows: u64,
-    ineligible: Option<&'static str>,
 }
 
 /// The pair-job placements for an `nodes`-host cell: one disjoint pair
@@ -99,7 +96,6 @@ fn run_cell(
     cfg.quantum = Cycles::from_ms(20);
     cfg.seed = opts.seed;
     cfg.batch = opts.batch;
-    cfg.threads = opts.threads;
     let mut sim = Sim::new(cfg);
     // The registry's `p2p` entry pins the 64 KB message size this cell's
     // bandwidth column assumes.
@@ -119,8 +115,6 @@ fn run_cell(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let logical_events = sim.engine.logical_events();
     let digest = sim.engine.stream_digest();
-    let windows = sim.parallel_windows();
-    let ineligible = sim.windows_ineligible();
     let w = sim.world();
     assert_eq!(w.stats.drops, 0, "{name} N={nodes} dropped packets");
     let agg_mbps: f64 = jobs
@@ -148,8 +142,6 @@ fn run_cell(
         wall_ms,
         logical_events,
         digest,
-        windows,
-        ineligible,
     }
 }
 
@@ -215,7 +207,7 @@ fn main() {
     }
     opts.emit("scale_sweep", &t);
 
-    // Stable digest lines for CI to diff across `--threads` counts.
+    // Stable digest lines for CI to diff against a reference run.
     for c in &cells {
         println!(
             "DIGEST scenario={}_n{} events={} digest={:#018x}",
@@ -223,24 +215,19 @@ fn main() {
         );
     }
 
-    let host_cores = sim_core::pool::max_parallelism();
     let snap = Snapshot {
         bench: "scale_sweep".to_string(),
         seed: opts.seed,
-        host_cores,
+        host_cores: sim_core::pool::max_parallelism(),
         rows: cells
             .iter()
             .map(|c| Row {
                 scenario: format!("{}_n{}", c.control, c.nodes),
-                threads: opts.threads,
                 batch: opts.batch,
                 wall_ms: c.wall_ms,
                 logical_events: c.logical_events,
                 events_per_sec: c.logical_events as f64 / (c.wall_ms / 1e3),
                 digest: c.digest,
-                windows: c.windows,
-                ineligible_reason: c.ineligible.map(str::to_string),
-                oversubscribed: opts.threads > host_cores,
             })
             .collect(),
     };

@@ -32,10 +32,6 @@ pub struct HarnessOpts {
     /// Fragment-burst coalescing limit: 0 = off (packet-at-a-time),
     /// `k` = coalesce up to `k` fragments per engine event.
     pub batch: usize,
-    /// Worker threads for the windowed parallel engine (1 = sequential).
-    /// Results are bit-identical at any value; ineligible configurations
-    /// fall back to the sequential engine.
-    pub threads: usize,
 }
 
 impl HarnessOpts {
@@ -51,7 +47,6 @@ impl HarnessOpts {
             csv: None,
             seed: 42,
             batch: 0,
-            threads: 1,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -68,7 +63,7 @@ impl HarnessOpts {
                         .expect("seed must be an integer");
                 }
                 "--help" | "-h" => {
-                    eprintln!("flags: --full --csv DIR --seed N --batch off|K --threads N");
+                    eprintln!("flags: --full --csv DIR --seed N --batch off|K");
                     std::process::exit(0);
                 }
                 other => {
@@ -84,16 +79,6 @@ impl HarnessOpts {
                             "off" => 0,
                             k => k.parse().expect("--batch takes off or an integer"),
                         };
-                    } else if let Some(rest) = other.strip_prefix("--threads") {
-                        let v = match rest.strip_prefix('=') {
-                            Some(v) => v.to_string(),
-                            None if rest.is_empty() => {
-                                args.next().expect("--threads needs a worker count")
-                            }
-                            _ => panic!("unknown flag {other}"),
-                        };
-                        opts.threads = v.parse().expect("--threads takes an integer");
-                        assert!(opts.threads >= 1, "--threads must be at least 1");
                     } else {
                         panic!("unknown flag {other}");
                     }
@@ -116,9 +101,7 @@ impl HarnessOpts {
 }
 
 /// Ceiling on [`par_sweep`] workers: the machine-wide limit from
-/// `sim_core::pool` — the same source the windowed parallel engine sizes
-/// its shard pool from, so nested parallelism (a sweep of sharded runs)
-/// cannot oversubscribe the machine.
+/// `sim_core::pool`.
 pub fn sweep_pool_size() -> usize {
     sim_core::pool::max_parallelism()
 }
@@ -126,9 +109,9 @@ pub fn sweep_pool_size() -> usize {
 /// Run `f` over `params` on a bounded worker pool, preserving parameter
 /// order in the results. Workers pull the next parameter from a shared
 /// counter, so at most the pool size runs at once no matter how large the
-/// sweep is. The pool is leased from the global `sim_core::pool::Budget`:
-/// slots a sweep holds are slots the in-simulation shard pools cannot
-/// also take (they degrade to fewer workers), and vice versa.
+/// sweep is. The pool is leased from the global `sim_core::pool::Budget`,
+/// so concurrent or nested sweeps share the machine's slots instead of
+/// multiplying them.
 pub fn par_sweep<P, R, F>(params: Vec<P>, f: F) -> Vec<R>
 where
     P: Send + Sync,
@@ -233,16 +216,6 @@ mod tests {
         let o = parse(&["--full", "--batch=4", "--seed", "9"]);
         assert!(o.full);
         assert_eq!((o.batch, o.seed), (4, 9));
-    }
-
-    #[test]
-    fn threads_flag_parses() {
-        let parse = |args: &[&str]| HarnessOpts::parse(args.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&[]).threads, 1);
-        assert_eq!(parse(&["--threads=8"]).threads, 8);
-        assert_eq!(parse(&["--threads", "4"]).threads, 4);
-        let o = parse(&["--threads=2", "--batch=16"]);
-        assert_eq!((o.threads, o.batch), (2, 16));
     }
 
     #[test]

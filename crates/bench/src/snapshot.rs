@@ -13,8 +13,6 @@ use std::fmt::Write as _;
 pub struct Row {
     /// Scenario name (`ring_1mib`, `pairs64`).
     pub scenario: String,
-    /// Worker threads the windowed engine was given.
-    pub threads: usize,
     /// Packet-train batch knob (0 = fast path off).
     pub batch: usize,
     /// Median wall time, milliseconds (3 decimals survive the JSON).
@@ -23,19 +21,9 @@ pub struct Row {
     pub logical_events: u64,
     /// `logical_events / wall_ms`, rounded to whole events in the JSON.
     pub events_per_sec: f64,
-    /// Event-stream digest — bit-identical across thread counts.
+    /// Run digest: the engine's event-stream digest, or the logical
+    /// fingerprint where the emitting bin says so (batched rows).
     pub digest: u64,
-    /// Parallel windows the sharded driver committed (0 = sequential).
-    pub windows: u64,
-    /// Why the configuration was ineligible for the windowed engine
-    /// (`"threads=1"`, `"reliability timers"`, …), or `None` when it was
-    /// eligible. Distinguishes `windows == 0` meaning "sequential by
-    /// design" from "eligible, but no sound window materialized at
-    /// runtime".
-    pub ineligible_reason: Option<String>,
-    /// More threads than the host has cores: the row measures scheduler
-    /// contention, not engine scaling, and CI must not gate on it.
-    pub oversubscribed: bool,
 }
 
 /// A full snapshot file: header plus rows.
@@ -61,27 +49,12 @@ impl Snapshot {
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         s.push_str("  \"rows\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
-            let reason = match &r.ineligible_reason {
-                Some(why) => format!("\"{why}\""),
-                None => "null".into(),
-            };
             let _ = write!(
                 s,
-                "    {{\"scenario\": \"{}\", \"threads\": {}, \"batch\": {}, \
+                "    {{\"scenario\": \"{}\", \"batch\": {}, \
                  \"wall_ms\": {:.3}, \"logical_events\": {}, \
-                 \"events_per_sec\": {:.0}, \"digest\": \"{:#018x}\", \
-                 \"windows\": {}, \"ineligible_reason\": {}, \
-                 \"oversubscribed\": {}}}",
-                r.scenario,
-                r.threads,
-                r.batch,
-                r.wall_ms,
-                r.logical_events,
-                r.events_per_sec,
-                r.digest,
-                r.windows,
-                reason,
-                r.oversubscribed,
+                 \"events_per_sec\": {:.0}, \"digest\": \"{:#018x}\"}}",
+                r.scenario, r.batch, r.wall_ms, r.logical_events, r.events_per_sec, r.digest,
             );
             s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
         }
@@ -116,26 +89,11 @@ impl Snapshot {
             .map_err(|e| format!("bad digest {digest_hex}: {e}"))?;
             snap.rows.push(Row {
                 scenario: string_field(line, "scenario")?,
-                threads: num_field(line, "threads")? as usize,
                 batch: num_field(line, "batch")? as usize,
                 wall_ms: float_field(line, "wall_ms")?,
                 logical_events: num_field(line, "logical_events")?,
                 events_per_sec: float_field(line, "events_per_sec")?,
                 digest,
-                windows: num_field(line, "windows")?,
-                ineligible_reason: match raw_field(line, "ineligible_reason")?.as_str() {
-                    "null" => None,
-                    quoted => Some(
-                        quoted
-                            .strip_prefix('"')
-                            .and_then(|r| r.strip_suffix('"'))
-                            .ok_or_else(|| {
-                                format!("field ineligible_reason is not a string: {quoted}")
-                            })?
-                            .to_string(),
-                    ),
-                },
-                oversubscribed: raw_field(line, "oversubscribed")? == "true",
             });
         }
         Ok(snap)
@@ -183,7 +141,6 @@ mod tests {
             rows: vec![
                 Row {
                     scenario: "ring_1mib".into(),
-                    threads: 1,
                     batch: 0,
                     // Values at emission precision (3 decimals / whole
                     // events) so the f64s survive the text round-trip.
@@ -191,21 +148,14 @@ mod tests {
                     logical_events: 1_234_567,
                     events_per_sec: 101_820_000.0,
                     digest: 0xd76b_ef7d_1b3f_c15a,
-                    windows: 0,
-                    ineligible_reason: Some("threads=1".into()),
-                    oversubscribed: false,
                 },
                 Row {
                     scenario: "pairs64".into(),
-                    threads: 8,
                     batch: 16,
                     wall_ms: 3.5,
                     logical_events: 99,
                     events_per_sec: 28_286.0,
                     digest: 0x0000_0000_0000_0001,
-                    windows: 17,
-                    ineligible_reason: None,
-                    oversubscribed: true,
                 },
             ],
         }

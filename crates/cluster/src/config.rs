@@ -112,16 +112,6 @@ pub struct ClusterConfig {
     /// timestamps, credits, stats, figure CSVs — is identical at any
     /// setting; only engine dispatch counts and wall-clock change.
     pub batch: usize,
-    /// Worker threads for the conservative time-window parallel engine.
-    /// `0` or `1` runs the classic sequential loop. With more threads the
-    /// driver partitions nodes into job-connectivity shards, runs each
-    /// shard to a conservative fence on a worker pool, and merges the
-    /// shards' event streams back in deterministic `(time, seq)` order —
-    /// results (digests, stats, CSVs) are bit-identical at any thread
-    /// count. Configurations the window classifier cannot prove safe
-    /// (uncoordinated scheduling, wire loss, reliability, endpoint
-    /// caching, tracing) silently fall back to the sequential loop.
-    pub threads: usize,
 }
 
 impl ClusterConfig {
@@ -153,7 +143,6 @@ impl ClusterConfig {
             seed: 0x9a1b_2c3d,
             trace_capacity: 0,
             batch: 0,
-            threads: 1,
         }
     }
 

@@ -17,7 +17,6 @@ pub mod glue;
 pub mod handlers;
 pub mod measure;
 pub mod node;
-mod parallel;
 pub mod procsim;
 pub mod stats;
 pub mod world;

@@ -51,7 +51,6 @@ pub struct Measurement<K> {
     kind: K,
     seed: u64,
     batch: usize,
-    threads: usize,
     wire_loss_ppm: u32,
     reliability: bool,
 }
@@ -62,7 +61,6 @@ impl<K> Measurement<K> {
             kind,
             seed: 0,
             batch: 0,
-            threads: 1,
             wire_loss_ppm: 0,
             reliability: false,
         }
@@ -79,18 +77,6 @@ impl<K> Measurement<K> {
     /// unbatched run — `tests/determinism.rs` asserts it.
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Worker threads for the conservative time-window parallel engine
-    /// (default 1 — fully sequential). Any value produces bit-identical
-    /// results: the simulation is deterministic by construction, and
-    /// `tests/determinism.rs` pins the event-stream digest at 1, 2, and 8
-    /// threads. Configurations the windowed driver cannot prove sound
-    /// (reliability, wire loss, dynamic coscheduling, …) silently fall
-    /// back to the sequential engine.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -111,7 +97,6 @@ impl<K> Measurement<K> {
     fn apply_common(&self, cfg: &mut ClusterConfig) {
         cfg.seed = self.seed;
         cfg.batch = self.batch;
-        cfg.threads = self.threads;
         cfg.wire_loss_ppm = self.wire_loss_ppm;
         cfg.reliability.enabled = self.reliability;
     }
@@ -596,8 +581,11 @@ pub struct ServeCell {
     /// load past the knee.
     pub drained: bool,
     /// The run's logical fingerprint (the determinism contract: identical
-    /// across thread counts and batch settings).
+    /// across batch settings).
     pub fingerprint: u64,
+    /// Logical events the engine dispatched
+    /// ([`Engine::logical_events`](sim_core::Engine::logical_events)).
+    pub logical_events: u64,
 }
 
 /// Parameters of a serving-mode cell (see [`Measurement::serve`]).
@@ -759,6 +747,7 @@ impl Measurement<Serve> {
         let drain_until = SimTime::ZERO + Cycles(k.horizon.raw().saturating_mul(6));
         let drained = sim.run_until_quiescent(drain_until);
         let fingerprint = sim.logical_fingerprint();
+        let logical_events = sim.engine.logical_events();
         let w = sim.world();
         let s = &w.stats;
         ServeCell {
@@ -780,6 +769,7 @@ impl Measurement<Serve> {
             queue_depth_max: s.queue_depth.max(),
             drained,
             fingerprint,
+            logical_events,
         }
     }
 }

@@ -132,9 +132,7 @@ impl ProcSim {
             rank: self.rank,
             nprocs: self.fm.nprocs(),
             msgs_received: self.fm.stats.msgs_received,
-            bytes_received: self.fm.stats.bytes_received,
             msgs_sent: self.fm.stats.msgs_sent,
-            bytes_sent: self.fm.stats.bytes_sent,
         }
     }
 

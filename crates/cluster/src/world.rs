@@ -208,52 +208,6 @@ impl World {
         }
     }
 
-    /// A hollow world for one shard of windowed parallel execution (see
-    /// `crate::parallel`). Nodes are fresh dummies (real node state is
-    /// swapped in per window), the network is a clone whose per-link state
-    /// is re-absorbed from the real world each window, and the control net
-    /// is poisoned — a window event that talks to the master is a proof
-    /// violation and must fail loudly. Master, jobrep, trace, RNG, and
-    /// stats are inert placeholders that in-window (data-plane) events
-    /// never touch.
-    pub(crate) fn shard_shell(&self) -> World {
-        let nodes = (0..self.cfg.nodes)
-            .map(|id| {
-                let nic = Nic::new(
-                    id,
-                    self.cfg.nic_context_slots(),
-                    self.cfg.fm.send_region_bytes,
-                    PACKET_BYTES,
-                );
-                NodeSim::new(id, self.cfg.nodes - 1, nic)
-            })
-            .collect();
-        World {
-            cfg: self.cfg.clone(),
-            net: self.net.clone(),
-            ctrl: ControlNet::poisoned(),
-            master: Masterd::new(self.cfg.nodes, self.cfg.slots),
-            nodes,
-            trace: Trace::disabled(),
-            rng: DetRng::new(self.cfg.seed),
-            stats: WorldStats::default(),
-            jobrep: JobRep::new(),
-            pending_programs: BTreeMap::new(),
-            queued_programs: BTreeMap::new(),
-            arrivals: Vec::new(),
-            arrivals_pending: 0,
-            // Shards never touch the control plane (the poisoned ControlNet
-            // proves it), so the tree aggregation state stays with the real
-            // world.
-            tree: self.tree,
-            tree_agg: Vec::new(),
-            switch_ordered_at: SimTime::ZERO,
-            agenda_buf: Vec::with_capacity(16),
-            trains: Trains::default(),
-            bcast_sends: Vec::new(),
-        }
-    }
-
     /// Fold the network's per-link counters by fabric tier (edge /
     /// aggregation / spine) — the scalability sweep's per-tier load view.
     pub fn tier_traffic(&self) -> crate::stats::TierTraffic {
@@ -401,10 +355,6 @@ impl Model for World {
 pub struct Sim {
     /// The discrete-event engine; `engine.model` is the world.
     pub engine: Engine<World>,
-    /// Windowed parallel driver state (worker pool plus reusable shard
-    /// shells), created lazily on the first eligible `run_*` call when
-    /// `cfg.threads > 1`.
-    pub(crate) par: Option<crate::parallel::ParDriver>,
 }
 
 impl Sim {
@@ -457,29 +407,12 @@ impl Sim {
                 );
             }
         }
-        Sim { engine, par: None }
+        Sim { engine }
     }
 
     /// Shorthand for the world.
     pub fn world(&self) -> &World {
         &self.engine.model
-    }
-
-    /// Parallel time-windows executed so far. Zero when running with
-    /// `threads <= 1`, when the configuration is ineligible, or when the
-    /// driver never found a sound window (diagnostics for tests and
-    /// benchmarks: a threaded run that reports zero windows degenerated to
-    /// the sequential engine).
-    pub fn parallel_windows(&self) -> u64 {
-        self.par.as_ref().map_or(0, |p| p.windows)
-    }
-
-    /// Why this configuration runs on the sequential engine, or `None`
-    /// when the windowed parallel engine is eligible. Benchmark rows
-    /// record this so a `windows == 0` result distinguishes "sequential
-    /// by design" from "eligible but no sound window was found".
-    pub fn windows_ineligible(&self) -> Option<&'static str> {
-        self.windows_ineligible_reason()
     }
 
     /// FNV-1a fold of the run's *logical* observables: the logical event
@@ -488,15 +421,11 @@ impl Sim {
     /// and wire losses.
     ///
     /// This is the determinism contract for batched runs. Burst trains
-    /// elide *physical* events, and inside a shard of the windowed engine
-    /// the run-ahead limit is the shard's own queue head — so the elision
-    /// pattern (and with it the dispatch digest) differs between the
-    /// sequential and windowed engines when `batch > 0`. Every observable
-    /// the simulation reports is nevertheless identical (the
-    /// `burst_on_equals_burst_off` property pins this), so batched runs
-    /// promise bit-identical *logical fingerprints* across thread counts,
-    /// while `batch == 0` runs additionally keep the physical digest
-    /// thread-invariant.
+    /// elide *physical* events, so the dispatch digest of a `batch > 0`
+    /// run differs from the unbatched run's. Every observable the
+    /// simulation reports is nevertheless identical (the
+    /// `burst_on_equals_burst_off` property pins this), so a batched run
+    /// promises the same *logical fingerprint* as its `batch == 0` twin.
     pub fn logical_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -653,23 +582,13 @@ impl Sim {
     /// queued submission was admitted, every job finished — or `horizon`.
     /// Returns `true` if the world went quiescent.
     pub fn run_until_quiescent(&mut self, horizon: SimTime) -> bool {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, true);
-        } else {
-            self.engine.run_until_pred(horizon, |w| w.quiescent());
-        }
+        self.engine.run_until_pred(horizon, |w| w.quiescent());
         self.engine.model.quiescent()
     }
 
-    /// Run until `horizon`. With `cfg.threads > 1` on an eligible
-    /// configuration this uses the conservative time-window parallel
-    /// driver; results are bit-identical to the sequential loop either way.
+    /// Run until `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, false)
-        } else {
-            self.engine.run_until(horizon)
-        }
+        self.engine.run_until(horizon)
     }
 
     /// Run until every submitted job finished, or `horizon`.
@@ -678,11 +597,7 @@ impl Sim {
     /// keep the run alive; outside serving mode it is exactly
     /// all-jobs-finished.)
     pub fn run_until_jobs_done(&mut self, horizon: SimTime) -> bool {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, true);
-        } else {
-            self.engine.run_until_pred(horizon, |w| w.quiescent());
-        }
+        self.engine.run_until_pred(horizon, |w| w.quiescent());
         self.engine.model.all_jobs_finished()
     }
 

@@ -180,23 +180,6 @@ impl Network {
         s
     }
 
-    /// Absorb the per-link state a window shard advanced in its clone of
-    /// this network. `links` must be the shard's owned link set
-    /// ([`Topology::group_links`] of its hosts), disjoint from every other
-    /// shard's, so per-link state has exactly one writer per window.
-    pub fn absorb_links(&mut self, from: &Network, links: &[crate::topology::LinkId]) {
-        for &l in links {
-            self.next_free[l] = from.next_free[l];
-            self.stats[l] = from.stats[l].clone();
-        }
-    }
-
-    /// Fold in packets transmitted by a shard's clone (the shard's
-    /// `total_packets` delta over the window).
-    pub fn add_total_packets(&mut self, n: u64) {
-        self.total_packets += n;
-    }
-
     /// Reset link availability and statistics (topology is preserved).
     pub fn reset(&mut self) {
         for t in &mut self.next_free {

@@ -10,7 +10,7 @@
 //! of `(seed, rate, horizon)`, independent of anything the simulation
 //! later does. That is what keeps open-loop traffic open-loop (arrivals
 //! do not react to queueing) and what keeps the latency percentiles
-//! bit-identical across thread counts — the event set is fixed before
+//! bit-identical across batch settings — the event set is fixed before
 //! the first event fires.
 
 use sim_core::rng::DetRng;

@@ -125,16 +125,6 @@ impl Masterd {
         self.unfinished == 0
     }
 
-    /// A value that changes whenever the set of unfinished jobs changes.
-    /// The admitted-job count only grows, and between two admissions the
-    /// unfinished count only shrinks, so every (submit, finish) history
-    /// maps to a distinct stamp. Consumers (the windowed engine's shard
-    /// partition) cache derived structures under it instead of rebuilding
-    /// them every query.
-    pub fn lifecycle_stamp(&self) -> u64 {
-        ((self.jobs.len() as u64) << 32) | self.unfinished as u64
-    }
-
     /// Admit a job: place it in the matrix and emit LoadJob commands
     /// (the jobrep → masterd negotiation of Fig. 2).
     pub fn submit(&mut self, spec: JobSpec) -> Result<Submitted, PlaceError> {

@@ -47,8 +47,8 @@ impl std::error::Error for SchedError {}
 /// The pending-event queue, handed to the model during event handling so it
 /// can schedule follow-ups.
 pub struct Scheduler<E> {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
+    now: SimTime,
+    seq: u64,
     queue: EventQueue<E>,
     /// How many `at` calls asked for a past instant and were clamped to
     /// `now` (each one is a causality bug in the model, papered over in
@@ -58,11 +58,11 @@ pub struct Scheduler<E> {
     /// batching its own dispatch (see [`Scheduler::claim_seq`]) must not
     /// handle events past this instant — the driver expects them to still
     /// be pending when the run returns.
-    pub(crate) fence: SimTime,
+    fence: SimTime,
     /// Events the model dispatched inline (run-ahead) without going
     /// through the queue. Together with [`Engine::events_processed`] this
     /// keeps total dispatch accounting exact under batching.
-    pub(crate) inline: u64,
+    inline: u64,
 }
 
 impl<E> Scheduler<E> {
@@ -75,30 +75,6 @@ impl<E> Scheduler<E> {
             fence: SimTime::MAX,
             inline: 0,
         }
-    }
-
-    /// A shard-local scheduler for one window of windowed parallel
-    /// execution (see [`crate::parallel`]): the clock starts at the window
-    /// open, the run-ahead fence at the window fence, and the sequence
-    /// counter at `seq_base` — the virtual-claim base, chosen above every
-    /// real sequence number so shard-local claims order after drained
-    /// events at the same instant exactly as freshly claimed seqs would in
-    /// a sequential run.
-    pub(crate) fn shard(now: SimTime, seq_base: u64, fence: SimTime) -> Self {
-        Scheduler {
-            now,
-            seq: seq_base,
-            queue: EventQueue::new(),
-            clamped: 0,
-            fence,
-            inline: 0,
-        }
-    }
-
-    /// Pop the earliest pending `(time, seq, event)` without advancing the
-    /// clock (shard loops and the window drain advance it themselves).
-    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        self.queue.pop_entry()
     }
 
     /// Pre-size the queue for `n` simultaneously pending events.
@@ -296,7 +272,7 @@ pub struct Engine<M: Model> {
     /// The simulation model. Public so drivers can inspect/instrument state
     /// between runs.
     pub model: M,
-    pub(crate) sched: Scheduler<M::Event>,
+    sched: Scheduler<M::Event>,
     events_processed: u64,
     /// Safety valve against model livelocks (an event chain that never
     /// advances time). Checked by [`Engine::run_until`].
@@ -453,8 +429,8 @@ impl<M: Model> Engine<M> {
     /// `horizon`, with the run-ahead fence set to `horizon` (so batching
     /// models see the same bound [`Engine::run_until`] would give them).
     /// Returns the instant the event fired, or `None` when nothing is due.
-    /// The clock is left alone on `None` — drivers interleaving their own
-    /// dispatch (the windowed parallel driver) finalize it themselves.
+    /// The clock is left alone on `None` — a driver stepping event by event
+    /// finalizes it itself.
     pub fn step_bounded(&mut self, horizon: SimTime) -> Option<SimTime> {
         self.sched.fence = horizon;
         match self.sched.peek_time() {
@@ -528,19 +504,6 @@ impl<M: Model> Engine<M> {
                 None => return RunOutcome::Idle,
             }
         }
-    }
-
-    /// Account one event dispatched outside the engine's own step loop —
-    /// the windowed parallel driver replaying the merged global order of a
-    /// window's shard-dispatched events. Folds the digest, the per-kind
-    /// counter, and the processed count exactly as [`Engine::step`] would.
-    pub(crate) fn fold_dispatch(&mut self, time: SimTime, kind: usize) {
-        self.events_processed += 1;
-        debug_assert!(kind < self.kind_counts.len(), "kind index out of range");
-        if let Some(c) = self.kind_counts.get_mut(kind) {
-            *c += 1;
-        }
-        self.digest = fnv1a(fnv1a(self.digest, time.raw()), kind as u64);
     }
 }
 

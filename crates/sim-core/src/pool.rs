@@ -1,19 +1,13 @@
-//! The workspace's single source of worker-pool sizing, plus a small
-//! persistent worker pool for windowed parallel simulation.
+//! The workspace's single source of worker-pool sizing.
 //!
-//! Two layers of parallelism coexist in this workspace: `par_sweep` in the
-//! bench harness fans figure cells out across cells, and the windowed
-//! parallel engine fans one simulation out across shards. If each sized
-//! itself from `available_parallelism` independently, a sweep of sharded
-//! runs would oversubscribe the machine by the product of the two. Both
-//! layers therefore draw worker slots from one global [`Budget`]: a layer
-//! acquires as many slots as are still free (always keeping at least one so
-//! progress is never blocked) and releases them when its [`Grant`] drops.
+//! Figure sweeps fan independent cells out across threads (`par_sweep` in
+//! the bench harness). Every such fan-out draws its worker slots from one
+//! global [`Budget`], so nested or concurrent sweeps never oversubscribe
+//! the machine: a caller acquires as many slots as are still free (always
+//! at least one, so progress is never blocked) and releases them when its
+//! [`Grant`] drops.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// The machine-wide worker ceiling: `available_parallelism`, or 1 if the
 /// runtime cannot tell.
@@ -46,13 +40,13 @@ impl Drop for Grant {
     }
 }
 
-/// The global worker-slot budget shared by every parallel layer.
+/// The global worker-slot budget shared by every sweep in the process.
 pub struct Budget;
 
 impl Budget {
     /// Acquire up to `want` worker slots, bounded by what the machine has
-    /// and what other layers already hold. Never returns fewer than one
-    /// slot: a layer that arrives when the budget is exhausted still makes
+    /// and what other sweeps already hold. Never returns fewer than one
+    /// slot: a sweep that arrives when the budget is exhausted still makes
     /// progress on the caller's own thread (it just gains no parallelism).
     pub fn acquire(want: usize) -> Grant {
         let want = want.max(1);
@@ -71,97 +65,10 @@ impl Budget {
     }
 }
 
-/// A task the pool can run.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of worker threads executing boxed closures.
-///
-/// Workers are spawned once (holding a [`Grant`] from the global budget) and
-/// reused across submissions, so a simulation dispatching thousands of
-/// windows pays thread-spawn cost only once. Tasks own their data and
-/// report results through whatever channel the caller closes over — the
-/// pool itself returns nothing.
-pub struct WorkerPool {
-    tx: Sender<Task>,
-    handles: Vec<JoinHandle<()>>,
-    grant: Grant,
-}
-
-impl WorkerPool {
-    /// A pool with up to `want` workers, bounded by the global budget.
-    pub fn new(want: usize) -> Self {
-        let grant = Budget::acquire(want);
-        let (tx, rx) = channel::<Task>();
-        let rx = std::sync::Arc::new(Mutex::new(rx));
-        let handles = (0..grant.count())
-            .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    let task = {
-                        let guard = rx.lock().expect("pool receiver poisoned");
-                        guard.recv()
-                    };
-                    match task {
-                        Ok(task) => task(),
-                        Err(_) => return, // pool dropped
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { tx, handles, grant }
-    }
-
-    /// Number of worker threads.
-    #[inline]
-    pub fn workers(&self) -> usize {
-        self.grant.count()
-    }
-
-    /// Submit a task. Panics if the pool's workers are gone (only possible
-    /// after a worker panicked).
-    pub fn submit(&self, task: Task) {
-        self.tx.send(task).expect("worker pool is gone");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker loops.
-        let (dead_tx, _) = channel();
-        self.tx = dead_tx;
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Run `tasks` on `pool`, collecting each task's result in submission
-/// order. The calling thread blocks until all tasks complete.
-pub fn scatter<R: Send + 'static>(
-    pool: &WorkerPool,
-    tasks: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
-) -> Vec<R> {
-    let n = tasks.len();
-    let (tx, rx) = channel::<(usize, R)>();
-    for (i, task) in tasks.into_iter().enumerate() {
-        let tx = tx.clone();
-        pool.submit(Box::new(move || {
-            let r = task();
-            let _ = tx.send((i, r));
-        }));
-    }
-    drop(tx);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (i, r) = rx.recv().expect("a pool worker died mid-window");
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|s| s.expect("task result")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serializes the tests that lease from the global [`Budget`]: the
     /// test harness runs them on parallel threads, and each one asserts on
@@ -180,7 +87,7 @@ mod tests {
         let cap = max_parallelism();
         let a = Budget::acquire(usize::MAX);
         assert!(a.count() >= 1 && a.count() <= cap);
-        // With the budget drained, later layers still get one slot.
+        // With the budget drained, later sweeps still get one slot.
         let b = Budget::acquire(8);
         assert_eq!(b.count(), 1);
         drop(a);
@@ -197,29 +104,5 @@ mod tests {
             assert!(SLOTS_TAKEN.load(Ordering::Relaxed) > before);
         }
         assert_eq!(SLOTS_TAKEN.load(Ordering::Relaxed), before);
-    }
-
-    #[test]
-    fn scatter_preserves_order() {
-        let _serial = budget_lock();
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
-            .map(|i| Box::new(move || i * 10) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = scatter(&pool, tasks);
-        assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_survives_many_rounds() {
-        let _serial = budget_lock();
-        let pool = WorkerPool::new(2);
-        for round in 0..100 {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4)
-                .map(|i| Box::new(move || round + i) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            let out = scatter(&pool, tasks);
-            assert_eq!(out, vec![round, round + 1, round + 2, round + 3]);
-        }
     }
 }

@@ -119,14 +119,6 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest `(time, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Remove and return the earliest `(time, seq, event)`. The windowed
-    /// parallel driver needs the sequence number: drained events keep their
-    /// original seqs when re-keyed into a shard's local queue, so the
-    /// global `(time, seq)` order is reconstructible after the window.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
@@ -137,7 +129,7 @@ impl<E> EventQueue<E> {
             .take()
             .expect("heap entry points at an occupied slot");
         self.free.push(top.slot);
-        Some((top.time, top.seq, event))
+        Some((top.time, event))
     }
 
     fn sift_up(&mut self, mut i: usize) {

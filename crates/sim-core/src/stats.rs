@@ -227,7 +227,7 @@ impl Histogram {
 /// counts below 32. All bookkeeping is integer arithmetic on a fixed
 /// bucket layout — two runs that record the same multiset of values
 /// report bit-identical quantiles regardless of arrival order, which is
-/// what lets serve-mode percentiles be pinned across thread counts.
+/// what lets serve-mode percentiles be pinned across batch settings.
 #[derive(Debug, Clone, Default)]
 pub struct LatencySketch {
     /// Sparse bucket counts, grown on demand. Index layout: values below

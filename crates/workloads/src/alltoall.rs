@@ -112,9 +112,7 @@ mod tests {
             rank: 1,
             nprocs: 4,
             msgs_received: received,
-            bytes_received: 0,
             msgs_sent: 0,
-            bytes_sent: 0,
         }
     }
 

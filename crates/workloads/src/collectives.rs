@@ -354,9 +354,7 @@ mod tests {
             rank,
             nprocs,
             msgs_received: received,
-            bytes_received: 0,
             msgs_sent: 0,
-            bytes_sent: 0,
         }
     }
 

@@ -5,7 +5,7 @@
 //! on the simulated stack, and to show it is unchanged by running under
 //! the gang-scheduled buffer-switching scheme.
 
-use crate::program::{frag_ops, Op, ProcView, Program, Workload};
+use crate::program::{Op, ProcView, Program, Workload};
 
 /// Two-rank ping-pong.
 #[derive(Debug, Clone, Copy)]
@@ -64,19 +64,6 @@ impl Program for PingPongProgram {
             self.next_op(view)
         }
     }
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        // Both ranks send and fully receive exactly `round_trips` messages
-        // of `msg_bytes` before Done; every fragment still to move costs
-        // this CPU one injection or extraction, and every outstanding
-        // message at least one (the tighter of the two bounds wins).
-        let total = self.cfg.round_trips;
-        let bytes = total.saturating_mul(self.cfg.msg_bytes);
-        let send = frag_ops(bytes.saturating_sub(view.bytes_sent))
-            .max(total.saturating_sub(view.msgs_sent));
-        let recv = frag_ops(bytes.saturating_sub(view.bytes_received))
-            .max(total.saturating_sub(view.msgs_received));
-        Some(send + recv)
-    }
     fn name(&self) -> &'static str {
         "ping-pong"
     }
@@ -110,9 +97,7 @@ mod tests {
             rank,
             nprocs: 2,
             msgs_received: received,
-            bytes_received: 0,
             msgs_sent: sent,
-            bytes_sent: 0,
         }
     }
 

@@ -38,9 +38,6 @@ impl Program for ComputeBurst {
         self.chunks_left -= 1;
         Op::Compute(Cycles::from_ms(1))
     }
-    fn ops_remaining(&self, _view: &ProcView) -> Option<u64> {
-        Some(self.chunks_left)
-    }
     fn name(&self) -> &'static str {
         "compute"
     }
@@ -117,15 +114,12 @@ mod tests {
             rank: 0,
             nprocs: 2,
             msgs_received: 0,
-            bytes_received: 0,
             msgs_sent: 0,
-            bytes_sent: 0,
         };
         let mut p = ComputeBurst { chunks_left: 3 };
         for _ in 0..3 {
             assert!(matches!(p.next_op(&view), Op::Compute(_)));
         }
         assert_eq!(p.next_op(&view), Op::Done);
-        assert_eq!(p.ops_remaining(&view), Some(0));
     }
 }

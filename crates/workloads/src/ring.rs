@@ -4,7 +4,7 @@
 //! that exercises per-hop credit turnover; the examples use it to show the
 //! scheme with more than two ranks per job.
 
-use crate::program::{frag_ops, Op, ProcView, Program, Workload};
+use crate::program::{Op, ProcView, Program, Workload};
 
 /// Token ring configuration.
 #[derive(Debug, Clone, Copy)]
@@ -62,30 +62,6 @@ impl Program for RingProgram {
             Op::Done
         }
     }
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        let left = self.cfg.laps - self.forwarded;
-        // Each remaining lap needs at least one more token extraction here
-        // (tokens not yet reflected in `msgs_received` arrive later), and
-        // every rank but the last-to-act still owes one Send injection.
-        // The byte-granular terms count one op per fragment still to move
-        // (every rank moves `laps` tokens of `msg_bytes` each way over its
-        // lifetime, and `bytes_sent`/`bytes_received` tick per fragment),
-        // which is the tighter bound for multi-fragment tokens.
-        let lifetime = self.cfg.laps.saturating_mul(self.cfg.msg_bytes);
-        let recv_left = frag_ops(lifetime.saturating_sub(view.bytes_received))
-            .max(self.cfg.laps.saturating_sub(view.msgs_received));
-        let send_msgs = if self.rank == 0 {
-            // Rank 0 bumps `forwarded` only when the token returns, so the
-            // current lap's Send may already be in flight; stay a lower
-            // bound by discounting it.
-            left.saturating_sub(1)
-        } else {
-            // Forwarders bump `forwarded` as they issue each Send: exact.
-            left
-        };
-        let send_left = frag_ops(lifetime.saturating_sub(view.bytes_sent)).max(send_msgs);
-        Some(recv_left + send_left)
-    }
     fn name(&self) -> &'static str {
         "ring"
     }
@@ -121,9 +97,7 @@ mod tests {
             rank,
             nprocs: 3,
             msgs_received: received,
-            bytes_received: 0,
             msgs_sent: sent,
-            bytes_sent: 0,
         }
     }
 

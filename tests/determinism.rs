@@ -208,222 +208,14 @@ fn burst_fast_path_preserves_logical_event_stream() {
     assert_eq!(off, on);
 }
 
-/// Every published figure cell must be bit-identical at 1, 2, and 8
-/// worker threads, across seeds: `.threads(n)` is an execution strategy,
-/// never a model change.
+/// Batching is a pure execution strategy: on disjoint pairs the batched
+/// run reproduces the unbatched logical fingerprint and event count.
 #[test]
-fn threaded_fig_cells_match_sequential_bit_for_bit() {
-    for seed in [5u64, 91, 4242] {
-        for threads in [2usize, 8] {
-            // Fig. 5 cells: single-job bandwidth, one and three contexts.
-            for contexts in [1, 3] {
-                let seq = Measurement::fig5(contexts, 65_536, 40).seed(seed).run();
-                let par = Measurement::fig5(contexts, 65_536, 40)
-                    .seed(seed)
-                    .threads(threads)
-                    .run();
-                assert_eq!(seq.mbps.to_bits(), par.mbps.to_bits(), "seed {seed}");
-                assert_eq!(seq.completed, par.completed, "seed {seed}");
-                assert_eq!(seq.credits, par.credits, "seed {seed}");
-            }
-
-            // Fig. 6 cell: time-sliced jobs under buffer switching.
-            let q = Cycles::from_ms(50);
-            let w = Cycles::from_ms(100);
-            let seq = Measurement::fig6(2, 1536, q, w).seed(seed).run();
-            let par = Measurement::fig6(2, 1536, q, w)
-                .seed(seed)
-                .threads(threads)
-                .run();
-            assert_eq!(seq.total_mbps.to_bits(), par.total_mbps.to_bits());
-            for (a, b) in seq.per_job_mbps.iter().zip(&par.per_job_mbps) {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-            }
-            assert_eq!(seq.switches, par.switches, "seed {seed}");
-
-            // Fig. 8 run: all-to-all stress, queue samples at switch time.
-            let seq = switch_overhead_run(
-                4,
-                CopyStrategy::ValidOnly,
-                SwitchStrategy::GangFlush,
-                3,
-                seed,
-            );
-            let par = Measurement::switch_overhead(
-                4,
-                CopyStrategy::ValidOnly,
-                SwitchStrategy::GangFlush,
-                3,
-            )
-            .seed(seed)
-            .threads(threads)
-            .run();
-            assert_eq!(
-                seq.ledger.mean_total().to_bits(),
-                par.ledger.mean_total().to_bits(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                seq.queue_samples.len(),
-                par.queue_samples.len(),
-                "seed {seed}"
-            );
-            for (a, b) in seq.queue_samples.iter().zip(&par.queue_samples) {
-                assert_eq!(
-                    (a.node, a.epoch, a.send_valid, a.recv_valid),
-                    (b.node, b.epoch, b.send_valid, b.recv_valid),
-                    "seed {seed}"
-                );
-            }
-        }
-    }
-}
-
-/// The windowed parallel engine (`cfg.threads > 1`) is an execution
-/// strategy, not a model change: the committed golden digest must come out
-/// of the shard-and-merge path bit-for-bit, at any thread count.
-#[test]
-fn threaded_run_reproduces_golden_digest() {
-    for threads in [2, 8] {
-        let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::FullBuffer);
-        cfg.quantum = Cycles::from_ms(30);
-        cfg.seed = 77;
-        cfg.threads = threads;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 500);
-        sim.submit(&bench, Some(vec![0, 1])).unwrap();
-        sim.submit(&bench, Some(vec![0, 1])).unwrap();
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        assert_eq!(
-            sim.engine.events_processed(),
-            golden::FULL_BUFFER_EVENTS,
-            "threads={threads}"
-        );
-        assert_eq!(
-            sim.engine.stream_digest(),
-            golden::FULL_BUFFER_DIGEST,
-            "threads={threads}"
-        );
-    }
-}
-
-/// Jobs on disjoint node sets shard into genuinely parallel windows; the
-/// merged stream must still match the sequential engine exactly — digest,
-/// event count, clock, and per-job stats.
-#[test]
-fn disjoint_jobs_shard_and_match_sequential() {
-    let run = |threads: usize| {
-        let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::StaticDivision);
-        cfg.auto_rotate = false;
-        cfg.seed = 913;
-        cfg.threads = threads;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 300);
-        let mut jobs = Vec::new();
-        for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
-            jobs.push(sim.submit(&bench, Some(pair.to_vec())).unwrap());
-        }
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        if threads > 1 {
-            assert!(
-                sim.parallel_windows() > 0,
-                "threads={threads}: windowed driver never engaged"
-            );
-        }
-        let finishes: Vec<_> = jobs
-            .iter()
-            .map(|j| sim.world().stats.job_finished[j])
-            .collect();
-        let bw: Vec<u64> = jobs
-            .iter()
-            .map(|j| {
-                sim.world()
-                    .stats
-                    .job_bandwidth_mbps(*j, 4096 * 300)
-                    .unwrap()
-                    .to_bits()
-            })
-            .collect();
-        (
-            sim.engine.events_processed(),
-            sim.engine.stream_digest(),
-            sim.engine.now(),
-            finishes,
-            bw,
-        )
-    };
-    let seq = run(1);
-    for threads in [2, 8] {
-        assert_eq!(run(threads), seq, "threads={threads}");
-    }
-}
-
-/// Burst trains compose with the windowed parallel engine: on the
-/// disjoint-shard scenario with `batch = 16`, the windowed driver engages
-/// (`parallel_windows() > 0`), every logical observable matches the
-/// sequential batched run bit-for-bit (fingerprint + finish times + event
-/// count), and thread counts 2 and 8 produce identical *physical* streams
-/// too (the partition does not depend on worker count). The physical
-/// digest of the windowed run is allowed to differ from the sequential
-/// batched run — a shard's run-ahead limit is its own queue head, so the
-/// elision pattern differs; the contract for `batch > 0` is the logical
-/// stream.
-#[test]
-fn batched_windows_match_logical_stream() {
-    let run = |threads: usize| {
-        let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::StaticDivision);
-        cfg.auto_rotate = false;
-        cfg.seed = 913;
-        cfg.threads = threads;
-        cfg.batch = 16;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 300);
-        let mut jobs = Vec::new();
-        for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
-            jobs.push(sim.submit(&bench, Some(pair.to_vec())).unwrap());
-        }
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        if threads > 1 {
-            assert!(
-                sim.parallel_windows() > 0,
-                "threads={threads}: windowed driver never engaged with batch on"
-            );
-        }
-        let finishes: Vec<_> = jobs
-            .iter()
-            .map(|j| sim.world().stats.job_finished[j])
-            .collect();
-        (
-            sim.logical_fingerprint(),
-            sim.engine.logical_events(),
-            sim.engine.now(),
-            finishes,
-            sim.engine.stream_digest(),
-        )
-    };
-    let seq = run(1);
-    let t2 = run(2);
-    let t8 = run(8);
-    // Logical contract: everything except the physical digest matches the
-    // sequential batched run.
-    assert_eq!(t2.0, seq.0, "threads=2 logical fingerprint");
-    assert_eq!(t2.1, seq.1, "threads=2 logical events");
-    assert_eq!(t2.2, seq.2, "threads=2 clock");
-    assert_eq!(t2.3, seq.3, "threads=2 finish times");
-    // Physical contract between windowed runs: worker count is invisible.
-    assert_eq!(t8, t2, "threads=8 vs threads=2 full stream");
-}
-
-/// The batched windowed run preserves the *unbatched* logical stream too:
-/// batch and threads are both pure execution strategies, so all four
-/// (batch, threads) corners agree on the logical fingerprint.
-#[test]
-fn batch_threads_matrix_shares_one_logical_stream() {
-    let run = |threads: usize, batch: usize| {
+fn batch_on_off_share_one_logical_stream() {
+    let run = |batch: usize| {
         let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::StaticDivision);
         cfg.auto_rotate = false;
         cfg.seed = 4177;
-        cfg.threads = threads;
         cfg.batch = batch;
         let mut sim = Sim::new(cfg);
         let bench = P2pBandwidth::with_count(4096, 200);
@@ -433,28 +225,22 @@ fn batch_threads_matrix_shares_one_logical_stream() {
         assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
         (sim.logical_fingerprint(), sim.engine.logical_events())
     };
-    let base = run(1, 0);
-    for threads in [1usize, 2, 8] {
-        for batch in [0usize, 16] {
-            assert_eq!(run(threads, batch), base, "threads={threads} batch={batch}");
-        }
-    }
+    assert_eq!(run(16), run(0));
 }
 
 /// Golden *logical fingerprints* per (buffer policy, batch): the one-word
 /// determinism contract batched runs pin (DESIGN.md §3i). Each cell must
-/// reproduce its committed value at threads 1 and 2 — any change to the
+/// reproduce its committed value — any change to the
 /// logical event stream, job lifecycle timing, or delivered-message
 /// accounting shows up here, while physical-stream-only changes (elision
 /// patterns) must not. Identical in debug and release builds.
 #[test]
 fn logical_fingerprint_goldens_per_policy_and_batch() {
-    let run = |policy: BufferPolicy, batch: usize, threads: usize| {
+    let run = |policy: BufferPolicy, batch: usize| {
         let mut cfg = ClusterConfig::parpar(8, 1, policy);
         cfg.auto_rotate = false;
         cfg.seed = 2025;
         cfg.batch = batch;
-        cfg.threads = threads;
         let mut sim = Sim::new(cfg);
         let bench = P2pBandwidth::with_count(4096, 150);
         for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
@@ -475,13 +261,7 @@ fn logical_fingerprint_goldens_per_policy_and_batch() {
     ];
     for &(policy, want) in goldens {
         for batch in [0usize, 16] {
-            for threads in [1usize, 2] {
-                assert_eq!(
-                    run(policy, batch, threads),
-                    want,
-                    "{policy:?} batch={batch} threads={threads}"
-                );
-            }
+            assert_eq!(run(policy, batch), want, "{policy:?} batch={batch}");
         }
     }
 }

@@ -61,15 +61,13 @@ fn run_case(
 /// is [`Sim::logical_fingerprint`], the one-word digest benchmarks pin.
 type Fingerprint = (u64, Vec<(u32, u64)>, Vec<u64>, u64, u64, u64, u64);
 
-/// Run one arbitrary job mix with the given burst batch size and worker
-/// thread count, and collect every observable the burst fast path and the
-/// windowed parallel engine must preserve: the logical event stream
-/// length, per-job finish times, per-process message counts, switches,
-/// retransmits, drops, and the folded logical fingerprint.
+/// Run one arbitrary job mix with the given burst batch size and collect
+/// every observable the burst fast path must preserve: the logical event
+/// stream length, per-job finish times, per-process message counts,
+/// switches, retransmits, drops, and the folded logical fingerprint.
 #[allow(clippy::too_many_arguments)]
 fn burst_fingerprint(
     batch: usize,
-    threads: usize,
     quantum_ms: u64,
     msg_a: u64,
     msg_ring: u64,
@@ -82,7 +80,6 @@ fn burst_fingerprint(
     cfg.quantum = Cycles::from_ms(quantum_ms);
     cfg.seed = seed;
     cfg.batch = batch;
-    cfg.threads = threads;
     cfg.reliability.enabled = reliability;
     let mut sim = Sim::new(cfg);
     // A unidirectional stream (bursts engage hard), a ring sharing its
@@ -145,16 +142,13 @@ proptest! {
         run_case(quantum_ms, msg_a, msg_b, count, copy_full, seed)?;
     }
 
-    /// The burst fast path and the windowed parallel engine are invisible,
-    /// separately and composed: any workload/config mix — all four buffer
-    /// policies, quanta, reliability on or off, bidirectional traffic with
-    /// busy receive-side send paths — produces the same logical event
-    /// stream and the same stats at every (batch, threads) corner of the
-    /// matrix. (CachedEndpoints declines the fused loop, so there it
-    /// checks the deferred-bus generic path instead; Demand exercises the
-    /// fused loop's demand-aware refill-crossing prediction; ineligible
-    /// threaded configs fall back to the sequential engine, which must be
-    /// equally invisible.)
+    /// The burst fast path is invisible: any workload/config mix — all
+    /// four buffer policies, quanta, reliability on or off, bidirectional
+    /// traffic with busy receive-side send paths — produces the same
+    /// logical event stream and the same stats with batching on and off.
+    /// (CachedEndpoints declines the fused loop, so there it checks the
+    /// deferred-bus generic path instead; Demand exercises the fused loop's
+    /// demand-aware refill-crossing prediction.)
     #[test]
     fn burst_on_equals_burst_off(
         batch in 2usize..32,
@@ -173,70 +167,11 @@ proptest! {
             BufferPolicy::Demand,
         ][policy_idx];
         let base = burst_fingerprint(
-            0, 1, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
+            0, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
         );
-        for (b, threads) in [(batch, 1), (0, 2), (batch, 2), (batch, 8)] {
-            let run = burst_fingerprint(
-                b, threads, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
-            );
-            prop_assert_eq!(
-                &base, &run,
-                "batch={} threads={} diverged from batch=0 threads=1", b, threads,
-            );
-        }
-    }
-
-    /// Disjoint node sets are where the windowed engine actually shards:
-    /// with batch on, eligible configurations must both *engage* the
-    /// driver (`parallel_windows() > 0`) and reproduce the sequential
-    /// batched run's logical stream at threads 2 and 8.
-    #[test]
-    fn windowed_batch_disjoint_shards(
-        batch in 2usize..32,
-        msg in 1u64..32_768,
-        count in 50u64..300,
-        policy_idx in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let policy = [
-            BufferPolicy::StaticDivision,
-            BufferPolicy::FullBuffer,
-            BufferPolicy::CachedEndpoints,
-            BufferPolicy::Demand,
-        ][policy_idx];
-        let run = |threads: usize| {
-            let mut cfg = ClusterConfig::parpar(8, 1, policy);
-            cfg.auto_rotate = false;
-            cfg.seed = seed;
-            cfg.batch = batch;
-            cfg.threads = threads;
-            let mut sim = Sim::new(cfg);
-            let bench = P2pBandwidth::with_count(msg, count);
-            for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
-                sim.submit(&bench, Some(pair.to_vec())).unwrap();
-            }
-            let done = sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(120));
-            (
-                done,
-                sim.logical_fingerprint(),
-                sim.engine.logical_events(),
-                sim.parallel_windows(),
-                sim.windows_ineligible(),
-            )
-        };
-        let seq = run(1);
-        prop_assert!(seq.0, "sequential batched run did not finish");
-        for threads in [2usize, 8] {
-            let par = run(threads);
-            prop_assert!(par.0, "threads={} run did not finish", threads);
-            prop_assert_eq!(par.1, seq.1, "threads={} logical fingerprint", threads);
-            prop_assert_eq!(par.2, seq.2, "threads={} logical events", threads);
-            if par.4.is_none() {
-                prop_assert!(
-                    par.3 > 0,
-                    "threads={} eligible (batch={}) but never windowed", threads, batch,
-                );
-            }
-        }
+        let run = burst_fingerprint(
+            batch, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
+        );
+        prop_assert_eq!(&base, &run, "batch={} diverged from batch=0", batch);
     }
 }

@@ -1,7 +1,7 @@
 //! Serving-cluster mode end to end: open-loop arrivals through the jobrep
 //! admission queue, streaming latency percentiles, and the determinism
 //! contract — p50/p99/p999 and the logical fingerprint are bit-identical
-//! across thread counts and batch settings.
+//! across batch settings.
 
 use cluster::measure::{Measurement, SchedulingMode, ServeCell};
 use cluster::{ArrivalPlan, ArrivalSpec, ClusterConfig, Sim};
@@ -9,12 +9,11 @@ use fastmsg::division::BufferPolicy;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 
-fn gang_cell(threads: usize, batch: usize) -> ServeCell {
+fn gang_cell(batch: usize) -> ServeCell {
     Measurement::serve(8, 2, SchedulingMode::Gang)
         .arrival_rate(3.0)
         .horizon(Cycles::from_secs(3))
         .seed(42)
-        .threads(threads)
         .batch(batch)
         .run()
 }
@@ -35,7 +34,7 @@ fn percentiles(c: &ServeCell) -> [u64; 9] {
 
 #[test]
 fn serve_completes_and_records_latencies() {
-    let c = gang_cell(1, 0);
+    let c = gang_cell(0);
     assert!(c.submitted > 0, "{c:?}");
     assert_eq!(c.rejected, 0, "{c:?}");
     assert!(c.drained, "moderate load must drain: {c:?}");
@@ -51,45 +50,16 @@ fn serve_completes_and_records_latencies() {
 }
 
 #[test]
-fn serve_percentiles_pinned_across_threads_and_batch() {
-    // Reliability is on (the serve default), so the windowed engine falls
-    // back to the sequential loop — the contract still holds and this pins
-    // it at the API level.
-    let base = gang_cell(1, 0);
-    for (threads, batch) in [(2, 0), (8, 0), (1, 16), (8, 16)] {
-        let c = gang_cell(threads, batch);
-        assert_eq!(
-            percentiles(&base),
-            percentiles(&c),
-            "threads={threads} batch={batch}"
-        );
-        assert_eq!(
-            base.fingerprint, c.fingerprint,
-            "threads={threads} batch={batch}"
-        );
-        assert_eq!(base.completed, c.completed);
-    }
-}
-
-#[test]
-fn serve_percentiles_pinned_when_window_eligible() {
-    // Reliability off + gang + GangFlush: the windowed parallel engine is
-    // eligible, so this exercises the JobArrival-closes-windows path.
-    let cell = |threads: usize| {
-        Measurement::serve(8, 2, SchedulingMode::Gang)
-            .arrival_rate(3.0)
-            .horizon(Cycles::from_secs(3))
-            .reliability(false)
-            .seed(7)
-            .threads(threads)
-            .run()
-    };
-    let base = cell(1);
-    for threads in [2, 8] {
-        let c = cell(threads);
-        assert_eq!(percentiles(&base), percentiles(&c), "threads={threads}");
-        assert_eq!(base.fingerprint, c.fingerprint, "threads={threads}");
-    }
+fn serve_percentiles_pinned_across_batch() {
+    let base = gang_cell(0);
+    let c = gang_cell(16);
+    assert_eq!(percentiles(&base), percentiles(&c));
+    assert_eq!(base.fingerprint, c.fingerprint);
+    assert_eq!(base.completed, c.completed);
+    // The engine's logical-event count, not the job count, and it is
+    // batch-invariant like everything else the fingerprint folds.
+    assert!(base.logical_events > base.completed, "{base:?}");
+    assert_eq!(base.logical_events, c.logical_events);
 }
 
 #[test]
