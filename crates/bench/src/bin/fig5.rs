@@ -21,11 +21,9 @@ fn main() {
     }
     let seed = opts.seed;
     let full = opts.full;
-    let batch = opts.batch;
     let results = par_sweep(params.clone(), |&(n, sz)| {
         Measurement::fig5(n, sz, fig5_count(sz, full))
             .seed(seed)
-            .batch(batch)
             .run()
     });
 

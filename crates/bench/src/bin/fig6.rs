@@ -29,12 +29,8 @@ fn main() {
         }
     }
     let seed = opts.seed;
-    let batch = opts.batch;
     let results = par_sweep(params, |&(k, sz)| {
-        Measurement::fig6(k, sz, quantum, window)
-            .seed(seed)
-            .batch(batch)
-            .run()
+        Measurement::fig6(k, sz, quantum, window).seed(seed).run()
     });
 
     let mut headers: Vec<String> = vec!["jobs".into(), "C0".into(), "switches".into()];

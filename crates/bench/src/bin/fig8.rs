@@ -16,7 +16,6 @@ fn main() {
     let opts = HarnessOpts::from_args();
     let switches = if opts.full { 12 } else { 5 };
     let seed = opts.seed;
-    let batch = opts.batch;
     let results = par_sweep(FIG7_NODES.to_vec(), |&nodes| {
         Measurement::switch_overhead(
             nodes,
@@ -25,7 +24,6 @@ fn main() {
             switches,
         )
         .seed(seed)
-        .batch(batch)
         .run()
     });
     let mut table = Table::new(

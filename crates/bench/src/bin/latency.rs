@@ -41,13 +41,16 @@ fn one_way_latency_us(msg_bytes: u64, multiprogrammed: bool, seed: u64) -> f64 {
         sim.submit(&other, Some(vec![0, 1])).unwrap();
     }
     let job = sim.submit(&bench, Some(vec![0, 1])).unwrap();
-    let done = sim
+    let outcome = sim
         .engine
         .run_until_pred(SimTime::ZERO + Cycles::from_secs(120), |w| {
             w.stats.job_finished.contains_key(&job)
         });
-    let _ = done;
     let w = sim.world();
+    assert!(
+        w.stats.job_finished.contains_key(&job),
+        "{msg_bytes} B ping-pong (multiprogrammed: {multiprogrammed}) did not finish: {outcome:?}"
+    );
     let start = w.stats.job_first_send[&job];
     let end = w.stats.job_finished[&job];
     // The round trips complete in ~10–100 ms, well inside one 200 ms

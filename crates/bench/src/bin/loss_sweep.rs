@@ -31,7 +31,6 @@ fn main() {
         (1536, 2_000)
     };
     let seed = opts.seed;
-    let batch = opts.batch;
     let mut params = Vec::new();
     for &ppm in &LOSS_PPM {
         for reliability in [false, true] {
@@ -41,7 +40,6 @@ fn main() {
     let results = par_sweep(params, |&(ppm, reliability)| {
         Measurement::fig5(CONTEXTS, msg_bytes, count)
             .seed(seed)
-            .batch(batch)
             .wire_loss_ppm(ppm)
             .reliability(reliability)
             .run()

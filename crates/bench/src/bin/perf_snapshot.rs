@@ -2,23 +2,16 @@
 //! core on the micro-benchmark scenarios, written to `BENCH_engine.json`.
 //!
 //! Two default scenarios (`--scenario NAME` swaps in any scenario from
-//! [`workloads::registry`] instead — resolved by name, run on 8 nodes at
-//! both batch settings):
+//! [`workloads::registry`] instead — resolved by name, run on 8 nodes):
 //!
 //! * `ring_1mib` — 4 nodes, one ring job pushing 1 MiB messages for 4
-//!   laps: bidirectional traffic on shared links, the burst fast path's
-//!   best case.
+//!   laps: bidirectional traffic on shared links.
 //! * `pairs64` — 64 nodes, 32 disjoint point-to-point pairs, static
 //!   division, no rotation: the data plane at scale.
 //!
-//! Each scenario runs at `--batch off` and `--batch 16`. Every row carries
-//! a determinism digest, printed as stable `DIGEST` lines for CI to diff.
-//! For `batch == 0` rows that is the physical event-stream digest. Burst
-//! trains elide physical events, so `batch > 0` rows pin the run one level
-//! up, at [`Sim::logical_fingerprint`], which equals the unbatched run's.
-//!
-//! The row format and its JSON round-trip live in
-//! [`bench_harness::snapshot`].
+//! Each scenario is one row carrying the run's event-stream digest,
+//! printed as a stable `DIGEST` line for CI to diff. The row format and
+//! its writer live in [`bench_harness::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin perf_snapshot \
@@ -36,74 +29,68 @@ use workloads::ring::Ring;
 /// Everything a run returns besides wall time.
 struct Outcome {
     logical_events: u64,
-    /// Physical stream digest at `batch == 0`, logical fingerprint at
-    /// `batch > 0` (see the module docs for why the contract moves).
+    /// The engine's event-stream digest.
     digest: u64,
 }
 
 /// A static-division cluster of `nodes` one-slot hosts with rotation off.
-fn config(nodes: usize, batch: usize, seed: u64) -> ClusterConfig {
+fn config(nodes: usize, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::parpar(nodes, 1, BufferPolicy::StaticDivision);
     cfg.auto_rotate = false;
     cfg.seed = seed;
-    cfg.batch = batch;
     cfg
 }
 
 /// Run every submitted job to completion and collect the row's outcome.
-fn finish(mut sim: Sim, batch: usize, what: &str) -> Outcome {
+fn finish(mut sim: Sim, what: &str) -> Outcome {
     assert!(
         sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
         "{what} did not finish"
     );
     Outcome {
         logical_events: sim.engine.logical_events(),
-        digest: if batch == 0 {
-            sim.engine.stream_digest()
-        } else {
-            sim.logical_fingerprint()
-        },
+        digest: sim.engine.stream_digest(),
     }
 }
 
-fn run_ring(batch: usize, seed: u64, laps: u64) -> Outcome {
-    let mut sim = Sim::new(config(4, batch, seed));
+fn run_ring(seed: u64, laps: u64) -> Outcome {
+    let mut sim = Sim::new(config(4, seed));
     let ring = Ring {
         nprocs: 4,
         msg_bytes: 1 << 20,
         laps,
     };
     sim.submit(&ring, Some(vec![0, 1, 2, 3])).unwrap();
-    finish(sim, batch, "ring")
+    finish(sim, "ring")
 }
 
-fn run_pairs64(batch: usize, seed: u64, count: u64) -> Outcome {
-    let mut sim = Sim::new(config(64, batch, seed));
+fn run_pairs64(seed: u64, count: u64) -> Outcome {
+    let mut sim = Sim::new(config(64, seed));
     let bench = workloads::registry::build("p2p", 2, seed, count).expect("registry has p2p");
     for pair in 0..32 {
         sim.submit(&*bench, Some(vec![2 * pair, 2 * pair + 1]))
             .unwrap();
     }
-    finish(sim, batch, "pairs")
+    finish(sim, "pairs")
 }
 
 /// One registry scenario on 8 nodes, static division, no rotation: the
 /// shared path every sweep bin resolves scenario names through.
-fn run_scenario(name: &str, batch: usize, seed: u64, size: u64) -> Outcome {
+fn run_scenario(name: &str, seed: u64, size: u64) -> Outcome {
     let bench = workloads::registry::build(name, 8, seed, size).unwrap_or_else(|| {
         panic!(
             "unknown scenario {name:?} (known: {:?})",
             workloads::registry::names()
         )
     });
-    let mut sim = Sim::new(config(8, batch, seed));
+    let mut sim = Sim::new(config(8, seed));
     let nodes: Vec<usize> = (0..bench.nprocs()).collect();
     sim.submit(&*bench, Some(nodes)).unwrap();
-    finish(sim, batch, name)
+    finish(sim, name)
 }
 
 /// Median-of-three wall time (single run with `--quick`), as a row.
-fn measure(quick: bool, scenario: &str, batch: usize, f: impl Fn() -> Outcome) -> Row {
+fn measure(quick: bool, scenario: &str, f: impl Fn() -> Outcome) -> Row {
     let reps = if quick { 1 } else { 3 };
     let mut times = Vec::with_capacity(reps);
     let mut out = None;
@@ -118,10 +105,8 @@ fn measure(quick: bool, scenario: &str, batch: usize, f: impl Fn() -> Outcome) -
     let o = out.expect("at least one rep");
     Row {
         scenario: scenario.into(),
-        batch,
         wall_ms,
         logical_events: o.logical_events,
-        events_per_sec: o.logical_events as f64 / (wall_ms / 1e3),
         digest: o.digest,
     }
 }
@@ -172,51 +157,29 @@ fn main() {
 
     let (ring_laps, pairs_count) = if quick { (1, 60) } else { (4, 400) };
     let scenario_size = if quick { 20 } else { 100 };
-    let mut rows = Vec::new();
-    for batch in [0usize, 16] {
-        if let Some(name) = &scenario {
-            rows.push(measure(quick, name, batch, || {
-                run_scenario(name, batch, seed, scenario_size)
-            }));
-            continue;
-        }
-        rows.push(measure(quick, "ring_1mib", batch, || {
-            run_ring(batch, seed, ring_laps)
-        }));
-        rows.push(measure(quick, "pairs64", batch, || {
-            run_pairs64(batch, seed, pairs_count)
-        }));
-    }
+    let rows = match &scenario {
+        Some(name) => vec![measure(quick, name, || {
+            run_scenario(name, seed, scenario_size)
+        })],
+        None => vec![
+            measure(quick, "ring_1mib", || run_ring(seed, ring_laps)),
+            measure(quick, "pairs64", || run_pairs64(seed, pairs_count)),
+        ],
+    };
 
     println!(
-        "{:<10} {:>5} {:>10} {:>12} {:>12}  digest",
-        "scenario", "batch", "wall ms", "events", "events/s"
+        "{:<10} {:>10} {:>12} {:>12}  digest",
+        "scenario", "wall ms", "events", "events/s"
     );
     for r in &rows {
         println!(
-            "{:<10} {:>5} {:>10.1} {:>12} {:>12.0}  {:#018x}",
-            r.scenario, r.batch, r.wall_ms, r.logical_events, r.events_per_sec, r.digest,
-        );
-    }
-    // Determinism lines for CI: a fixed function of the seed, so two runs
-    // must print the same set (compare with `grep ^DIGEST | sort -u`).
-    for r in &rows {
-        println!(
-            "DIGEST scenario={} batch={} kind={} events={} digest={:#018x}",
+            "{:<10} {:>10.1} {:>12} {:>12.0}  {:#018x}",
             r.scenario,
-            r.batch,
-            if r.batch == 0 { "physical" } else { "logical" },
+            r.wall_ms,
             r.logical_events,
-            r.digest
+            r.events_per_sec(),
+            r.digest,
         );
     }
-
-    let snap = Snapshot {
-        bench: "engine_throughput".into(),
-        seed,
-        host_cores: sim_core::pool::max_parallelism(),
-        rows,
-    };
-    std::fs::write(&out_path, snap.to_json()).expect("write snapshot json");
-    eprintln!("wrote {out_path}");
+    Snapshot::new("engine_throughput", seed, rows).write(&out_path);
 }

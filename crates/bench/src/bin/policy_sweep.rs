@@ -54,7 +54,6 @@ fn main() {
         Measurement::fig6(jobs, msg_bytes, quantum, duration)
             .buffer_policy(policy)
             .seed(opts.seed)
-            .batch(opts.batch)
             .wire_loss_ppm(ppm)
             .reliability(rel)
             .run()
@@ -124,7 +123,6 @@ fn main() {
             .slo(Cycles::from_secs(1))
             .buffer_policy(policy)
             .seed(opts.seed)
-            .batch(opts.batch)
             .run()
     });
     let mut serve_t = Table::new(

@@ -21,7 +21,7 @@
 //! a byte prefix of the committed full `results/scale_sweep.csv`. All
 //! table values come from deterministic simulation stats, and per-cell
 //! `DIGEST` lines pin each cell's event stream. Wall-clock throughput of
-//! each cell is appended to `BENCH_scale.json` via [`bench_harness::snapshot`].
+//! each cell is written to `BENCH_scale.json` via [`bench_harness::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin scale_sweep -- \
@@ -95,7 +95,6 @@ fn run_cell(
     cfg.host_costs = HostCosts::deterministic();
     cfg.quantum = Cycles::from_ms(20);
     cfg.seed = opts.seed;
-    cfg.batch = opts.batch;
     let mut sim = Sim::new(cfg);
     // The registry's `p2p` entry pins the 64 KB message size this cell's
     // bandwidth column assumes.
@@ -207,30 +206,14 @@ fn main() {
     }
     opts.emit("scale_sweep", &t);
 
-    // Stable digest lines for CI to diff against a reference run.
-    for c in &cells {
-        println!(
-            "DIGEST scenario={}_n{} events={} digest={:#018x}",
-            c.control, c.nodes, c.logical_events, c.digest
-        );
-    }
-
-    let snap = Snapshot {
-        bench: "scale_sweep".to_string(),
-        seed: opts.seed,
-        host_cores: sim_core::pool::max_parallelism(),
-        rows: cells
-            .iter()
-            .map(|c| Row {
-                scenario: format!("{}_n{}", c.control, c.nodes),
-                batch: opts.batch,
-                wall_ms: c.wall_ms,
-                logical_events: c.logical_events,
-                events_per_sec: c.logical_events as f64 / (c.wall_ms / 1e3),
-                digest: c.digest,
-            })
-            .collect(),
-    };
-    std::fs::write(&out_path, snap.to_json()).expect("write snapshot json");
-    eprintln!("wrote {out_path}");
+    let rows = cells
+        .iter()
+        .map(|c| Row {
+            scenario: format!("{}_n{}", c.control, c.nodes),
+            wall_ms: c.wall_ms,
+            logical_events: c.logical_events,
+            digest: c.digest,
+        })
+        .collect();
+    Snapshot::new("scale_sweep", opts.seed, rows).write(&out_path);
 }

@@ -10,8 +10,8 @@
 //! perfect SAN. Rows ascend in offered rate with all three disciplines
 //! per rate, so the CSV from `--max-rate 2` (the CI smoke run) is a byte
 //! prefix of the committed full `results/serve_sweep.csv`. Cells are
-//! deterministic: the CSV is bit-identical at any `--batch`, and per-cell
-//! `DIGEST` lines print the logical fingerprint for CI to diff. Wall-clock
+//! deterministic, and per-cell `DIGEST` lines print the logical
+//! fingerprint for CI to diff. Wall-clock
 //! throughput (engine logical events per second) goes to
 //! `BENCH_serve.json`.
 //!
@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin serve_sweep -- \
-//!     [--max-rate R] [--out FILE] [--csv DIR] [--seed N] [--batch K]
+//!     [--max-rate R] [--out FILE] [--csv DIR] [--seed N]
 //! ```
 
 use std::time::Instant;
@@ -60,7 +60,6 @@ fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessO
         .size_range(200, 800)
         .slo(Cycles::from_secs(1))
         .seed(opts.seed)
-        .batch(opts.batch)
         .run();
     CellOut {
         mode: name,
@@ -148,30 +147,14 @@ fn main() {
     }
     opts.emit("serve_sweep", &t);
 
-    // Stable fingerprint lines for CI to diff across `--batch`.
-    for c in &cells {
-        println!(
-            "DIGEST scenario={}_r{} events={} digest={:#018x}",
-            c.mode, c.rate, c.cell.logical_events, c.cell.fingerprint
-        );
-    }
-
-    let snap = Snapshot {
-        bench: "serve_sweep".to_string(),
-        seed: opts.seed,
-        host_cores: sim_core::pool::max_parallelism(),
-        rows: cells
-            .iter()
-            .map(|c| Row {
-                scenario: format!("{}_r{}", c.mode, c.rate),
-                batch: opts.batch,
-                wall_ms: c.wall_ms,
-                logical_events: c.cell.logical_events,
-                events_per_sec: c.cell.logical_events as f64 / (c.wall_ms / 1e3).max(1e-9),
-                digest: c.cell.fingerprint,
-            })
-            .collect(),
-    };
-    std::fs::write(&out_path, snap.to_json()).expect("write snapshot json");
-    eprintln!("wrote {out_path}");
+    let rows = cells
+        .iter()
+        .map(|c| Row {
+            scenario: format!("{}_r{}", c.mode, c.rate),
+            wall_ms: c.wall_ms,
+            logical_events: c.cell.logical_events,
+            digest: c.cell.fingerprint,
+        })
+        .collect();
+    Snapshot::new("serve_sweep", opts.seed, rows).write(&out_path);
 }

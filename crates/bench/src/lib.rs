@@ -29,9 +29,6 @@ pub struct HarnessOpts {
     pub csv: Option<PathBuf>,
     /// Simulation seed.
     pub seed: u64,
-    /// Fragment-burst coalescing limit: 0 = off (packet-at-a-time),
-    /// `k` = coalesce up to `k` fragments per engine event.
-    pub batch: usize,
 }
 
 impl HarnessOpts {
@@ -46,7 +43,6 @@ impl HarnessOpts {
             full: false,
             csv: None,
             seed: 42,
-            batch: 0,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -63,26 +59,10 @@ impl HarnessOpts {
                         .expect("seed must be an integer");
                 }
                 "--help" | "-h" => {
-                    eprintln!("flags: --full --csv DIR --seed N --batch off|K");
+                    eprintln!("flags: --full --csv DIR --seed N");
                     std::process::exit(0);
                 }
-                other => {
-                    if let Some(rest) = other.strip_prefix("--batch") {
-                        let v = match rest.strip_prefix('=') {
-                            Some(v) => v.to_string(),
-                            None if rest.is_empty() => {
-                                args.next().expect("--batch needs off or a burst size")
-                            }
-                            _ => panic!("unknown flag {other}"),
-                        };
-                        opts.batch = match v.as_str() {
-                            "off" => 0,
-                            k => k.parse().expect("--batch takes off or an integer"),
-                        };
-                    } else {
-                        panic!("unknown flag {other}");
-                    }
-                }
+                other => panic!("unknown flag {other}"),
             }
         }
         opts
@@ -204,18 +184,6 @@ mod tests {
             "{peak} live workers exceeds pool of {}",
             sweep_pool_size()
         );
-    }
-
-    #[test]
-    fn batch_flag_parses() {
-        let parse = |args: &[&str]| HarnessOpts::parse(args.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&[]).batch, 0);
-        assert_eq!(parse(&["--batch=off"]).batch, 0);
-        assert_eq!(parse(&["--batch=16"]).batch, 16);
-        assert_eq!(parse(&["--batch", "8"]).batch, 8);
-        let o = parse(&["--full", "--batch=4", "--seed", "9"]);
-        assert!(o.full);
-        assert_eq!((o.batch, o.seed), (4, 9));
     }
 
     #[test]

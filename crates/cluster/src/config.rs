@@ -105,13 +105,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Trace ring capacity; 0 disables tracing.
     pub trace_capacity: usize,
-    /// Packet-train run-ahead batch: after each engine dispatch the world
-    /// may handle up to `batch - 1` of its own follow-up events inline
-    /// (heap-free), as long as each provably precedes every other pending
-    /// event. `0` or `1` disables the fast path. Observable behavior —
-    /// timestamps, credits, stats, figure CSVs — is identical at any
-    /// setting; only engine dispatch counts and wall-clock change.
-    pub batch: usize,
 }
 
 impl ClusterConfig {
@@ -142,7 +135,6 @@ impl ClusterConfig {
             reliability: RelConfig::default(),
             seed: 0x9a1b_2c3d,
             trace_capacity: 0,
-            batch: 0,
         }
     }
 

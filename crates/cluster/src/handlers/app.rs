@@ -214,8 +214,6 @@ impl World {
                     next_frag: 0,
                     nfrags: fragments_for(bytes),
                 });
-                // A new message is a fresh chance for trains to pay off.
-                proc.burst_futile = 0;
                 if proc.first_send.is_none() {
                     proc.first_send = Some(now);
                     let job = proc.job;
@@ -484,12 +482,6 @@ impl World {
         self.vn_touch(now, node, job);
         if self.cfg.reliability.enabled {
             self.arm_retrans_timer(now, node, pid, bus);
-        }
-        // Packet-train fast path: fuse the uncontended tail of this message
-        // into a burst. On success it has already accounted for the engine
-        // kick and the process step; on failure nothing changed.
-        if self.try_burst(now, node, pid, ctx_id, bus) {
-            return;
         }
         self.kick_send_engine(now, node, bus);
         self.proc_kick(now, node, pid, bus);

@@ -630,7 +630,6 @@ impl World {
             rel_timer_armed: false,
             rel_backoff: 0,
             rel_progress_mark: 0,
-            burst_futile: 0,
         };
         n.apps.insert(pid, proc);
         if !resident {

@@ -19,7 +19,6 @@
 //! its `use` list instead of being implicit in a shared `impl World`.
 
 pub mod app;
-pub mod burst;
 pub mod daemon;
 pub mod fm;
 pub mod nic;

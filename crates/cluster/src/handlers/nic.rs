@@ -435,7 +435,7 @@ impl World {
     fn on_broadcast_arrive(&mut self, now: SimTime, train: u32, bus: &mut Bus) {
         let (node, frame, next) = self.trains.advance(train);
         if let Some((t, seq)) = next {
-            bus.requeue_claimed(t, seq, NicEvent::BroadcastArrive { train });
+            bus.push_claimed(t, seq, NicEvent::BroadcastArrive { train });
         }
         let ControlFrame { signal, epoch, src } = frame;
         self.nodes[node].nic.stats.control_received += 1;

@@ -37,20 +37,19 @@ pub struct BandwidthCell {
 /// The figure constructors ([`Measurement::fig5`], [`Measurement::fig6`],
 /// [`Measurement::switch_overhead`]) fix the experiment-specific
 /// parameters; the fluent setters adjust the knobs every experiment
-/// shares (seed, packet-train batching, fault injection, the reliability
-/// layer); [`run`](Measurement::run) builds the cluster and returns the
-/// figure's quantities.
+/// shares (seed, fault injection, the reliability layer);
+/// [`run`](Measurement::run) builds the cluster and returns the figure's
+/// quantities.
 ///
 /// ```no_run
 /// use cluster::measure::Measurement;
-/// let cell = Measurement::fig5(4, 65_536, 100).seed(42).batch(16).run();
+/// let cell = Measurement::fig5(4, 65_536, 100).seed(42).run();
 /// assert!(cell.completed);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Measurement<K> {
     kind: K,
     seed: u64,
-    batch: usize,
     wire_loss_ppm: u32,
     reliability: bool,
 }
@@ -60,7 +59,6 @@ impl<K> Measurement<K> {
         Measurement {
             kind,
             seed: 0,
-            batch: 0,
             wire_loss_ppm: 0,
             reliability: false,
         }
@@ -69,14 +67,6 @@ impl<K> Measurement<K> {
     /// RNG seed for the run (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Fragments per fused packet train on the burst fast path (0, the
-    /// default, disables it). The result is byte-identical to the
-    /// unbatched run — `tests/determinism.rs` asserts it.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -96,7 +86,6 @@ impl<K> Measurement<K> {
 
     fn apply_common(&self, cfg: &mut ClusterConfig) {
         cfg.seed = self.seed;
-        cfg.batch = self.batch;
         cfg.wire_loss_ppm = self.wire_loss_ppm;
         cfg.reliability.enabled = self.reliability;
     }
@@ -396,8 +385,7 @@ impl Measurement<SwitchOverhead> {
     }
 }
 
-/// Figs. 7/8/9 with the default (unbatched) fast-path setting — see
-/// [`Measurement::switch_overhead`].
+/// Figs. 7/8/9 with only the seed set — see [`Measurement::switch_overhead`].
 pub fn switch_overhead_run(
     nodes: usize,
     copy: CopyStrategy,
@@ -580,8 +568,7 @@ pub struct ServeCell {
     /// the drain window closed? `false` marks a saturated cell — offered
     /// load past the knee.
     pub drained: bool,
-    /// The run's logical fingerprint (the determinism contract: identical
-    /// across batch settings).
+    /// The run's logical fingerprint ([`crate::Sim::logical_fingerprint`]).
     pub fingerprint: u64,
     /// Logical events the engine dispatched
     /// ([`Engine::logical_events`](sim_core::Engine::logical_events)).

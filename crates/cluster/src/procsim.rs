@@ -101,13 +101,6 @@ pub struct ProcSim {
     /// Reliability layer: `rel_acked_total()` at the last timer firing —
     /// progress since then resets the backoff instead of retransmitting.
     pub rel_progress_mark: u64,
-    /// Burst fast path: consecutive `try_burst` attempts on this process
-    /// that fused at most one fragment. Once it reaches
-    /// [`crate::handlers::burst::BURST_FUTILE_LIMIT`], attempts stop until
-    /// the next message begins — on flows where the credit window keeps
-    /// trains degenerate, the precondition scans and candidate wire-time
-    /// computations cost more than a one-fragment "train" saves.
-    pub burst_futile: u32,
 }
 
 impl std::fmt::Debug for ProcSim {

@@ -19,7 +19,7 @@ use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Trace;
 use workloads::program::{Program, Workload};
 
-use crate::bus::{Bus, Pending};
+use crate::bus::Bus;
 use crate::config::ClusterConfig;
 use crate::event::{DaemonEvent, Event};
 use crate::handlers::nic::Trains;
@@ -83,10 +83,6 @@ pub struct World {
     /// `stats.switch_latency` at completion; one switch in flight at a
     /// time).
     pub(crate) switch_ordered_at: SimTime,
-    /// Pooled agenda buffer for the packet-train trampoline (`cfg.batch`).
-    /// Taken out of the world for the duration of a dispatch, always empty
-    /// between dispatches.
-    agenda_buf: Vec<Pending>,
     /// In-flight serial halt/ready broadcasts (see `handlers::nic`).
     pub(crate) trains: Trains,
     /// Pooled per-peer transmit buffer for the serial broadcasts.
@@ -155,7 +151,6 @@ impl World {
             tree,
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
-            agenda_buf: Vec::with_capacity(16),
             trains: Trains::default(),
             bcast_sends: Vec::new(),
             cfg,
@@ -255,10 +250,12 @@ impl WorldState for World {
     }
 }
 
-impl World {
+impl Model for World {
+    type Event = Event;
+
     /// Route one event to its subsystem handler.
-    #[inline]
-    fn dispatch(&mut self, now: SimTime, event: Event, bus: &mut Bus) {
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+        let bus = &mut Bus::new(sched);
         match event {
             Event::Daemon(e) => self.on_daemon(now, e, bus),
             Event::Nic(e) => self.on_nic(now, e, bus),
@@ -266,65 +263,6 @@ impl World {
             Event::Switch(e) => self.on_switch(now, e, bus),
             Event::Fm(e) => self.on_fm(now, e, bus),
         }
-    }
-}
-
-impl Model for World {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
-        let batch = self.cfg.batch;
-        if batch < 2 {
-            let mut bus = Bus::new(sched);
-            self.dispatch(now, event, &mut bus);
-            return;
-        }
-
-        // Packet-train fast path. The engine handed us one event; handle
-        // it with deferred emissions, then run ahead through our own
-        // emissions (the agenda) as long as each is provably the globally
-        // next event — its `(time, seq)` key precedes the queue head's and
-        // its time is inside the driver's fence. Seqs were claimed at the
-        // emission points, so both the inline dispatch order and the seqs
-        // of events that do reach the heap are identical to what unbatched
-        // mode produces: observable behavior is bit-for-bit the same.
-        let mut agenda = std::mem::take(&mut self.agenda_buf);
-        debug_assert!(agenda.is_empty());
-        let mut bus = Bus::deferred(sched, now, &mut agenda, false);
-        self.dispatch(now, event, &mut bus);
-
-        let fence = sched.fence();
-        let mut budget = batch - 1;
-        while budget > 0 && !agenda.is_empty() {
-            let mut min = 0;
-            let mut min_key = (agenda[0].0, agenda[0].1);
-            for (i, &(t, s, _)) in agenda.iter().enumerate().skip(1) {
-                if (t, s) < min_key {
-                    min = i;
-                    min_key = (t, s);
-                }
-            }
-            // The driver dispatches events at the fence instant itself,
-            // so run-ahead may too.
-            if min_key.0 > fence {
-                break;
-            }
-            if let Some(head) = sched.peek_key() {
-                if head < min_key {
-                    break;
-                }
-            }
-            let (t, _seq, ev) = agenda.swap_remove(min);
-            sched.note_inline_dispatch();
-            budget -= 1;
-            let mut bus = Bus::deferred(sched, t, &mut agenda, true);
-            self.dispatch(t, ev, &mut bus);
-        }
-
-        for (t, seq, ev) in agenda.drain(..) {
-            sched.push_claimed(t, seq, ev);
-        }
-        self.agenda_buf = agenda;
     }
 }
 
@@ -420,12 +358,9 @@ impl Sim {
     /// delivered-message counts, completed switches, retransmits, drops,
     /// and wire losses.
     ///
-    /// This is the determinism contract for batched runs. Burst trains
-    /// elide *physical* events, so the dispatch digest of a `batch > 0`
-    /// run differs from the unbatched run's. Every observable the
-    /// simulation reports is nevertheless identical (the
-    /// `burst_on_equals_burst_off` property pins this), so a batched run
-    /// promises the same *logical fingerprint* as its `batch == 0` twin.
+    /// Where [`Engine::stream_digest`] pins the order of every dispatched
+    /// event, this pins only what the run reports: serving cells and the
+    /// per-policy goldens compare runs on it.
     pub fn logical_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -460,7 +395,7 @@ impl Sim {
         fold(w.stats.drops);
         fold(w.stats.wire_losses);
         // Serving-mode observables fold only when the run recorded request
-        // latencies, so every batch-mode golden stays bit-identical.
+        // latencies, so every closed-batch golden stays bit-identical.
         if w.stats.wait_latency.count() > 0 || w.stats.e2e_latency.count() > 0 {
             for (j, t) in w.stats.job_submitted.iter() {
                 fold(j.0 as u64);

@@ -214,40 +214,6 @@ impl FlowControl {
         }
     }
 
-    /// How many more packets from `peer` can be consumed before
-    /// [`FlowControl::on_packet_consumed`] next returns a dedicated refill
-    /// (i.e. consecutive calls still returning `None`).
-    ///
-    /// The burst fast path uses this to bound a fused packet train so that
-    /// no fused extract crosses the low-water mark. Under demand windows
-    /// the count simulates the pending shrink/grant schedule so the
-    /// prediction stays exact while a window is mid-move.
-    pub fn packets_until_refill(&self, peer: usize) -> usize {
-        let Some(d) = self.demand.as_deref() else {
-            return (self.c0 - self.low_water).saturating_sub(self.consumed[peer] + 1);
-        };
-        let mut w = d.window(peer);
-        let mut c = self.consumed[peer];
-        let mut shrink = d.pending_shrink(peer);
-        let mut grant = d.pending_grant(peer);
-        let mut safe = 0;
-        loop {
-            if shrink > 0 {
-                shrink -= 1;
-                w -= 1;
-            } else {
-                c += 1;
-            }
-            c += grant;
-            w += grant;
-            grant = 0;
-            if w - c.min(w) <= w / 2 {
-                return safe;
-            }
-            safe += 1;
-        }
-    }
-
     /// Take the consumed count for `peer` to piggyback on a data packet
     /// headed there (resets the counter; returns 0 if nothing to return).
     pub fn take_piggyback(&mut self, peer: usize) -> usize {
@@ -322,29 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn packets_until_refill_counts_safe_consumes() {
-        // C0 = 4, low_water = 2: refill is due on the 2nd consumed packet,
-        // so exactly 1 consume is safe from a reset counter.
-        let mut f = FlowControl::new(1, 2, 4);
-        assert_eq!(f.packets_until_refill(0), 1);
-        assert_eq!(f.on_packet_consumed(0), None);
-        assert_eq!(f.packets_until_refill(0), 0);
-        assert!(f.on_packet_consumed(0).is_some());
-        // Counter reset by the refill: the cycle repeats.
-        assert_eq!(f.packets_until_refill(0), 1);
-
-        // Exhaustive cross-check against the real consume path.
-        for c0 in 1..=16 {
-            let mut f = FlowControl::new(1, 2, c0);
-            let safe = f.packets_until_refill(0);
-            for i in 0..=safe {
-                let due = f.on_packet_consumed(0).is_some();
-                assert_eq!(due, i == safe, "c0={c0} i={i} safe={safe}");
-            }
-        }
-    }
-
-    #[test]
     fn piggyback_resets_consumed() {
         let mut f = FlowControl::new(0, 2, 10);
         f.on_packet_consumed(1);
@@ -401,32 +344,5 @@ mod tests {
         }
         assert!(returned < consumed, "{returned} vs {consumed}");
         assert_eq!(f.demand().unwrap().window(1), 1);
-    }
-
-    #[test]
-    fn demand_packets_until_refill_matches_consume_path() {
-        // Drive skewed traffic through rebalances and cross-check the
-        // burst-path prediction against the real consume path while
-        // shrink/grant schedules are live.
-        for w0 in 1..=6usize {
-            let mut f = FlowControl::new(2, 3, w0);
-            f.enable_demand(4 * w0);
-            for round in 0..8usize {
-                for _ in 0..(3 * round) {
-                    f.on_packet_consumed(0);
-                }
-                if round % 3 == 0 {
-                    f.on_packet_consumed(1);
-                }
-                f.demand_rebalance();
-                for peer in [0usize, 1] {
-                    let safe = f.packets_until_refill(peer);
-                    for i in 0..=safe {
-                        let due = f.on_packet_consumed(peer).is_some();
-                        assert_eq!(due, i == safe, "w0={w0} round={round} peer={peer} i={i}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -168,23 +168,6 @@ impl<P> PacketRing<P> {
         }
     }
 
-    /// Account for `n` packets that logically passed through this ring
-    /// without ever being materialized in it (the burst fast path hands a
-    /// fragment straight to its consumer). Counter-equivalent to `n`
-    /// push/pop pairs on an empty ring: totals advance by `n` each and the
-    /// high-water mark reflects the momentary occupancy of 1.
-    pub fn account_passthrough(&mut self, n: u64) {
-        debug_assert!(
-            self.slots.is_empty(),
-            "passthrough accounting on a non-empty ring is not pop-order-equivalent"
-        );
-        self.total_pushed += n;
-        self.total_popped += n;
-        if n > 0 && self.high_water == 0 {
-            self.high_water = 1;
-        }
-    }
-
     /// Largest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -272,34 +255,6 @@ mod tests {
         assert_eq!(r.pop(), Some(0));
         assert_eq!(r.totals(), (8, 5));
         assert_eq!(r.high_water(), 4);
-    }
-
-    #[test]
-    fn passthrough_matches_push_pop_counters() {
-        let mut real = PacketRing::new(4);
-        let mut fast = PacketRing::new(4);
-        for i in 0..3 {
-            real.push(i).unwrap();
-            real.pop();
-        }
-        fast.account_passthrough(3);
-        assert_eq!(real.totals(), fast.totals());
-        assert_eq!(real.high_water(), fast.high_water());
-        // An already-seen higher mark is preserved.
-        real.push(7).unwrap();
-        real.push(8).unwrap();
-        real.pop();
-        real.pop();
-        fast.push(7).unwrap();
-        fast.push(8).unwrap();
-        fast.pop();
-        fast.pop();
-        real.push(9).unwrap();
-        real.pop();
-        fast.account_passthrough(1);
-        assert_eq!(real.totals(), fast.totals());
-        assert_eq!(real.high_water(), 2);
-        assert_eq!(fast.high_water(), 2);
     }
 
     #[test]

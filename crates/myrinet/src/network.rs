@@ -123,43 +123,6 @@ impl Network {
         }
     }
 
-    /// What [`Network::transmit`] *would* return for this injection, without
-    /// committing it: link horizons and statistics are untouched.
-    ///
-    /// The cluster's burst fast path uses this to test whether a fragment's
-    /// wire times fall inside its run-ahead window before committing the
-    /// real transmit. Must mirror [`Network::transmit`]'s arithmetic exactly
-    /// (asserted by tests).
-    pub fn peek_transmit(&self, now: SimTime, src: HostId, dst: HostId, bytes: u64) -> Transmit {
-        assert_ne!(src, dst, "self-transmit is not a network operation");
-        let route = self.topo.route(src, dst);
-        debug_assert!(!route.is_empty());
-        let cut_through = self.topo.cut_through;
-        let mut ready = now;
-        let mut injection_done = now;
-        let mut tail_arrival = now;
-        for (i, lid) in route.iter().copied().enumerate() {
-            let link = &self.topo.links()[lid];
-            let tx_time = Cycles::for_bytes_at(bytes, link.bandwidth);
-            let start = ready.max(self.next_free[lid]);
-            let end = start + tx_time;
-            if i == 0 {
-                injection_done = end;
-            }
-            if cut_through {
-                ready = start + Cycles(link.latency_cycles);
-                tail_arrival = end + Cycles(link.latency_cycles);
-            } else {
-                ready = end + Cycles(link.latency_cycles);
-                tail_arrival = ready;
-            }
-        }
-        Transmit {
-            injection_done,
-            arrival: tail_arrival,
-        }
-    }
-
     /// Per-link statistics, indexed like [`Topology::links`].
     pub fn link_stats(&self) -> &[LinkStats] {
         &self.stats
@@ -287,47 +250,6 @@ mod tests {
     #[should_panic(expected = "self-transmit")]
     fn self_transmit_panics() {
         net(2).transmit(SimTime::ZERO, 1, 1, 10);
-    }
-
-    #[test]
-    fn peek_transmit_matches_transmit() {
-        for ct in [false, true] {
-            let topo = if ct {
-                Topology::single_switch_cut_through(4)
-            } else {
-                Topology::single_switch(4)
-            };
-            let mut n = Network::new(topo);
-            // Drive contention so next_free horizons matter, then check the
-            // peek against the commit at every step.
-            let plan = [
-                (0u64, 0usize, 1usize, 1560u64),
-                (0, 0, 2, 64),
-                (100, 1, 2, 1560),
-                (150, 0, 1, 9000),
-                (200, 3, 0, 16),
-                (200, 0, 1, 1560),
-            ];
-            for (t, src, dst, bytes) in plan {
-                let t = SimTime(t);
-                let peeked = n.peek_transmit(t, src, dst, bytes);
-                let real = n.transmit(t, src, dst, bytes);
-                assert_eq!(peeked, real, "ct={ct} t={t:?} {src}->{dst} {bytes}B");
-            }
-        }
-    }
-
-    #[test]
-    fn peek_transmit_commits_nothing() {
-        let mut n = net(4);
-        n.transmit(SimTime::ZERO, 0, 1, 1560);
-        let pkts_before: u64 = n.link_stats().iter().map(|s| s.packets).sum();
-        let a = n.peek_transmit(SimTime(10), 0, 1, 1560);
-        let b = n.peek_transmit(SimTime(10), 0, 1, 1560);
-        assert_eq!(a, b, "peek must not advance link horizons");
-        let pkts_after: u64 = n.link_stats().iter().map(|s| s.packets).sum();
-        assert_eq!(pkts_before, pkts_after);
-        assert_eq!(n.total_packets(), 1);
     }
 }
 

@@ -54,15 +54,6 @@ pub struct Scheduler<E> {
     /// `now` (each one is a causality bug in the model, papered over in
     /// release builds).
     clamped: u64,
-    /// Run-ahead fence: the horizon of the current `run_*` call. A model
-    /// batching its own dispatch (see [`Scheduler::claim_seq`]) must not
-    /// handle events past this instant — the driver expects them to still
-    /// be pending when the run returns.
-    fence: SimTime,
-    /// Events the model dispatched inline (run-ahead) without going
-    /// through the queue. Together with [`Engine::events_processed`] this
-    /// keeps total dispatch accounting exact under batching.
-    inline: u64,
 }
 
 impl<E> Scheduler<E> {
@@ -72,8 +63,6 @@ impl<E> Scheduler<E> {
             seq: 0,
             queue: EventQueue::new(),
             clamped: 0,
-            fence: SimTime::MAX,
-            inline: 0,
         }
     }
 
@@ -166,24 +155,12 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// The `(time, seq)` key of the earliest pending event, if any.
-    ///
-    /// Run-ahead contract: a model may handle one of its own emissions
-    /// inline (without enqueueing it) exactly when the emission's claimed
-    /// key precedes this key and its time does not exceed [`Scheduler::fence`].
-    /// Under that rule the inline dispatch order is identical to the order
-    /// the engine itself would have delivered.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.queue.peek_key()
-    }
-
     /// Claim the next FIFO sequence number without enqueueing an event.
     ///
-    /// A batching model claims a seq at the exact point it would otherwise
-    /// have scheduled the event, so tie-breaking order is bit-identical
-    /// whether the event is later enqueued (via [`Scheduler::push_claimed`])
-    /// or handled inline and never materialized.
+    /// A model that wants to enqueue an event later (via
+    /// [`Scheduler::push_claimed`]) claims its seq at the exact point it
+    /// would otherwise have scheduled it, so tie-breaking order is the
+    /// same as if it had been scheduled there.
     #[inline]
     pub fn claim_seq(&mut self) -> u64 {
         let s = self.seq;
@@ -192,43 +169,12 @@ impl<E> Scheduler<E> {
     }
 
     /// Enqueue an event under a previously [claimed](Scheduler::claim_seq)
-    /// sequence number (a deferred emission the model decided not to handle
-    /// inline after all).
+    /// sequence number.
     #[inline]
     pub fn push_claimed(&mut self, t: SimTime, seq: u64, event: E) {
         debug_assert!(t >= self.now, "claimed push into the past");
         debug_assert!(seq < self.seq, "seq {seq} was never claimed");
         self.queue.push(t, seq, event);
-    }
-
-    /// The current run horizon. [`Engine::run_until`] and friends set this
-    /// to their horizon so a run-ahead model never handles events the
-    /// driver expects to remain pending; outside a bounded run it is
-    /// [`SimTime::MAX`].
-    #[inline]
-    pub fn fence(&self) -> SimTime {
-        self.fence
-    }
-
-    /// Record one inline (run-ahead) dispatch, for exact event accounting.
-    #[inline]
-    pub fn note_inline_dispatch(&mut self) {
-        self.inline += 1;
-    }
-
-    /// Record `n` logical events a model retired without materializing them
-    /// (e.g. a fused packet train), keeping
-    /// [`Engine::logical_events`](crate::engine::Engine::logical_events)
-    /// equal to the unbatched event count.
-    #[inline]
-    pub fn note_inline_dispatches(&mut self, n: u64) {
-        self.inline += n;
-    }
-
-    /// Events the model reported dispatching inline.
-    #[inline]
-    pub fn inline_dispatches(&self) -> u64 {
-        self.inline
     }
 }
 
@@ -361,21 +307,18 @@ impl<M: Model> Engine<M> {
         self.sched.now
     }
 
-    /// Total events processed so far (engine dispatches only — excludes
-    /// events a batching model handled inline; see
-    /// [`Engine::logical_events`]).
+    /// Total events processed so far.
     #[inline]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Total logical events dispatched: engine dispatches plus inline
-    /// (run-ahead) dispatches the model reported via
-    /// [`Scheduler::note_inline_dispatch`]. For a given model and seed this
-    /// total is invariant under batching.
+    /// Total logical events dispatched. Every event goes through the
+    /// queue, so this equals [`Engine::events_processed`]; it is kept for
+    /// callers that report the logical event count by name.
     #[inline]
     pub fn logical_events(&self) -> u64 {
-        self.events_processed + self.sched.inline_dispatches()
+        self.events_processed
     }
 
     /// Number of pending events.
@@ -426,13 +369,10 @@ impl<M: Model> Engine<M> {
     }
 
     /// Process the single earliest event if it is due at or before
-    /// `horizon`, with the run-ahead fence set to `horizon` (so batching
-    /// models see the same bound [`Engine::run_until`] would give them).
-    /// Returns the instant the event fired, or `None` when nothing is due.
-    /// The clock is left alone on `None` — a driver stepping event by event
-    /// finalizes it itself.
+    /// `horizon`. Returns the instant the event fired, or `None` when
+    /// nothing is due. The clock is left alone on `None` — a driver
+    /// stepping event by event finalizes it itself.
     pub fn step_bounded(&mut self, horizon: SimTime) -> Option<SimTime> {
-        self.sched.fence = horizon;
         match self.sched.peek_time() {
             Some(t) if t <= horizon => self.step(),
             _ => None,
@@ -444,7 +384,6 @@ impl<M: Model> Engine<M> {
     /// to the horizon even if the queue drained earlier.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = horizon;
         loop {
             match self.sched.peek_time() {
                 Some(t) if t <= horizon => {
@@ -468,7 +407,6 @@ impl<M: Model> Engine<M> {
     /// Run until the queue drains completely.
     pub fn run_to_idle(&mut self) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = SimTime::MAX;
         while self.step().is_some() {
             if self.events_processed - start_events >= self.event_limit {
                 return RunOutcome::EventLimit;
@@ -485,7 +423,6 @@ impl<M: Model> Engine<M> {
         mut pred: impl FnMut(&M) -> bool,
     ) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = horizon;
         loop {
             if pred(&self.model) {
                 return RunOutcome::Horizon;

@@ -91,14 +91,6 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| e.time)
     }
 
-    /// The full ordering key `(time, seq)` of the earliest pending event.
-    /// This is what run-ahead dispatch compares against: an event may be
-    /// handled out of queue only if its key precedes this one.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(|e| e.key())
-    }
-
     /// Insert an event keyed by `(time, seq)`. `seq` must be unique
     /// (the scheduler's monotone counter guarantees it).
     pub fn push(&mut self, time: SimTime, seq: u64, event: E) {

@@ -35,6 +35,16 @@ struct Args {
     seed: u64,
 }
 
+/// Parse a numeric flag value, failing with a one-line message that names
+/// the flag and the bad value.
+fn num<T: std::str::FromStr>(flag: &str, v: String) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse()
+        .unwrap_or_else(|e| panic!("{flag} takes a non-negative integer, got {v:?} ({e})"))
+}
+
 fn parse_args() -> Args {
     let mut a = Args {
         nodes: 16,
@@ -52,13 +62,13 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
         match flag.as_str() {
-            "--nodes" => a.nodes = val().parse().unwrap(),
-            "--jobs" => a.jobs = val().parse().unwrap(),
+            "--nodes" => a.nodes = num(&flag, val()),
+            "--jobs" => a.jobs = num(&flag, val()),
             "--workload" => a.workload = val(),
-            "--msg-bytes" => a.msg_bytes = val().parse().unwrap(),
-            "--quantum-ms" => a.quantum_ms = val().parse().unwrap(),
-            "--duration-ms" => a.duration_ms = val().parse().unwrap(),
-            "--seed" => a.seed = val().parse().unwrap(),
+            "--msg-bytes" => a.msg_bytes = num(&flag, val()),
+            "--quantum-ms" => a.quantum_ms = num(&flag, val()),
+            "--duration-ms" => a.duration_ms = num(&flag, val()),
+            "--seed" => a.seed = num(&flag, val()),
             "--policy" => {
                 a.policy = match val().as_str() {
                     "full" => BufferPolicy::FullBuffer,

@@ -29,8 +29,7 @@ use workloads::ring::Ring;
 
 /// One adversarial schedule: a job mix (with its slot requirement), a
 /// gang/non-gang mode, quanta, a rebalance cadence that may or may not
-/// divide the quantum, and a burst batch setting.
-#[allow(clippy::too_many_arguments)]
+/// divide the quantum.
 fn quiesce_case(
     shape: usize,
     gang: bool,
@@ -38,14 +37,12 @@ fn quiesce_case(
     rebalance_ms: u64,
     msg: u64,
     count: u64,
-    batch: usize,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::Demand);
     cfg.gang_scheduling = gang;
     cfg.quantum = Cycles::from_ms(quantum_ms);
     cfg.fm.demand.rebalance_interval = Cycles::from_ms(rebalance_ms);
-    cfg.batch = batch;
     cfg.seed = seed;
     let geo = cfg.fm.geometry();
     let full = {
@@ -142,11 +139,9 @@ proptest! {
         rebalance_ms in 1u64..12,
         msg in 1u64..6_000,
         count in 8u64..50,
-        batch_idx in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let batch = [0usize, 3, 16][batch_idx];
-        quiesce_case(shape, gang, quantum_ms, rebalance_ms, msg, count, batch, seed)?;
+        quiesce_case(shape, gang, quantum_ms, rebalance_ms, msg, count, seed)?;
     }
 
     /// The ledger in isolation: arbitrary traffic skews and rebalance

@@ -8,7 +8,6 @@ use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::time::{Cycles, SimTime};
 use workloads::p2p::P2pBandwidth;
-use workloads::ring::Ring;
 
 #[test]
 fn same_seed_same_event_count_and_bandwidth() {
@@ -114,133 +113,17 @@ fn fig_cells_are_reproducible() {
     assert_eq!(a.queue_samples.len(), b.queue_samples.len());
 }
 
-/// The burst fast path (`--batch=16`) is an engine optimisation, not a model
-/// change: every figure cell it produces must be byte-identical to the
-/// packet-at-a-time run, across seeds. `f64::to_bits` comparison leaves no
-/// room for "close enough".
+/// Golden *logical fingerprints* per buffer policy: the one-word summary
+/// of what a run reports. Each cell must reproduce its committed value —
+/// any change to the logical event count, job lifecycle timing, or
+/// delivered-message accounting shows up here. Identical in debug and
+/// release builds.
 #[test]
-fn batched_fig_cells_match_unbatched_bit_for_bit() {
-    for seed in [5, 91, 4242] {
-        // Fig. 5 cells: one context (bursts engage) and three contexts
-        // (credit pressure, bursts engage rarely) at a multi-fragment size.
-        for contexts in [1, 3] {
-            let off = Measurement::fig5(contexts, 65_536, 40).seed(seed).run();
-            let on = Measurement::fig5(contexts, 65_536, 40)
-                .seed(seed)
-                .batch(16)
-                .run();
-            assert_eq!(off.mbps.to_bits(), on.mbps.to_bits(), "seed {seed}");
-            assert_eq!(off.completed, on.completed, "seed {seed}");
-            assert_eq!(off.credits, on.credits, "seed {seed}");
-        }
-
-        // Fig. 6 cell: time-sliced jobs under buffer switching.
-        let q = Cycles::from_ms(50);
-        let w = Cycles::from_ms(100);
-        let off = Measurement::fig6(2, 1536, q, w).seed(seed).run();
-        let on = Measurement::fig6(2, 1536, q, w).seed(seed).batch(16).run();
-        assert_eq!(off.total_mbps.to_bits(), on.total_mbps.to_bits());
-        assert_eq!(off.per_job_mbps.len(), on.per_job_mbps.len());
-        for (a, b) in off.per_job_mbps.iter().zip(&on.per_job_mbps) {
-            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-        }
-        assert_eq!(off.switches, on.switches, "seed {seed}");
-
-        // Fig. 8 run: all-to-all stress, queue samples at switch time.
-        let off = switch_overhead_run(
-            4,
-            CopyStrategy::ValidOnly,
-            SwitchStrategy::GangFlush,
-            3,
-            seed,
-        );
-        let on =
-            Measurement::switch_overhead(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3)
-                .seed(seed)
-                .batch(16)
-                .run();
-        assert_eq!(
-            off.ledger.mean_total().to_bits(),
-            on.ledger.mean_total().to_bits(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            off.queue_samples.len(),
-            on.queue_samples.len(),
-            "seed {seed}"
-        );
-        for (a, b) in off.queue_samples.iter().zip(&on.queue_samples) {
-            assert_eq!(
-                (a.node, a.epoch, a.send_valid, a.recv_valid),
-                (b.node, b.epoch, b.send_valid, b.recv_valid),
-                "seed {seed}"
-            );
-        }
-    }
-}
-
-/// On the burst-friendly ring workload the fast path elides most heap
-/// events, but the *logical* event stream — heap pops plus inline
-/// dispatches — is identical, as are all end-of-run observables.
-#[test]
-fn burst_fast_path_preserves_logical_event_stream() {
-    let run = |batch: usize| {
-        let mut cfg = ClusterConfig::parpar(4, 1, BufferPolicy::StaticDivision);
-        cfg.auto_rotate = false;
-        cfg.seed = 42;
-        cfg.batch = batch;
-        let mut sim = Sim::new(cfg);
-        let w = Ring {
-            nprocs: 4,
-            msg_bytes: 1 << 20,
-            laps: 2,
-        };
-        let j = sim.submit(&w, Some(vec![0, 1, 2, 3])).unwrap();
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)));
-        (
-            sim.engine.logical_events(),
-            sim.world().stats.job_finished[&j],
-            sim.world().stats.switches,
-        )
-    };
-    let off = run(0);
-    let on = run(16);
-    assert_eq!(off, on);
-}
-
-/// Batching is a pure execution strategy: on disjoint pairs the batched
-/// run reproduces the unbatched logical fingerprint and event count.
-#[test]
-fn batch_on_off_share_one_logical_stream() {
-    let run = |batch: usize| {
-        let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::StaticDivision);
-        cfg.auto_rotate = false;
-        cfg.seed = 4177;
-        cfg.batch = batch;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 200);
-        for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
-            sim.submit(&bench, Some(pair.to_vec())).unwrap();
-        }
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        (sim.logical_fingerprint(), sim.engine.logical_events())
-    };
-    assert_eq!(run(16), run(0));
-}
-
-/// Golden *logical fingerprints* per (buffer policy, batch): the one-word
-/// determinism contract batched runs pin (DESIGN.md §3i). Each cell must
-/// reproduce its committed value — any change to the
-/// logical event stream, job lifecycle timing, or delivered-message
-/// accounting shows up here, while physical-stream-only changes (elision
-/// patterns) must not. Identical in debug and release builds.
-#[test]
-fn logical_fingerprint_goldens_per_policy_and_batch() {
-    let run = |policy: BufferPolicy, batch: usize| {
+fn logical_fingerprint_goldens_per_policy() {
+    let run = |policy: BufferPolicy| {
         let mut cfg = ClusterConfig::parpar(8, 1, policy);
         cfg.auto_rotate = false;
         cfg.seed = 2025;
-        cfg.batch = batch;
         let mut sim = Sim::new(cfg);
         let bench = P2pBandwidth::with_count(4096, 150);
         for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
@@ -260,9 +143,7 @@ fn logical_fingerprint_goldens_per_policy_and_batch() {
         (BufferPolicy::Demand, 0x2290_ddc6_eb19_4988),
     ];
     for &(policy, want) in goldens {
-        for batch in [0usize, 16] {
-            assert_eq!(run(policy, batch), want, "{policy:?} batch={batch}");
-        }
+        assert_eq!(run(policy), want, "{policy:?}");
     }
 }
 
@@ -271,7 +152,7 @@ fn logical_fingerprint_goldens_per_policy_and_batch() {
 /// and the run stops after [`ROTATE64_SWITCHES`] switches. Every switch
 /// runs 64 serial halt broadcasts and 64 serial ready broadcasts of 63
 /// frames each, so this is the scenario where the broadcast trains matter.
-fn rotate64(wire_loss_ppm: u32, batch: usize) -> Sim {
+fn rotate64(wire_loss_ppm: u32) -> Sim {
     let hosts = 64;
     let mut cfg = ClusterConfig::parpar(hosts, 2, BufferPolicy::FullBuffer);
     cfg.topology = TopologyKind::FatTree {
@@ -280,7 +161,6 @@ fn rotate64(wire_loss_ppm: u32, batch: usize) -> Sim {
     cfg.control = ControlPlane::Serial;
     cfg.quantum = Cycles::from_ms(10);
     cfg.seed = 6401;
-    cfg.batch = batch;
     cfg.wire_loss_ppm = wire_loss_ppm;
     cfg.reliability.enabled = wire_loss_ppm > 0;
     let mut sim = Sim::new(cfg);
@@ -296,8 +176,8 @@ fn rotate64(wire_loss_ppm: u32, batch: usize) -> Sim {
 const ROTATE64_SWITCHES: u64 = 6;
 
 /// Run [`rotate64`] to its switch count: `(events, digest, fingerprint)`.
-fn run_rotate64(wire_loss_ppm: u32, batch: usize) -> (u64, u64, u64) {
-    let mut sim = rotate64(wire_loss_ppm, batch);
+fn run_rotate64(wire_loss_ppm: u32) -> (u64, u64, u64) {
+    let mut sim = rotate64(wire_loss_ppm);
     sim.engine
         .run_until_pred(SimTime::ZERO + Cycles::from_secs(60), |w| {
             w.stats.switches >= ROTATE64_SWITCHES
@@ -316,27 +196,20 @@ fn run_rotate64(wire_loss_ppm: u32, batch: usize) -> (u64, u64, u64) {
 }
 
 /// Golden event count, stream digest and logical fingerprint of
-/// [`rotate64`]: plain; with 2000 ppm wire loss and reliability on (lost
-/// halt/ready frames and the recovery re-broadcasts); and with `batch =
-/// 16` (the deferred bus). Recorded with every serial broadcast's frames
-/// queued as separate engine events, so they pin that delivery order.
+/// [`rotate64`]: plain, and with 2000 ppm wire loss and reliability on
+/// (lost halt/ready frames and the recovery re-broadcasts). Recorded with
+/// every serial broadcast's frames queued as separate engine events, so
+/// they pin that delivery order.
 #[test]
 fn fat_tree_rotation_goldens() {
-    let cells: &[(u32, usize, u64, u64, u64)] = &[
-        (0, 0, 64_550, 0xe436_99e3_120f_14d9, 0x50e1_15b9_704e_ec20),
-        (
-            2000,
-            0,
-            123_614,
-            0x345f_20ba_81c0_1e53,
-            0x8fb8_29c5_e17e_0665,
-        ),
-        (0, 16, 59_686, 0x2aea_439d_3dcc_5bde, 0x50e1_15b9_704e_ec20),
+    let cells: &[(u32, u64, u64, u64)] = &[
+        (0, 64_550, 0xe436_99e3_120f_14d9, 0x50e1_15b9_704e_ec20),
+        (2000, 123_614, 0x345f_20ba_81c0_1e53, 0x8fb8_29c5_e17e_0665),
     ];
-    for &(loss, batch, events, digest, fingerprint) in cells {
-        let got = run_rotate64(loss, batch);
+    for &(loss, events, digest, fingerprint) in cells {
+        let got = run_rotate64(loss);
         let want = (events, digest, fingerprint);
-        assert_eq!(got, want, "wire_loss_ppm={loss} batch={batch}");
+        assert_eq!(got, want, "wire_loss_ppm={loss}");
     }
 }
 
@@ -345,7 +218,7 @@ fn fat_tree_rotation_goldens() {
 /// 8 events per host.
 #[test]
 fn fat_tree_rotation_pending_stays_linear_in_hosts() {
-    let mut sim = rotate64(0, 0);
+    let mut sim = rotate64(0);
     let bound = 8 * sim.world().cfg.nodes;
     let horizon = SimTime::ZERO + Cycles::from_secs(60);
     let mut peak = 0;

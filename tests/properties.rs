@@ -9,7 +9,6 @@ use gang_comm::switcher::CopyStrategy;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 use workloads::p2p::P2pBandwidth;
-use workloads::ring::Ring;
 
 fn run_case(
     quantum_ms: u64,
@@ -53,77 +52,6 @@ fn run_case(
     Ok(())
 }
 
-/// Everything the paper measures, folded into one comparable fingerprint.
-/// The engine's physical clock is deliberately absent: in batch mode the
-/// final clock may rest at the start of the last run-ahead window (a
-/// documented deferred-bus artifact), while every logical observable —
-/// including the finish timestamps themselves — is exact. The last field
-/// is [`Sim::logical_fingerprint`], the one-word digest benchmarks pin.
-type Fingerprint = (u64, Vec<(u32, u64)>, Vec<u64>, u64, u64, u64, u64);
-
-/// Run one arbitrary job mix with the given burst batch size and collect
-/// every observable the burst fast path must preserve: the logical event
-/// stream length, per-job finish times, per-process message counts,
-/// switches, retransmits, drops, and the folded logical fingerprint.
-#[allow(clippy::too_many_arguments)]
-fn burst_fingerprint(
-    batch: usize,
-    quantum_ms: u64,
-    msg_a: u64,
-    msg_ring: u64,
-    count: u64,
-    policy: BufferPolicy,
-    reliability: bool,
-    seed: u64,
-) -> Fingerprint {
-    let mut cfg = ClusterConfig::parpar(4, 2, policy);
-    cfg.quantum = Cycles::from_ms(quantum_ms);
-    cfg.seed = seed;
-    cfg.batch = batch;
-    cfg.reliability.enabled = reliability;
-    let mut sim = Sim::new(cfg);
-    // A unidirectional stream (bursts engage hard), a ring sharing its
-    // nodes (bidirectional: the receiver's send path is busy — the widened
-    // multi-context regime), and a second stream forcing rotation.
-    let a = P2pBandwidth::with_count(msg_a, count);
-    let ring = Ring {
-        nprocs: 4,
-        msg_bytes: msg_ring,
-        laps: 3,
-    };
-    let mut jobs = [
-        sim.submit(&a, Some(vec![0, 1])).unwrap(),
-        sim.submit(&ring, Some(vec![0, 1, 2, 3])).unwrap(),
-        sim.submit(&a, Some(vec![2, 3])).unwrap(),
-    ];
-    jobs.sort();
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(120)),
-        "jobs did not finish"
-    );
-    let w = sim.world();
-    let finishes = jobs
-        .iter()
-        .map(|j| (j.0, w.stats.job_finished[j].raw()))
-        .collect();
-    let mut msgs: Vec<u64> = Vec::new();
-    for n in &w.nodes {
-        for p in n.apps.values() {
-            msgs.push(p.fm.stats.msgs_received);
-        }
-    }
-    msgs.sort_unstable();
-    (
-        sim.engine.logical_events(),
-        finishes,
-        msgs,
-        w.stats.switches,
-        w.stats.retransmits,
-        w.stats.drops,
-        sim.logical_fingerprint(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case is a full cluster simulation
@@ -140,38 +68,5 @@ proptest! {
         seed in any::<u64>(),
     ) {
         run_case(quantum_ms, msg_a, msg_b, count, copy_full, seed)?;
-    }
-
-    /// The burst fast path is invisible: any workload/config mix — all
-    /// four buffer policies, quanta, reliability on or off, bidirectional
-    /// traffic with busy receive-side send paths — produces the same
-    /// logical event stream and the same stats with batching on and off.
-    /// (CachedEndpoints declines the fused loop, so there it checks the
-    /// deferred-bus generic path instead; Demand exercises the fused loop's
-    /// demand-aware refill-crossing prediction.)
-    #[test]
-    fn burst_on_equals_burst_off(
-        batch in 2usize..32,
-        quantum_ms in 10u64..60,
-        msg_a in 1u64..65_536,
-        msg_ring in 1u64..32_768,
-        count in 30u64..250,
-        policy_idx in 0usize..4,
-        reliability in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let policy = [
-            BufferPolicy::StaticDivision,
-            BufferPolicy::FullBuffer,
-            BufferPolicy::CachedEndpoints,
-            BufferPolicy::Demand,
-        ][policy_idx];
-        let base = burst_fingerprint(
-            0, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
-        );
-        let run = burst_fingerprint(
-            batch, quantum_ms, msg_a, msg_ring, count, policy, reliability, seed,
-        );
-        prop_assert_eq!(&base, &run, "batch={} diverged from batch=0", batch);
     }
 }

@@ -1,7 +1,7 @@
 //! Serving-cluster mode end to end: open-loop arrivals through the jobrep
 //! admission queue, streaming latency percentiles, and the determinism
 //! contract — p50/p99/p999 and the logical fingerprint are bit-identical
-//! across batch settings.
+//! from run to run.
 
 use cluster::measure::{Measurement, SchedulingMode, ServeCell};
 use cluster::{ArrivalPlan, ArrivalSpec, ClusterConfig, Sim};
@@ -9,12 +9,11 @@ use fastmsg::division::BufferPolicy;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 
-fn gang_cell(batch: usize) -> ServeCell {
+fn gang_cell() -> ServeCell {
     Measurement::serve(8, 2, SchedulingMode::Gang)
         .arrival_rate(3.0)
         .horizon(Cycles::from_secs(3))
         .seed(42)
-        .batch(batch)
         .run()
 }
 
@@ -34,7 +33,7 @@ fn percentiles(c: &ServeCell) -> [u64; 9] {
 
 #[test]
 fn serve_completes_and_records_latencies() {
-    let c = gang_cell(0);
+    let c = gang_cell();
     assert!(c.submitted > 0, "{c:?}");
     assert_eq!(c.rejected, 0, "{c:?}");
     assert!(c.drained, "moderate load must drain: {c:?}");
@@ -47,18 +46,17 @@ fn serve_completes_and_records_latencies() {
     assert!(c.e2e_p50 >= c.service_p50, "{c:?}");
     assert!(c.service_p50 > 0, "jobs take time: {c:?}");
     assert!((0.0..=1.0).contains(&c.slo_attainment));
+    // The engine's logical-event count, not the job count.
+    assert!(c.logical_events > c.completed, "{c:?}");
 }
 
 #[test]
-fn serve_percentiles_pinned_across_batch() {
-    let base = gang_cell(0);
-    let c = gang_cell(16);
+fn serve_percentiles_reproduce_run_to_run() {
+    let base = gang_cell();
+    let c = gang_cell();
     assert_eq!(percentiles(&base), percentiles(&c));
     assert_eq!(base.fingerprint, c.fingerprint);
     assert_eq!(base.completed, c.completed);
-    // The engine's logical-event count, not the job count, and it is
-    // batch-invariant like everything else the fingerprint folds.
-    assert!(base.logical_events > base.completed, "{base:?}");
     assert_eq!(base.logical_events, c.logical_events);
 }
 
