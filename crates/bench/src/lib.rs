@@ -80,26 +80,31 @@ impl HarnessOpts {
     }
 }
 
-/// Ceiling on [`par_sweep`] workers: the machine-wide limit from
-/// `sim_core::pool`.
+/// The machine's worker ceiling: `available_parallelism`, or 1 if the
+/// runtime cannot tell.
+pub fn max_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Ceiling on [`par_sweep`] workers: the machine's [`max_parallelism`].
 pub fn sweep_pool_size() -> usize {
-    sim_core::pool::max_parallelism()
+    max_parallelism()
 }
 
 /// Run `f` over `params` on a bounded worker pool, preserving parameter
 /// order in the results. Workers pull the next parameter from a shared
 /// counter, so at most the pool size runs at once no matter how large the
-/// sweep is. The pool is leased from the global `sim_core::pool::Budget`,
-/// so concurrent or nested sweeps share the machine's slots instead of
-/// multiplying them.
+/// sweep is. Sweeps never nest, so each one sizes its pool from the
+/// machine alone.
 pub fn par_sweep<P, R, F>(params: Vec<P>, f: F) -> Vec<R>
 where
     P: Send + Sync,
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    let grant = sim_core::pool::Budget::acquire(params.len().max(1));
-    let workers = grant.count().min(params.len().max(1));
+    let workers = sweep_pool_size().min(params.len().max(1));
     let next = AtomicUsize::new(0);
     let mut batches: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {

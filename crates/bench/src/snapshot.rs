@@ -48,7 +48,7 @@ impl Snapshot {
         Snapshot {
             bench: bench.to_string(),
             seed,
-            host_cores: sim_core::pool::max_parallelism(),
+            host_cores: crate::max_parallelism(),
             rows,
         }
     }

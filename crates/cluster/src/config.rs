@@ -15,18 +15,11 @@ use sim_core::time::Cycles;
 /// Which interconnect the data network uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
-    /// One crossbar, every host two hops from every other (ParPar).
+    /// One crossbar sized to `nodes`, every host two hops from every
+    /// other (ParPar): the fat-tree shape [`FatTreeShape::crossbar`].
     SingleSwitch,
-    /// Two crossbars joined by `trunks` links; cross-traffic takes three
-    /// hops and contends on the trunk.
-    DualSwitch {
-        /// Parallel inter-switch links.
-        trunks: usize,
-    },
     /// Three-tier k-ary fat-tree/Clos with table-free ECMP-deterministic
     /// routing; the datacenter-scale fabric of the scalability sweep.
-    /// The degenerate one-pod one-edge shape is bit-identical to
-    /// `SingleSwitch`.
     FatTree {
         /// Pods × edges × hosts-per-edge shape (see
         /// [`FatTreeShape::for_hosts`] for the canonical sizing).

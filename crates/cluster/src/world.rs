@@ -94,9 +94,6 @@ impl World {
     pub fn new(cfg: ClusterConfig) -> Self {
         let topo = match cfg.topology {
             crate::config::TopologyKind::SingleSwitch => Topology::single_switch(cfg.nodes),
-            crate::config::TopologyKind::DualSwitch { trunks } => {
-                Topology::dual_switch(cfg.nodes, trunks)
-            }
             crate::config::TopologyKind::FatTree { shape } => {
                 assert_eq!(
                     shape.hosts(),

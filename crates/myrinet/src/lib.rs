@@ -1,10 +1,12 @@
 //! # myrinet — simulated Myrinet system-area network
 //!
-//! Timing model of ParPar's data network (paper §2.1): 1.28 Gb/s links,
-//! crossbar switches, a single precomputed source route per host pair, and
-//! serial-loop broadcast for control packets. The model guarantees the two
-//! ordering properties the paper's flush protocol relies on: per-route FIFO
-//! delivery, and halt-after-data.
+//! Timing model of ParPar's data network (paper §2.1): 1.28 Gb/s
+//! store-and-forward links, crossbar switches arranged as a fat-tree (the
+//! paper's single crossbar is the one-switch shape), a single fixed source
+//! route per host pair computed from the shape, and serial-loop broadcast
+//! for control packets. The model guarantees the two ordering properties
+//! the paper's flush protocol relies on: per-route FIFO delivery, and
+//! halt-after-data.
 //!
 //! This crate is *passive*: it answers "when would this packet arrive?";
 //! the `cluster` crate turns answers into discrete events.

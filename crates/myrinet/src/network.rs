@@ -1,10 +1,10 @@
 //! Link-level timing: when does an injected packet reach its destination?
 //!
-//! The model is store-and-forward over the precomputed source route with
+//! The model is store-and-forward over the fixed source route with
 //! per-link FIFO serialization: each link has a `next_free` horizon; a
-//! packet occupies each link on its route for `bytes / bandwidth` and incurs
-//! the link's propagation latency. Two properties the protocols rely on are
-//! guaranteed by construction:
+//! packet occupies each link on its route for `bytes / MYRINET_BW` and
+//! incurs the per-hop latency `HOP_LATENCY_CYCLES`. Two properties the
+//! protocols rely on are guaranteed by construction:
 //!
 //! 1. **Per-route FIFO** — packets injected on the same (src, dst) route in
 //!    time order arrive in order (each shared link serializes them in
@@ -12,10 +12,9 @@
 //! 2. **Halt-after-data** — a control packet broadcast after the last data
 //!    packet on a route arrives after it (special case of 1; paper §3.2).
 
-use sim_core::stats::Summary;
 use sim_core::time::{Cycles, SimTime};
 
-use crate::topology::{HostId, Topology};
+use crate::topology::{HostId, Topology, HOP_LATENCY_CYCLES, MYRINET_BW};
 
 /// Per-link running counters.
 #[derive(Debug, Clone, Default)]
@@ -24,8 +23,6 @@ pub struct LinkStats {
     pub packets: u64,
     /// Payload + header bytes carried.
     pub bytes: u64,
-    /// Cycles the link spent transmitting.
-    pub busy_cycles: u64,
 }
 
 /// Outcome of injecting one packet.
@@ -76,50 +73,30 @@ impl Network {
     /// back through the switch).
     pub fn transmit(&mut self, now: SimTime, src: HostId, dst: HostId, bytes: u64) -> Transmit {
         assert_ne!(src, dst, "self-transmit is not a network operation");
-        // Split borrow: the route is a slice into the (immutable) topology
-        // while next_free/stats update per link — no per-packet Vec.
-        let Network {
-            topo,
-            next_free,
-            stats,
-            total_packets,
-        } = self;
-        let route = topo.route(src, dst);
+        let route = self.topo.route(src, dst);
         debug_assert!(!route.is_empty());
-        let cut_through = topo.cut_through;
-        let mut ready = now; // when the head of the packet is at this stage
+        // Every link runs at the same rate, so one packet occupies each
+        // hop for the same time.
+        let tx_time = Cycles::for_bytes_at(bytes, MYRINET_BW);
+        let mut ready = now; // when the packet is fully at this stage
         let mut injection_done = now;
-        let mut tail_arrival = now;
         for (i, lid) in route.iter().copied().enumerate() {
-            let link = &topo.links()[lid];
-            let tx_time = Cycles::for_bytes_at(bytes, link.bandwidth);
-            let start = ready.max(next_free[lid]);
-            let end = start + tx_time;
-            next_free[lid] = end;
-            let st = &mut stats[lid];
+            let end = ready.max(self.next_free[lid]) + tx_time;
+            self.next_free[lid] = end;
+            let st = &mut self.stats[lid];
             st.packets += 1;
             st.bytes += bytes;
-            st.busy_cycles += tx_time.raw();
             if i == 0 {
                 injection_done = end;
             }
-            if cut_through {
-                // Wormhole: the head flows on after the routing latency;
-                // the tail arrives a full transmission after the head
-                // entered this link.
-                ready = start + Cycles(link.latency_cycles);
-                tail_arrival = end + Cycles(link.latency_cycles);
-            } else {
-                // Store-and-forward: the next stage sees the packet after
-                // the full transmission plus the propagation latency.
-                ready = end + Cycles(link.latency_cycles);
-                tail_arrival = ready;
-            }
+            // Store-and-forward: the next stage sees the packet after the
+            // full transmission plus the propagation latency.
+            ready = end + Cycles(HOP_LATENCY_CYCLES);
         }
-        *total_packets += 1;
+        self.total_packets += 1;
         Transmit {
             injection_done,
-            arrival: tail_arrival,
+            arrival: ready,
         }
     }
 
@@ -131,27 +108,6 @@ impl Network {
     /// Total packets transmitted since construction.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
-    }
-
-    /// Mean/max utilization of all links over `[0, now]`, for reports.
-    pub fn utilization_summary(&self, now: SimTime) -> Summary {
-        let mut s = Summary::new();
-        let span = now.raw().max(1) as f64;
-        for st in &self.stats {
-            s.record(st.busy_cycles as f64 / span);
-        }
-        s
-    }
-
-    /// Reset link availability and statistics (topology is preserved).
-    pub fn reset(&mut self) {
-        for t in &mut self.next_free {
-            *t = SimTime::ZERO;
-        }
-        for s in &mut self.stats {
-            *s = LinkStats::default();
-        }
-        self.total_packets = 0;
     }
 }
 
@@ -226,9 +182,6 @@ mod tests {
         let total_bytes: u64 = n.link_stats().iter().map(|s| s.bytes).sum();
         assert_eq!(total_bytes, 4000); // 2 packets x 2 links
         assert_eq!(n.total_packets(), 2);
-        n.reset();
-        assert_eq!(n.total_packets(), 0);
-        assert!(n.link_stats().iter().all(|s| s.packets == 0));
     }
 
     #[test]
@@ -250,46 +203,5 @@ mod tests {
     #[should_panic(expected = "self-transmit")]
     fn self_transmit_panics() {
         net(2).transmit(SimTime::ZERO, 1, 1, 10);
-    }
-}
-
-#[cfg(test)]
-mod cut_through_tests {
-    use super::*;
-    use crate::topology::Topology;
-
-    #[test]
-    fn cut_through_beats_store_and_forward() {
-        let mut sf = Network::new(Topology::single_switch(4));
-        let mut ct = Network::new(Topology::single_switch_cut_through(4));
-        let a = sf.transmit(SimTime::ZERO, 0, 1, 1560);
-        let b = ct.transmit(SimTime::ZERO, 0, 1, 1560);
-        assert!(b.arrival < a.arrival, "{b:?} vs {a:?}");
-        // One full transmission is pipelined away on the 2-hop route.
-        let saving = a.arrival.raw() - b.arrival.raw();
-        assert!(saving >= 1900, "saving {saving}");
-        // Injection time is identical: the source link is the same.
-        assert_eq!(a.injection_done, b.injection_done);
-    }
-
-    #[test]
-    fn cut_through_preserves_per_route_fifo() {
-        let mut net = Network::new(Topology::single_switch_cut_through(4));
-        let mut t = SimTime::ZERO;
-        let mut prev = SimTime::ZERO;
-        for bytes in [1560u64, 64, 1560, 16, 800] {
-            let tx = net.transmit(t, 0, 1, bytes);
-            assert!(tx.arrival > prev, "reordered at {bytes}B");
-            prev = tx.arrival;
-            t = tx.injection_done;
-        }
-    }
-
-    #[test]
-    fn halt_after_data_holds_under_cut_through() {
-        let mut net = Network::new(Topology::single_switch_cut_through(4));
-        let data = net.transmit(SimTime::ZERO, 0, 1, 65536);
-        let halt = net.transmit(data.injection_done, 0, 1, 16);
-        assert!(halt.arrival > data.arrival);
     }
 }

@@ -2,7 +2,7 @@
 //! foundations the paper's flush protocol stands on.
 
 use myrinet::network::Network;
-use myrinet::topology::Topology;
+use myrinet::topology::{FatTreeShape, Topology};
 use proptest::prelude::*;
 use sim_core::time::SimTime;
 
@@ -83,14 +83,22 @@ proptest! {
         prop_assert_eq!(net.total_packets(), n);
     }
 
-    /// Dual-switch topologies preserve FIFO across the trunk too.
+    /// Multi-switch routes preserve FIFO across a shared uplink too.
     #[test]
-    fn dual_switch_fifo(bytes in proptest::collection::vec(64u64..1561, 1..40)) {
-        let mut net = Network::new(Topology::dual_switch(8, 1));
+    fn uplink_fifo(bytes in proptest::collection::vec(64u64..1561, 1..40)) {
+        // Two edge switches of four hosts joined by one aggregation
+        // switch: each edge's single uplink is the shared trunk.
+        let mut net = Network::new(Topology::fat_tree(FatTreeShape {
+            pods: 1,
+            edges_per_pod: 2,
+            hosts_per_edge: 4,
+            aggs_per_pod: 1,
+            spines: 0,
+        }));
         let mut t = SimTime::ZERO;
         let mut prev = SimTime::ZERO;
         for b in bytes {
-            // Host 0 → host 7 crosses the trunk (3 hops).
+            // Host 0 → host 7 crosses the uplink (4 hops).
             let tx = net.transmit(t, 0, 7, b);
             prop_assert!(tx.arrival > prev);
             prev = tx.arrival;

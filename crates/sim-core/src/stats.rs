@@ -1,4 +1,4 @@
-//! Measurement helpers: counters, bandwidth meters, histograms and
+//! Measurement helpers: bandwidth meters, latency sketches, summaries and
 //! time-weighted statistics used by the experiment harnesses.
 
 use crate::time::{Cycles, SimTime};
@@ -125,98 +125,6 @@ impl TimeWeighted {
 
     /// Maximum value observed.
     pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A power-of-two bucketed histogram of `u64` observations (latencies,
-/// queue depths). Bucket `i` covers `[2^(i-1), 2^i)`; bucket 0 covers `{0}`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Fresh, empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Approximate quantile (upper bound of the bucket holding the q-th
-    /// observation). `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
         self.max
     }
 }
@@ -458,21 +366,6 @@ mod tests {
         s.set(SimTime(300), 0.0); // 20 held for 200
         assert!((s.mean() - (10.0 * 100.0 + 20.0 * 200.0) / 300.0).abs() < 1e-9);
         assert_eq!(s.max(), 20.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 1, 2, 3, 4, 8, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1000);
-        assert!(h.mean() > 0.0);
-        assert_eq!(h.quantile(0.0), 0);
-        assert!(h.quantile(1.0) >= 1000);
-        assert!(h.quantile(0.5) <= 8);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The protocols only assume per-route FIFO and halt-after-data; verify
-//! the whole stack — flush, switch, collectives — on a multi-hop
-//! dual-switch interconnect with trunk contention.
+//! the whole stack — flush, switch, collectives — on multi-hop fat-tree
+//! fabrics: a two-edge fabric whose single edge→aggregation uplink is a
+//! contended trunk, and the 64-host three-tier Clos.
 
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, LinkTier, Sim, TopologyKind};
 use fastmsg::division::BufferPolicy;
@@ -10,14 +11,29 @@ use sim_core::time::{Cycles, SimTime};
 use workloads::alltoall::AllToAll;
 use workloads::p2p::P2pBandwidth;
 
+/// Two edge switches of four hosts under one aggregation switch: hosts
+/// 0–3 and 4–7 each share their edge's single uplink, the trunk that all
+/// cross-edge traffic contends on.
+fn two_edge() -> TopologyKind {
+    TopologyKind::FatTree {
+        shape: FatTreeShape {
+            pods: 1,
+            edges_per_pod: 2,
+            hosts_per_edge: 4,
+            aggs_per_pod: 1,
+            spines: 0,
+        },
+    }
+}
+
 #[test]
 fn cross_trunk_p2p_completes_with_switches() {
     let mut cfg = ClusterConfig::parpar(8, 2, BufferPolicy::FullBuffer);
-    cfg.topology = TopologyKind::DualSwitch { trunks: 1 };
+    cfg.topology = two_edge();
     cfg.quantum = Cycles::from_ms(25);
     let mut sim = Sim::new(cfg);
-    // Nodes 0 and 7 sit on different switches: every packet crosses the
-    // trunk.
+    // Nodes 0 and 7 sit on different edge switches: every packet crosses
+    // the trunk.
     let bench = P2pBandwidth::with_count(8192, 800);
     sim.submit(&bench, Some(vec![0, 7])).unwrap();
     sim.submit(&bench, Some(vec![0, 7])).unwrap();
@@ -38,7 +54,7 @@ fn cross_trunk_p2p_completes_with_switches() {
 #[test]
 fn all_to_all_over_a_contended_trunk_flushes_cleanly() {
     let mut cfg = ClusterConfig::parpar(8, 2, BufferPolicy::FullBuffer);
-    cfg.topology = TopologyKind::DualSwitch { trunks: 1 };
+    cfg.topology = two_edge();
     cfg.quantum = Cycles::from_ms(40);
     let mut sim = Sim::new(cfg);
     let a = AllToAll {
@@ -63,12 +79,11 @@ fn all_to_all_over_a_contended_trunk_flushes_cleanly() {
 
 #[test]
 fn trunk_contention_caps_cross_traffic_bandwidth() {
-    // Two concurrent cross-trunk streams share one 160 MB/s trunk; two
-    // same-side streams do not. The same jobs on a single switch are
-    // unconstrained.
-    let run = |topology: TopologyKind, pairs: [(usize, usize); 3]| -> f64 {
+    // Three concurrent cross-trunk streams share one 160 MB/s trunk;
+    // three same-side streams do not.
+    let run = |pairs: [(usize, usize); 3]| -> f64 {
         let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::FullBuffer);
-        cfg.topology = topology;
+        cfg.topology = two_edge();
         cfg.auto_rotate = false;
         let mut sim = Sim::new(cfg);
         let bench = P2pBandwidth::with_count(65536, 150);
@@ -82,12 +97,11 @@ fn trunk_contention_caps_cross_traffic_bandwidth() {
             .map(|j| w.stats.job_bandwidth_mbps(*j, 65536 * 150).unwrap())
             .sum()
     };
-    let dual = TopologyKind::DualSwitch { trunks: 1 };
     // Cross-trunk: three ~74 MB/s streams squeeze through one 160 MB/s
     // trunk link.
-    let cross = run(dual, [(0, 4), (1, 5), (2, 6)]);
+    let cross = run([(0, 4), (1, 5), (2, 6)]);
     // Same-side: no shared link — each stream runs at host speed.
-    let local = run(dual, [(0, 1), (2, 3), (4, 5)]);
+    let local = run([(0, 1), (2, 3), (4, 5)]);
     assert!(
         cross < local * 0.85,
         "trunk contention should bite: cross {cross} vs local {local}"
@@ -158,30 +172,6 @@ fn fat_tree_bisection_link_counts_per_tier() {
             "spine tier at N = {n}"
         );
     }
-}
-
-/// The degenerate one-pod one-edge fat-tree *is* the single switch: the
-/// same workload produces a bit-identical event stream on both, so the
-/// p = 16 paper configurations can run on either topology value.
-#[test]
-fn degenerate_fat_tree_digest_equals_single_switch() {
-    let run = |topology: TopologyKind| {
-        let mut cfg = ClusterConfig::parpar(16, 2, BufferPolicy::FullBuffer);
-        cfg.topology = topology;
-        cfg.quantum = Cycles::from_ms(20);
-        cfg.seed = 42;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 400);
-        sim.submit(&bench, Some(vec![0, 9])).unwrap();
-        sim.submit(&bench, Some(vec![4, 13])).unwrap();
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        (sim.engine.events_processed(), sim.engine.stream_digest())
-    };
-    let single = run(TopologyKind::SingleSwitch);
-    let degenerate = run(TopologyKind::FatTree {
-        shape: FatTreeShape::for_hosts(16),
-    });
-    assert_eq!(single, degenerate);
 }
 
 /// Cross-pod traffic on a fat-tree exercises every tier and arrives
