@@ -7,10 +7,10 @@
 //!    (floor vs round vs ceil, the n=7/n=8 cutoff discussion).
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin ablation [--csv DIR]
+//! cargo run --release -p bench-harness -- ablation [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::{switch_overhead_run, Measurement};
 use fastmsg::division::CreditRounding;
 use gang_comm::strategy::SwitchStrategy;
@@ -18,8 +18,8 @@ use gang_comm::switcher::CopyStrategy;
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the three ablations and emit `ablation_{copy,strategy,rounding}`.
+pub fn run(opts: &HarnessOpts) {
     let seed = opts.seed;
 
     // 1. Copy strategies across node counts.

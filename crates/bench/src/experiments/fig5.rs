@@ -3,15 +3,15 @@
 //! division.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin fig5 [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- fig5 [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{fig5_count, par_sweep, HarnessOpts, FIG5_SIZES};
+use crate::{fig5_count, par_sweep, HarnessOpts, FIG5_SIZES};
 use cluster::measure::Measurement;
 use sim_core::report::{Cell, Table};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Regenerate Fig. 5 and emit `fig5`.
+pub fn run(opts: &HarnessOpts) {
     let contexts: Vec<usize> = (1..=8).collect();
     let mut params = Vec::new();
     for &n in &contexts {

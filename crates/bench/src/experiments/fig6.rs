@@ -6,16 +6,16 @@
 //! quantum-invariant (verified in `tests/switch_overhead.rs`).
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin fig6 [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- fig6 [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts, FIG6_SIZES};
+use crate::{par_sweep, HarnessOpts, FIG6_SIZES};
 use cluster::measure::Measurement;
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Regenerate Fig. 6 and emit `fig6`.
+pub fn run(opts: &HarnessOpts) {
     let (quantum, window) = if opts.full {
         (Cycles::from_secs(3), Cycles::from_secs(12))
     } else {

@@ -3,17 +3,17 @@
 //! nodes, under the all-to-all stress load.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin fig8 [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- fig8 [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts, FIG7_NODES};
+use crate::{par_sweep, HarnessOpts, FIG7_NODES};
 use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::{Cell, Table};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Regenerate Fig. 8 and emit `fig8`.
+pub fn run(opts: &HarnessOpts) {
     let switches = if opts.full { 12 } else { 5 };
     let seed = opts.seed;
     let results = par_sweep(FIG7_NODES.to_vec(), |&nodes| {

@@ -1,39 +1,39 @@
-//! Regenerates **paper Fig. 7**: per-stage context-switch times (halt /
-//! buffer switch / release), in cycles, versus the number of nodes, with
-//! the **full-copy** buffer switch, under an all-to-all stress load.
+//! Regenerates **paper Fig. 9**: per-stage context-switch times with the
+//! **improved** (valid-packets-only) buffer switch.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin fig7 [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- fig9 [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts, FIG7_NODES};
+use crate::{par_sweep, HarnessOpts, FIG7_NODES};
 use cluster::measure::switch_overhead_run;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::Table;
+use sim_core::time::Cycles;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Regenerate Fig. 9 and emit `fig9`.
+pub fn run(opts: &HarnessOpts) {
     let switches = if opts.full { 12 } else { 5 };
     let seed = opts.seed;
     let results = par_sweep(FIG7_NODES.to_vec(), |&nodes| {
         switch_overhead_run(
             nodes,
-            CopyStrategy::Full,
+            CopyStrategy::ValidOnly,
             SwitchStrategy::GangFlush,
             switches,
             seed,
         )
     });
     let mut table = Table::new(
-        "Fig. 7 — switch stage times in cycles, full buffer copy",
+        "Fig. 9 — switch stage times in cycles, improved (valid-only) copy",
         &[
             "nodes",
             "halt",
             "buffer switch",
             "release",
             "total",
-            "samples",
+            "overhead % of 1s quantum",
         ],
     );
     for (&nodes, r) in FIG7_NODES.iter().zip(&results) {
@@ -44,13 +44,14 @@ fn main() {
             (b as u64).into(),
             (rel as u64).into(),
             (r.ledger.mean_total() as u64).into(),
-            r.ledger.samples().into(),
+            sim_core::report::Cell::Float(r.ledger.overhead_pct(Cycles::from_secs(1)), 3),
         ]);
     }
-    opts.emit("fig7", &table);
+    opts.emit("fig9", &table);
     println!(
-        "Paper shape: the buffer switch (~16 M cycles, < the 17 M bound) is\n\
-         local and flat in node count; halt and release grow with nodes —\n\
-         \"a global protocol between unsynchronized computers\"."
+        "Paper shape: copying only the valid packets cuts the buffer switch\n\
+         from ~16 M to well under 2.5 M cycles (< 12.5 ms), and the copy\n\
+         time now tracks the queue occupancy of Fig. 8 — \"less than 1.25%\"\n\
+         of a 1-second quantum."
     );
 }

@@ -8,16 +8,16 @@
 //! buffer division in both — only *coordination* differs).
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin gang_premise [--csv DIR]
+//! cargo run --release -p bench-harness -- gang_premise [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::{bsp_completion, SchedulingMode};
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the scheduling-discipline comparison and emit `gang_premise`.
+pub fn run(opts: &HarnessOpts) {
     let seed = opts.seed;
     let params: Vec<(usize, u64)> = vec![(4, 50), (8, 50), (12, 50), (8, 20), (8, 100)];
     let rows = par_sweep(params.clone(), |&(nodes, q_ms)| {

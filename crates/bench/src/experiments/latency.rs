@@ -6,10 +6,10 @@
 //! switch happens *between* quanta, never inside them.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin latency [--csv DIR]
+//! cargo run --release -p bench-harness -- latency [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use sim_core::report::{Cell, Table};
@@ -60,8 +60,8 @@ fn one_way_latency_us(msg_bytes: u64, multiprogrammed: bool, seed: u64) -> f64 {
     elapsed / (2.0 * round_trips as f64)
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the latency sweep and emit `latency`.
+pub fn run(opts: &HarnessOpts) {
     let sizes = [0u64, 16, 64, 256, 1024, 1536, 4096, 16384];
     let seed = opts.seed;
     let rows = par_sweep(sizes.to_vec(), |&sz| {

@@ -9,10 +9,10 @@
 //! instead and keeps completing.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin loss_sweep [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- loss_sweep [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::{BandwidthCell, Measurement};
 use sim_core::report::{Cell, Table};
 
@@ -23,8 +23,8 @@ const LOSS_PPM: [u32; 7] = [0, 50, 100, 200, 500, 1000, 2000];
 /// enough for a lost refill to matter.
 const CONTEXTS: usize = 2;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the loss sweep and emit `loss_sweep_off` and `loss_sweep_on`.
+pub fn run(opts: &HarnessOpts) {
     let (msg_bytes, count) = if opts.full {
         (4096, 20_000)
     } else {

@@ -8,15 +8,15 @@
 //! where the credit formula keeps communication usable.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin nic_memory [--csv DIR]
+//! cargo run --release -p bench-harness -- nic_memory [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::Measurement;
 use sim_core::report::{Cell, Table};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the NIC-memory sweep and emit `nic_memory`.
+pub fn run(opts: &HarnessOpts) {
     let seed = opts.seed;
     let scales = [0.5f64, 1.0, 2.0, 4.0];
     let contexts: Vec<usize> = (1..=12).collect();

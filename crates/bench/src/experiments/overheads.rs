@@ -4,10 +4,10 @@
 //! argument.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin overheads [--csv DIR]
+//! cargo run --release -p bench-harness -- overheads [--csv DIR]
 //! ```
 
-use bench_harness::HarnessOpts;
+use crate::HarnessOpts;
 use cluster::measure::switch_overhead_run;
 use fastmsg::config::FmConfig;
 use fastmsg::division::BufferPolicy;
@@ -17,9 +17,8 @@ use sim_core::mem::CopyCostModel;
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-
+/// Regenerate the §4.2 numbers and emit `overheads_{memory,switch,quantum}`.
+pub fn run(opts: &HarnessOpts) {
     // -- memory-region bandwidths (§4.2 text) ---------------------------
     let mem = CopyCostModel::parpar();
     let mut t1 = Table::new(

@@ -18,10 +18,10 @@
 //!   SLO attainment, and admission-queue depth per policy.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin policy_sweep [--full] [--csv DIR]
+//! cargo run --release -p bench-harness -- policy_sweep [--full] [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::{Measurement, MultiJobCell, SchedulingMode};
 use fastmsg::division::BufferPolicy;
 use sim_core::report::{Cell, Table};
@@ -42,8 +42,9 @@ const JOBS: [usize; 4] = [1, 2, 4, 8];
 /// Loss rates of the loss section, dropped frames per million.
 const LOSS_PPM: [u32; 2] = [0, 1000];
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the policy sweep and emit `policy_sweep`, `policy_sweep_loss` and
+/// `policy_sweep_serving`.
+pub fn run(opts: &HarnessOpts) {
     let (msg_bytes, quantum, duration) = if opts.full {
         (6144, Cycles::from_ms(100), Cycles::from_ms(500))
     } else {
@@ -139,15 +140,14 @@ fn main() {
             "qdepth_max",
         ],
     );
-    let ms = |cycles: u64| cycles as f64 / Cycles::from_ms(1).raw() as f64;
     for ((_, name), c) in POLICIES.iter().zip(&serve_results) {
         serve_t.row(vec![
             (*name).into(),
             c.admitted.into(),
             c.completed.into(),
             u64::from(c.drained).into(),
-            Cell::Float(ms(c.wait_p99), 3),
-            Cell::Float(ms(c.e2e_p99), 3),
+            Cell::Float(Cycles(c.wait_p99).as_ms(), 3),
+            Cell::Float(Cycles(c.e2e_p99).as_ms(), 3),
             Cell::Float(c.slo_attainment * 100.0, 2),
             Cell::Float(c.queue_depth_mean, 2),
             Cell::Float(c.queue_depth_max, 1),

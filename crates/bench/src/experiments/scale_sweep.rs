@@ -20,18 +20,19 @@
 //! Rows ascend in N, so the CSV from `--max-n 256` (the CI smoke run) is
 //! a byte prefix of the committed full `results/scale_sweep.csv`. All
 //! table values come from deterministic simulation stats, and per-cell
-//! `DIGEST` lines pin each cell's event stream. Wall-clock throughput of
-//! each cell is written to `BENCH_scale.json` via [`bench_harness::snapshot`].
+//! `DIGEST` lines pin each cell's event stream. With `--out DIR`,
+//! wall-clock throughput of each cell is written to `DIR/BENCH_scale.json`
+//! via [`crate::snapshot`].
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin scale_sweep -- \
-//!     [--max-n N] [--out FILE] [--full] [--csv DIR] [--seed N]
+//! cargo run --release -p bench-harness -- scale_sweep \
+//!     [--max-n N] [--out DIR] [--full] [--csv DIR] [--seed N]
 //! ```
 
 use std::time::Instant;
 
-use bench_harness::snapshot::{Row, Snapshot};
-use bench_harness::HarnessOpts;
+use crate::snapshot::{Row, Snapshot};
+use crate::HarnessOpts;
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, Sim, TopologyKind};
 use fastmsg::division::{BufferPolicy, CreditRounding};
 use hostsim::costs::HostCosts;
@@ -144,36 +145,16 @@ fn run_cell(
     }
 }
 
-fn main() {
-    // Strip the sweep-specific flags before the common parser (it rejects
-    // unknown flags).
-    let mut max_n = usize::MAX;
-    let mut out_path = String::from("BENCH_scale.json");
-    let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-n" => {
-                max_n = args
-                    .next()
-                    .expect("--max-n needs a node count")
-                    .parse()
-                    .expect("--max-n takes an integer");
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            _ => rest.push(a),
-        }
-    }
-    let opts = HarnessOpts::parse(rest);
-
+/// Run the sweep up to `--max-n` and emit its table and snapshot.
+pub fn run(opts: &HarnessOpts) {
     let controls = [
         (ControlPlane::Serial, "serial"),
         (ControlPlane::Tree { fanout: 8 }, "tree8"),
     ];
     let mut cells = Vec::new();
-    for n in SCALE_NODES.iter().filter(|&&n| n <= max_n) {
+    for n in SCALE_NODES.iter().filter(|&&n| n <= opts.max_n) {
         for (control, name) in controls {
-            cells.push(run_cell(*n, control, name, &opts));
+            cells.push(run_cell(*n, control, name, opts));
         }
     }
 
@@ -215,5 +196,8 @@ fn main() {
             digest: c.digest,
         })
         .collect();
-    Snapshot::new("scale_sweep", opts.seed, rows).write(&out_path);
+    opts.emit_snapshot(
+        "BENCH_scale.json",
+        &Snapshot::new("scale_sweep", opts.seed, rows),
+    );
 }

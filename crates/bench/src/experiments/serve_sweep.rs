@@ -11,9 +11,8 @@
 //! per rate, so the CSV from `--max-rate 2` (the CI smoke run) is a byte
 //! prefix of the committed full `results/serve_sweep.csv`. Cells are
 //! deterministic, and per-cell `DIGEST` lines print the logical
-//! fingerprint for CI to diff. Wall-clock
-//! throughput (engine logical events per second) goes to
-//! `BENCH_serve.json`.
+//! fingerprint for CI to diff. With `--out DIR`, wall-clock throughput
+//! (engine logical events per second) goes to `DIR/BENCH_serve.json`.
 //!
 //! The figure to look for: every discipline holds the e2e tail near the
 //! bare service time until the capacity knee (~6-8 jobs/s here), then the
@@ -23,14 +22,14 @@
 //! busiest, while gang and dynamic coscheduling degrade gracefully.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin serve_sweep -- \
-//!     [--max-rate R] [--out FILE] [--csv DIR] [--seed N]
+//! cargo run --release -p bench-harness -- serve_sweep \
+//!     [--max-rate R] [--out DIR] [--csv DIR] [--seed N]
 //! ```
 
 use std::time::Instant;
 
-use bench_harness::snapshot::{Row, Snapshot};
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::snapshot::{Row, Snapshot};
+use crate::{par_sweep, HarnessOpts};
 use cluster::measure::{Measurement, SchedulingMode, ServeCell};
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
@@ -69,40 +68,16 @@ fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessO
     }
 }
 
-fn ms(cycles: u64) -> f64 {
-    cycles as f64 / Cycles::from_ms(1).raw() as f64
-}
-
-fn main() {
-    // Strip the sweep-specific flags before the common parser (it rejects
-    // unknown flags).
-    let mut max_rate = f64::INFINITY;
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-rate" => {
-                max_rate = args
-                    .next()
-                    .expect("--max-rate needs a rate")
-                    .parse()
-                    .expect("--max-rate takes a number");
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            _ => rest.push(a),
-        }
-    }
-    let opts = HarnessOpts::parse(rest);
-
+/// Run the sweep up to `--max-rate` and emit its table and snapshot.
+pub fn run(opts: &HarnessOpts) {
     let mut params = Vec::new();
-    for &rate in RATES.iter().filter(|&&r| r <= max_rate) {
+    for &rate in RATES.iter().filter(|&&r| r <= opts.max_rate) {
         for (mode, name) in MODES {
             params.push((mode, name, rate));
         }
     }
     let cells = par_sweep(params, |&(mode, name, rate)| {
-        run_cell(mode, name, rate, &opts)
+        run_cell(mode, name, rate, opts)
     });
 
     let mut t = Table::new(
@@ -133,13 +108,13 @@ fn main() {
             s.submitted.into(),
             s.completed.into(),
             u64::from(s.drained).into(),
-            Cell::Float(ms(s.wait_p50), 3),
-            Cell::Float(ms(s.wait_p99), 3),
-            Cell::Float(ms(s.service_p50), 3),
-            Cell::Float(ms(s.service_p99), 3),
-            Cell::Float(ms(s.e2e_p50), 3),
-            Cell::Float(ms(s.e2e_p99), 3),
-            Cell::Float(ms(s.e2e_p999), 3),
+            Cell::Float(Cycles(s.wait_p50).as_ms(), 3),
+            Cell::Float(Cycles(s.wait_p99).as_ms(), 3),
+            Cell::Float(Cycles(s.service_p50).as_ms(), 3),
+            Cell::Float(Cycles(s.service_p99).as_ms(), 3),
+            Cell::Float(Cycles(s.e2e_p50).as_ms(), 3),
+            Cell::Float(Cycles(s.e2e_p99).as_ms(), 3),
+            Cell::Float(Cycles(s.e2e_p999).as_ms(), 3),
             Cell::Float(s.slo_attainment * 100.0, 2),
             Cell::Float(s.queue_depth_mean, 2),
             Cell::Float(s.queue_depth_max, 1),
@@ -156,5 +131,8 @@ fn main() {
             digest: c.cell.fingerprint,
         })
         .collect();
-    Snapshot::new("serve_sweep", opts.seed, rows).write(&out_path);
+    opts.emit_snapshot(
+        "BENCH_serve.json",
+        &Snapshot::new("serve_sweep", opts.seed, rows),
+    );
 }

@@ -8,10 +8,10 @@
 //! among its cache slots, shrinking the credit window.
 //!
 //! ```text
-//! cargo run --release -p bench-harness --bin vn_cache [--csv DIR]
+//! cargo run --release -p bench-harness -- vn_cache [--csv DIR]
 //! ```
 
-use bench_harness::{par_sweep, HarnessOpts};
+use crate::{par_sweep, HarnessOpts};
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use sim_core::report::{Cell, Table};
@@ -25,7 +25,7 @@ struct Row {
     credits: usize,
 }
 
-fn run(jobs: usize, policy: BufferPolicy, cache_slots: usize, seed: u64) -> Row {
+fn run_cell(jobs: usize, policy: BufferPolicy, cache_slots: usize, seed: u64) -> Row {
     let mut cfg = ClusterConfig::parpar(16, jobs.max(2), policy);
     if policy == BufferPolicy::CachedEndpoints {
         cfg.fm.max_contexts = cache_slots;
@@ -55,14 +55,14 @@ fn run(jobs: usize, policy: BufferPolicy, cache_slots: usize, seed: u64) -> Row 
     }
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+/// Run the gang-switch vs VN-cache comparison and emit `vn_cache`.
+pub fn run(opts: &HarnessOpts) {
     let seed = opts.seed;
     let jobs: Vec<usize> = vec![1, 2, 4, 6, 8];
     let rows = par_sweep(jobs.clone(), |&k| {
         (
-            run(k, BufferPolicy::FullBuffer, 0, seed),
-            run(k, BufferPolicy::CachedEndpoints, 2, seed),
+            run_cell(k, BufferPolicy::FullBuffer, 0, seed),
+            run_cell(k, BufferPolicy::CachedEndpoints, 2, seed),
         )
     });
     let mut t = Table::new(

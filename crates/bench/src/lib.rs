@@ -1,18 +1,30 @@
-//! # bench-harness — figure regeneration and micro-benchmarks
+//! # bench-harness — figure regeneration
 //!
-//! One binary per paper figure (`fig5` … `fig9`, `overheads`, `ablation`)
-//! plus criterion micro-benchmarks. Each binary prints the same rows or
-//! series the paper plots and can emit CSV.
+//! Every paper figure (`fig5` … `fig9`, `overheads`, `ablation`), every
+//! extension table and the three wall-clock snapshots are experiments in
+//! one registry ([`experiments::REGISTRY`]), run by the one `figs`
+//! binary. Each experiment prints the same rows or series the paper plots
+//! and can emit CSV:
 //!
-//! Common flags (all binaries):
+//! ```text
+//! cargo run --release -p bench-harness -- [NAME…] [--full] [--csv DIR] \
+//!     [--seed N] [--max-n N] [--max-rate R] [--out DIR]
+//! ```
+//!
+//! With no name, every experiment runs in registry order.
 //!
 //! * `--full`  — paper-scale message counts / quanta (slow; defaults are
 //!   steady-state-converged quick runs);
-//! * `--csv DIR` — also write `DIR/<figure>.csv`;
-//! * `--seed N` — override the deterministic seed.
+//! * `--csv DIR` — also write `DIR/<table>.csv`;
+//! * `--seed N` — override the deterministic seed;
+//! * `--max-n N` — cap `scale_sweep`'s cluster size;
+//! * `--max-rate R` — cap `serve_sweep`'s offered rate;
+//! * `--out DIR` — write the `BENCH_*.json` wall-clock snapshots into
+//!   `DIR` (without it, no snapshot file is written).
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod snapshot;
 
 use std::path::PathBuf;
@@ -20,15 +32,37 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sim_core::report::Table;
 
+use snapshot::Snapshot;
+
+/// The flags `figs` accepts, for usage and error messages.
+const FLAGS: &str = "--full --csv DIR --seed N --max-n N --max-rate R --out DIR";
+
 /// Parsed harness options.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
+    /// Experiments to run, by registry name, in run order.
+    pub experiments: Vec<&'static str>,
     /// Run at the paper's full scale.
     pub full: bool,
     /// Directory to write CSV output into.
     pub csv: Option<PathBuf>,
     /// Simulation seed.
     pub seed: u64,
+    /// Largest cluster size `scale_sweep` runs.
+    pub max_n: usize,
+    /// Largest offered rate, jobs per second, `serve_sweep` runs.
+    pub max_rate: f64,
+    /// Directory to write `BENCH_*.json` snapshots into.
+    pub out: Option<PathBuf>,
+}
+
+/// Parse a flag's value, or fail naming the flag and the value.
+fn value<T: std::str::FromStr>(flag: &str, what: &str, v: String) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse()
+        .unwrap_or_else(|e| panic!("{flag} takes {what}, got {v:?} ({e})"))
 }
 
 impl HarnessOpts {
@@ -37,33 +71,51 @@ impl HarnessOpts {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// Parse from an explicit argument list (exposed for tests).
+    /// Parse from an explicit argument list (exposed for tests). Bare
+    /// words name experiments; with none, every registered experiment
+    /// runs. A bad flag, value or name panics with a message that names
+    /// it, before anything runs.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = HarnessOpts {
+            experiments: Vec::new(),
             full: false,
             csv: None,
             seed: 42,
+            max_n: usize::MAX,
+            max_rate: f64::INFINITY,
+            out: None,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
             match a.as_str() {
                 "--full" => opts.full = true,
-                "--csv" => {
-                    opts.csv = Some(PathBuf::from(args.next().expect("--csv needs a directory")));
-                }
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("seed must be an integer");
-                }
+                "--csv" => opts.csv = Some(PathBuf::from(val())),
+                "--out" => opts.out = Some(PathBuf::from(val())),
+                "--seed" => opts.seed = value(&a, "a non-negative integer", val()),
+                "--max-n" => opts.max_n = value(&a, "a non-negative integer", val()),
+                "--max-rate" => opts.max_rate = value(&a, "a number", val()),
                 "--help" | "-h" => {
-                    eprintln!("flags: --full --csv DIR --seed N");
+                    eprintln!(
+                        "usage: figs [NAME…] [{FLAGS}]\nexperiments: {}",
+                        experiments::names().join(" ")
+                    );
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}"),
+                flag if flag.starts_with('-') => panic!("unknown flag {flag} (flags: {FLAGS})"),
+                name => {
+                    let (name, _) = experiments::lookup(name).unwrap_or_else(|| {
+                        panic!(
+                            "unknown experiment {name:?} (experiments: {})",
+                            experiments::names().join(" ")
+                        )
+                    });
+                    opts.experiments.push(name);
+                }
             }
+        }
+        if opts.experiments.is_empty() {
+            opts.experiments = experiments::names();
         }
         opts
     }
@@ -75,6 +127,24 @@ impl HarnessOpts {
             std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{name}.csv"));
             std::fs::write(&path, table.to_csv()).expect("write csv");
+            eprintln!("wrote {}", path.display());
+        }
+    }
+
+    /// Print one stable `DIGEST` line per snapshot row (a fixed function
+    /// of the seed, for CI to diff) and, if `--out` was given, write the
+    /// snapshot as `DIR/<file>`.
+    pub fn emit_snapshot(&self, file: &str, snap: &Snapshot) {
+        for r in &snap.rows {
+            println!(
+                "DIGEST scenario={} events={} digest={:#018x}",
+                r.scenario, r.logical_events, r.digest
+            );
+        }
+        if let Some(dir) = &self.out {
+            std::fs::create_dir_all(dir).expect("create snapshot dir");
+            let path = dir.join(file);
+            std::fs::write(&path, snap.to_json()).expect("write snapshot json");
             eprintln!("wrote {}", path.display());
         }
     }
@@ -189,6 +259,55 @@ mod tests {
             "{peak} live workers exceeds pool of {}",
             sweep_pool_size()
         );
+    }
+
+    fn parse(args: &[&str]) -> HarnessOpts {
+        HarnessOpts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_defaults_to_every_experiment() {
+        let opts = parse(&[]);
+        assert_eq!(opts.experiments, experiments::names());
+        assert!(!opts.full);
+        assert_eq!(opts.csv, None);
+        assert_eq!(opts.seed, 42);
+        assert_eq!(opts.max_n, usize::MAX);
+        assert_eq!(opts.max_rate, f64::INFINITY);
+        assert_eq!(opts.out, None);
+    }
+
+    #[test]
+    fn parse_reads_names_and_typed_flags() {
+        let opts = parse(&[
+            "scale_sweep",
+            "--max-n",
+            "256",
+            "serve_sweep",
+            "--max-rate",
+            "2",
+            "--out",
+            "snap",
+            "--csv",
+            "figs",
+            "--seed",
+            "7",
+            "--full",
+            "fig5",
+        ]);
+        assert_eq!(opts.experiments, ["scale_sweep", "serve_sweep", "fig5"]);
+        assert_eq!(opts.max_n, 256);
+        assert_eq!(opts.max_rate, 2.0);
+        assert_eq!(opts.out, Some(PathBuf::from("snap")));
+        assert_eq!(opts.csv, Some(PathBuf::from("figs")));
+        assert_eq!(opts.seed, 7);
+        assert!(opts.full);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed takes a non-negative integer, got \"x\"")]
+    fn parse_names_a_bad_value() {
+        parse(&["--seed", "x"]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Wall-clock snapshot rows and their one writer.
 //!
 //! `perf_snapshot`, `scale_sweep` and `serve_sweep` each measure a set of
-//! scenarios and write a `BENCH_*.json` file; CI reads those files back
-//! with `grep`. [`Snapshot::write`] is the one place that prints the
-//! `DIGEST` lines and emits the JSON (hand-rolled: the container has no
-//! serde), so the format is defined once.
+//! scenarios and, with `--out DIR`, write a `BENCH_*.json` file; CI reads
+//! those files back with `grep`. [`Snapshot::to_json`] is the one JSON
+//! writer (hand-rolled: the crate has no serde) and
+//! [`crate::HarnessOpts::emit_snapshot`] the one place that prints the
+//! `DIGEST` lines and writes the file, so the format is defined once.
 
 use std::fmt::Write as _;
 
@@ -77,19 +78,6 @@ impl Snapshot {
         }
         s.push_str("  ]\n}\n");
         s
-    }
-
-    /// Print one stable `DIGEST` line per row (a fixed function of the
-    /// seed, for CI to diff), write the JSON to `path`, and report it.
-    pub fn write(&self, path: &str) {
-        for r in &self.rows {
-            println!(
-                "DIGEST scenario={} events={} digest={:#018x}",
-                r.scenario, r.logical_events, r.digest
-            );
-        }
-        std::fs::write(path, self.to_json()).expect("write snapshot json");
-        eprintln!("wrote {path}");
     }
 }
 

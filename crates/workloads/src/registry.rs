@@ -1,8 +1,8 @@
 //! Named scenario registry: one place mapping a scenario name to a
-//! workload factory, shared by every bench harness (`perf_snapshot
-//! --scenario`, `scale_sweep`, `policy_sweep`, `serve_sweep`) and the
-//! serving-mode measurement, so the CSVs all mean the same thing by
-//! construction.
+//! workload factory, shared by the `figs` experiments that build
+//! scenarios by name (`perf_snapshot`, `scale_sweep`, and `policy_sweep`
+//! and `serve_sweep` through the serving-mode measurement), so the CSVs
+//! all mean the same thing by construction.
 //!
 //! Every factory takes `(nprocs, seed, size)`:
 //!
