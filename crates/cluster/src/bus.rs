@@ -5,8 +5,8 @@
 //! event vocabulary — `bus.emit(t, NicEvent::SendEngineDone { node })` —
 //! without naming the top-level wrapper.
 //!
-//! A handler may also claim seqs itself ([`Bus::claim_seq`]) and enqueue
-//! the events later under them ([`Bus::push_claimed`]). The serial
+//! A handler may also claim seqs itself (`Bus::claim_seq`) and enqueue
+//! the events later under them (`Bus::push_claimed`). The serial
 //! halt/ready broadcasts use this to keep one event per broadcast pending
 //! instead of one per peer (see `handlers::nic`).
 

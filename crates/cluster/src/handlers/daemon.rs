@@ -1,6 +1,8 @@
 //! Control-plane handler: quantum rotation, daemon message delivery, job
 //! loading (paper Fig. 2), and the switch kickoff.
 
+use std::rc::Rc;
+
 use fastmsg::proc::FmProcess;
 use gang_comm::state::SavedCommState;
 use hostsim::process::{Pid, Signal};
@@ -559,7 +561,7 @@ impl World {
         node: usize,
         job: parpar::job::JobId,
         rank: usize,
-        placement: Vec<usize>,
+        placement: Rc<[usize]>,
         slot: usize,
         bus: &mut Bus,
     ) {
@@ -578,22 +580,11 @@ impl World {
             .expect("NIC context allocation failed at load");
         let n = &mut self.nodes[node];
 
-        // Fork: create the process, environment and pipe.
+        // Fork: create the process and its pipe. The environment handoff
+        // (job, rank, placement) is modelled only by its cost, which the
+        // process's `InitMode::ParPar` start-up charges as host work.
         let pid = n.procs.fork();
         n.noded.assign(slot, job, pid);
-        {
-            let p = n.procs.get_mut(pid).unwrap();
-            p.set_env("FM_JOB_ID", job.0.to_string());
-            p.set_env("FM_RANK", rank.to_string());
-            p.set_env(
-                "FM_PLACEMENT",
-                placement
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-        }
         let mut fm = FmProcess::new(job.0, rank, placement, self.cfg.nodes, geo.credits);
         // Under the no-flush baselines (paper §5) packets can be dropped at
         // a switch and recovered by higher layers; FM's strict FIFO check

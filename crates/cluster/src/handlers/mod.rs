@@ -54,7 +54,7 @@ pub trait DaemonHandler {
     fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus);
 
     /// Dynamic coscheduling: deschedule whoever runs and schedule the
-    /// process an incoming message is destined to (related work [12]).
+    /// process an incoming message is destined to (related work \[12\]).
     /// Called by the NIC handler on message arrival.
     fn dynamic_cosched_preempt(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus);
 }

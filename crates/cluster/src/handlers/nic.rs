@@ -3,7 +3,7 @@
 //!
 //! A serial broadcast sends N−1 frames back to back (paper §3.2). Rather
 //! than queueing N−1 arrival events at once, the world parks the
-//! broadcast's arrivals as a *train* ([`Trains`]) and keeps only the
+//! broadcast's arrivals as a *train* (`Trains`) and keeps only the
 //! earliest in the engine queue; handling it queues the next. Every
 //! arrival keeps the seq it would have drawn as its own event, so the
 //! delivery order is unchanged (DESIGN.md §3i).

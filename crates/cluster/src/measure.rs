@@ -126,7 +126,7 @@ impl Measurement<Fig5> {
     }
 
     /// Scale the NIC buffer regions — the §4.1 remark that "as the
-    /// available [NIC] memory grows, more contexts can be supported",
+    /// available \[NIC\] memory grows, more contexts can be supported",
     /// made sweepable.
     pub fn mem_scale(mut self, scale: f64) -> Self {
         assert!(scale > 0.0);

@@ -42,10 +42,15 @@ use crate::demand::DemandWindows;
 pub struct FlowControl {
     c0: usize,
     low_water: usize,
-    /// Remaining credits toward each peer host (None = self).
-    send_credits: Vec<Option<usize>>,
+    /// This process's own host: the one entry of the per-peer counters
+    /// that is never used.
+    me: usize,
+    /// Remaining credits toward each peer host. Four bytes per peer: this
+    /// state is per process × per host, so a whole-machine job holds it
+    /// N² times.
+    send_credits: Vec<u32>,
     /// Packets consumed from each peer since the last refill returned.
-    consumed: Vec<usize>,
+    consumed: Vec<u32>,
     /// Per-peer demand windows (`BufferPolicy::Demand` only): when set,
     /// the receive-side accounting uses `demand.window(peer)` in place of
     /// the fixed `c0`, and refills carry window adjustments.
@@ -73,14 +78,16 @@ impl FlowControl {
     ///
     /// The low-water mark is `c0 / 2` remaining credits (at least one
     /// consumed packet triggers a refill when `c0 == 1`).
+    ///
+    /// Panics if `c0` does not fit the 32-bit per-peer counters.
     pub fn new(me: usize, hosts: usize, c0: usize) -> Self {
-        let send_credits = (0..hosts)
-            .map(|h| if h == me { None } else { Some(c0) })
-            .collect();
+        let init = u32::try_from(c0)
+            .unwrap_or_else(|_| panic!("C0 = {c0} exceeds the 32-bit credit counters"));
         FlowControl {
             c0,
             low_water: c0 / 2,
-            send_credits,
+            me,
+            send_credits: vec![init; hosts],
             consumed: vec![0; hosts],
             demand: None,
             stats: FlowStats::default(),
@@ -95,13 +102,12 @@ impl FlowControl {
     /// grown window may legitimately exceed the old uniform share.
     pub fn enable_demand(&mut self, cap: usize) {
         assert!(self.demand.is_none(), "demand windows already enabled");
-        let me = self
-            .send_credits
-            .iter()
-            .position(|c| c.is_none())
-            .expect("flow control always has a self entry");
+        assert!(
+            u32::try_from(cap).is_ok(),
+            "demand cap {cap} exceeds the 32-bit credit counters"
+        );
         let hosts = self.send_credits.len();
-        self.demand = Some(Box::new(DemandWindows::new(me, hosts, self.c0, cap)));
+        self.demand = Some(Box::new(DemandWindows::new(self.me, hosts, self.c0, cap)));
         self.c0 = cap;
     }
 
@@ -123,7 +129,8 @@ impl FlowControl {
 
     /// Remaining credits toward `peer`.
     pub fn credits(&self, peer: usize) -> usize {
-        self.send_credits[peer].expect("no credits toward self")
+        assert_ne!(peer, self.me, "no credits toward self");
+        self.send_credits[peer] as usize
     }
 
     /// Can we send one packet to `peer` right now?
@@ -134,7 +141,8 @@ impl FlowControl {
     /// Consume one credit toward `peer`. Returns `false` (and counts a
     /// stall) if none remain.
     pub fn consume(&mut self, peer: usize) -> bool {
-        let c = self.send_credits[peer].as_mut().expect("self");
+        assert_ne!(peer, self.me, "no credits toward self");
+        let c = &mut self.send_credits[peer];
         if *c == 0 {
             self.stats.credit_stalls += 1;
             return false;
@@ -150,14 +158,15 @@ impl FlowControl {
         if k == 0 {
             return;
         }
-        let c = self.send_credits[peer].as_mut().expect("self");
-        *c += k;
+        assert_ne!(peer, self.me, "no credits toward self");
+        let c = self.send_credits[peer] as usize + k;
         assert!(
-            *c <= self.c0,
-            "credits toward {peer} exceed C0 ({} > {})",
-            *c,
+            c <= self.c0,
+            "credits toward {peer} exceed C0 ({c} > {})",
             self.c0
         );
+        // In range: C0 (or the demand cap that replaced it) fits in u32.
+        self.send_credits[peer] = c as u32;
         self.stats.credits_refilled += k as u64;
     }
 
@@ -180,7 +189,7 @@ impl FlowControl {
         let units = match self.demand.as_deref_mut() {
             Some(d) => {
                 let (counted, grant) = d.advance(peer);
-                self.consumed[peer] += counted + grant;
+                self.consumed[peer] += (counted + grant) as u32;
                 (counted + grant) as u64
             }
             None => {
@@ -191,9 +200,9 @@ impl FlowControl {
         // We know the peer started from the window toward us; its remaining
         // credits are window - consumed (unacknowledged).
         let (window, low_water) = self.recv_window(peer);
-        let remaining = window - self.consumed[peer].min(window);
+        let remaining = window - (self.consumed[peer] as usize).min(window);
         let due = if remaining <= low_water {
-            let k = std::mem::take(&mut self.consumed[peer]);
+            let k = std::mem::take(&mut self.consumed[peer]) as usize;
             self.stats.refill_msgs += 1;
             Some(k)
         } else {
@@ -217,19 +226,24 @@ impl FlowControl {
     /// Take the consumed count for `peer` to piggyback on a data packet
     /// headed there (resets the counter; returns 0 if nothing to return).
     pub fn take_piggyback(&mut self, peer: usize) -> usize {
-        std::mem::take(&mut self.consumed[peer])
+        std::mem::take(&mut self.consumed[peer]) as usize
     }
 
     /// Outstanding consumed-but-unreturned counts (for save/restore: the
     /// buffer switch must preserve these or credits leak).
-    pub fn consumed_counters(&self) -> &[usize] {
+    pub fn consumed_counters(&self) -> &[u32] {
         &self.consumed
     }
 
     /// Sum of credits currently held plus in-flight-consumed — used by
     /// conservation property tests.
     pub fn held_credits_total(&self) -> usize {
-        self.send_credits.iter().flatten().sum()
+        self.send_credits
+            .iter()
+            .enumerate()
+            .filter(|&(h, _)| h != self.me)
+            .map(|(_, &c)| c as usize)
+            .sum()
     }
 }
 
@@ -311,6 +325,26 @@ mod tests {
     fn self_credits_panic() {
         let f = FlowControl::new(2, 4, 2);
         f.credits(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self")]
+    fn self_consume_panics() {
+        let mut f = FlowControl::new(2, 4, 2);
+        f.consume(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self")]
+    fn self_refill_panics() {
+        let mut f = FlowControl::new(2, 4, 2);
+        f.refill(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "C0")]
+    fn c0_beyond_u32_panics_at_construction() {
+        FlowControl::new(0, 2, u32::MAX as usize + 1);
     }
 
     #[test]

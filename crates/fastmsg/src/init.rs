@@ -7,6 +7,11 @@
 //! the noded before the fork, leaving only the queue mapping and the
 //! single-byte pipe read that provides the global synchronization point.
 //!
+//! The simulator models that environment handoff by its cost alone: the
+//! [`InitMode::ParPar`] start-up charges [`InitMachine::env_read`] of host
+//! work, and the job, rank and placement reach the library state directly
+//! rather than as strings (no simulated process keeps an environment).
+//!
 //! The state machine is pure: each [`InitMachine::advance`] returns the
 //! next [`InitStep`] for the driver to execute (charge host time, perform a
 //! daemon round trip, block on the pipe); the driver reports completion

@@ -5,6 +5,8 @@
 //! it; only the NIC send queue and the pinned receive queue need swapping
 //! (paper Fig. 4).
 
+use std::rc::Rc;
+
 use crate::flow::FlowControl;
 use crate::packet::{fragment_payload, fragments_for, Packet, PacketKind};
 use crate::rel::GoBackN;
@@ -49,8 +51,9 @@ pub struct FmProcess {
     pub rank: usize,
     /// Host this process runs on.
     pub host: usize,
-    /// `placement[r]` = host of rank `r` in this job.
-    pub placement: Vec<usize>,
+    /// `placement[r]` = host of rank `r` in this job; one table shared by
+    /// every process of the job.
+    pub placement: Rc<[usize]>,
     /// Credit state toward each peer host.
     pub flow: FlowControl,
     send_seq: Vec<u64>,
@@ -70,7 +73,7 @@ pub struct FmProcess {
 impl FmProcess {
     /// Library state for rank `rank` of `job` placed per `placement`, with
     /// initial credit `c0` toward each of `hosts` peer hosts.
-    pub fn new(job: u32, rank: usize, placement: Vec<usize>, hosts: usize, c0: usize) -> Self {
+    pub fn new(job: u32, rank: usize, placement: Rc<[usize]>, hosts: usize, c0: usize) -> Self {
         let nprocs = placement.len();
         let host = placement[rank];
         FmProcess {
@@ -360,7 +363,7 @@ mod tests {
 
     fn proc2() -> (FmProcess, FmProcess) {
         // Two-process job on hosts 0 and 1 of a 2-host cluster, C0 = 4.
-        let placement = vec![0, 1];
+        let placement: Rc<[usize]> = Rc::from([0, 1]);
         (
             FmProcess::new(7, 0, placement.clone(), 2, 4),
             FmProcess::new(7, 1, placement, 2, 4),
@@ -438,7 +441,7 @@ mod tests {
 
     #[test]
     fn refill_rank_lookup_by_host() {
-        let placement = vec![3, 5, 9];
+        let placement: Rc<[usize]> = Rc::from([3, 5, 9]);
         let p = FmProcess::new(1, 0, placement, 16, 4);
         let r = p.make_refill(9, 2);
         assert_eq!(r.dst_rank, 2);

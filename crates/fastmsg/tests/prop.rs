@@ -7,6 +7,7 @@ use fastmsg::packet::{fragment_payload, fragments_for, Packet, MAX_PAYLOAD};
 use fastmsg::proc::FmProcess;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 proptest! {
     /// Credits are conserved between a sender/receiver pair under any
@@ -32,7 +33,7 @@ proptest! {
                 }
             }
             let missing = c0 - sender.credits(1);
-            let unreturned = receiver.consumed_counters()[0];
+            let unreturned = receiver.consumed_counters()[0] as usize;
             prop_assert_eq!(missing, in_flight + unreturned,
                 "missing {} != in_flight {} + unreturned {}", missing, in_flight, unreturned);
             prop_assert!(sender.credits(1) <= c0);
@@ -83,7 +84,7 @@ proptest! {
     /// any message-size sequence.
     #[test]
     fn process_pair_message_accounting(sizes in proptest::collection::vec(0u64..10_000, 1..50)) {
-        let placement = vec![0, 1];
+        let placement: Rc<[usize]> = Rc::from([0, 1]);
         let mut a = FmProcess::new(9, 0, placement.clone(), 2, 1_000_000);
         let mut b = FmProcess::new(9, 1, placement, 2, 1_000_000);
         let mut total_bytes = 0;
@@ -113,7 +114,7 @@ proptest! {
         c0 in 2usize..8,
         ops in proptest::collection::vec(0u8..7, 0..400),
     ) {
-        let placement = vec![0, 1];
+        let placement: Rc<[usize]> = Rc::from([0, 1]);
         let mut a = FmProcess::new(3, 0, placement.clone(), 2, c0);
         let mut b = FmProcess::new(3, 1, placement, 2, c0);
         a.enable_reliability(2);

@@ -1,7 +1,10 @@
-//! Processes, signals, and the environment-variable channel the ParPar
-//! integration uses to pass FM context data to freshly forked processes
-//! (paper §3.2: "this data is simply transferred to the process using
-//! environment variables").
+//! Processes and the signals the gang scheduler drives them with.
+//!
+//! The ParPar integration passes FM context data to freshly forked
+//! processes in environment variables (paper §3.2: "this data is simply
+//! transferred to the process using environment variables"). A simulated
+//! process keeps no environment: the handoff is modelled by its cost, the
+//! host work of `fastmsg::init`'s `InitMode::ParPar` start-up.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,32 +48,19 @@ pub struct Process {
     pub pid: Pid,
     /// Scheduling state.
     pub state: SchedState,
-    /// Environment variables (sorted for determinism).
-    env: BTreeMap<String, String>,
     stops: u64,
     conts: u64,
 }
 
 impl Process {
-    /// A fresh process in the `Active` state with an empty environment.
+    /// A fresh process in the `Active` state.
     pub fn new(pid: Pid) -> Self {
         Process {
             pid,
             state: SchedState::Active,
-            env: BTreeMap::new(),
             stops: 0,
             conts: 0,
         }
-    }
-
-    /// Set an environment variable (pre-fork, by the noded).
-    pub fn set_env(&mut self, key: &str, value: String) {
-        self.env.insert(key.to_string(), value);
-    }
-
-    /// Read an environment variable (post-fork, by FM_initialize).
-    pub fn get_env(&self, key: &str) -> Option<&str> {
-        self.env.get(key).map(String::as_str)
     }
 
     /// Deliver a signal. Returns `true` if the state changed.
@@ -210,18 +200,6 @@ mod tests {
         assert!(!t.signal(p, Signal::Cont));
         assert!(!t.signal(p, Signal::Stop));
         assert_eq!(t.live_count(), 0);
-    }
-
-    #[test]
-    fn environment_round_trips() {
-        let mut t = ProcessTable::new();
-        let p = t.fork();
-        let proc_ = t.get_mut(p).unwrap();
-        proc_.set_env("FM_RANK", "3".into());
-        proc_.set_env("FM_JOB_ID", "17".into());
-        assert_eq!(proc_.get_env("FM_RANK"), Some("3"));
-        assert_eq!(proc_.get_env("FM_JOB_ID"), Some("17"));
-        assert_eq!(proc_.get_env("MISSING"), None);
     }
 
     #[test]

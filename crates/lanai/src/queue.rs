@@ -5,20 +5,15 @@
 //! pinned host DMA buffer (668 slots). The ring tracks *valid* (occupied)
 //! slots — the quantity Fig. 8 measures and the improved buffer-switch
 //! algorithm copies.
+//!
+//! Capacity is logical: a ring allocates backing storage only as its
+//! occupancy grows, so memory follows traffic rather than slot counts.
 
 use std::collections::VecDeque;
 
 /// Error returned when pushing into a full ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingFull;
-
-/// Upper bound on the slots eagerly allocated by [`PacketRing::new`].
-///
-/// Logical capacity may be far larger (a ring sized for a whole job's
-/// receive window); physical memory grows on demand past this point. The
-/// bound exists so constructing many huge-capacity rings (one per context
-/// per node) stays cheap.
-pub const PREALLOC_SLOTS: usize = 1024;
 
 /// A bounded FIFO ring of packet descriptors.
 ///
@@ -45,10 +40,11 @@ pub struct PacketRing<P> {
 }
 
 impl<P> PacketRing<P> {
-    /// A ring with `capacity` packet slots.
+    /// A ring with `capacity` packet slots. No slot is allocated until a
+    /// packet arrives; storage then grows with the live occupancy.
     pub fn new(capacity: usize) -> Self {
         PacketRing {
-            slots: VecDeque::with_capacity(capacity.min(PREALLOC_SLOTS)),
+            slots: VecDeque::new(),
             capacity,
             high_water: 0,
             total_pushed: 0,
@@ -258,13 +254,29 @@ mod tests {
     }
 
     #[test]
-    fn prealloc_is_capped_but_capacity_is_logical() {
-        let r: PacketRing<u64> = PacketRing::new(PREALLOC_SLOTS * 4);
-        assert_eq!(r.capacity(), PREALLOC_SLOTS * 4);
-        // Eager allocation stops at the documented cap; the ring still
-        // accepts its full logical capacity.
-        let mut r: PacketRing<u8> = PacketRing::new(PREALLOC_SLOTS + 8);
-        for _ in 0..PREALLOC_SLOTS + 8 {
+    fn huge_ring_allocates_nothing_up_front() {
+        let r: PacketRing<u64> = PacketRing::new(1 << 20);
+        assert_eq!(r.capacity(), 1 << 20);
+        assert_eq!(r.slots.capacity(), 0);
+    }
+
+    #[test]
+    fn storage_follows_occupancy_not_capacity() {
+        let mut r: PacketRing<u64> = PacketRing::new(4096);
+        for i in 0..10_000u64 {
+            r.push(i).unwrap();
+            if r.len() == 4 {
+                r.pop();
+            }
+        }
+        assert_eq!(r.high_water(), 4);
+        assert!(r.slots.capacity() <= 8, "{} slots", r.slots.capacity());
+    }
+
+    #[test]
+    fn accepts_full_logical_capacity_then_rejects() {
+        let mut r: PacketRing<u8> = PacketRing::new(1032);
+        for _ in 0..1032 {
             r.push(0).unwrap();
         }
         assert!(r.is_full());

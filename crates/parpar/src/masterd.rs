@@ -5,6 +5,7 @@
 //! control network; the cluster simulator times their delivery.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use crate::job::{JobId, JobSpec, JobState};
 use crate::matrix::{GangMatrix, PlaceError, Placement};
@@ -134,6 +135,7 @@ impl Masterd {
             None => self.matrix.place(job, spec.nprocs)?,
         };
         self.next_job += 1;
+        let shared: Rc<[usize]> = placement.nodes.as_slice().into();
         let cmds = placement
             .nodes
             .iter()
@@ -144,7 +146,7 @@ impl Masterd {
                     NodedCmd::LoadJob {
                         job,
                         rank,
-                        placement: placement.nodes.clone(),
+                        placement: Rc::clone(&shared),
                         slot: placement.slot,
                     },
                 )
@@ -330,6 +332,23 @@ mod tests {
             }
         }
         assert_eq!(m.job(s.job).unwrap().state, JobState::Loading);
+    }
+
+    #[test]
+    fn every_load_of_a_submit_shares_one_placement() {
+        let mut m = Masterd::new(16, 4);
+        let s = m.submit(JobSpec::sized("a", 8)).unwrap();
+        let placements: Vec<&Rc<[usize]>> = s
+            .cmds
+            .iter()
+            .map(|(_, cmd)| match cmd {
+                NodedCmd::LoadJob { placement, .. } => placement,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(placements.len(), 8);
+        assert_eq!(&placements[0][..], s.placement.nodes.as_slice());
+        assert!(placements.iter().all(|p| Rc::ptr_eq(p, placements[0])));
     }
 
     #[test]

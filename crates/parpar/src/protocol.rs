@@ -1,5 +1,7 @@
 //! Control-plane messages between the ParPar daemons (paper §2.1, Fig. 2).
 
+use std::rc::Rc;
+
 use crate::job::JobId;
 
 /// Commands the masterd sends to nodeds over the control network.
@@ -12,8 +14,9 @@ pub enum NodedCmd {
         job: JobId,
         /// Rank of the process this node hosts.
         rank: usize,
-        /// Full rank → node placement (becomes FM environment data).
-        placement: Vec<usize>,
+        /// Full rank → node placement (becomes FM environment data). One
+        /// allocation per submit, shared by every node's command.
+        placement: Rc<[usize]>,
         /// Row of the gang matrix the job lives in.
         slot: usize,
     },
