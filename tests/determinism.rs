@@ -7,6 +7,7 @@ use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::time::{Cycles, SimTime};
+use workloads::alltoall::AllToAll;
 use workloads::p2p::P2pBandwidth;
 
 #[test]
@@ -46,6 +47,40 @@ mod golden {
     /// quantum / seed 1234, three P2pBandwidth(4096 B × 800) jobs on [0, 1].
     pub const VN_CACHE_EVENTS: u64 = 43_422;
     pub const VN_CACHE_DIGEST: u64 = 0xb1b5_b5ea_bd1b_8f67;
+    /// [`super::baseline_strategy_run`] under `ShareDiscard` (2 ms
+    /// retransmit timeout). Recorded in release mode; debug matches.
+    pub const SHARE_DISCARD_EVENTS: u64 = 131_577;
+    pub const SHARE_DISCARD_DIGEST: u64 = 0xd66f_ae6c_0b8a_dbfb;
+    /// [`super::baseline_strategy_run`] under `AckDrain`. Recorded in
+    /// release mode; debug matches.
+    pub const ACK_DRAIN_EVENTS: u64 = 162_177;
+    pub const ACK_DRAIN_DIGEST: u64 = 0x8d97_7049_366e_d61e;
+}
+
+/// A §5 baseline switch run configured like `Measurement::switch_overhead`:
+/// 6 nodes / 2 slots / FullBuffer / 50 ms quantum / seed 3, two
+/// whole-machine `AllToAll::stress` jobs, run to 4 completed switches.
+/// Returns `(events, digest)`.
+fn baseline_strategy_run(strategy: SwitchStrategy) -> (u64, u64) {
+    const NODES: usize = 6;
+    const SWITCHES: u64 = 4;
+    let mut cfg = ClusterConfig::parpar(NODES, 2, BufferPolicy::FullBuffer);
+    cfg.copy = CopyStrategy::ValidOnly;
+    cfg.strategy = strategy;
+    cfg.quantum = Cycles::from_ms(50);
+    cfg.seed = 3;
+    let mut sim = Sim::new(cfg);
+    let all: Vec<usize> = (0..NODES).collect();
+    let a = AllToAll::stress(NODES);
+    sim.submit(&a, Some(all.clone())).unwrap();
+    sim.submit(&a, Some(all)).unwrap();
+    sim.engine
+        .run_until_pred(SimTime::ZERO + Cycles::from_secs(600), |w| {
+            w.stats.switches >= SWITCHES
+        });
+    assert_eq!(sim.world().stats.switches, SWITCHES);
+    assert_eq!(sim.engine.causality_clamps(), 0);
+    (sim.engine.events_processed(), sim.engine.stream_digest())
 }
 
 #[test]
@@ -88,6 +123,22 @@ fn event_stream_digest_matches_pre_refactor_golden() {
         .map(|(_, c)| c)
         .unwrap();
     assert!(faults > 0, "VN scenario should take endpoint faults");
+
+    // Scenarios C and D: the §5 baselines, which switch without the
+    // flush protocol.
+    let share = SwitchStrategy::ShareDiscard {
+        retransmit_timeout: Cycles(2_000_000),
+    };
+    assert_eq!(
+        baseline_strategy_run(share),
+        (golden::SHARE_DISCARD_EVENTS, golden::SHARE_DISCARD_DIGEST),
+        "ShareDiscard"
+    );
+    assert_eq!(
+        baseline_strategy_run(SwitchStrategy::AckDrain),
+        (golden::ACK_DRAIN_EVENTS, golden::ACK_DRAIN_DIGEST),
+        "AckDrain"
+    );
 }
 
 #[test]
