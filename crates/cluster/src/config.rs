@@ -73,11 +73,6 @@ pub struct ClusterConfig {
     pub switch_costs: SwitchCosts,
     /// FM initialization protocol.
     pub init_mode: InitMode,
-    /// Relative jitter applied to each buffer-copy duration (cache and
-    /// memory-system variance on real hardware); the paper's release phase
-    /// grows with node count because unsynchronized nodes finish copying
-    /// at different times.
-    pub copy_jitter_pct: f64,
     /// Injected wire loss, packets-per-million (0 = the reliable SAN FM
     /// assumes). FM has no retransmission: §2.2 warns that "a single
     /// packet loss can mess up the credit counters and the entire flow
@@ -122,7 +117,6 @@ impl ClusterConfig {
             mem: CopyCostModel::parpar(),
             switch_costs: SwitchCosts::default(),
             init_mode: InitMode::ParPar,
-            copy_jitter_pct: 0.03,
             wire_loss_ppm: 0,
             eager_reclaim: false,
             reliability: RelConfig::default(),
@@ -134,6 +128,26 @@ impl ClusterConfig {
     /// Number of NIC context slots each node needs resident at once.
     pub fn nic_context_slots(&self) -> usize {
         self.fm.resident_contexts().max(1)
+    }
+
+    /// Host cycles for one backing-store copy of a context holding
+    /// `(send, recv)` valid packets: `cost` is
+    /// [`gang_comm::switcher::save_cost`] or
+    /// [`gang_comm::switcher::restore_cost`], priced with this
+    /// configuration's copy strategy and cost models.
+    pub(crate) fn copy_cost(
+        &self,
+        cost: fn(CopyStrategy, &FmConfig, &CopyCostModel, &SwitchCosts, usize, usize) -> Cycles,
+        (send, recv): (usize, usize),
+    ) -> Cycles {
+        cost(
+            self.copy,
+            &self.fm,
+            &self.mem,
+            &self.switch_costs,
+            send,
+            recv,
+        )
     }
 }
 
@@ -155,6 +169,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::handlers::switch::COPY_JITTER_PCT;
 
     #[test]
     fn vn_policy_keeps_all_cache_slots_resident() {
@@ -171,6 +186,6 @@ mod more_tests {
         assert!(!c.dynamic_coscheduling);
         assert_eq!(c.wire_loss_ppm, 0); // FM's reliable-SAN assumption
         assert!(!c.reliability.enabled); // ...and no retransmission layer
-        assert!(c.copy_jitter_pct > 0.0 && c.copy_jitter_pct < 0.2);
+        const { assert!(COPY_JITTER_PCT > 0.0 && COPY_JITTER_PCT < 0.2) };
     }
 }

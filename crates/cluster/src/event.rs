@@ -210,15 +210,15 @@ pub enum FmEvent {
 /// subsystem handler.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// Control plane → [`crate::handlers::DaemonHandler`].
+    /// Control plane → [`crate::handlers::daemon`].
     Daemon(DaemonEvent),
-    /// Data plane → [`crate::handlers::NicHandler`].
+    /// Data plane → [`crate::handlers::nic`].
     Nic(NicEvent),
-    /// Processes → [`crate::handlers::AppHandler`].
+    /// Processes → [`crate::handlers::app`].
     App(AppEvent),
-    /// Gang switch → [`crate::handlers::SwitchHandler`].
+    /// Gang switch → [`crate::handlers::switch`].
     Switch(SwitchEvent),
-    /// Endpoint residency → [`crate::handlers::FmHandler`].
+    /// Endpoint residency → [`crate::handlers::fm`].
     Fm(FmEvent),
 }
 

@@ -21,7 +21,6 @@ use sim_core::time::SimTime;
 
 use crate::bus::Bus;
 use crate::event::{Event, SwitchEvent};
-use crate::handlers::{AppHandler, NicHandler, SwitchHandler};
 use crate::world::World;
 
 impl World {
@@ -238,9 +237,8 @@ impl CommManager for GlueFm<'_> {
     }
 
     fn end_job(&mut self, now: SimTime, job: CommJob) -> Result<(), CommError> {
-        let pid = self
-            .world
-            .find_proc_by_job(self.node, job)
+        let pid = self.world.nodes[self.node]
+            .find_proc_by_job(job)
             .ok_or(CommError::UnknownJob)?;
         self.world.comm_end_job(now, self.node, job, pid)
     }

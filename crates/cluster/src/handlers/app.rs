@@ -4,13 +4,11 @@
 use fastmsg::init::InitStep;
 use fastmsg::packet::{fragment_payload, fragments_for, Packet, HEADER_BYTES};
 use hostsim::process::{Pid, Signal};
-use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::bus::Bus;
-use crate::event::{AppEvent, DaemonEvent, HostOp};
-use crate::handlers::{AppHandler, FmHandler, NicHandler};
+use crate::event::{AppEvent, HostOp};
 use crate::procsim::{BlockReason, ProcPhase, SendProgress};
 use crate::world::World;
 
@@ -22,15 +20,17 @@ enum Step {
     Park,
 }
 
-impl AppHandler for World {
-    fn on_app(&mut self, now: SimTime, ev: AppEvent, bus: &mut Bus) {
+impl World {
+    pub(crate) fn on_app(&mut self, now: SimTime, ev: AppEvent, bus: &mut Bus) {
         match ev {
             AppEvent::ProcKick { node, pid } => self.proc_kick(now, node, pid, bus),
             AppEvent::HostOpDone { node, pid, op } => self.on_host_op_done(now, node, pid, op, bus),
         }
     }
 
-    fn proc_kick(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    /// Advance a process as far as it can go right now. Called by every
+    /// other handler when it may have unblocked a process.
+    pub(crate) fn proc_kick(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
         // Every Continue makes observable progress (an op consumed, a block
         // cleared); the bound is a livelock tripwire, not a budget.
         for _ in 0..1_000_000 {
@@ -42,7 +42,9 @@ impl AppHandler for World {
         panic!("process {pid} on node {node} livelocked (program makes no progress)");
     }
 
-    fn try_end_job(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    /// Complete `COMM_end_job` once the context's send queue is empty.
+    /// Called by the NIC handler as the send engine drains.
+    pub(crate) fn try_end_job(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         let Some(proc) = n.apps.get(&pid) else {
             return;
@@ -70,22 +72,12 @@ impl AppHandler for World {
         let n = &mut self.nodes[node];
         n.procs.signal(pid, Signal::Kill);
         n.noded.remove_job(job);
-        if self.tree.is_some() {
-            // Combining tree: the exit joins the local job reduction
-            // instead of unicasting to the master.
-            self.tree_report_job_finished(now, node, job, bus);
-            return;
-        }
-        let t = self.ctrl.unicast_to_master(now);
-        bus.emit(
-            t,
-            DaemonEvent::CtrlToMaster {
-                msg: MasterMsg::JobFinished { job, node },
-            },
-        );
+        self.route_job_finished(now, node, job, 1, bus);
     }
 
-    fn drain_pending_refills(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// Retry deferred refills once send-queue space frees up. Called by
+    /// the NIC and FM handlers.
+    pub(crate) fn drain_pending_refills(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         // Hot-path gate: deferred refills are rare (send queue was full at
         // refill time); skip the allocation below when there are none.
         // Under the reliability layer finished processes still owe final
@@ -116,9 +108,7 @@ impl AppHandler for World {
             }
         }
     }
-}
 
-impl World {
     fn proc_step(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) -> Step {
         let n = &mut self.nodes[node];
         let Some(proc) = n.apps.get_mut(&pid) else {

@@ -8,18 +8,18 @@ use gang_comm::state::SavedCommState;
 use hostsim::process::{Pid, Signal};
 use parpar::control::ControlPlane;
 use parpar::job::JobId;
+use parpar::jobrep::Admission;
 use parpar::protocol::{MasterMsg, NodedCmd, TreeMsg};
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, DaemonEvent};
-use crate::handlers::{DaemonHandler, NicHandler, SlotView, SwitchHandler};
 use crate::procsim::{ProcPhase, ProcSim};
 use crate::world::World;
 
-impl DaemonHandler for World {
-    fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus) {
+impl World {
+    pub(crate) fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus) {
         match ev {
             DaemonEvent::QuantumExpired => self.on_quantum_expired(now, bus),
             DaemonEvent::NodeTick { node } => self.on_node_tick(now, node, bus),
@@ -32,7 +32,16 @@ impl DaemonHandler for World {
         }
     }
 
-    fn dynamic_cosched_preempt(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    /// Dynamic coscheduling: deschedule whoever runs and schedule the
+    /// process an incoming message is destined to (related work \[12\]).
+    /// Called by the NIC handler on message arrival.
+    pub(crate) fn dynamic_cosched_preempt(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        bus: &mut Bus,
+    ) {
         let n = &mut self.nodes[node];
         let Some(target_slot) = n.apps.get(&pid).map(|p| p.slot) else {
             return;
@@ -50,9 +59,7 @@ impl DaemonHandler for World {
             AppEvent::ProcKick { node, pid },
         );
     }
-}
 
-impl World {
     /// The masterd's quantum timer fired: rotate if there is anything to
     /// rotate to, and rearm the timer.
     fn on_quantum_expired(&mut self, now: SimTime, bus: &mut Bus) {
@@ -233,21 +240,21 @@ impl World {
                 bus.emit(acted, DaemonEvent::NodedAct { node, cmd });
             }
             TreeMsg::SwitchDoneAgg { epoch, count } => {
-                if let Some(total) = self.tree_agg[node].add_switch_done(epoch, count) {
-                    self.forward_switch_agg(acted, node, epoch, total, bus);
-                }
+                self.route_switch_done(acted, node, epoch, count, bus);
             }
             TreeMsg::JobFinishedAgg { job, count } => {
-                if let Some(total) = self.tree_agg[node].add_job_finished(job, count) {
-                    self.forward_job_agg(acted, node, job, total, bus);
-                }
+                self.route_job_finished(acted, node, job, count, bus);
             }
         }
     }
 
-    /// Send a completed switch-done reduction one level up the tree, or to
-    /// the masterd from the root.
-    fn forward_switch_agg(
+    /// Route `count` switch-done acks for `epoch` from `node`. Without a
+    /// combining tree, `node`'s own ack goes straight to the masterd. With
+    /// one, the acks fold into `node`'s reduction, and once its whole
+    /// subtree has reported the combined count moves one level up (or to
+    /// the masterd from the root). A node's own contribution is free — the
+    /// noded is already running — only upward hops pay wire costs.
+    pub(crate) fn route_switch_done(
         &mut self,
         now: SimTime,
         node: usize,
@@ -255,33 +262,32 @@ impl World {
         count: usize,
         bus: &mut Bus,
     ) {
-        let tree = self.tree.as_ref().expect("tree control plane");
+        let Some(tree) = self.tree else {
+            let t = self.ctrl.unicast_to_master(now);
+            let msg = MasterMsg::SwitchDone { epoch, node };
+            bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+            return;
+        };
+        let Some(count) = self.tree_agg[node].add_switch_done(epoch, count) else {
+            return;
+        };
         match tree.parent(node) {
             Some(parent) => {
                 let t = self.ctrl.unicast_node_to_node(now, node);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToPeer {
-                        node: parent,
-                        msg: TreeMsg::SwitchDoneAgg { epoch, count },
-                    },
-                );
+                let msg = TreeMsg::SwitchDoneAgg { epoch, count };
+                bus.emit(t, DaemonEvent::CtrlToPeer { node: parent, msg });
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToMaster {
-                        msg: MasterMsg::SwitchDoneAgg { epoch, count },
-                    },
-                );
+                let msg = MasterMsg::SwitchDoneAgg { epoch, count };
+                bus.emit(t, DaemonEvent::CtrlToMaster { msg });
             }
         }
     }
 
-    /// Send a completed job-finished reduction one level up the tree, or to
-    /// the masterd from the root.
-    fn forward_job_agg(
+    /// Route `count` job-finished acks for `job` from `node`, exactly like
+    /// [`World::route_switch_done`].
+    pub(crate) fn route_job_finished(
         &mut self,
         now: SimTime,
         node: usize,
@@ -289,57 +295,26 @@ impl World {
         count: usize,
         bus: &mut Bus,
     ) {
-        let tree = self.tree.as_ref().expect("tree control plane");
+        let Some(tree) = self.tree else {
+            let t = self.ctrl.unicast_to_master(now);
+            let msg = MasterMsg::JobFinished { job, node };
+            bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+            return;
+        };
+        let Some(count) = self.tree_agg[node].add_job_finished(job, count) else {
+            return;
+        };
         match tree.parent(node) {
             Some(parent) => {
                 let t = self.ctrl.unicast_node_to_node(now, node);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToPeer {
-                        node: parent,
-                        msg: TreeMsg::JobFinishedAgg { job, count },
-                    },
-                );
+                let msg = TreeMsg::JobFinishedAgg { job, count };
+                bus.emit(t, DaemonEvent::CtrlToPeer { node: parent, msg });
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToMaster {
-                        msg: MasterMsg::JobFinishedAgg { job, count },
-                    },
-                );
+                let msg = MasterMsg::JobFinishedAgg { job, count };
+                bus.emit(t, DaemonEvent::CtrlToMaster { msg });
             }
-        }
-    }
-
-    /// A node's own switch completed (tree control plane): contribute one
-    /// ack to the local reduction; the combined count ascends when the
-    /// subtree is done. The local contribution is free — the noded is
-    /// already running — only upward hops pay wake and wire costs.
-    pub(crate) fn tree_report_switch_done(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        bus: &mut Bus,
-    ) {
-        if let Some(total) = self.tree_agg[node].add_switch_done(epoch, 1) {
-            self.forward_switch_agg(now, node, epoch, total, bus);
-        }
-    }
-
-    /// A node's own process exited (tree control plane): contribute one ack
-    /// to the local job reduction, ascending like switch acks.
-    pub(crate) fn tree_report_job_finished(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        job: JobId,
-        bus: &mut Bus,
-    ) {
-        if let Some(total) = self.tree_agg[node].add_job_finished(job, 1) {
-            self.forward_job_agg(now, node, job, total, bus);
         }
     }
 
@@ -413,14 +388,7 @@ impl World {
                 .queued_programs
                 .remove(&ticket)
                 .expect("queued programs out of sync with jobrep");
-            self.stats
-                .job_submitted
-                .insert(sub.job, queued.submitted_at);
-            self.stats.job_dispatched.insert(sub.job, now);
-            self.stats
-                .wait_latency
-                .record(now.since(queued.submitted_at).raw());
-            self.dispatch_submission(now, sub, queued.programs, bus);
+            self.admit(now, queued.submitted_at, sub, queued.programs, bus);
         }
         self.stats
             .queue_depth
@@ -442,21 +410,8 @@ impl World {
             .expect("JobArrival fired twice for the same index");
         self.arrivals_pending -= 1;
         match self.jobrep.submit(&mut self.master, planned.spec) {
-            Ok(parpar::jobrep::Admission::Admitted(sub)) => {
-                self.stats.job_submitted.insert(sub.job, now);
-                self.stats.job_dispatched.insert(sub.job, now);
-                self.stats.wait_latency.record(0);
-                self.dispatch_submission(now, sub, planned.programs, bus);
-            }
-            Ok(parpar::jobrep::Admission::Queued(ticket)) => {
-                self.queued_programs.insert(
-                    ticket,
-                    crate::world::QueuedSub {
-                        submitted_at: now,
-                        programs: planned.programs,
-                    },
-                );
-            }
+            Ok(Admission::Admitted(sub)) => self.admit(now, now, sub, planned.programs, bus),
+            Ok(Admission::Queued(ticket)) => self.enqueue(now, ticket, planned.programs),
             Err(_) => {
                 // Counted as rejected in jobrep.stats; the open-loop source
                 // does not retry.
@@ -477,7 +432,7 @@ impl World {
                 slot,
             } => self.load_job(now, node, job, rank, placement, slot, bus),
             NodedCmd::AllUp { job } => {
-                let Some((_, pid)) = self.noded_lookup(node, job) else {
+                let Some((_, pid)) = self.nodes[node].noded_lookup(job) else {
                     panic!("AllUp for job not on node {node}");
                 };
                 let n = &mut self.nodes[node];
@@ -498,8 +453,7 @@ impl World {
                 self.start_switch(now, node, epoch, from, to, bus);
             }
             NodedCmd::KillJob { job } => {
-                if let Some((slot, pid)) = self.nodes[node].noded.remove_job(job) {
-                    let _ = slot;
+                if let Some((_, pid)) = self.nodes[node].noded.remove_job(job) {
                     self.nodes[node].procs.signal(pid, Signal::Kill);
                     self.nodes[node].apps.remove(&pid);
                 }

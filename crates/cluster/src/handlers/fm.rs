@@ -14,6 +14,8 @@
 //! while their endpoint faults in (the VN paper's return-to-sender is
 //! modeled as a drop-notify once parking overflows).
 
+use fastmsg::division::BufferPolicy;
+use fastmsg::packet::Packet;
 use gang_comm::switcher;
 use hostsim::process::Pid;
 use myrinet::broadcast::CONTROL_PACKET_BYTES;
@@ -22,7 +24,6 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, FmEvent, Frame, NicEvent};
-use crate::handlers::{AppHandler, FmHandler, NicHandler};
 use crate::procsim::ProcPhase;
 use crate::world::World;
 
@@ -34,8 +35,8 @@ pub const PARKING_HEADROOM: usize = 16;
 /// entry, page lookups).
 pub const FAULT_OVERHEAD: Cycles = Cycles(10_000); // 50 µs
 
-impl FmHandler for World {
-    fn on_fm(&mut self, now: SimTime, ev: FmEvent, bus: &mut Bus) {
+impl World {
+    pub(crate) fn on_fm(&mut self, now: SimTime, ev: FmEvent, bus: &mut Bus) {
         match ev {
             FmEvent::FaultDone { node, job } => self.on_fault_done(now, node, job, bus),
             FmEvent::RetransTimeout { node, pid } => self.on_retrans_timeout(now, node, pid, bus),
@@ -43,7 +44,21 @@ impl FmHandler for World {
         }
     }
 
-    fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
+    /// Is the virtual-networks residency policy active?
+    pub(crate) fn vn_active(&self) -> bool {
+        self.cfg.fm.policy == BufferPolicy::CachedEndpoints
+    }
+
+    /// Note activity on `job`'s endpoint (for LRU eviction).
+    pub(crate) fn vn_touch(&mut self, now: SimTime, node: usize, job: u32) {
+        if self.vn_active() {
+            self.nodes[node].lru.insert(job, now);
+        }
+    }
+
+    /// Request that `job`'s endpoint become resident on `node`.
+    /// Idempotent; queues behind an in-progress fault.
+    pub(crate) fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
         debug_assert!(self.vn_active());
         let n = &mut self.nodes[node];
         if n.nic.find_context(job).is_some() {
@@ -59,11 +74,13 @@ impl FmHandler for World {
         self.start_fault(now, node, job, bus);
     }
 
-    fn vn_park_arrival(
+    /// An arrival found no resident endpoint under VN caching: park it
+    /// and raise a fault, or overflow into a drop-notify.
+    pub(crate) fn vn_park_arrival(
         &mut self,
         now: SimTime,
         node: usize,
-        pkt: fastmsg::packet::Packet,
+        pkt: Packet,
         bus: &mut Bus,
     ) {
         let job = pkt.job;
@@ -96,9 +113,7 @@ impl FmHandler for World {
         n.parked.push(pkt);
         self.begin_fault(now, node, job, bus);
     }
-}
 
-impl World {
     /// Reliability layer: make sure a RetransTimeout event is outstanding
     /// for this process (armed on every fragment injection; cheap no-op
     /// while one is pending). The delay grows exponentially with
@@ -219,46 +234,33 @@ impl World {
         n.faults += 1;
         // Cost: fixed fault overhead + save of the victim (if eviction is
         // needed) + restore of the faulted endpoint's saved queues.
-        let geo = self.cfg.fm.geometry();
         let mut cost = FAULT_OVERHEAD;
-        let need_eviction = {
-            let free_slot = n.nic.resident_contexts().count() < self.cfg.fm.max_contexts;
-            let ram_fits = n.nic.send_ram_used() + geo.send_slots as u64 * n.nic.packet_bytes
-                <= n.nic.send_buf_bytes;
-            !(free_slot && ram_fits)
-        };
-        if need_eviction {
+        if !self.endpoint_fits(node) {
             if let Some(victim) = self.vn_lru_victim(node) {
                 let ctx = self.nodes[node].nic.context(victim).unwrap();
-                let (s, r) = (ctx.send_q.len(), ctx.recv_q.len());
-                cost += switcher::save_cost(
-                    self.cfg.copy,
-                    &self.cfg.fm,
-                    &self.cfg.mem,
-                    &self.cfg.switch_costs,
-                    s,
-                    r,
-                );
+                let occupancy = (ctx.send_q.len(), ctx.recv_q.len());
+                cost += self.cfg.copy_cost(switcher::save_cost, occupancy);
             }
         }
-        if let Some(pid) = self.find_proc_by_job(node, job) {
-            if let Some(saved) = self.nodes[node].backing.peek(pid) {
-                let (s, r) = saved.occupancy();
-                cost += switcher::restore_cost(
-                    self.cfg.copy,
-                    &self.cfg.fm,
-                    &self.cfg.mem,
-                    &self.cfg.switch_costs,
-                    s,
-                    r,
-                );
-            }
+        let n = &self.nodes[node];
+        let saved = n.find_proc_by_job(job).and_then(|pid| n.backing.peek(pid));
+        if let Some(occupancy) = saved.map(|s| s.occupancy()) {
+            cost += self.cfg.copy_cost(switcher::restore_cost, occupancy);
         }
         self.trace.emit(now, Category::Nic, Some(node), || {
             format!("endpoint fault for job {job}")
         });
         let r = self.nodes[node].cpu.reserve(now, cost);
         bus.emit(r.end, FmEvent::FaultDone { node, job });
+    }
+
+    /// Would one more endpoint fit on `node`'s NIC: a free context slot
+    /// and send-buffer room for its queue?
+    fn endpoint_fits(&self, node: usize) -> bool {
+        let nic = &self.nodes[node].nic;
+        let send_bytes = self.cfg.fm.geometry().send_slots as u64 * nic.packet_bytes;
+        nic.resident_contexts().count() < self.cfg.fm.max_contexts
+            && nic.send_ram_used() + send_bytes <= nic.send_buf_bytes
     }
 
     /// The LRU resident endpoint, excluding any that is currently the
@@ -277,53 +279,30 @@ impl World {
         debug_assert_eq!(self.nodes[node].fault_in_progress, Some(job));
         let geo = self.cfg.fm.geometry();
         // Evict until the endpoint fits.
-        loop {
-            let n = &mut self.nodes[node];
-            let free_slot = n.nic.resident_contexts().count() < self.cfg.fm.max_contexts;
-            let ram_fits = n.nic.send_ram_used() + geo.send_slots as u64 * n.nic.packet_bytes
-                <= n.nic.send_buf_bytes;
-            if free_slot && ram_fits {
-                break;
-            }
+        while !self.endpoint_fits(node) {
             let victim = self
                 .vn_lru_victim(node)
                 .expect("no endpoint to evict but no room either");
             let n = &mut self.nodes[node];
-            let mut ctx = n.nic.free_context(victim).unwrap();
-            let vjob = ctx.job;
-            let mut saved = n.take_shell(vjob);
-            ctx.send_q.drain_into(&mut saved.send_q);
-            ctx.recv_q.drain_into(&mut saved.recv_q);
-            let bytes = saved.stored_bytes();
-            let vpid = self
-                .find_proc_by_job(node, vjob)
+            let vjob = n.nic.context(victim).expect("victim is resident").job;
+            let vpid = n
+                .find_proc_by_job(vjob)
                 .expect("evicted endpoint's process is gone");
-            self.nodes[node].backing.save(vpid, saved, bytes);
+            n.save_context(victim, vpid);
             self.trace.emit(now, Category::Nic, Some(node), || {
                 format!("evicted endpoint of job {vjob}")
             });
         }
         // Install the faulted endpoint.
-        let pid = self.find_proc_by_job(node, job);
-        {
-            let n = &mut self.nodes[node];
-            let proc_rank = pid
-                .and_then(|p| n.apps.get(&p))
-                .map(|p| p.rank)
-                .unwrap_or(0);
-            let ctx_id = n
-                .nic
-                .alloc_context(job, proc_rank, geo.send_slots, geo.recv_slots)
-                .expect("room was just made");
-            if let Some(pid) = pid {
-                if let Some(mut saved) = n.backing.restore(pid) {
-                    assert_eq!(saved.job, job, "backing store mix-up at fault");
-                    let ctx = n.nic.context_mut(ctx_id).unwrap();
-                    ctx.send_q.load_from(&mut saved.send_q);
-                    ctx.recv_q.load_from(&mut saved.recv_q);
-                    n.recycle_shell(saved);
-                }
-            }
+        let n = &mut self.nodes[node];
+        let pid = n.find_proc_by_job(job);
+        let rank = pid.map_or(0, |p| n.apps[&p].rank);
+        let ctx_id = n
+            .nic
+            .alloc_context(job, rank, geo.send_slots, geo.recv_slots)
+            .expect("room was just made");
+        if let Some(pid) = pid {
+            n.restore_context(pid, ctx_id);
         }
         self.vn_touch(now, node, job);
         self.nodes[node].fault_in_progress = None;

@@ -9,7 +9,6 @@
 //! delivery order is unchanged (DESIGN.md §3i).
 
 use fastmsg::packet::{Packet, PacketKind};
-use gang_comm::strategy::SwitchStrategy;
 use hostsim::process::Pid;
 use myrinet::broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
 use sim_core::time::SimTime;
@@ -17,12 +16,11 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, Frame, NicEvent};
-use crate::handlers::{AppHandler, DaemonHandler, FmHandler, NicHandler, SwitchHandler};
 use crate::procsim::{BlockReason, ProcPhase};
 use crate::world::World;
 
-impl NicHandler for World {
-    fn on_nic(&mut self, now: SimTime, ev: NicEvent, bus: &mut Bus) {
+impl World {
+    pub(crate) fn on_nic(&mut self, now: SimTime, ev: NicEvent, bus: &mut Bus) {
         match ev {
             NicEvent::FrameArrive { node, frame } => self.on_frame_arrive(now, node, frame, bus),
             NicEvent::SendEngineDone { node } => self.on_send_engine_done(now, node, bus),
@@ -36,7 +34,7 @@ impl NicHandler for World {
     /// Let the send engine pick up work if it is idle: the LANai send
     /// context scanning the send queues (paper §2.2), extended with the
     /// halt-bit check on packet boundaries (paper §3.2).
-    fn kick_send_engine(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn kick_send_engine(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         if n.send_engine_busy {
             return;
@@ -68,7 +66,7 @@ impl NicHandler for World {
         n.nic.engine_extend_to(tx.injection_done);
         n.nic.stats.data_sent += 1;
         n.send_engine_busy = true;
-        if matches!(self.cfg.strategy, SwitchStrategy::AckDrain) && pkt.kind == PacketKind::Data {
+        if self.cfg.strategy.uses_acks() && pkt.kind == PacketKind::Data {
             n.outstanding += 1;
         }
         let dst = pkt.dst_host;
@@ -87,7 +85,7 @@ impl NicHandler for World {
 
     /// Start the serial halt broadcast (the send engine is at a packet
     /// boundary with the halt bit set).
-    fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         debug_assert!(n.nic.halt_bit() && n.halt_requested);
         n.halt_broadcast_started = true;
@@ -95,18 +93,18 @@ impl NicHandler for World {
     }
 
     /// Start the serial ready broadcast (release phase).
-    fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         self.serial_control_broadcast(now, node, Signal::Ready, bus);
     }
 
     /// The receive engine landed one packet (also the re-entry point for
     /// parked packets the FM handler delivers after a fault).
-    fn land_packet(&mut self, now: SimTime, node: usize, pkt: Packet, bus: &mut Bus) {
+    pub(crate) fn land_packet(&mut self, now: SimTime, node: usize, pkt: Packet, bus: &mut Bus) {
         if pkt.kind == PacketKind::Refill {
             // Refills are consumed at the NIC layer: credits are host
             // memory, no queue slot is used (paper §2.2).
             self.nodes[node].nic.stats.data_received += 1;
-            let pid = self.find_proc_by_job(node, pkt.job);
+            let pid = self.nodes[node].find_proc_by_job(pkt.job);
             if let Some(pid) = pid {
                 let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
                 proc.fm.on_refill(&pkt);
@@ -201,7 +199,7 @@ impl NicHandler for World {
                 n.nic.stats.data_received += 1;
                 self.vn_touch(now, node, job);
                 // Wake the owning process if it is waiting for traffic.
-                if let Some(pid) = self.find_proc_by_job(node, job) {
+                if let Some(pid) = self.nodes[node].find_proc_by_job(job) {
                     let proc = &self.nodes[node].apps[&pid];
                     if !proc.busy
                         && matches!(
@@ -235,9 +233,7 @@ impl NicHandler for World {
             }
         }
     }
-}
 
-impl World {
     /// Fault injection: FM assumes "an insignificant error rate on a SAN"
     /// (§2.2); a lost frame silently never arrives. Applied to data
     /// packets, refills, and (so the recovery protocol is exercised too)
@@ -308,7 +304,7 @@ impl World {
                 debug_assert_eq!(src_host, node);
                 // Return the credit the dropped packet consumed, standing
                 // in for the higher-layer retransmission path.
-                let pid = self.find_proc_by_job(node, job);
+                let pid = self.nodes[node].find_proc_by_job(job);
                 if let Some(pid) = pid {
                     let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
                     proc.fm.flow.refill(drop_host, 1);

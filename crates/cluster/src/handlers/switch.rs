@@ -1,150 +1,36 @@
 //! Gang-switch handler: the three-phase context switch (paper §3.2) and
-//! the §5 baseline strategies, each packaged as a [`SwitchProtocol`].
+//! the §5 baseline strategies.
 
 use fastmsg::division::BufferPolicy;
+use gang_comm::sequencer::StageBreakdown;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
 use hostsim::process::Signal;
-use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::bus::Bus;
-use crate::event::{AppEvent, DaemonEvent, SwitchEvent};
-use crate::handlers::{NicHandler, SwitchHandler};
+use crate::event::{AppEvent, SwitchEvent};
 use crate::node::AltSwitch;
 use crate::stats::QueueSample;
 use crate::world::World;
 
-/// One strategy's switch sequence, entered once the outgoing process is
-/// stopped. [`protocol_for`] maps each [`SwitchStrategy`] variant to its
-/// protocol object, so adding a strategy means adding a unit struct here —
-/// not another arm in the dispatcher.
-pub trait SwitchProtocol {
-    /// Run the strategy's switch sequence on `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    );
-}
+/// Relative jitter applied to each buffer-copy duration (cache and
+/// memory-system variance on real hardware); the paper's release phase
+/// grows with node count because unsynchronized nodes finish copying at
+/// different times.
+pub const COPY_JITTER_PCT: f64 = 0.03;
 
-/// The paper's scheme: halt + global flush, copy, release (three phases,
-/// each a broadcast barrier).
-struct GangFlush;
-
-/// SHARE/PM-style baseline: no flush — copy immediately and let stragglers
-/// be dropped by the job-ID check on arrival.
-struct ShareDiscard;
-
-/// Per-node drain baseline: stop sending and wait until every in-flight
-/// packet is acknowledged, then copy. No broadcasts.
-struct AckDrain;
-
-/// The protocol object for a strategy.
-pub fn protocol_for(strategy: SwitchStrategy) -> &'static dyn SwitchProtocol {
-    match strategy {
-        SwitchStrategy::GangFlush => &GangFlush,
-        SwitchStrategy::ShareDiscard { .. } => &ShareDiscard,
-        SwitchStrategy::AckDrain => &AckDrain,
-    }
-}
-
-impl SwitchProtocol for GangFlush {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        if matches!(
-            w.cfg.fm.policy,
-            BufferPolicy::StaticDivision | BufferPolicy::CachedEndpoints | BufferPolicy::Demand
-        ) {
-            // Every context is permanently resident: nothing to flush or
-            // copy — the switch is just signals.
-            w.resume_incoming(now, node, to, bus);
-            w.report_switch_done(now, node, epoch, bus);
-            return;
-        }
-        w.nodes[node].seq.start(now, epoch, from, to);
-        // COMM_halt_network: stop sending on a packet boundary and run the
-        // global flush protocol.
-        w.comm_halt_network(now, node, bus)
-            .expect("halt ordered while idle");
-    }
-}
-
-impl SwitchProtocol for ShareDiscard {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        let n = &mut w.nodes[node];
-        n.nic.set_halt_bit(true); // stop draining the send queue
-        n.alt_switch = Some(AltSwitch {
-            epoch,
-            from,
-            to,
-            started: now,
-            halt_done: now,
-            copying: true,
-        });
-        let cost = w.copy_cost_for(node, from, to);
-        let r = w.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
-    }
-}
-
-impl SwitchProtocol for AckDrain {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        let n = &mut w.nodes[node];
-        n.nic.set_halt_bit(true);
-        n.alt_switch = Some(AltSwitch {
-            epoch,
-            from,
-            to,
-            started: now,
-            halt_done: now,
-            copying: false,
-        });
-        w.alt_drain_maybe_done(now, node, bus);
-    }
-}
-
-impl SwitchHandler for World {
-    fn on_switch(&mut self, now: SimTime, ev: SwitchEvent, bus: &mut Bus) {
+impl World {
+    pub(crate) fn on_switch(&mut self, now: SimTime, ev: SwitchEvent, bus: &mut Bus) {
         match ev {
             SwitchEvent::CopyDone { node } => self.on_copy_done(now, node, bus),
         }
     }
 
-    fn start_switch(
+    /// The noded received SwitchSlot: stop the outgoing process and run
+    /// the configured strategy's switch sequence.
+    pub(crate) fn start_switch(
         &mut self,
         now: SimTime,
         node: usize,
@@ -164,17 +50,73 @@ impl SwitchHandler for World {
             self.nodes[node].procs.signal(pid, Signal::Stop);
         }
 
-        protocol_for(self.cfg.strategy).begin(self, now, node, epoch, from, to, bus);
+        let alt = AltSwitch {
+            epoch,
+            from,
+            to,
+            started: now,
+            halt_done: now,
+            copying: false,
+        };
+        match self.cfg.strategy {
+            // The paper's scheme: halt + global flush, copy, release (three
+            // phases, each a broadcast barrier).
+            SwitchStrategy::GangFlush => {
+                if matches!(
+                    self.cfg.fm.policy,
+                    BufferPolicy::StaticDivision
+                        | BufferPolicy::CachedEndpoints
+                        | BufferPolicy::Demand
+                ) {
+                    // Every context is permanently resident: nothing to
+                    // flush or copy — the switch is just signals.
+                    self.resume_incoming(now, node, to, bus);
+                    self.route_switch_done(now, node, epoch, 1, bus);
+                    return;
+                }
+                self.nodes[node].seq.start(now, epoch, from, to);
+                // COMM_halt_network: stop sending on a packet boundary and
+                // run the global flush protocol.
+                self.comm_halt_network(now, node, bus)
+                    .expect("halt ordered while idle");
+            }
+            // SHARE/PM-style baseline: no flush — stop sending and copy
+            // immediately; stragglers are dropped by the job-ID check on
+            // arrival.
+            SwitchStrategy::ShareDiscard { .. } => {
+                self.nodes[node].nic.set_halt_bit(true);
+                self.nodes[node].alt_switch = Some(alt);
+                self.begin_alt_copy(now, node, bus);
+            }
+            // Per-node drain baseline: stop sending and wait until every
+            // in-flight packet is acknowledged, then copy. No broadcasts.
+            SwitchStrategy::AckDrain => {
+                self.nodes[node].nic.set_halt_bit(true);
+                self.nodes[node].alt_switch = Some(alt);
+                self.alt_drain_maybe_done(now, node, bus);
+            }
+        }
     }
 
-    fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        let n = &mut self.nodes[node];
-        let Some(ref mut alt) = n.alt_switch else {
+    /// AckDrain: if the send engine is quiet and nothing is outstanding,
+    /// the drain phase is over. Called by the NIC handler per ack.
+    pub(crate) fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+        let n = &self.nodes[node];
+        let Some(alt) = n.alt_switch else {
             return;
         };
         if alt.copying || n.outstanding > 0 || n.send_engine_busy {
             return;
         }
+        self.begin_alt_copy(now, node, bus);
+    }
+
+    /// A baseline switch's halt (or drain) phase is over: start the copy.
+    fn begin_alt_copy(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+        let alt = self.nodes[node]
+            .alt_switch
+            .as_mut()
+            .expect("baseline copy without a switch in progress");
         alt.copying = true;
         alt.halt_done = now;
         let (from, to) = (alt.from, alt.to);
@@ -183,49 +125,32 @@ impl SwitchHandler for World {
         bus.emit(r.end, SwitchEvent::CopyDone { node });
     }
 
-    fn copy_cost_for(&mut self, node: usize, from: usize, to: usize) -> Cycles {
-        let out = self.occupancy_of_slot(node, from, true);
-        let inc = self.incoming_occupancy(node, to);
-        let epoch = self.current_epoch(node);
-        if let Some((s, r)) = out {
+    /// Occupancy-dependent buffer-switch cost; also records the Fig. 8
+    /// queue sample for the outgoing context. Used by `COMM_context_switch`.
+    pub(crate) fn copy_cost_for(&mut self, node: usize, from: usize, to: usize) -> Cycles {
+        let mut cost = Cycles::from_us(5); // noded bookkeeping floor
+        if let Some((s, r)) = self.outgoing_occupancy(node, from) {
+            let epoch = self.current_epoch(node);
             self.stats.queue_samples.push(QueueSample {
                 node,
                 epoch,
                 send_valid: s,
                 recv_valid: r,
             });
+            cost += self.cfg.copy_cost(switcher::save_cost, (s, r));
         }
-        let mut cost = Cycles::from_us(5); // noded bookkeeping floor
-        if let Some((s, r)) = out {
-            cost += switcher::save_cost(
-                self.cfg.copy,
-                &self.cfg.fm,
-                &self.cfg.mem,
-                &self.cfg.switch_costs,
-                s,
-                r,
-            );
-        }
-        if let Some((s, r)) = inc {
-            cost += switcher::restore_cost(
-                self.cfg.copy,
-                &self.cfg.fm,
-                &self.cfg.mem,
-                &self.cfg.switch_costs,
-                s,
-                r,
-            );
+        if let Some(occupancy) = self.incoming_occupancy(node, to) {
+            cost += self.cfg.copy_cost(switcher::restore_cost, occupancy);
         }
         // Real copies vary run to run (cache state, DRAM refresh); the
         // variance is what desynchronizes the release phase.
-        if self.cfg.copy_jitter_pct > 0.0 {
-            let f = 1.0 + self.cfg.copy_jitter_pct * (2.0 * self.rng.unit() - 1.0);
-            cost = Cycles((cost.raw() as f64 * f) as u64);
-        }
-        cost
+        let f = 1.0 + COPY_JITTER_PCT * (2.0 * self.rng.unit() - 1.0);
+        Cycles((cost.raw() as f64 * f) as u64)
     }
 
-    fn finish_flush(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// The flush completed on this node: begin the buffer switch. Called
+    /// by the NIC handler when the last halt message is counted.
+    pub(crate) fn finish_flush(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         self.nodes[node].seq.flush_complete(now);
         self.trace
             .emit(now, Category::Switch, Some(node), || "flushed".to_string());
@@ -234,25 +159,16 @@ impl SwitchHandler for World {
             .expect("copy ordered before flush completed");
     }
 
-    fn finish_release(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// Release protocol complete: restart communication and resume the
+    /// incoming process. Called by the NIC handler when the last ready
+    /// message is counted.
+    pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let breakdown = self.nodes[node].seq.finish(now);
-        let epoch = self.nodes[node].seq.epoch;
-        let to = self.nodes[node].seq.to_slot;
-        self.stats.record_switch(node, epoch, breakdown);
-        {
-            let n = &mut self.nodes[node];
-            n.nic.set_halt_bit(false);
-            n.halt_requested = false;
-            n.halt_broadcast_started = false;
-            n.noded.switches_done += 1;
-        }
-        self.kick_send_engine(now, node, bus);
-        self.resume_incoming(now, node, to, bus);
-        self.report_switch_done(now, node, epoch, bus);
+        let seq = &self.nodes[node].seq;
+        let (epoch, to) = (seq.epoch, seq.to_slot);
+        self.end_switch(now, node, epoch, to, breakdown, bus);
     }
-}
 
-impl World {
     fn current_epoch(&self, node: usize) -> u64 {
         self.nodes[node]
             .alt_switch
@@ -260,23 +176,13 @@ impl World {
             .unwrap_or(self.nodes[node].seq.epoch)
     }
 
-    /// (send, recv) occupancy of the resident context of the job in `slot`
-    /// on `node`, if any.
-    fn occupancy_of_slot(
-        &self,
-        node: usize,
-        slot: usize,
-        resident: bool,
-    ) -> Option<(usize, usize)> {
-        let pid = self.nodes[node].app_in_slot(slot)?;
-        let proc = self.nodes[node].apps.get(&pid)?;
-        if resident {
-            let ctx_id = self.nodes[node].nic.find_context(proc.fm.job)?;
-            let ctx = self.nodes[node].nic.context(ctx_id)?;
-            Some((ctx.send_q.len(), ctx.recv_q.len()))
-        } else {
-            None
-        }
+    /// (send, recv) occupancy of the outgoing job's resident context in
+    /// `slot` on `node`, if any.
+    fn outgoing_occupancy(&self, node: usize, slot: usize) -> Option<(usize, usize)> {
+        let n = &self.nodes[node];
+        let proc = n.apps.get(&n.app_in_slot(slot)?)?;
+        let ctx = n.nic.context(n.nic.find_context(proc.fm.job)?)?;
+        Some((ctx.send_q.len(), ctx.recv_q.len()))
     }
 
     /// Saved occupancy of the incoming job's state in the backing store.
@@ -288,54 +194,43 @@ impl World {
     /// The buffer copy finished: move the queue contents and enter the
     /// release phase (or, for the baselines, finish directly).
     fn on_copy_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        let (from, to, alt) = match self.nodes[node].alt_switch {
-            Some(a) => (a.from, a.to, true),
-            None => {
-                let s = &self.nodes[node].seq;
-                (s.from_slot, s.to_slot, false)
-            }
-        };
-        self.move_buffers(now, node, from, to);
-        if alt {
-            self.finish_alt_switch(now, node, to, bus);
-        } else {
-            self.nodes[node].seq.copy_complete(now);
-            // COMM_release_network: broadcast ready, collect peers' readys.
-            self.comm_release_network(now, node, bus)
-                .expect("release ordered before the copy completed");
+        if let Some(alt) = self.nodes[node].alt_switch.take() {
+            // A baseline switch has no release protocol.
+            self.move_buffers(now, node, alt.from, alt.to);
+            let breakdown = StageBreakdown {
+                halt: alt.halt_done.since(alt.started),
+                buffer_switch: now.since(alt.halt_done),
+                release: Cycles::ZERO,
+            };
+            self.end_switch(now, node, alt.epoch, alt.to, breakdown, bus);
+            return;
         }
+        let s = &self.nodes[node].seq;
+        let (from, to) = (s.from_slot, s.to_slot);
+        self.move_buffers(now, node, from, to);
+        self.nodes[node].seq.copy_complete(now);
+        // COMM_release_network: broadcast ready, collect peers' readys.
+        self.comm_release_network(now, node, bus)
+            .expect("release ordered before the copy completed");
     }
 
     /// Physically exchange the queue contents (paper Fig. 4).
     fn move_buffers(&mut self, now: SimTime, node: usize, from: usize, to: usize) {
-        // Save the outgoing context.
-        if let Some(pid_out) = self.nodes[node].app_in_slot(from) {
-            let n = &mut self.nodes[node];
-            let job = n.apps[&pid_out].fm.job;
-            if let Some(ctx_id) = n.nic.find_context(job) {
-                let mut ctx = n.nic.free_context(ctx_id).unwrap();
-                let mut saved = n.take_shell(job);
-                ctx.send_q.drain_into(&mut saved.send_q);
-                ctx.recv_q.drain_into(&mut saved.recv_q);
-                let bytes = saved.stored_bytes();
-                n.backing.save(pid_out, saved, bytes);
+        let geo = self.cfg.fm.geometry();
+        let n = &mut self.nodes[node];
+        if let Some(pid_out) = n.app_in_slot(from) {
+            if let Some(ctx_id) = n.nic.find_context(n.apps[&pid_out].fm.job) {
+                n.save_context(ctx_id, pid_out);
             }
         }
-        // Restore the incoming context.
-        if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
-            let n = &mut self.nodes[node];
-            if let Some(mut saved) = n.backing.restore(pid_in) {
-                let geo = self.cfg.fm.geometry();
+        if let Some(pid_in) = n.app_in_slot(to) {
+            if n.backing.contains(pid_in) {
                 let proc = &n.apps[&pid_in];
-                assert_eq!(saved.job, proc.fm.job, "backing store mix-up");
                 let ctx_id = n
                     .nic
-                    .alloc_context(saved.job, proc.rank, geo.send_slots, geo.recv_slots)
+                    .alloc_context(proc.fm.job, proc.rank, geo.send_slots, geo.recv_slots)
                     .expect("NIC context slot must be free after eviction");
-                let ctx = n.nic.context_mut(ctx_id).unwrap();
-                ctx.send_q.load_from(&mut saved.send_q);
-                ctx.recv_q.load_from(&mut saved.recv_q);
-                n.recycle_shell(saved);
+                n.restore_context(pid_in, ctx_id);
             }
         }
         self.trace.emit(now, Category::Switch, Some(node), || {
@@ -343,23 +238,27 @@ impl World {
         });
     }
 
-    /// Finish a ShareDiscard/AckDrain switch (no release protocol).
-    fn finish_alt_switch(&mut self, now: SimTime, node: usize, to: usize, bus: &mut Bus) {
-        let alt = self.nodes[node].alt_switch.take().unwrap();
-        let breakdown = gang_comm::sequencer::StageBreakdown {
-            halt: alt.halt_done.since(alt.started),
-            buffer_switch: now.since(alt.halt_done),
-            release: Cycles::ZERO,
-        };
-        self.stats.record_switch(node, alt.epoch, breakdown);
-        {
-            let n = &mut self.nodes[node];
-            n.nic.set_halt_bit(false);
-            n.noded.switches_done += 1;
-        }
+    /// The end of every switch that copied buffers: record its stages,
+    /// clear the halt state, restart sending, resume the incoming process
+    /// and ack the masterd.
+    fn end_switch(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        epoch: u64,
+        to: usize,
+        breakdown: StageBreakdown,
+        bus: &mut Bus,
+    ) {
+        self.stats.record_switch(node, epoch, breakdown);
+        let n = &mut self.nodes[node];
+        n.nic.set_halt_bit(false);
+        n.halt_requested = false;
+        n.halt_broadcast_started = false;
+        n.noded.switches_done += 1;
         self.kick_send_engine(now, node, bus);
         self.resume_incoming(now, node, to, bus);
-        self.report_switch_done(now, node, alt.epoch, bus);
+        self.route_switch_done(now, node, epoch, 1, bus);
     }
 
     fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, bus: &mut Bus) {
@@ -370,21 +269,5 @@ impl World {
                 AppEvent::ProcKick { node, pid: pid_in },
             );
         }
-    }
-
-    fn report_switch_done(&mut self, now: SimTime, node: usize, epoch: u64, bus: &mut Bus) {
-        if self.tree.is_some() {
-            // Combining tree: the ack joins the local reduction instead of
-            // unicasting to the master; counts ascend the tree.
-            self.tree_report_switch_done(now, node, epoch, bus);
-            return;
-        }
-        let t = self.ctrl.unicast_to_master(now);
-        bus.emit(
-            t,
-            DaemonEvent::CtrlToMaster {
-                msg: MasterMsg::SwitchDone { epoch, node },
-            },
-        );
     }
 }

@@ -25,9 +25,6 @@ pub use bus::Bus;
 pub use config::{ClusterConfig, TopologyKind};
 pub use event::{AppEvent, DaemonEvent, Event, FmEvent, Frame, HostOp, NicEvent, SwitchEvent};
 pub use glue::GlueFm;
-pub use handlers::{
-    AppHandler, DaemonHandler, FmHandler, NicHandler, SlotView, SwitchHandler, WorldState,
-};
 pub use measure::{Measurement, SchedulingMode, ServeCell};
 pub use myrinet::topology::{FatTreeShape, LinkTier};
 pub use node::NodeSim;

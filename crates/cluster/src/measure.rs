@@ -462,40 +462,36 @@ pub fn bsp_completion(
     seed: u64,
     mode: SchedulingMode,
 ) -> Cycles {
-    let run = |_unused: bool| -> Cycles {
-        let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::StaticDivision);
-        cfg.gang_scheduling = mode == SchedulingMode::Gang;
-        cfg.dynamic_coscheduling = mode == SchedulingMode::DynamicCosched;
-        cfg.quantum = quantum;
-        cfg.seed = seed;
-        let mut sim = Sim::new(cfg);
-        let bsp = workloads::bsp::Bsp {
-            nprocs: nodes,
-            compute,
-            msg_bytes: 1024,
-            supersteps,
-        };
-        let all: Vec<usize> = (0..nodes).collect();
-        let job = sim.submit(&bsp, Some(all.clone())).expect("placement");
-        // The competitor: CPU-bound, never communicates, occupies the
-        // other slot on every node.
-        let spin = workloads::program::Uniform::new(nodes, "spin", |_| {
-            Box::new(workloads::program::SpinProgram::default())
-                as Box<dyn workloads::program::Program>
-        });
-        sim.submit(&spin, Some(all)).expect("placement");
-        let horizon = SimTime::ZERO + Cycles::from_secs(3600);
-        sim.engine
-            .run_until_pred(horizon, |w| w.stats.job_finished.contains_key(&job));
-        let w = sim.world();
-        let done = *w
-            .stats
-            .job_finished
-            .get(&job)
-            .expect("BSP job did not finish inside an hour of simulated time");
-        done.since(w.stats.job_all_up[&job])
+    let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::StaticDivision);
+    cfg.gang_scheduling = mode == SchedulingMode::Gang;
+    cfg.dynamic_coscheduling = mode == SchedulingMode::DynamicCosched;
+    cfg.quantum = quantum;
+    cfg.seed = seed;
+    let mut sim = Sim::new(cfg);
+    let bsp = workloads::bsp::Bsp {
+        nprocs: nodes,
+        compute,
+        msg_bytes: 1024,
+        supersteps,
     };
-    run(true)
+    let all: Vec<usize> = (0..nodes).collect();
+    let job = sim.submit(&bsp, Some(all.clone())).expect("placement");
+    // The competitor: CPU-bound, never communicates, occupies the
+    // other slot on every node.
+    let spin = workloads::program::Uniform::new(nodes, "spin", |_| {
+        Box::new(workloads::program::SpinProgram::default()) as Box<dyn workloads::program::Program>
+    });
+    sim.submit(&spin, Some(all)).expect("placement");
+    let horizon = SimTime::ZERO + Cycles::from_secs(3600);
+    sim.engine
+        .run_until_pred(horizon, |w| w.stats.job_finished.contains_key(&job));
+    let w = sim.world();
+    let done = *w
+        .stats
+        .job_finished
+        .get(&job)
+        .expect("BSP job did not finish inside an hour of simulated time");
+    done.since(w.stats.job_all_up[&job])
 }
 
 /// Run a BSP job next to a CPU-bound competitor under both scheduling

@@ -8,7 +8,8 @@ use gang_comm::state::SavedCommState;
 use hostsim::backing::BackingStore;
 use hostsim::cpu::HostCpu;
 use hostsim::process::{Pid, ProcessTable};
-use lanai::nic::Nic;
+use lanai::nic::{CtxId, Nic};
+use parpar::job::JobId;
 use parpar::noded::Noded;
 
 use crate::procsim::ProcSim;
@@ -205,26 +206,63 @@ impl NodeSim {
         }
     }
 
-    /// A `SavedCommState` shell for `job` with empty queues, reusing a
-    /// pooled allocation when one is available.
-    pub fn take_shell(&mut self, job: u32) -> SavedCommState<Packet> {
-        match self.state_pool.pop() {
+    /// Save the resident context `ctx_id` to pageable backing store under
+    /// `pid`, freeing its NIC slot: the swap out of a gang buffer switch
+    /// and of an endpoint eviction alike.
+    pub fn save_context(&mut self, ctx_id: CtxId, pid: Pid) {
+        let mut ctx = self
+            .nic
+            .free_context(ctx_id)
+            .expect("no resident context to save");
+        let mut saved = match self.state_pool.pop() {
             Some(mut s) => {
-                s.job = job;
+                s.job = ctx.job;
                 s
             }
-            None => SavedCommState::empty(job),
-        }
+            None => SavedCommState::empty(ctx.job),
+        };
+        ctx.send_q.drain_into(&mut saved.send_q);
+        ctx.recv_q.drain_into(&mut saved.recv_q);
+        let bytes = saved.stored_bytes();
+        self.backing.save(pid, saved, bytes);
     }
 
-    /// Return an emptied shell's allocations to the pool.
-    pub fn recycle_shell(&mut self, s: SavedCommState<Packet>) {
-        debug_assert!(s.send_q.is_empty() && s.recv_q.is_empty());
-        self.state_pool.push(s);
+    /// Load `pid`'s saved queues, if any, from backing store into the
+    /// freshly allocated context `ctx_id`: the swap back in of a gang
+    /// buffer switch and of an endpoint fault alike.
+    pub fn restore_context(&mut self, pid: Pid, ctx_id: CtxId) {
+        let Some(mut saved) = self.backing.restore(pid) else {
+            return;
+        };
+        let ctx = self
+            .nic
+            .context_mut(ctx_id)
+            .expect("restore into a context that is not resident");
+        assert_eq!(saved.job, ctx.job, "backing store mix-up");
+        ctx.send_q.load_from(&mut saved.send_q);
+        ctx.recv_q.load_from(&mut saved.recv_q);
+        // Keep the emptied shell's allocations for the next save.
+        debug_assert!(saved.send_q.is_empty() && saved.recv_q.is_empty());
+        self.state_pool.push(saved);
     }
 
     /// The app process (if any) occupying `slot` on this node.
     pub fn app_in_slot(&self, slot: usize) -> Option<Pid> {
         self.noded.in_slot(slot).map(|(_, pid)| pid)
+    }
+
+    /// The pid of the process of `job` on this node, if any.
+    pub fn find_proc_by_job(&self, job: u32) -> Option<Pid> {
+        self.apps
+            .iter()
+            .find(|(_, p)| p.fm.job == job)
+            .map(|(pid, _)| *pid)
+    }
+
+    /// The (slot, pid) the noded assigned to `job`, if loaded.
+    pub fn noded_lookup(&self, job: JobId) -> Option<(usize, Pid)> {
+        let slot = self.noded.slot_of(job)?;
+        let (_, pid) = self.noded.in_slot(slot)?;
+        Some((slot, pid))
     }
 }

@@ -23,9 +23,6 @@ use crate::bus::Bus;
 use crate::config::ClusterConfig;
 use crate::event::{DaemonEvent, Event};
 use crate::handlers::nic::Trains;
-use crate::handlers::{
-    AppHandler, DaemonHandler, FmHandler, NicHandler, SwitchHandler, WorldState,
-};
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
 
@@ -200,6 +197,33 @@ impl World {
         }
     }
 
+    /// Record an admitted submission's submit time, dispatch time and
+    /// queue wait (zero when it never queued), then dispatch it.
+    pub(crate) fn admit(
+        &mut self,
+        now: SimTime,
+        submitted_at: SimTime,
+        sub: Submitted,
+        programs: Vec<Box<dyn Program>>,
+        bus: &mut Bus,
+    ) {
+        self.stats.job_submitted.insert(sub.job, submitted_at);
+        self.stats.job_dispatched.insert(sub.job, now);
+        self.stats
+            .wait_latency
+            .record(now.since(submitted_at).raw());
+        self.dispatch_submission(now, sub, programs, bus);
+    }
+
+    /// Hold a queued submission's programs until the jobrep admits it.
+    pub(crate) fn enqueue(&mut self, now: SimTime, ticket: u64, programs: Vec<Box<dyn Program>>) {
+        let sub = QueuedSub {
+            submitted_at: now,
+            programs,
+        };
+        self.queued_programs.insert(ticket, sub);
+    }
+
     /// Fold the network's per-link counters by fabric tier (edge /
     /// aggregation / spine) — the scalability sweep's per-tier load view.
     pub fn tier_traffic(&self) -> crate::stats::TierTraffic {
@@ -230,20 +254,6 @@ impl World {
     /// nothing queued) this degenerates to [`World::all_jobs_finished`].
     pub fn quiescent(&self) -> bool {
         self.master.all_jobs_finished() && self.jobrep.waiting() == 0 && self.arrivals_pending == 0
-    }
-}
-
-impl WorldState for World {
-    fn cfg(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    fn node(&self, id: usize) -> &NodeSim {
-        &self.nodes[id]
-    }
-
-    fn node_mut(&mut self, id: usize) -> &mut NodeSim {
-        &mut self.nodes[id]
     }
 }
 
@@ -459,20 +469,11 @@ impl Sim {
             .drive(|w, sched| match w.jobrep.submit(&mut w.master, spec)? {
                 Admission::Admitted(sub) => {
                     let job = sub.job;
-                    w.stats.job_submitted.insert(job, now);
-                    w.stats.job_dispatched.insert(job, now);
-                    w.stats.wait_latency.record(0);
-                    w.dispatch_submission(now, sub, programs, &mut Bus::new(sched));
+                    w.admit(now, now, sub, programs, &mut Bus::new(sched));
                     Ok(Some(job))
                 }
                 Admission::Queued(ticket) => {
-                    w.queued_programs.insert(
-                        ticket,
-                        QueuedSub {
-                            submitted_at: now,
-                            programs,
-                        },
-                    );
+                    w.enqueue(now, ticket, programs);
                     w.stats.queue_depth.set(now, w.jobrep.waiting() as f64);
                     Ok(None)
                 }
