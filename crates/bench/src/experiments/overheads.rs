@@ -12,47 +12,36 @@ use cluster::measure::switch_overhead_run;
 use fastmsg::config::FmConfig;
 use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
-use gang_comm::switcher::{switch_cost, CopyStrategy, SwitchCosts};
-use sim_core::mem::CopyCostModel;
+use gang_comm::switcher::{switch_cost, CopyStrategy};
+use sim_core::mem::{HOST_BW, WC_READ_BW, WC_WRITE_BW};
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
 
 /// Regenerate the §4.2 numbers and emit `overheads_{memory,switch,quantum}`.
 pub fn run(opts: &HarnessOpts) {
     // -- memory-region bandwidths (§4.2 text) ---------------------------
-    let mem = CopyCostModel::parpar();
     let mut t1 = Table::new(
         "§4.2 — memory access bandwidths (model constants = paper measurements)",
         &["access", "MB/s"],
     );
     t1.row(vec![
         "regular memory copy".into(),
-        Cell::Float(mem.host_bw as f64 / 1e6, 0),
+        Cell::Float(HOST_BW as f64 / 1e6, 0),
     ]);
     t1.row(vec![
         "write-combining read".into(),
-        Cell::Float(mem.wc_read_bw as f64 / 1e6, 0),
+        Cell::Float(WC_READ_BW as f64 / 1e6, 0),
     ]);
     t1.row(vec![
         "write-combining write".into(),
-        Cell::Float(mem.wc_write_bw as f64 / 1e6, 0),
+        Cell::Float(WC_WRITE_BW as f64 / 1e6, 0),
     ]);
     opts.emit("overheads_memory", &t1);
 
     // -- analytic switch bounds -----------------------------------------
     let cfg = FmConfig::parpar(16, 2, BufferPolicy::FullBuffer);
-    let costs = SwitchCosts::default();
-    let full = switch_cost(CopyStrategy::Full, &cfg, &mem, &costs, 252, 668, 252, 668);
-    let improved = switch_cost(
-        CopyStrategy::ValidOnly,
-        &cfg,
-        &mem,
-        &costs,
-        20,
-        110,
-        20,
-        110,
-    );
+    let full = switch_cost(CopyStrategy::Full, &cfg, 252, 668, 252, 668);
+    let improved = switch_cost(CopyStrategy::ValidOnly, &cfg, 20, 110, 20, 110);
     let mut t2 = Table::new(
         "§4.2 — buffer switch cost (model) vs the paper's bounds",
         &["algorithm", "cycles", "ms @200MHz", "paper bound"],

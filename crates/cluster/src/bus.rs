@@ -10,8 +10,8 @@
 //! halt/ready broadcasts use this to keep one event per broadcast pending
 //! instead of one per peer (see `handlers::nic`).
 
-use sim_core::engine::{SchedError, Scheduler};
-use sim_core::time::{Cycles, SimTime};
+use sim_core::engine::Scheduler;
+use sim_core::time::SimTime;
 
 use crate::event::Event;
 
@@ -40,12 +40,6 @@ impl<'a> Bus<'a> {
         self.sched.at(t, event.into());
     }
 
-    /// Emit `event` after a relative delay `d`.
-    #[inline]
-    pub fn emit_after<E: Into<Event>>(&mut self, d: Cycles, event: E) {
-        self.sched.after(d, event.into());
-    }
-
     /// Emit `event` at the current instant (delivered after the events
     /// already queued for this instant).
     #[inline]
@@ -66,11 +60,5 @@ impl<'a> Bus<'a> {
     #[inline]
     pub(crate) fn push_claimed<E: Into<Event>>(&mut self, t: SimTime, seq: u64, event: E) {
         self.sched.push_claimed(t, seq, event.into());
-    }
-
-    /// Emit `event` at `t`, rejecting past instants instead of clamping.
-    #[inline]
-    pub fn try_emit<E: Into<Event>>(&mut self, t: SimTime, event: E) -> Result<(), SchedError> {
-        self.sched.try_at(t, event.into())
     }
 }

@@ -1,15 +1,13 @@
 //! Whole-cluster simulation configuration.
 
 use fastmsg::config::{FmConfig, RelConfig};
-use fastmsg::costs::FmCosts;
 use fastmsg::division::BufferPolicy;
 use fastmsg::init::InitMode;
 use gang_comm::strategy::SwitchStrategy;
-use gang_comm::switcher::{CopyStrategy, SwitchCosts};
+use gang_comm::switcher::CopyStrategy;
 use hostsim::costs::HostCosts;
 use myrinet::topology::FatTreeShape;
 use parpar::control::ControlPlane;
-use sim_core::mem::CopyCostModel;
 use sim_core::time::Cycles;
 
 /// Which interconnect the data network uses.
@@ -65,12 +63,6 @@ pub struct ClusterConfig {
     pub copy: CopyStrategy,
     /// Host operation costs.
     pub host_costs: HostCosts,
-    /// FM library costs.
-    pub fm_costs: FmCosts,
-    /// Memory copy-cost model.
-    pub mem: CopyCostModel,
-    /// Improved-switch scan costs.
-    pub switch_costs: SwitchCosts,
     /// FM initialization protocol.
     pub init_mode: InitMode,
     /// Injected wire loss, packets-per-million (0 = the reliable SAN FM
@@ -113,9 +105,6 @@ impl ClusterConfig {
             strategy: SwitchStrategy::GangFlush,
             copy: CopyStrategy::ValidOnly,
             host_costs: HostCosts::default(),
-            fm_costs: FmCosts::default(),
-            mem: CopyCostModel::parpar(),
-            switch_costs: SwitchCosts::default(),
             init_mode: InitMode::ParPar,
             wire_loss_ppm: 0,
             eager_reclaim: false,
@@ -128,26 +117,6 @@ impl ClusterConfig {
     /// Number of NIC context slots each node needs resident at once.
     pub fn nic_context_slots(&self) -> usize {
         self.fm.resident_contexts().max(1)
-    }
-
-    /// Host cycles for one backing-store copy of a context holding
-    /// `(send, recv)` valid packets: `cost` is
-    /// [`gang_comm::switcher::save_cost`] or
-    /// [`gang_comm::switcher::restore_cost`], priced with this
-    /// configuration's copy strategy and cost models.
-    pub(crate) fn copy_cost(
-        &self,
-        cost: fn(CopyStrategy, &FmConfig, &CopyCostModel, &SwitchCosts, usize, usize) -> Cycles,
-        (send, recv): (usize, usize),
-    ) -> Cycles {
-        cost(
-            self.copy,
-            &self.fm,
-            &self.mem,
-            &self.switch_costs,
-            send,
-            recv,
-        )
     }
 }
 

@@ -1,6 +1,7 @@
 //! Application handler: FM_initialize, FM_send fragmentation, FM_extract,
 //! compute, and program completion on the host CPUs.
 
+use fastmsg::costs;
 use fastmsg::init::InitStep;
 use fastmsg::packet::{fragment_payload, fragments_for, Packet, HEADER_BYTES};
 use hostsim::process::{Pid, Signal};
@@ -361,9 +362,9 @@ impl World {
         }
         assert!(proc.fm.flow.consume(dst_host), "checked can_send above");
         let payload = fragment_payload(sp.bytes, sp.next_frag);
-        let mut cost = self.cfg.fm_costs.inject_cycles(HEADER_BYTES + payload);
+        let mut cost = costs::inject_cycles(HEADER_BYTES + payload);
         if sp.next_frag == 0 {
-            cost += self.cfg.fm_costs.send_call;
+            cost += costs::SEND_CALL;
         }
         proc.busy = true;
         let r = n.cpu.reserve(now, cost);
@@ -410,7 +411,7 @@ impl World {
             return;
         };
         n.apps.get_mut(&pid).unwrap().busy = true;
-        let r = n.cpu.reserve(now, self.cfg.fm_costs.extract_per_packet);
+        let r = n.cpu.reserve(now, costs::EXTRACT_PER_PACKET);
         bus.emit(
             r.end,
             AppEvent::HostOpDone {

@@ -14,6 +14,7 @@
 //! while their endpoint faults in (the VN paper's return-to-sender is
 //! modeled as a drop-notify once parking overflows).
 
+use fastmsg::config::{BACKOFF_CAP, RETRANS_TIMEOUT};
 use fastmsg::division::BufferPolicy;
 use fastmsg::packet::Packet;
 use gang_comm::switcher;
@@ -125,8 +126,8 @@ impl World {
             return;
         }
         proc.rel_timer_armed = true;
-        let shift = proc.rel_backoff.min(self.cfg.reliability.backoff_cap);
-        let delay = Cycles(self.cfg.reliability.retrans_timeout.raw() << shift);
+        let shift = proc.rel_backoff.min(BACKOFF_CAP);
+        let delay = Cycles(RETRANS_TIMEOUT.raw() << shift);
         bus.emit(now + delay, FmEvent::RetransTimeout { node, pid });
     }
 
@@ -175,7 +176,7 @@ impl World {
                         .expect("retransmit overran the free space just measured");
                 }
                 // Host cost of scanning the ring and re-pushing.
-                let _ = n.cpu.reserve(now, self.cfg.fm_costs.retrans_scan * k);
+                let _ = n.cpu.reserve(now, fastmsg::costs::RETRANS_SCAN * k);
                 self.stats.retransmits += k;
                 self.trace.emit(now, Category::Fm, Some(node), || {
                     format!("{pid} go-back-N retransmit of {k} packets")
@@ -186,7 +187,7 @@ impl World {
             _ => false,
         };
         let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
-        proc.rel_backoff = (proc.rel_backoff + 1).min(self.cfg.reliability.backoff_cap);
+        proc.rel_backoff = (proc.rel_backoff + 1).min(BACKOFF_CAP);
         self.arm_retrans_timer(now, node, pid, bus);
         if retransmitted {
             self.kick_send_engine(now, node, bus);
@@ -238,14 +239,14 @@ impl World {
         if !self.endpoint_fits(node) {
             if let Some(victim) = self.vn_lru_victim(node) {
                 let ctx = self.nodes[node].nic.context(victim).unwrap();
-                let occupancy = (ctx.send_q.len(), ctx.recv_q.len());
-                cost += self.cfg.copy_cost(switcher::save_cost, occupancy);
+                let (s, r) = (ctx.send_q.len(), ctx.recv_q.len());
+                cost += switcher::save_cost(self.cfg.copy, &self.cfg.fm, s, r);
             }
         }
         let n = &self.nodes[node];
         let saved = n.find_proc_by_job(job).and_then(|pid| n.backing.peek(pid));
-        if let Some(occupancy) = saved.map(|s| s.occupancy()) {
-            cost += self.cfg.copy_cost(switcher::restore_cost, occupancy);
+        if let Some((s, r)) = saved.map(|s| s.occupancy()) {
+            cost += switcher::restore_cost(self.cfg.copy, &self.cfg.fm, s, r);
         }
         self.trace.emit(now, Category::Nic, Some(node), || {
             format!("endpoint fault for job {job}")

@@ -10,6 +10,7 @@
 
 use fastmsg::packet::{Packet, PacketKind};
 use hostsim::process::Pid;
+use lanai::costs;
 use myrinet::broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
 use sim_core::time::SimTime;
 use sim_core::trace::Category;
@@ -55,10 +56,9 @@ impl World {
             return;
         };
         let pkt = n.nic.context_mut(ctx_id).unwrap().send_q.pop().unwrap();
-        let overhead = n.nic.costs.send_per_packet;
         // The single LANai processor must be free of queued receive work
         // before the send context can run.
-        let fw_done = n.nic.reserve_engine(now, overhead);
+        let fw_done = n.nic.reserve_engine(now, costs::SEND_PER_PACKET);
         let tx = self
             .net
             .transmit(fw_done, node, pkt.dst_host, pkt.wire_bytes());
@@ -282,7 +282,7 @@ impl World {
                 // Both data and refill packets pass through the receive
                 // engine (interrupt + classify + DMA).
                 let n = &mut self.nodes[node];
-                let work = n.nic.costs.recv_cycles(pkt.wire_bytes());
+                let work = costs::recv_cycles(pkt.wire_bytes());
                 let end = n.nic.reserve_engine(now, work);
                 bus.emit(end, NicEvent::RecvEngineDone { node, pkt });
             }
@@ -399,7 +399,7 @@ impl World {
         let n = &mut self.nodes[node];
         n.send_engine_busy = true;
         let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
+        let firmware = costs::CONTROL_PACKET * peers as u64;
         let frame = ControlFrame {
             signal,
             epoch: n.seq.epoch,

@@ -137,10 +137,10 @@ impl World {
                 send_valid: s,
                 recv_valid: r,
             });
-            cost += self.cfg.copy_cost(switcher::save_cost, (s, r));
+            cost += switcher::save_cost(self.cfg.copy, &self.cfg.fm, s, r);
         }
-        if let Some(occupancy) = self.incoming_occupancy(node, to) {
-            cost += self.cfg.copy_cost(switcher::restore_cost, occupancy);
+        if let Some((s, r)) = self.incoming_occupancy(node, to) {
+            cost += switcher::restore_cost(self.cfg.copy, &self.cfg.fm, s, r);
         }
         // Real copies vary run to run (cache state, DRAM refresh); the
         // variance is what desynchronizes the release phase.

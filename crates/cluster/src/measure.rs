@@ -571,6 +571,14 @@ pub struct ServeCell {
     pub logical_events: u64,
 }
 
+/// Processes per arriving job in a serving cell.
+const SERVE_JOB_WIDTH: usize = 2;
+/// The [`workloads::registry`] scenario every arriving job runs.
+const SERVE_SCENARIO: &str = "p2p";
+/// Serving-cell gang quantum: serving wants fast rotation, not the paper's
+/// 1 s batch quantum.
+const SERVE_QUANTUM: Cycles = Cycles::from_ms(100);
+
 /// Parameters of a serving-mode cell (see [`Measurement::serve`]).
 #[derive(Debug, Clone)]
 pub struct Serve {
@@ -580,12 +588,8 @@ pub struct Serve {
     arrival_rate: f64,
     trace: Option<Vec<parpar::arrivals::ArrivalSpec>>,
     horizon: Cycles,
-    job_width: usize,
     size_range: (u64, u64),
-    scenario: String,
     slo: Cycles,
-    quantum: Cycles,
-    eager_reclaim: bool,
     policy: BufferPolicy,
 }
 
@@ -597,9 +601,10 @@ impl Measurement<Serve> {
     /// on by default — a serving cluster cannot assume a perfect SAN — and
     /// can be switched off with [`reliability(false)`](Measurement::reliability).
     ///
-    /// Defaults: 2 jobs/s Poisson arrivals for 10 simulated seconds of
-    /// 2-wide `p2p` jobs sized 20..=80 messages, a 100 ms quantum with
-    /// eager slot reclaim, and a 500 ms end-to-end SLO.
+    /// Every job is 2 processes wide and runs the `p2p` scenario, under a
+    /// 100 ms quantum with eager slot reclaim (gang mode only). Defaults:
+    /// 2 jobs/s Poisson arrivals for 10 simulated seconds of jobs sized
+    /// 20..=80 messages, and a 500 ms end-to-end SLO.
     pub fn serve(nodes: usize, slots: usize, mode: SchedulingMode) -> Self {
         assert!(nodes >= 2 && slots >= 1);
         let mut m = Measurement::with_kind(Serve {
@@ -609,12 +614,8 @@ impl Measurement<Serve> {
             arrival_rate: 2.0,
             trace: None,
             horizon: Cycles::from_secs(10),
-            job_width: 2,
             size_range: (20, 80),
-            scenario: "p2p".to_string(),
             slo: Cycles::from_ms(500),
-            quantum: Cycles::from_ms(100),
-            eager_reclaim: true,
             policy: BufferPolicy::StaticDivision,
         });
         m.reliability = true;
@@ -650,43 +651,11 @@ impl Measurement<Serve> {
         self
     }
 
-    /// Processes per arriving job (default 2).
-    pub fn job_width(mut self, width: usize) -> Self {
-        assert!(width >= 1);
-        self.kind.job_width = width;
-        self
-    }
-
     /// Inclusive per-job size range the Poisson stream draws from, in the
     /// scenario's natural unit (default 20..=80 messages).
     pub fn size_range(mut self, lo: u64, hi: u64) -> Self {
         assert!(lo <= hi);
         self.kind.size_range = (lo, hi);
-        self
-    }
-
-    /// Scenario name resolved through [`workloads::registry`] (default
-    /// `"p2p"`).
-    pub fn scenario(mut self, name: &str) -> Self {
-        assert!(
-            workloads::registry::build(name, 2, 0, 1).is_some(),
-            "unknown scenario {name:?} (known: {:?})",
-            workloads::registry::names()
-        );
-        self.kind.scenario = name.to_string();
-        self
-    }
-
-    /// Gang quantum (default 100 ms — serving wants fast rotation, not the
-    /// paper's 1 s batch quantum).
-    pub fn quantum(mut self, quantum: Cycles) -> Self {
-        self.kind.quantum = quantum;
-        self
-    }
-
-    /// Eager slot reclaim on job finish (default on; gang mode only).
-    pub fn eager_reclaim(mut self, on: bool) -> Self {
-        self.kind.eager_reclaim = on;
         self
     }
 
@@ -705,8 +674,8 @@ impl Measurement<Serve> {
         let mut cfg = ClusterConfig::parpar(k.nodes, k.slots, k.policy);
         cfg.gang_scheduling = k.mode == SchedulingMode::Gang;
         cfg.dynamic_coscheduling = k.mode == SchedulingMode::DynamicCosched;
-        cfg.quantum = k.quantum;
-        cfg.eager_reclaim = k.eager_reclaim && cfg.gang_scheduling;
+        cfg.quantum = SERVE_QUANTUM;
+        cfg.eager_reclaim = cfg.gang_scheduling;
         self.apply_common(&mut cfg);
         let seed = self.seed;
         let mut sim = Sim::new(cfg);
@@ -716,16 +685,15 @@ impl Measurement<Serve> {
                 seed,
                 k.arrival_rate,
                 k.horizon,
-                k.job_width,
+                SERVE_JOB_WIDTH,
                 k.size_range.0,
                 k.size_range.1,
             ),
         };
-        let scenario = k.scenario;
         sim.install_arrivals(&plan, |i, spec| {
             let job_seed = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            workloads::registry::build(&scenario, spec.nprocs, job_seed, spec.size)
-                .expect("scenario validated at construction")
+            workloads::registry::build(SERVE_SCENARIO, spec.nprocs, job_seed, spec.size)
+                .expect("p2p is a registered scenario")
         });
         let drain_until = SimTime::ZERO + Cycles(k.horizon.raw().saturating_mul(6));
         let drained = sim.run_until_quiescent(drain_until);

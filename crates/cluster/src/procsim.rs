@@ -96,7 +96,8 @@ pub struct ProcSim {
     /// Reliability layer: a RetransTimeout event is outstanding.
     pub rel_timer_armed: bool,
     /// Reliability layer: consecutive timer firings without ack progress
-    /// (exponential backoff shift, capped by `RelConfig::backoff_cap`).
+    /// (exponential backoff shift, capped by
+    /// [`fastmsg::config::BACKOFF_CAP`]).
     pub rel_backoff: u32,
     /// Reliability layer: `rel_acked_total()` at the last timer firing —
     /// progress since then resets the backoff instead of retransmitting.

@@ -175,8 +175,8 @@ impl<T> std::ops::Index<&JobId> for PerJob<T> {
 
 /// Per-fabric-tier link totals (edge, aggregation, spine), folded from the
 /// network's per-link counters by [`myrinet::topology::Topology::link_tier`].
-/// Single- and dual-switch topologies report host links as `Edge` and
-/// trunks as `Agg`; their `Spine` row is always zero.
+/// The single crossbar ([`crate::TopologyKind::SingleSwitch`]) has host
+/// links only, so its `Agg` and `Spine` rows are always zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierTraffic {
     /// Packets carried per tier.
@@ -216,9 +216,9 @@ pub struct WorldStats {
     pub job_first_send: PerJob<SimTime>,
     /// When each job fully finished.
     pub job_finished: PerJob<SimTime>,
-    /// When each job was submitted to the jobrep (serving mode and
-    /// [`crate::Sim::submit_queued`] only — direct `submit` bypasses the
-    /// admission queue and records nothing here).
+    /// When each job was submitted to the jobrep (serving mode only —
+    /// direct [`crate::Sim::submit`] bypasses the admission queue and
+    /// records nothing here).
     pub job_submitted: PerJob<SimTime>,
     /// When each jobrep-submitted job was admitted into the gang matrix
     /// and dispatched.

@@ -9,7 +9,7 @@ use myrinet::topology::{LinkTier, Topology};
 use parpar::arrivals::{ArrivalPlan, ArrivalSpec};
 use parpar::control::{ControlNet, ControlPlane};
 use parpar::job::{JobId, JobSpec};
-use parpar::jobrep::{Admission, JobRep};
+use parpar::jobrep::JobRep;
 use parpar::masterd::{Masterd, Submitted};
 use parpar::matrix::PlaceError;
 use parpar::tree::{job_expectations, ControlTree, TreeAgg};
@@ -427,7 +427,8 @@ impl Sim {
     /// Submit a workload (optionally pinned to exact nodes) through the
     /// jobrep → masterd path; LoadJob commands go out on the control
     /// network immediately. Fails if the job does not fit *right now*
-    /// (use [`Sim::submit_queued`] for wait-for-space semantics).
+    /// (jobs from [`Sim::install_arrivals`] wait in the jobrep queue
+    /// instead).
     pub fn submit(
         &mut self,
         workload: &dyn Workload,
@@ -447,37 +448,6 @@ impl Sim {
             w.dispatch_submission(now, sub, programs, &mut Bus::new(sched));
             Ok(job)
         })
-    }
-
-    /// Submit through the jobrep queue: if the gang matrix has no room the
-    /// job waits (FIFO) and is admitted automatically as earlier jobs
-    /// finish. Returns the JobId on immediate admission, `None` if queued.
-    pub fn submit_queued(
-        &mut self,
-        workload: &dyn Workload,
-        pinned: Option<Vec<usize>>,
-    ) -> Result<Option<JobId>, PlaceError> {
-        let spec = match pinned {
-            Some(nodes) => JobSpec::pinned(workload.name(), nodes),
-            None => JobSpec::sized(workload.name(), workload.nprocs()),
-        };
-        let now = self.engine.now();
-        let programs: Vec<Box<dyn Program>> = (0..workload.nprocs())
-            .map(|r| workload.program(r))
-            .collect();
-        self.engine
-            .drive(|w, sched| match w.jobrep.submit(&mut w.master, spec)? {
-                Admission::Admitted(sub) => {
-                    let job = sub.job;
-                    w.admit(now, now, sub, programs, &mut Bus::new(sched));
-                    Ok(Some(job))
-                }
-                Admission::Queued(ticket) => {
-                    w.enqueue(now, ticket, programs);
-                    w.stats.queue_depth.set(now, w.jobrep.waiting() as f64);
-                    Ok(None)
-                }
-            })
     }
 
     /// Install an open-loop arrival plan (serving mode): every entry gets

@@ -41,4 +41,4 @@ pub use overhead::OverheadLedger;
 pub use sequencer::{StageBreakdown, SwitchPhase, SwitchSequencer};
 pub use state::SavedCommState;
 pub use strategy::SwitchStrategy;
-pub use switcher::{restore_cost, save_cost, switch_cost, CopyStrategy, SwitchCosts};
+pub use switcher::{restore_cost, save_cost, switch_cost, CopyStrategy};

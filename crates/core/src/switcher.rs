@@ -13,7 +13,7 @@
 
 use fastmsg::config::FmConfig;
 use fastmsg::packet::PACKET_BYTES;
-use sim_core::mem::{CopyCostModel, Region};
+use sim_core::mem::{copy_cycles, Region};
 use sim_core::time::Cycles;
 
 /// Which buffer-switch algorithm to run.
@@ -25,35 +25,20 @@ pub enum CopyStrategy {
     ValidOnly,
 }
 
-/// Fixed per-slot / per-packet costs of the improved algorithm.
-#[derive(Debug, Clone)]
-pub struct SwitchCosts {
-    /// Scanning one send-queue slot descriptor (a write-combining *read*,
-    /// hence expensive per byte).
-    pub scan_send_slot: Cycles,
-    /// Scanning one receive-queue slot descriptor (regular memory).
-    pub scan_recv_slot: Cycles,
-    /// Fixed bookkeeping per valid packet moved.
-    pub per_packet: Cycles,
-}
-
-impl Default for SwitchCosts {
-    fn default() -> Self {
-        SwitchCosts {
-            scan_send_slot: Cycles(130),
-            scan_recv_slot: Cycles(45),
-            per_packet: Cycles(50),
-        }
-    }
-}
+/// Improved algorithm: scanning one send-queue slot descriptor (a
+/// write-combining *read*, hence expensive per byte).
+pub const SCAN_SEND_SLOT: Cycles = Cycles(130);
+/// Improved algorithm: scanning one receive-queue slot descriptor (regular
+/// memory).
+pub const SCAN_RECV_SLOT: Cycles = Cycles(45);
+/// Improved algorithm: fixed bookkeeping per valid packet moved.
+pub const PER_PACKET: Cycles = Cycles(50);
 
 /// Cycle cost of **saving** the outgoing context's queues to backing
 /// store. `send_valid` / `recv_valid` are the occupied slot counts.
 pub fn save_cost(
     strategy: CopyStrategy,
     cfg: &FmConfig,
-    mem: &CopyCostModel,
-    costs: &SwitchCosts,
     send_valid: usize,
     recv_valid: usize,
 ) -> Cycles {
@@ -62,20 +47,20 @@ pub fn save_cost(
     match strategy {
         CopyStrategy::Full => {
             // Whole regions regardless of occupancy.
-            mem.copy_cycles(
+            copy_cycles(
                 Region::NicWriteCombining,
                 Region::HostRegular,
                 cfg.send_q_bytes(),
-            ) + mem.copy_cycles(Region::HostPinned, Region::HostRegular, cfg.recv_q_bytes())
+            ) + copy_cycles(Region::HostPinned, Region::HostRegular, cfg.recv_q_bytes())
         }
         CopyStrategy::ValidOnly => {
-            let scan = costs.scan_send_slot * geo.send_slots as u64
-                + costs.scan_recv_slot * geo.recv_slots as u64;
+            let scan =
+                SCAN_SEND_SLOT * geo.send_slots as u64 + SCAN_RECV_SLOT * geo.recv_slots as u64;
             let send_bytes = send_valid as u64 * PACKET_BYTES;
             let recv_bytes = recv_valid as u64 * PACKET_BYTES;
-            scan + costs.per_packet * (send_valid + recv_valid) as u64
-                + mem.copy_cycles(Region::NicWriteCombining, Region::HostRegular, send_bytes)
-                + mem.copy_cycles(Region::HostPinned, Region::HostRegular, recv_bytes)
+            scan + PER_PACKET * (send_valid + recv_valid) as u64
+                + copy_cycles(Region::NicWriteCombining, Region::HostRegular, send_bytes)
+                + copy_cycles(Region::HostPinned, Region::HostRegular, recv_bytes)
         }
     }
 }
@@ -85,44 +70,38 @@ pub fn save_cost(
 pub fn restore_cost(
     strategy: CopyStrategy,
     cfg: &FmConfig,
-    mem: &CopyCostModel,
-    costs: &SwitchCosts,
     send_valid: usize,
     recv_valid: usize,
 ) -> Cycles {
     match strategy {
         CopyStrategy::Full => {
-            mem.copy_cycles(
+            copy_cycles(
                 Region::HostRegular,
                 Region::NicWriteCombining,
                 cfg.send_q_bytes(),
-            ) + mem.copy_cycles(Region::HostRegular, Region::HostPinned, cfg.recv_q_bytes())
+            ) + copy_cycles(Region::HostRegular, Region::HostPinned, cfg.recv_q_bytes())
         }
         CopyStrategy::ValidOnly => {
             let send_bytes = send_valid as u64 * PACKET_BYTES;
             let recv_bytes = recv_valid as u64 * PACKET_BYTES;
-            costs.per_packet * (send_valid + recv_valid) as u64
-                + mem.copy_cycles(Region::HostRegular, Region::NicWriteCombining, send_bytes)
-                + mem.copy_cycles(Region::HostRegular, Region::HostPinned, recv_bytes)
+            PER_PACKET * (send_valid + recv_valid) as u64
+                + copy_cycles(Region::HostRegular, Region::NicWriteCombining, send_bytes)
+                + copy_cycles(Region::HostRegular, Region::HostPinned, recv_bytes)
         }
     }
 }
 
 /// Total buffer-switch cost: save the outgoing job's queues, restore the
 /// incoming job's.
-#[allow(clippy::too_many_arguments)]
 pub fn switch_cost(
     strategy: CopyStrategy,
     cfg: &FmConfig,
-    mem: &CopyCostModel,
-    costs: &SwitchCosts,
     out_send: usize,
     out_recv: usize,
     in_send: usize,
     in_recv: usize,
 ) -> Cycles {
-    save_cost(strategy, cfg, mem, costs, out_send, out_recv)
-        + restore_cost(strategy, cfg, mem, costs, in_send, in_recv)
+    save_cost(strategy, cfg, out_send, out_recv) + restore_cost(strategy, cfg, in_send, in_recv)
 }
 
 #[cfg(test)]
@@ -130,50 +109,37 @@ mod tests {
     use super::*;
     use fastmsg::division::BufferPolicy;
 
-    fn setup() -> (FmConfig, CopyCostModel, SwitchCosts) {
-        (
-            FmConfig::parpar(16, 2, BufferPolicy::FullBuffer),
-            CopyCostModel::parpar(),
-            SwitchCosts::default(),
-        )
+    fn setup() -> FmConfig {
+        FmConfig::parpar(16, 2, BufferPolicy::FullBuffer)
     }
 
     #[test]
     fn full_switch_within_paper_bound() {
-        let (cfg, mem, costs) = setup();
-        let total = switch_cost(CopyStrategy::Full, &cfg, &mem, &costs, 252, 668, 252, 668);
+        let cfg = setup();
+        let total = switch_cost(CopyStrategy::Full, &cfg, 252, 668, 252, 668);
         // Paper: "less than 85 msecs (17,000,000 cycles)".
         assert!(total.raw() < 17_000_000, "{total:?}");
         assert!(total.raw() > 12_000_000, "{total:?}");
         // Occupancy is irrelevant to the full copy.
-        let empty = switch_cost(CopyStrategy::Full, &cfg, &mem, &costs, 0, 0, 0, 0);
+        let empty = switch_cost(CopyStrategy::Full, &cfg, 0, 0, 0, 0);
         assert_eq!(total, empty);
     }
 
     #[test]
     fn improved_switch_within_paper_bound_at_observed_occupancy() {
-        let (cfg, mem, costs) = setup();
+        let cfg = setup();
         // Fig. 8's worst case: ~110 receive + ~20 send packets per side.
-        let total = switch_cost(
-            CopyStrategy::ValidOnly,
-            &cfg,
-            &mem,
-            &costs,
-            20,
-            110,
-            20,
-            110,
-        );
+        let total = switch_cost(CopyStrategy::ValidOnly, &cfg, 20, 110, 20, 110);
         // Paper: "less than 12.5 msecs (2,500,000 cycles)".
         assert!(total.raw() < 2_500_000, "{total:?}");
     }
 
     #[test]
     fn improved_switch_grows_linearly_with_occupancy() {
-        let (cfg, mem, costs) = setup();
-        let c0 = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 0, 0);
-        let c50 = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 0, 50);
-        let c100 = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 0, 100);
+        let cfg = setup();
+        let c0 = save_cost(CopyStrategy::ValidOnly, &cfg, 0, 0);
+        let c50 = save_cost(CopyStrategy::ValidOnly, &cfg, 0, 50);
+        let c100 = save_cost(CopyStrategy::ValidOnly, &cfg, 0, 100);
         let d1 = c50.raw() - c0.raw();
         let d2 = c100.raw() - c50.raw();
         // Equal increments (up to the per-copy setup constant).
@@ -185,29 +151,27 @@ mod tests {
 
     #[test]
     fn improved_beats_full_by_an_order_of_magnitude_when_nearly_empty() {
-        let (cfg, mem, costs) = setup();
-        let full = switch_cost(CopyStrategy::Full, &cfg, &mem, &costs, 5, 20, 5, 20);
-        let valid = switch_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 5, 20, 5, 20);
+        let cfg = setup();
+        let full = switch_cost(CopyStrategy::Full, &cfg, 5, 20, 5, 20);
+        let valid = switch_cost(CopyStrategy::ValidOnly, &cfg, 5, 20, 5, 20);
         assert!(full.raw() > 8 * valid.raw(), "{full:?} vs {valid:?}");
     }
 
     #[test]
     fn saving_send_queue_costs_more_than_restoring_it() {
         // WC read (14 MB/s) vs host-read-bound WC write (45 MB/s).
-        let (cfg, mem, costs) = setup();
-        let save = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 100, 0);
-        let restore = restore_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, 100, 0);
+        let cfg = setup();
+        let save = save_cost(CopyStrategy::ValidOnly, &cfg, 100, 0);
+        let restore = restore_cost(CopyStrategy::ValidOnly, &cfg, 100, 0);
         assert!(save > restore);
     }
 
     #[test]
     fn static_division_geometry_shrinks_full_copy() {
-        let mem = CopyCostModel::parpar();
-        let costs = SwitchCosts::default();
         let cfg1 = FmConfig::parpar(16, 1, BufferPolicy::StaticDivision);
         let cfg4 = FmConfig::parpar(16, 4, BufferPolicy::StaticDivision);
-        let c1 = save_cost(CopyStrategy::Full, &cfg1, &mem, &costs, 0, 0);
-        let c4 = save_cost(CopyStrategy::Full, &cfg4, &mem, &costs, 0, 0);
+        let c1 = save_cost(CopyStrategy::Full, &cfg1, 0, 0);
+        let c4 = save_cost(CopyStrategy::Full, &cfg4, 0, 0);
         assert!(c4.raw() * 3 < c1.raw());
     }
 }

@@ -4,9 +4,10 @@
 use fastmsg::config::FmConfig;
 use fastmsg::division::BufferPolicy;
 use gang_comm::flush::{BarrierKind, FlushMachine};
-use gang_comm::switcher::{save_cost, switch_cost, CopyStrategy, SwitchCosts};
+use gang_comm::switcher::{
+    save_cost, switch_cost, CopyStrategy, PER_PACKET, SCAN_RECV_SLOT, SCAN_SEND_SLOT,
+};
 use proptest::prelude::*;
-use sim_core::mem::CopyCostModel;
 
 proptest! {
     /// Any interleaving of the local halt with peer halts reaches the
@@ -52,20 +53,18 @@ proptest! {
         s1 in 0usize..252, r1 in 0usize..668,
     ) {
         let cfg = FmConfig::parpar(16, 2, BufferPolicy::FullBuffer);
-        let mem = CopyCostModel::parpar();
-        let costs = SwitchCosts::default();
-        let c = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, s1, r1);
+        let c = save_cost(CopyStrategy::ValidOnly, &cfg, s1, r1);
         if s1 < 252 {
-            let c2 = save_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, (s1 + 1).min(252), r1);
+            let c2 = save_cost(CopyStrategy::ValidOnly, &cfg, (s1 + 1).min(252), r1);
             prop_assert!(c2 >= c);
         }
-        let full = switch_cost(CopyStrategy::Full, &cfg, &mem, &costs, s1, r1, s1, r1);
-        let valid = switch_cost(CopyStrategy::ValidOnly, &cfg, &mem, &costs, s1, r1, s1, r1);
+        let full = switch_cost(CopyStrategy::Full, &cfg, s1, r1, s1, r1);
+        let valid = switch_cost(CopyStrategy::ValidOnly, &cfg, s1, r1, s1, r1);
         // Even at worst-case occupancy the scan+copy never exceeds the
         // whole-region copy by more than the scan overhead.
-        let scan_slack = 2 * (costs.scan_send_slot.raw() * 252
-            + costs.scan_recv_slot.raw() * 668
-            + costs.per_packet.raw() * 920)
+        let scan_slack = 2 * (SCAN_SEND_SLOT.raw() * 252
+            + SCAN_RECV_SLOT.raw() * 668
+            + PER_PACKET.raw() * 920)
             + 10_000;
         prop_assert!(valid.raw() <= full.raw() + scan_slack,
             "valid {} vs full {}", valid.raw(), full.raw());

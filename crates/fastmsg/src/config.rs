@@ -5,6 +5,16 @@ use sim_core::time::Cycles;
 use crate::division::{BufferPolicy, ContextGeometry, CreditRounding};
 use crate::packet::PACKET_BYTES;
 
+/// Reliability layer: base retransmission timeout, how long a stream may sit
+/// with unacked packets and no ack progress before the sender re-pushes its
+/// window. ~2.5 ms at the 200 MHz host clock — a couple of orders above the
+/// per-packet round trip (wire + extract + refill), so healthy streams
+/// never fire it.
+pub const RETRANS_TIMEOUT: Cycles = Cycles(500_000);
+/// Reliability layer: exponential backoff cap. Consecutive fruitless
+/// timeouts double the timeout up to `RETRANS_TIMEOUT << BACKOFF_CAP`.
+pub const BACKOFF_CAP: u32 = 6;
+
 /// Opt-in reliability layer configuration.
 ///
 /// The paper's FM deliberately has no retransmission ("based on the
@@ -17,13 +27,6 @@ use crate::packet::PACKET_BYTES;
 pub struct RelConfig {
     /// Master switch for the whole subsystem.
     pub enabled: bool,
-    /// Base retransmission timeout: how long a stream may sit with unacked
-    /// packets and no ack progress before the sender re-pushes its window.
-    /// Should be several times the round-trip (wire + extract + refill).
-    pub retrans_timeout: Cycles,
-    /// Exponential backoff cap: consecutive fruitless timeouts double the
-    /// timeout up to `retrans_timeout << backoff_cap`.
-    pub backoff_cap: u32,
     /// Masterd-side watchdog period for a gang switch: if a switch epoch
     /// is still in flight this long after the SwitchSlot commands went
     /// out, every node is told to re-broadcast its halt/ready protocol
@@ -35,10 +38,6 @@ impl Default for RelConfig {
     fn default() -> Self {
         RelConfig {
             enabled: false,
-            // ~2.5 ms at the 200 MHz host clock — a couple of orders above
-            // the per-packet round trip, so healthy streams never fire it.
-            retrans_timeout: Cycles(500_000),
-            backoff_cap: 6,
             // Half a typical quantum: stragglers are re-prodded well before
             // the next rotation would pile up behind the stuck epoch.
             switch_retry: Cycles::from_ms(100),

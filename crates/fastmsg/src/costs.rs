@@ -7,45 +7,24 @@
 
 use sim_core::time::Cycles;
 
-/// Tunable host-side library costs.
-#[derive(Debug, Clone)]
-pub struct FmCosts {
-    /// Fixed cost of an FM_send call (argument marshalling, queue checks),
-    /// charged once per message.
-    pub send_call: Cycles,
-    /// Per-packet library work on the send path, excluding the byte copy.
-    pub send_per_packet: Cycles,
-    /// Bandwidth of the host's streaming write into the NIC send queue
-    /// through the write-combining window, bytes/s.
-    pub inject_bw: u64,
-    /// Per-packet cost of FM_extract delivering a packet to the handler
-    /// (no payload copy: FM handlers run in place on the pinned buffer).
-    pub extract_per_packet: Cycles,
-    /// Host cost of processing a received dedicated refill message.
-    pub refill_processing: Cycles,
-    /// Reliability layer: per-packet cost of scanning the retransmit ring
-    /// and re-pushing one unacked packet into the NIC send queue.
-    pub retrans_scan: Cycles,
-}
+/// Fixed cost of an FM_send call (argument marshalling, queue checks),
+/// charged once per message.
+pub const SEND_CALL: Cycles = Cycles(500);
+/// Per-packet library work on the send path, excluding the byte copy.
+pub const SEND_PER_PACKET: Cycles = Cycles(200);
+/// Bandwidth of the host's streaming write into the NIC send queue through
+/// the write-combining window, bytes/s.
+pub const INJECT_BW: u64 = 80_000_000;
+/// Per-packet cost of FM_extract delivering a packet to the handler (no
+/// payload copy: FM handlers run in place on the pinned buffer).
+pub const EXTRACT_PER_PACKET: Cycles = Cycles(500);
+/// Reliability layer: per-packet cost of scanning the retransmit ring and
+/// re-pushing one unacked packet into the NIC send queue.
+pub const RETRANS_SCAN: Cycles = Cycles(300);
 
-impl Default for FmCosts {
-    fn default() -> Self {
-        FmCosts {
-            send_call: Cycles(500),
-            send_per_packet: Cycles(200),
-            inject_bw: 80_000_000,
-            extract_per_packet: Cycles(500),
-            refill_processing: Cycles(200),
-            retrans_scan: Cycles(300),
-        }
-    }
-}
-
-impl FmCosts {
-    /// Host cycles to push one packet of `wire_bytes` into the send queue.
-    pub fn inject_cycles(&self, wire_bytes: u64) -> Cycles {
-        self.send_per_packet + Cycles::for_bytes_at(wire_bytes, self.inject_bw)
-    }
+/// Host cycles to push one packet of `wire_bytes` into the send queue.
+pub fn inject_cycles(wire_bytes: u64) -> Cycles {
+    SEND_PER_PACKET + Cycles::for_bytes_at(wire_bytes, INJECT_BW)
 }
 
 #[cfg(test)]
@@ -55,8 +34,7 @@ mod tests {
 
     #[test]
     fn full_packet_injection_bounds_peak_bandwidth() {
-        let c = FmCosts::default();
-        let per_pkt = c.inject_cycles(PACKET_BYTES);
+        let per_pkt = inject_cycles(PACKET_BYTES);
         // 1536 payload bytes per `per_pkt` cycles at 200 MHz:
         let mbps = 1536.0 / 1e6 / (per_pkt.raw() as f64 / 200e6);
         // The paper's peak plots sit in the 70–80 MB/s band.
@@ -65,10 +43,9 @@ mod tests {
 
     #[test]
     fn small_packets_pay_mostly_overhead() {
-        let c = FmCosts::default();
-        let small = c.inject_cycles(88); // 64 B message
-        let big = c.inject_cycles(PACKET_BYTES);
+        let small = inject_cycles(88); // 64 B message
+        let big = inject_cycles(PACKET_BYTES);
         assert!(small.raw() * 2 < big.raw());
-        assert!(small.raw() > c.send_per_packet.raw());
+        assert!(small.raw() > SEND_PER_PACKET.raw());
     }
 }

@@ -8,9 +8,9 @@
 //! single-byte pipe read that provides the global synchronization point.
 //!
 //! The simulator models that environment handoff by its cost alone: the
-//! [`InitMode::ParPar`] start-up charges [`InitMachine::env_read`] of host
-//! work, and the job, rank and placement reach the library state directly
-//! rather than as strings (no simulated process keeps an environment).
+//! [`InitMode::ParPar`] start-up charges [`ENV_READ`] of host work, and the
+//! job, rank and placement reach the library state directly rather than as
+//! strings (no simulated process keeps an environment).
 //!
 //! The state machine is pure: each [`InitMachine::advance`] returns the
 //! next [`InitStep`] for the driver to execute (charge host time, perform a
@@ -53,15 +53,16 @@ enum Phase {
     Synchronized, // global sync point passed
 }
 
+/// Host cost of reading the environment variables (ParPar mode).
+pub const ENV_READ: Cycles = Cycles::from_us(5);
+/// Host cost of mapping the queues into the process address space.
+pub const MAP_QUEUES: Cycles = Cycles::from_us(300);
+
 /// The FM_initialize state machine for one process.
 #[derive(Debug, Clone)]
 pub struct InitMachine {
     mode: InitMode,
     phase: Phase,
-    /// Cost of reading the environment variables (ParPar mode).
-    pub env_read: Cycles,
-    /// Cost of mapping the queues into the process address space.
-    pub map_queues: Cycles,
 }
 
 impl InitMachine {
@@ -70,8 +71,6 @@ impl InitMachine {
         InitMachine {
             mode,
             phase: Phase::Start,
-            env_read: Cycles::from_us(5),
-            map_queues: Cycles::from_us(300),
         }
     }
 
@@ -90,11 +89,11 @@ impl InitMachine {
                 // Job id, rank and context come from the environment — no
                 // network traffic at all.
                 self.phase = Phase::ContextKnown;
-                InitStep::HostWork(self.env_read)
+                InitStep::HostWork(ENV_READ)
             }
             (_, Phase::ContextKnown) => {
                 self.phase = Phase::QueuesMapped;
-                InitStep::HostWork(self.map_queues)
+                InitStep::HostWork(MAP_QUEUES)
             }
             (InitMode::ParPar, Phase::QueuesMapped) => {
                 self.phase = Phase::Synchronized;

@@ -32,7 +32,6 @@ pub mod proc;
 pub mod rel;
 
 pub use config::{DemandConfig, FmConfig, RelConfig};
-pub use costs::FmCosts;
 pub use demand::{DemandStats, DemandWindows};
 pub use division::{BufferPolicy, ContextGeometry, CreditRounding};
 pub use flow::{FlowControl, FlowStats};

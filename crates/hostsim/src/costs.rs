@@ -21,9 +21,6 @@ pub struct HostCosts {
     pub pipe_read: Cycles,
     /// noded waking up and dispatching one control message.
     pub daemon_dispatch: Cycles,
-    /// Mapping the send/receive queues into the process address space
-    /// during FM_initialize.
-    pub map_queues: Cycles,
     /// Upper bound of the uniform daemon scheduling jitter: the noded is a
     /// user-level daemon, so reacting to a control message lands anywhere
     /// within this window. This skew is what makes the halt phase grow with
@@ -39,7 +36,6 @@ impl Default for HostCosts {
             pipe_write: Cycles::from_us(10),
             pipe_read: Cycles::from_us(10),
             daemon_dispatch: Cycles::from_us(50),
-            map_queues: Cycles::from_us(300),
             daemon_jitter_max: Cycles::from_ms(4),
         }
     }

@@ -6,40 +6,23 @@
 
 use sim_core::time::Cycles;
 
-/// Tunable NIC-side costs (in host cycles at 200 MHz).
-#[derive(Debug, Clone)]
-pub struct NicCosts {
-    /// Send-context firmware work per data packet (scan queues, build
-    /// header, program the wire DMA).
-    pub send_per_packet: Cycles,
-    /// Receive-context firmware work per data packet (interrupt, classify,
-    /// program host DMA).
-    pub recv_per_packet: Cycles,
-    /// PCI DMA bandwidth NIC→host for received payloads, bytes/s
-    /// (32-bit/33 MHz PCI ≈ 132 MB/s).
-    pub dma_bw: u64,
-    /// Firmware work to emit or count one specially-tagged control packet
-    /// (halt/ready); these bypass queues and credits entirely.
-    pub control_packet: Cycles,
-}
+/// Send-context firmware work per data packet (scan queues, build header,
+/// program the wire DMA), in host cycles at 200 MHz.
+pub const SEND_PER_PACKET: Cycles = Cycles::from_us(2);
+/// Receive-context firmware work per data packet (interrupt, classify,
+/// program host DMA).
+pub const RECV_PER_PACKET: Cycles = Cycles::from_us(2);
+/// PCI DMA bandwidth NIC→host for received payloads, bytes/s (32-bit/33 MHz
+/// PCI ≈ 132 MB/s).
+pub const DMA_BW: u64 = 132_000_000;
+/// Firmware work to emit or count one specially-tagged control packet
+/// (halt/ready); these bypass queues and credits entirely.
+pub const CONTROL_PACKET: Cycles = Cycles::from_us(1);
 
-impl Default for NicCosts {
-    fn default() -> Self {
-        NicCosts {
-            send_per_packet: Cycles::from_us(2),
-            recv_per_packet: Cycles::from_us(2),
-            dma_bw: 132_000_000,
-            control_packet: Cycles::from_us(1),
-        }
-    }
-}
-
-impl NicCosts {
-    /// Cycles the receive engine is busy landing one packet of `bytes`
-    /// into the host receive queue.
-    pub fn recv_cycles(&self, bytes: u64) -> Cycles {
-        self.recv_per_packet + Cycles::for_bytes_at(bytes, self.dma_bw)
-    }
+/// Cycles the receive engine is busy landing one packet of `bytes` into
+/// the host receive queue.
+pub fn recv_cycles(bytes: u64) -> Cycles {
+    RECV_PER_PACKET + Cycles::for_bytes_at(bytes, DMA_BW)
 }
 
 #[cfg(test)]
@@ -48,9 +31,8 @@ mod tests {
 
     #[test]
     fn recv_cost_scales_with_bytes() {
-        let c = NicCosts::default();
-        let small = c.recv_cycles(64);
-        let large = c.recv_cycles(1536);
+        let small = recv_cycles(64);
+        let large = recv_cycles(1536);
         assert!(large > small);
         // 1536 B over 132 MB/s ≈ 11.6 us ≈ 2328 cycles, plus overhead.
         assert!((2000..3500).contains(&large.raw()), "{large:?}");
@@ -58,8 +40,7 @@ mod tests {
 
     #[test]
     fn per_packet_overheads_are_microseconds() {
-        let c = NicCosts::default();
-        assert!(c.send_per_packet.raw() >= Cycles::from_us(1).raw());
-        assert!(c.send_per_packet.raw() <= Cycles::from_us(10).raw());
+        assert!(SEND_PER_PACKET.raw() >= Cycles::from_us(1).raw());
+        assert!(SEND_PER_PACKET.raw() <= Cycles::from_us(10).raw());
     }
 }

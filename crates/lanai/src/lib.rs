@@ -17,6 +17,5 @@ pub mod costs;
 pub mod nic;
 pub mod queue;
 
-pub use costs::NicCosts;
 pub use nic::{CtxId, Nic, NicContext, NicError, NicStats};
 pub use queue::{PacketRing, RingFull};

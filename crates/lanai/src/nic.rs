@@ -9,7 +9,6 @@
 
 use sim_core::time::{Cycles, SimTime};
 
-use crate::costs::NicCosts;
 use crate::queue::PacketRing;
 
 /// Index of a context slot on a NIC.
@@ -70,8 +69,6 @@ pub struct Nic<P> {
     contexts: Vec<Option<NicContext<P>>>,
     halt_bit: bool,
     engine_free: SimTime,
-    /// Cost constants.
-    pub costs: NicCosts,
     /// Counters.
     pub stats: NicStats,
 }
@@ -87,7 +84,6 @@ impl<P> Nic<P> {
             contexts: (0..max_contexts).map(|_| None).collect(),
             halt_bit: false,
             engine_free: SimTime::ZERO,
-            costs: NicCosts::default(),
             stats: NicStats::default(),
         }
     }

@@ -40,16 +40,18 @@ pub enum ControlPlane {
     },
 }
 
-/// Timing model of the control Ethernet.
-#[derive(Debug, Clone)]
+/// One-way latency of a multicast from the master to every node (wire + IP
+/// stack + daemon socket wakeup).
+pub const MULTICAST_LATENCY: Cycles = Cycles::from_us(300);
+/// One-way latency of a node→master unicast.
+pub const UNICAST_LATENCY: Cycles = Cycles::from_us(300);
+/// Wire serialization per control message (≈128 B at 10 Mb/s).
+pub const PER_MSG_WIRE: Cycles = Cycles::from_us(100);
+
+/// Timing model of the control Ethernet: the link-busy horizons that
+/// serialize messages, priced with the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct ControlNet {
-    /// One-way latency of a multicast from the master to every node
-    /// (wire + IP stack + daemon socket wakeup).
-    pub multicast_latency: Cycles,
-    /// One-way latency of a node→master unicast.
-    pub unicast_latency: Cycles,
-    /// Wire serialization per control message (≈128 B at 10 Mb/s).
-    pub per_msg_wire: Cycles,
     master_link_free: SimTime,
     /// Per-node Ethernet link horizons, grown on demand. Only the tree
     /// control plane sends node→node traffic; each forwarding node
@@ -60,21 +62,8 @@ pub struct ControlNet {
     pub messages: u64,
 }
 
-impl Default for ControlNet {
-    fn default() -> Self {
-        ControlNet {
-            multicast_latency: Cycles::from_us(300),
-            unicast_latency: Cycles::from_us(300),
-            per_msg_wire: Cycles::from_us(100),
-            master_link_free: SimTime::ZERO,
-            node_link_free: Vec::new(),
-            messages: 0,
-        }
-    }
-}
-
 impl ControlNet {
-    /// A control net with default ParPar-era constants.
+    /// A control net with every link idle.
     pub fn new() -> Self {
         Self::default()
     }
@@ -83,10 +72,10 @@ impl ControlNet {
     /// at every node (one wire transmission — the multicast property).
     pub fn multicast(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.master_link_free);
-        let end = start + self.per_msg_wire;
+        let end = start + PER_MSG_WIRE;
         self.master_link_free = end;
         self.messages += 1;
-        end + self.multicast_latency
+        end + MULTICAST_LATENCY
     }
 
     /// A node unicasts one message to the master at `now`; returns delivery
@@ -94,10 +83,10 @@ impl ControlNet {
     /// the master's receive link.
     pub fn unicast_to_master(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.master_link_free);
-        let end = start + self.per_msg_wire;
+        let end = start + PER_MSG_WIRE;
         self.master_link_free = end;
         self.messages += 1;
-        end + self.unicast_latency
+        end + UNICAST_LATENCY
     }
 
     /// Master unicasts to a single node.
@@ -117,10 +106,10 @@ impl ControlNet {
             self.node_link_free.resize(from + 1, SimTime::ZERO);
         }
         let start = now.max(self.node_link_free[from]);
-        let end = start + self.per_msg_wire;
+        let end = start + PER_MSG_WIRE;
         self.node_link_free[from] = end;
         self.messages += 1;
-        end + self.unicast_latency
+        end + UNICAST_LATENCY
     }
 }
 
@@ -142,7 +131,7 @@ mod tests {
         let mut c = ControlNet::new();
         let d1 = c.multicast(SimTime::ZERO);
         let d2 = c.multicast(SimTime::ZERO);
-        assert_eq!(d2.raw() - d1.raw(), c.per_msg_wire.raw());
+        assert_eq!(d2.raw() - d1.raw(), PER_MSG_WIRE.raw());
         // Node replies queue behind too.
         let r = c.unicast_to_master(SimTime::ZERO);
         assert!(r > d2);
@@ -157,7 +146,7 @@ mod tests {
         assert_eq!(a, b, "distinct sender links must not queue on each other");
         // Same forwarder back-to-back: its own link serializes.
         let a2 = c.unicast_node_to_node(SimTime::ZERO, 3);
-        assert_eq!(a2.raw() - a.raw(), c.per_msg_wire.raw());
+        assert_eq!(a2.raw() - a.raw(), PER_MSG_WIRE.raw());
         // Node traffic never touches the master's link.
         let m = c.multicast(SimTime::ZERO);
         assert_eq!(m, SimTime(80_000));

@@ -66,11 +66,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Pre-size the queue for `n` simultaneously pending events.
-    pub fn reserve(&mut self, n: usize) {
-        self.queue.reserve(n);
-    }
-
     /// Current simulated instant.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -327,19 +322,9 @@ impl<M: Model> Engine<M> {
         self.sched.pending()
     }
 
-    /// Pre-size the pending queue for `n` simultaneously pending events.
-    pub fn reserve_events(&mut self, n: usize) {
-        self.sched.reserve(n);
-    }
-
     /// Schedule an event at an absolute instant (driver-side).
     pub fn schedule_at(&mut self, t: SimTime, event: M::Event) {
         self.sched.at(t, event);
-    }
-
-    /// Schedule an event after a delay (driver-side).
-    pub fn schedule_after(&mut self, d: Cycles, event: M::Event) {
-        self.sched.after(d, event);
     }
 
     /// Give a driver combined access to the model and the scheduler at the

@@ -27,7 +27,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, Model, RunOutcome, Scheduler};
-pub use mem::{CopyCostModel, Region};
+pub use mem::Region;
 pub use rng::DetRng;
 pub use stats::{BandwidthMeter, Summary, TimeWeighted};
 pub use time::{Cycles, SimTime, CPU_HZ, CYCLES_PER_US};

@@ -10,9 +10,9 @@
 //! * write-combining window, *read*: ~14 MB/s
 //! * write-combining window, *write*: ~80 MB/s
 //!
-//! [`CopyCostModel::parpar`] encodes exactly those numbers; the derived
-//! full-buffer switch time lands at ~16 M cycles (~80 ms), matching the
-//! paper's "less than 85 msecs (17,000,000 cycles)".
+//! [`HOST_BW`], [`WC_READ_BW`] and [`WC_WRITE_BW`] are exactly those
+//! numbers; the derived full-buffer switch time lands at ~16 M cycles
+//! (~80 ms), matching the paper's "less than 85 msecs (17,000,000 cycles)".
 
 use crate::time::Cycles;
 
@@ -28,59 +28,45 @@ pub enum Region {
     NicWriteCombining,
 }
 
-/// Cost model for host-CPU copies between memory regions.
+/// Streaming bandwidth of regular/pinned host RAM (read or write), B/s.
+pub const HOST_BW: u64 = 45_000_000;
+/// Read bandwidth of the write-combining NIC window, B/s.
+pub const WC_READ_BW: u64 = 14_000_000;
+/// Write bandwidth of the write-combining NIC window, B/s.
+pub const WC_WRITE_BW: u64 = 80_000_000;
+/// Fixed per-copy setup cost (function call, cache effects), cycles.
+pub const COPY_SETUP: Cycles = Cycles(200);
+
+impl Region {
+    /// Bandwidth at which the host CPU can *read* a stream from this region.
+    pub fn read_bw(self) -> u64 {
+        match self {
+            Region::HostRegular | Region::HostPinned => HOST_BW,
+            Region::NicWriteCombining => WC_READ_BW,
+        }
+    }
+
+    /// Bandwidth at which the host CPU can *write* a stream into this region.
+    pub fn write_bw(self) -> u64 {
+        match self {
+            Region::HostRegular | Region::HostPinned => HOST_BW,
+            Region::NicWriteCombining => WC_WRITE_BW,
+        }
+    }
+}
+
+/// Cycles for the host CPU to copy `bytes` from `src` to `dst`.
 ///
 /// A copy is charged `setup + ceil(bytes / min(read_bw(src), write_bw(dst)))`
 /// cycles: the slower side of the streaming copy is the bottleneck, which is
 /// how the paper's measurements behave (reading the WC window at 14 MB/s
 /// dwarfs everything else).
-#[derive(Debug, Clone)]
-pub struct CopyCostModel {
-    /// Streaming bandwidth of regular/pinned host RAM (read or write), B/s.
-    pub host_bw: u64,
-    /// Read bandwidth of the write-combining NIC window, B/s.
-    pub wc_read_bw: u64,
-    /// Write bandwidth of the write-combining NIC window, B/s.
-    pub wc_write_bw: u64,
-    /// Fixed per-copy setup cost (function call, cache effects), cycles.
-    pub setup: Cycles,
-}
-
-impl CopyCostModel {
-    /// The paper's measured ParPar/Pentium-Pro numbers (§4.2).
-    pub fn parpar() -> Self {
-        CopyCostModel {
-            host_bw: 45_000_000,
-            wc_read_bw: 14_000_000,
-            wc_write_bw: 80_000_000,
-            setup: Cycles(200),
-        }
+pub fn copy_cycles(src: Region, dst: Region, bytes: u64) -> Cycles {
+    if bytes == 0 {
+        return Cycles::ZERO;
     }
-
-    /// Bandwidth at which the host CPU can *read* a stream from `r`.
-    pub fn read_bw(&self, r: Region) -> u64 {
-        match r {
-            Region::HostRegular | Region::HostPinned => self.host_bw,
-            Region::NicWriteCombining => self.wc_read_bw,
-        }
-    }
-
-    /// Bandwidth at which the host CPU can *write* a stream into `r`.
-    pub fn write_bw(&self, r: Region) -> u64 {
-        match r {
-            Region::HostRegular | Region::HostPinned => self.host_bw,
-            Region::NicWriteCombining => self.wc_write_bw,
-        }
-    }
-
-    /// Cycles for the host CPU to copy `bytes` from `src` to `dst`.
-    pub fn copy_cycles(&self, src: Region, dst: Region, bytes: u64) -> Cycles {
-        if bytes == 0 {
-            return Cycles::ZERO;
-        }
-        let bw = self.read_bw(src).min(self.write_bw(dst));
-        self.setup + Cycles::for_bytes_at(bytes, bw)
-    }
+    let bw = src.read_bw().min(dst.write_bw());
+    COPY_SETUP + Cycles::for_bytes_at(bytes, bw)
 }
 
 #[cfg(test)]
@@ -92,24 +78,22 @@ mod tests {
 
     #[test]
     fn wc_read_is_the_bottleneck_when_saving_the_send_queue() {
-        let m = CopyCostModel::parpar();
         // Saving the 400 KB send queue: read at 14 MB/s.
-        let save = m.copy_cycles(Region::NicWriteCombining, Region::HostRegular, 400 * KB);
+        let save = copy_cycles(Region::NicWriteCombining, Region::HostRegular, 400 * KB);
         // Restoring it: read backing store at 45 MB/s, write WC at 80 MB/s —
         // bottleneck is the 45 MB/s read, still ~3x cheaper than saving.
-        let restore = m.copy_cycles(Region::HostRegular, Region::NicWriteCombining, 400 * KB);
+        let restore = copy_cycles(Region::HostRegular, Region::NicWriteCombining, 400 * KB);
         assert!(save.raw() > 3 * restore.raw(), "{save:?} vs {restore:?}");
     }
 
     #[test]
     fn full_switch_matches_paper_17m_cycle_bound() {
-        let m = CopyCostModel::parpar();
         let send_q = 400 * KB;
         let recv_q = MB;
-        let total = m.copy_cycles(Region::NicWriteCombining, Region::HostRegular, send_q)
-            + m.copy_cycles(Region::HostRegular, Region::NicWriteCombining, send_q)
-            + m.copy_cycles(Region::HostPinned, Region::HostRegular, recv_q)
-            + m.copy_cycles(Region::HostRegular, Region::HostPinned, recv_q);
+        let total = copy_cycles(Region::NicWriteCombining, Region::HostRegular, send_q)
+            + copy_cycles(Region::HostRegular, Region::NicWriteCombining, send_q)
+            + copy_cycles(Region::HostPinned, Region::HostRegular, recv_q)
+            + copy_cycles(Region::HostRegular, Region::HostPinned, recv_q);
         // Paper: full buffer switch < 85 ms = 17,000,000 cycles at 200 MHz.
         assert!(total.raw() < 17_000_000, "{total:?}");
         assert!(total.raw() > 14_000_000, "{total:?} suspiciously cheap");
@@ -117,20 +101,18 @@ mod tests {
 
     #[test]
     fn zero_byte_copy_is_free() {
-        let m = CopyCostModel::parpar();
         assert_eq!(
-            m.copy_cycles(Region::HostRegular, Region::HostPinned, 0),
+            copy_cycles(Region::HostRegular, Region::HostPinned, 0),
             Cycles::ZERO
         );
     }
 
     #[test]
     fn setup_cost_charged_once() {
-        let m = CopyCostModel::parpar();
-        let one = m.copy_cycles(Region::HostRegular, Region::HostRegular, 1);
+        let one = copy_cycles(Region::HostRegular, Region::HostRegular, 1);
         assert_eq!(
             one.raw(),
-            m.setup.raw() + Cycles::for_bytes_at(1, m.host_bw).raw()
+            COPY_SETUP.raw() + Cycles::for_bytes_at(1, HOST_BW).raw()
         );
     }
 }

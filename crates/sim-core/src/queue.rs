@@ -62,13 +62,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pre-size for `n` simultaneously pending events.
-    pub fn reserve(&mut self, n: usize) {
-        self.heap.reserve(n);
-        let grow = n.saturating_sub(self.arena.len() - self.in_use());
-        self.arena.reserve(grow);
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -79,10 +72,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    fn in_use(&self) -> usize {
-        self.arena.len() - self.free.len()
     }
 
     /// The earliest pending instant, if any.
@@ -235,14 +224,5 @@ mod tests {
             popped.push(q.pop().unwrap());
         }
         assert_eq!(popped, expect);
-    }
-
-    #[test]
-    fn reserve_is_safe_at_any_state() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.reserve(16);
-        q.push(SimTime(1), 0, 7);
-        q.reserve(1000);
-        assert_eq!(q.pop(), Some((SimTime(1), 7)));
     }
 }

@@ -64,7 +64,13 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--nodes" => a.nodes = num(&flag, val()),
             "--jobs" => a.jobs = num(&flag, val()),
-            "--workload" => a.workload = val(),
+            "--workload" => {
+                a.workload = val();
+                let known = ["p2p", "alltoall", "barrier", "allreduce", "ring"];
+                if !known.contains(&a.workload.as_str()) {
+                    panic!("unknown workload {} ({})", a.workload, known.join("|"));
+                }
+            }
             "--msg-bytes" => a.msg_bytes = num(&flag, val()),
             "--quantum-ms" => a.quantum_ms = num(&flag, val()),
             "--duration-ms" => a.duration_ms = num(&flag, val()),
@@ -142,7 +148,7 @@ fn build_workload(a: &Args) -> Box<dyn Workload> {
             msg_bytes: a.msg_bytes,
             laps: u64::MAX / 4,
         }),
-        other => panic!("unknown workload {other}"),
+        other => unreachable!("parse_args accepted workload {other}"),
     }
 }
 

@@ -14,3 +14,23 @@ fn bad_numeric_flag_names_the_flag_and_value() {
     assert!(stderr.contains("--nodes"), "stderr: {stderr}");
     assert!(stderr.contains("\"x\""), "stderr: {stderr}");
 }
+
+#[test]
+fn unknown_workload_fails_before_any_output() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gang-sim"))
+        .args(["--workload", "nosuch"])
+        .output()
+        .expect("run gang-sim");
+    assert!(!out.status.success(), "gang-sim accepted --workload nosuch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nosuch"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("p2p|alltoall|barrier|allreduce|ring"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
