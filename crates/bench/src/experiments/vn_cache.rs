@@ -43,10 +43,7 @@ fn run_cell(jobs: usize, policy: BufferPolicy, cache_slots: usize, seed: u64) ->
     sim.run_until(SimTime::ZERO + window);
     let w = sim.world();
     let secs = window.as_secs();
-    let total: u64 = ids
-        .iter()
-        .filter_map(|j| w.stats.job_bw.get(j).map(|m| m.bytes()))
-        .sum();
+    let total: u64 = ids.iter().filter_map(|j| w.stats.job_bytes.get(j)).sum();
     Row {
         total_mbps: total as f64 / 1e6 / secs,
         faults: w.nodes.iter().map(|n| n.faults).sum(),

@@ -1,19 +1,19 @@
 //! The cluster simulation's event alphabet and auxiliary event payloads.
 //!
-//! Events are grouped per subsystem — [`DaemonEvent`], [`NicEvent`],
-//! [`AppEvent`], [`SwitchEvent`], [`FmEvent`] — and the top-level
-//! [`Event`] is a thin wrapper routing each group to its handler (see
-//! [`crate::handlers`]). Handlers construct the sub-enum variants and
-//! emit them through the typed [`crate::bus::Bus`], which lifts them into
-//! `Event` via the `From` impls below.
+//! [`Event`] is one flat enum. Its variants are grouped by the
+//! `handlers/*` module that owns them (daemon, nic, app, switch, fm), and
+//! one `match` in [`crate::handlers`] routes each to its entry method.
+//! Handlers schedule follow-up events straight on the engine's
+//! [`Scheduler`] ([`Sched`]).
 
 use fastmsg::packet::Packet;
 use hostsim::process::Pid;
 use parpar::protocol::{MasterMsg, NodedCmd, TreeMsg};
+use sim_core::engine::Scheduler;
 
 /// A frame on the Myrinet data network. (The halt and ready control
 /// packets of the serial broadcasts arrive as
-/// [`NicEvent::BroadcastArrive`] instead.)
+/// [`Event::BroadcastArrive`] instead.)
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// An FM data or refill packet.
@@ -50,9 +50,13 @@ pub enum HostOp {
     InitStep,
 }
 
-/// Control-plane events: the masterd, the nodeds, and their timers.
+/// The discrete events driving the world, one flat alphabet routed by a
+/// single `match` in [`crate::handlers`]. The variants are grouped by
+/// the `handlers/*` module that owns them.
 #[derive(Debug, Clone)]
-pub enum DaemonEvent {
+pub enum Event {
+    // Control plane (`handlers::daemon`): the masterd, the nodeds and their
+    // timers.
     /// The masterd's quantum timer fired.
     QuantumExpired,
     /// A node's *local* scheduler timer fired (uncoordinated mode only).
@@ -102,11 +106,8 @@ pub enum DaemonEvent {
         /// Index into the installed arrival plan.
         index: usize,
     },
-}
-
-/// Data-plane events: the LANai send/receive engines and the wire.
-#[derive(Debug, Clone)]
-pub enum NicEvent {
+    // Data plane (`handlers::nic`): the LANai send/receive engines and the
+    // wire.
     /// A frame fully arrived at its destination NIC.
     FrameArrive {
         /// Destination node.
@@ -145,11 +146,7 @@ pub enum NicEvent {
         /// Slab index of the broadcast train.
         train: u32,
     },
-}
-
-/// Application events: process scheduling and host-CPU work items.
-#[derive(Debug, Clone)]
-pub enum AppEvent {
+    // Processes (`handlers::app`): scheduling and host-CPU work items.
     /// Try to advance a process's program (it was unblocked or resumed).
     ProcKick {
         /// The node.
@@ -166,21 +163,14 @@ pub enum AppEvent {
         /// What completed.
         op: HostOp,
     },
-}
-
-/// Gang-switch events: the three-phase buffer switch.
-#[derive(Debug, Clone)]
-pub enum SwitchEvent {
+    // Gang switch (`handlers::switch`): the three-phase buffer switch.
     /// The buffer-switch copy completed on a node.
     CopyDone {
         /// The node.
         node: usize,
     },
-}
-
-/// FM endpoint-residency events (CachedEndpoints policy).
-#[derive(Debug, Clone)]
-pub enum FmEvent {
+    // FM library (`handlers::fm`): endpoint residency, go-back-N timers and
+    // demand windows.
     /// An endpoint fault (save victim + restore faulted endpoint)
     /// completed on a node.
     FaultDone {
@@ -206,56 +196,16 @@ pub enum FmEvent {
     },
 }
 
-/// The discrete events driving the world: one wrapper variant per
-/// subsystem handler.
-#[derive(Debug, Clone)]
-pub enum Event {
-    /// Control plane → [`crate::handlers::daemon`].
-    Daemon(DaemonEvent),
-    /// Data plane → [`crate::handlers::nic`].
-    Nic(NicEvent),
-    /// Processes → [`crate::handlers::app`].
-    App(AppEvent),
-    /// Gang switch → [`crate::handlers::switch`].
-    Switch(SwitchEvent),
-    /// Endpoint residency → [`crate::handlers::fm`].
-    Fm(FmEvent),
-}
-
-impl From<DaemonEvent> for Event {
-    fn from(e: DaemonEvent) -> Event {
-        Event::Daemon(e)
-    }
-}
-impl From<NicEvent> for Event {
-    fn from(e: NicEvent) -> Event {
-        Event::Nic(e)
-    }
-}
-impl From<AppEvent> for Event {
-    fn from(e: AppEvent) -> Event {
-        Event::App(e)
-    }
-}
-impl From<SwitchEvent> for Event {
-    fn from(e: SwitchEvent) -> Event {
-        Event::Switch(e)
-    }
-}
-impl From<FmEvent> for Event {
-    fn from(e: FmEvent) -> Event {
-        Event::Fm(e)
-    }
-}
+/// The engine's pending-event queue, on which handlers schedule their
+/// follow-up events directly.
+pub type Sched = Scheduler<Event>;
 
 /// Stable event-kind names for the engine's dispatch counters and run
 /// digest, indexed by [`Event::kind_index`].
 ///
 /// The indices are part of the run-digest contract: reordering them (or the
 /// match below) silently changes every digest, so determinism tests can no
-/// longer compare against recorded values. They predate the sub-enum split
-/// (the golden digests in `tests/determinism.rs` were recorded against the
-/// monolithic enum) — append, don't reorder.
+/// longer compare against recorded values. Append, don't reorder.
 pub const KIND_NAMES: &[&str] = &[
     "quantum_expired",
     "node_tick",
@@ -282,27 +232,27 @@ impl Event {
     /// The event's stable kind index into [`KIND_NAMES`].
     pub fn kind_index(&self) -> usize {
         match self {
-            Event::Daemon(DaemonEvent::QuantumExpired) => 0,
-            Event::Daemon(DaemonEvent::NodeTick { .. }) => 1,
-            Event::Daemon(DaemonEvent::CtrlToNode { .. }) => 2,
-            Event::Daemon(DaemonEvent::CtrlToMaster { .. }) => 3,
-            Event::Daemon(DaemonEvent::NodedAct { .. }) => 4,
+            Event::QuantumExpired => 0,
+            Event::NodeTick { .. } => 1,
+            Event::CtrlToNode { .. } => 2,
+            Event::CtrlToMaster { .. } => 3,
+            Event::NodedAct { .. } => 4,
             // A train entry is one frame arrival, so it counts (and
             // digests) as one.
-            Event::Nic(NicEvent::FrameArrive { .. } | NicEvent::BroadcastArrive { .. }) => 5,
-            Event::Nic(NicEvent::SendEngineDone { .. }) => 6,
-            Event::Nic(NicEvent::RecvEngineDone { .. }) => 7,
-            Event::Nic(NicEvent::HaltBroadcastDone { .. }) => 8,
-            Event::Nic(NicEvent::ReadyBroadcastDone { .. }) => 9,
-            Event::App(AppEvent::ProcKick { .. }) => 10,
-            Event::App(AppEvent::HostOpDone { .. }) => 11,
-            Event::Switch(SwitchEvent::CopyDone { .. }) => 12,
-            Event::Fm(FmEvent::FaultDone { .. }) => 13,
-            Event::Fm(FmEvent::RetransTimeout { .. }) => 14,
-            Event::Daemon(DaemonEvent::SwitchRetryCheck { .. }) => 15,
-            Event::Fm(FmEvent::DemandRebalance { .. }) => 16,
-            Event::Daemon(DaemonEvent::CtrlToPeer { .. }) => 17,
-            Event::Daemon(DaemonEvent::JobArrival { .. }) => 18,
+            Event::FrameArrive { .. } | Event::BroadcastArrive { .. } => 5,
+            Event::SendEngineDone { .. } => 6,
+            Event::RecvEngineDone { .. } => 7,
+            Event::HaltBroadcastDone { .. } => 8,
+            Event::ReadyBroadcastDone { .. } => 9,
+            Event::ProcKick { .. } => 10,
+            Event::HostOpDone { .. } => 11,
+            Event::CopyDone { .. } => 12,
+            Event::FaultDone { .. } => 13,
+            Event::RetransTimeout { .. } => 14,
+            Event::SwitchRetryCheck { .. } => 15,
+            Event::DemandRebalance { .. } => 16,
+            Event::CtrlToPeer { .. } => 17,
+            Event::JobArrival { .. } => 18,
         }
     }
 }

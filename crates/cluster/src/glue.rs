@@ -16,11 +16,9 @@
 use fastmsg::division::BufferPolicy;
 use gang_comm::api::{CommError, CommJob, CommManager};
 use gang_comm::sequencer::SwitchPhase;
-use sim_core::engine::Scheduler;
 use sim_core::time::SimTime;
 
-use crate::bus::Bus;
-use crate::event::{Event, SwitchEvent};
+use crate::event::{Event, Sched};
 use crate::world::World;
 
 impl World {
@@ -122,7 +120,7 @@ impl World {
         &mut self,
         now: SimTime,
         node: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) -> Result<(), CommError> {
         let n = &mut self.nodes[node];
         if n.seq.phase() != SwitchPhase::Halting {
@@ -132,7 +130,7 @@ impl World {
         n.halt_broadcast_started = false;
         n.nic.set_halt_bit(true);
         if !n.send_engine_busy {
-            self.begin_halt_broadcast(now, node, bus);
+            self.begin_halt_broadcast(now, node, sched);
         }
         Ok(())
     }
@@ -152,7 +150,7 @@ impl World {
         node: usize,
         from_job: Option<CommJob>,
         to_job: Option<CommJob>,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) -> Result<(), CommError> {
         if self.nodes[node].seq.phase() != SwitchPhase::Copying {
             return Err(CommError::BadPhase);
@@ -171,7 +169,7 @@ impl World {
         }
         let cost = self.copy_cost_for(node, from, to);
         let r = self.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
+        sched.at(r.end, Event::CopyDone { node });
         Ok(())
     }
 
@@ -182,37 +180,30 @@ impl World {
         &mut self,
         now: SimTime,
         node: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) -> Result<(), CommError> {
         if self.nodes[node].seq.phase() != SwitchPhase::Releasing {
             return Err(CommError::BadPhase);
         }
-        self.begin_ready_broadcast(now, node, bus);
+        self.begin_ready_broadcast(now, node, sched);
         Ok(())
     }
 }
 
 /// A per-node handle implementing the abstract [`CommManager`] interface
 /// on top of the simulated world — what a different cluster-management
-/// system would program against.
-///
-/// The handle owns one [`Bus`] for its whole lifetime: every Table-1 call
-/// emits follow-up events through the same bus, so a driver holding a
-/// `GlueFm` pays the scheduler-wrapping cost once, not per call.
+/// system would program against. Its Table-1 calls schedule their
+/// follow-up events on the borrowed engine scheduler.
 pub struct GlueFm<'a> {
     world: &'a mut World,
-    bus: Bus<'a>,
+    sched: &'a mut Sched,
     node: usize,
 }
 
 impl<'a> GlueFm<'a> {
     /// A handle for `node`.
-    pub fn new(world: &'a mut World, sched: &'a mut Scheduler<Event>, node: usize) -> Self {
-        GlueFm {
-            world,
-            bus: Bus::new(sched),
-            node,
-        }
+    pub fn new(world: &'a mut World, sched: &'a mut Sched, node: usize) -> Self {
+        GlueFm { world, sched, node }
     }
 }
 
@@ -244,7 +235,7 @@ impl CommManager for GlueFm<'_> {
     }
 
     fn halt_network(&mut self, now: SimTime) -> Result<(), CommError> {
-        self.world.comm_halt_network(now, self.node, &mut self.bus)
+        self.world.comm_halt_network(now, self.node, self.sched)
     }
 
     fn context_switch(
@@ -254,11 +245,10 @@ impl CommManager for GlueFm<'_> {
         to: Option<CommJob>,
     ) -> Result<(), CommError> {
         self.world
-            .comm_context_switch(now, self.node, from, to, &mut self.bus)
+            .comm_context_switch(now, self.node, from, to, self.sched)
     }
 
     fn release_network(&mut self, now: SimTime) -> Result<(), CommError> {
-        self.world
-            .comm_release_network(now, self.node, &mut self.bus)
+        self.world.comm_release_network(now, self.node, self.sched)
     }
 }

@@ -8,8 +8,7 @@ use hostsim::process::{Pid, Signal};
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
-use crate::bus::Bus;
-use crate::event::{AppEvent, HostOp};
+use crate::event::{Event, HostOp, Sched};
 use crate::procsim::{BlockReason, ProcPhase, SendProgress};
 use crate::world::World;
 
@@ -22,20 +21,13 @@ enum Step {
 }
 
 impl World {
-    pub(crate) fn on_app(&mut self, now: SimTime, ev: AppEvent, bus: &mut Bus) {
-        match ev {
-            AppEvent::ProcKick { node, pid } => self.proc_kick(now, node, pid, bus),
-            AppEvent::HostOpDone { node, pid, op } => self.on_host_op_done(now, node, pid, op, bus),
-        }
-    }
-
     /// Advance a process as far as it can go right now. Called by every
     /// other handler when it may have unblocked a process.
-    pub(crate) fn proc_kick(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    pub(crate) fn proc_kick(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         // Every Continue makes observable progress (an op consumed, a block
         // cleared); the bound is a livelock tripwire, not a budget.
         for _ in 0..1_000_000 {
-            match self.proc_step(now, node, pid, bus) {
+            match self.proc_step(now, node, pid, sched) {
                 Step::Continue => continue,
                 Step::Park => return,
             }
@@ -45,7 +37,7 @@ impl World {
 
     /// Complete `COMM_end_job` once the context's send queue is empty.
     /// Called by the NIC handler as the send engine drains.
-    pub(crate) fn try_end_job(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    pub(crate) fn try_end_job(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         let n = &mut self.nodes[node];
         let Some(proc) = n.apps.get(&pid) else {
             return;
@@ -73,12 +65,12 @@ impl World {
         let n = &mut self.nodes[node];
         n.procs.signal(pid, Signal::Kill);
         n.noded.remove_job(job);
-        self.route_job_finished(now, node, job, 1, bus);
+        self.route_job_finished(now, node, job, 1, sched);
     }
 
     /// Retry deferred refills once send-queue space frees up. Called by
     /// the NIC and FM handlers.
-    pub(crate) fn drain_pending_refills(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn drain_pending_refills(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         // Hot-path gate: deferred refills are rare (send queue was full at
         // refill time); skip the allocation below when there are none.
         // Under the reliability layer finished processes still owe final
@@ -105,12 +97,12 @@ impl World {
                     .collect()
             };
             for (peer, k) in pending {
-                self.queue_refill(now, node, pid, peer, k, bus);
+                self.queue_refill(now, node, pid, peer, k, sched);
             }
         }
     }
 
-    fn proc_step(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) -> Step {
+    fn proc_step(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) -> Step {
         let n = &mut self.nodes[node];
         let Some(proc) = n.apps.get_mut(&pid) else {
             return Step::Park;
@@ -149,12 +141,12 @@ impl World {
                     // fault that unblocked us was served: re-raise it.
                     let job = self.nodes[node].apps[&pid].fm.job;
                     if self.nodes[node].apps[&pid].deferred_pkt.is_none() {
-                        self.begin_fault(now, node, job, bus);
+                        self.begin_fault(now, node, job, sched);
                     }
                     return Step::Park;
                 }
                 if !matches!(b, BlockReason::PipeRead) {
-                    self.try_start_extract(now, node, pid, bus);
+                    self.try_start_extract(now, node, pid, sched);
                 }
                 return Step::Park;
             }
@@ -168,9 +160,9 @@ impl World {
                 let r = self.nodes[node]
                     .cpu
                     .reserve(now, self.cfg.host_costs.pipe_read);
-                bus.emit(
+                sched.at(
                     r.end,
-                    AppEvent::HostOpDone {
+                    Event::HostOpDone {
                         node,
                         pid,
                         op: HostOp::InitStep,
@@ -183,11 +175,11 @@ impl World {
         }
 
         if proc.phase == ProcPhase::Initializing {
-            return self.init_step(now, node, pid, bus);
+            return self.init_step(now, node, pid, sched);
         }
 
         if proc.sending.is_some() {
-            return self.advance_send(now, node, pid, bus);
+            return self.advance_send(now, node, pid, sched);
         }
 
         // Ask the program for the next op.
@@ -218,16 +210,16 @@ impl World {
                     return Step::Continue;
                 }
                 proc.blocked = Some(BlockReason::RecvWait { target });
-                self.try_start_extract(now, node, pid, bus);
+                self.try_start_extract(now, node, pid, sched);
                 Step::Park
             }
             workloads::program::Op::Compute(c) => {
                 let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
                 proc.busy = true;
                 let r = self.nodes[node].cpu.reserve(now, c);
-                bus.emit(
+                sched.at(
                     r.end,
-                    AppEvent::HostOpDone {
+                    Event::HostOpDone {
                         node,
                         pid,
                         op: HostOp::ComputeDone,
@@ -236,22 +228,22 @@ impl World {
                 Step::Park
             }
             workloads::program::Op::Done => {
-                self.finish_proc(now, node, pid, bus);
+                self.finish_proc(now, node, pid, sched);
                 Step::Park
             }
         }
     }
 
     /// Drive one FM_initialize step.
-    fn init_step(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) -> Step {
+    fn init_step(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) -> Step {
         let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
         match proc.init.advance() {
             InitStep::HostWork(c) => {
                 proc.busy = true;
                 let r = self.nodes[node].cpu.reserve(now, c);
-                bus.emit(
+                sched.at(
                     r.end,
-                    AppEvent::HostOpDone {
+                    Event::HostOpDone {
                         node,
                         pid,
                         op: HostOp::InitStep,
@@ -265,9 +257,9 @@ impl World {
                 // turnaround.
                 proc.busy = true;
                 let rtt = Cycles::from_us(1500);
-                bus.emit(
+                sched.at(
                     now + rtt,
-                    AppEvent::HostOpDone {
+                    Event::HostOpDone {
                         node,
                         pid,
                         op: HostOp::InitStep,
@@ -284,9 +276,9 @@ impl World {
                     let r = self.nodes[node]
                         .cpu
                         .reserve(now, self.cfg.host_costs.pipe_read);
-                    bus.emit(
+                    sched.at(
                         r.end,
-                        AppEvent::HostOpDone {
+                        Event::HostOpDone {
                             node,
                             pid,
                             op: HostOp::InitStep,
@@ -321,7 +313,7 @@ impl World {
     }
 
     /// Try to inject the next fragment of the in-progress message.
-    fn advance_send(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) -> Step {
+    fn advance_send(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) -> Step {
         let n = &mut self.nodes[node];
         let proc = n.apps.get_mut(&pid).unwrap();
         let sp = proc
@@ -335,7 +327,7 @@ impl World {
         if !proc.fm.flow.can_send(dst_host) {
             proc.fm.flow.consume(dst_host); // records the stall
             proc.blocked = Some(BlockReason::Credits { peer: dst_host });
-            self.try_start_extract(now, node, pid, bus);
+            self.try_start_extract(now, node, pid, sched);
             return Step::Park;
         }
         let job = proc.fm.job;
@@ -352,12 +344,12 @@ impl World {
             );
             let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
             proc.blocked = Some(BlockReason::ContextFault);
-            self.begin_fault(now, node, job, bus);
+            self.begin_fault(now, node, job, sched);
             return Step::Park;
         };
         if n.nic.context(ctx_id).unwrap().send_q.is_full() {
             proc.blocked = Some(BlockReason::SendSpace);
-            self.try_start_extract(now, node, pid, bus);
+            self.try_start_extract(now, node, pid, sched);
             return Step::Park;
         }
         assert!(proc.fm.flow.consume(dst_host), "checked can_send above");
@@ -368,9 +360,9 @@ impl World {
         }
         proc.busy = true;
         let r = n.cpu.reserve(now, cost);
-        bus.emit(
+        sched.at(
             r.end,
-            AppEvent::HostOpDone {
+            Event::HostOpDone {
                 node,
                 pid,
                 op: HostOp::SendFragment,
@@ -381,7 +373,7 @@ impl World {
 
     /// Start extracting one packet if the process may and the queue has
     /// any. (FM_extract: explicit polling, handler runs in place.)
-    fn try_start_extract(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    fn try_start_extract(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         let (job, ctx_id) = {
             let n = &mut self.nodes[node];
             let Some(proc) = n.apps.get_mut(&pid) else {
@@ -402,7 +394,7 @@ impl World {
             // (otherwise a receiver whose endpoint was evicted — with its
             // pending packets saved to backing store — waits forever).
             if self.vn_active() {
-                self.begin_fault(now, node, job, bus);
+                self.begin_fault(now, node, job, sched);
             }
             return;
         };
@@ -412,9 +404,9 @@ impl World {
         };
         n.apps.get_mut(&pid).unwrap().busy = true;
         let r = n.cpu.reserve(now, costs::EXTRACT_PER_PACKET);
-        bus.emit(
+        sched.at(
             r.end,
-            AppEvent::HostOpDone {
+            Event::HostOpDone {
                 node,
                 pid,
                 op: HostOp::Extract(pkt),
@@ -423,7 +415,14 @@ impl World {
     }
 
     /// A host work item completed.
-    fn on_host_op_done(&mut self, now: SimTime, node: usize, pid: Pid, op: HostOp, bus: &mut Bus) {
+    pub(super) fn on_host_op_done(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        op: HostOp,
+        sched: &mut Sched,
+    ) {
         {
             let proc = self.nodes[node]
                 .apps
@@ -432,15 +431,15 @@ impl World {
             proc.busy = false;
         }
         match op {
-            HostOp::SendFragment => self.complete_send_fragment(now, node, pid, bus),
-            HostOp::Extract(pkt) => self.complete_extract(now, node, pid, pkt, bus),
+            HostOp::SendFragment => self.complete_send_fragment(now, node, pid, sched),
+            HostOp::Extract(pkt) => self.complete_extract(now, node, pid, pkt, sched),
             HostOp::ComputeDone | HostOp::InitStep => {
-                self.proc_kick(now, node, pid, bus);
+                self.proc_kick(now, node, pid, sched);
             }
         }
     }
 
-    fn complete_send_fragment(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    fn complete_send_fragment(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         let n = &mut self.nodes[node];
         let proc = n.apps.get_mut(&pid).unwrap();
         let sp = proc
@@ -461,7 +460,7 @@ impl World {
             assert!(proc.deferred_pkt.is_none());
             proc.deferred_pkt = Some(pkt);
             proc.blocked = Some(BlockReason::ContextFault);
-            self.begin_fault(now, node, job, bus);
+            self.begin_fault(now, node, job, sched);
             return;
         };
         n.nic
@@ -472,10 +471,10 @@ impl World {
             .expect("send queue overflowed despite the space check");
         self.vn_touch(now, node, job);
         if self.cfg.reliability.enabled {
-            self.arm_retrans_timer(now, node, pid, bus);
+            self.arm_retrans_timer(now, node, pid, sched);
         }
-        self.kick_send_engine(now, node, bus);
-        self.proc_kick(now, node, pid, bus);
+        self.kick_send_engine(now, node, sched);
+        self.proc_kick(now, node, pid, sched);
     }
 
     fn complete_extract(
@@ -484,7 +483,7 @@ impl World {
         node: usize,
         pid: Pid,
         pkt: Packet,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let payload = pkt.payload as u64;
         let (job, refill_due, delivered) = {
@@ -498,16 +497,12 @@ impl World {
         // count toward the paper's goodput; `delivered` is always true with
         // the layer off.
         if delivered {
-            self.stats
-                .job_bw
-                .entry(job)
-                .or_default()
-                .record(now, payload);
+            *self.stats.job_bytes.entry(job).or_default() += payload;
         }
         if let Some((peer, k)) = refill_due {
-            self.queue_refill(now, node, pid, peer, k, bus);
+            self.queue_refill(now, node, pid, peer, k, sched);
         }
-        self.proc_kick(now, node, pid, bus);
+        self.proc_kick(now, node, pid, sched);
     }
 
     /// Emit a dedicated refill packet (or defer it if the send queue is
@@ -519,7 +514,7 @@ impl World {
         pid: Pid,
         peer: usize,
         credits: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let n = &mut self.nodes[node];
         let proc = n.apps.get_mut(&pid).unwrap();
@@ -529,7 +524,7 @@ impl World {
             Some(ctx) if !ctx.send_q.is_full() => {
                 let pkt = proc.fm.make_refill(peer, credits);
                 ctx.send_q.push(pkt).unwrap();
-                self.kick_send_engine(now, node, bus);
+                self.kick_send_engine(now, node, sched);
             }
             _ => {
                 *proc.pending_refills.entry(peer).or_insert(0) += credits;
@@ -539,7 +534,7 @@ impl World {
 
     /// The program returned Done: tear the process down (COMM_end_job),
     /// deferring until its send queue drains.
-    fn finish_proc(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    fn finish_proc(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         {
             let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
             proc.phase = ProcPhase::Finished;
@@ -564,11 +559,11 @@ impl World {
                     .collect()
             };
             for peer in peers {
-                self.queue_refill(now, node, pid, peer, 0, bus);
+                self.queue_refill(now, node, pid, peer, 0, sched);
             }
         }
         self.trace
             .emit(now, Category::App, Some(node), || format!("{pid} done"));
-        self.try_end_job(now, node, pid, bus);
+        self.try_end_job(now, node, pid, sched);
     }
 }

@@ -13,25 +13,11 @@ use parpar::protocol::{MasterMsg, NodedCmd, TreeMsg};
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
-use crate::bus::Bus;
-use crate::event::{AppEvent, DaemonEvent};
+use crate::event::{Event, Sched};
 use crate::procsim::{ProcPhase, ProcSim};
 use crate::world::World;
 
 impl World {
-    pub(crate) fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus) {
-        match ev {
-            DaemonEvent::QuantumExpired => self.on_quantum_expired(now, bus),
-            DaemonEvent::NodeTick { node } => self.on_node_tick(now, node, bus),
-            DaemonEvent::CtrlToNode { node, cmd } => self.on_ctrl_to_node(now, node, cmd, bus),
-            DaemonEvent::CtrlToMaster { msg } => self.on_ctrl_to_master(now, msg, bus),
-            DaemonEvent::NodedAct { node, cmd } => self.on_noded_act(now, node, cmd, bus),
-            DaemonEvent::SwitchRetryCheck { epoch } => self.on_switch_retry_check(now, epoch, bus),
-            DaemonEvent::CtrlToPeer { node, msg } => self.on_ctrl_to_peer(now, node, msg, bus),
-            DaemonEvent::JobArrival { index } => self.on_job_arrival(now, index, bus),
-        }
-    }
-
     /// Dynamic coscheduling: deschedule whoever runs and schedule the
     /// process an incoming message is destined to (related work \[12\]).
     /// Called by the NIC handler on message arrival.
@@ -40,7 +26,7 @@ impl World {
         now: SimTime,
         node: usize,
         pid: Pid,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let n = &mut self.nodes[node];
         let Some(target_slot) = n.apps.get(&pid).map(|p| p.slot) else {
@@ -54,18 +40,18 @@ impl World {
         }
         n.noded.current_slot = target_slot;
         n.procs.signal(pid, Signal::Cont);
-        bus.emit(
+        sched.at(
             now + self.cfg.host_costs.signal,
-            AppEvent::ProcKick { node, pid },
+            Event::ProcKick { node, pid },
         );
     }
 
     /// The masterd's quantum timer fired: rotate if there is anything to
     /// rotate to, and rearm the timer.
-    fn on_quantum_expired(&mut self, now: SimTime, bus: &mut Bus) {
-        self.order_switch(now, bus);
+    pub(super) fn on_quantum_expired(&mut self, now: SimTime, sched: &mut Sched) {
+        self.order_switch(now, sched);
         if self.cfg.auto_rotate {
-            bus.emit(now + self.cfg.quantum, DaemonEvent::QuantumExpired);
+            sched.at(now + self.cfg.quantum, Event::QuantumExpired);
         }
     }
 
@@ -74,7 +60,7 @@ impl World {
     /// the quantum timer and serving-mode eager reclaim; the masterd's own
     /// guards (switch in flight, nothing to rotate to) make extra calls
     /// no-ops.
-    fn order_switch(&mut self, now: SimTime, bus: &mut Bus) {
+    fn order_switch(&mut self, now: SimTime, sched: &mut Sched) {
         if let Some(order) = self.master.quantum_expired() {
             self.trace.emit(now, Category::Gang, None, || {
                 format!(
@@ -90,14 +76,14 @@ impl World {
                     from: order.from,
                     to: order.to,
                 },
-                bus,
+                sched,
             );
             // Reliability: arm the switch watchdog. A lost halt/ready frame
             // would otherwise deadlock the whole cluster in mid-switch.
             if self.cfg.reliability.enabled {
-                bus.emit(
+                sched.at(
                     now + self.cfg.reliability.switch_retry,
-                    DaemonEvent::SwitchRetryCheck { epoch: order.epoch },
+                    Event::SwitchRetryCheck { epoch: order.epoch },
                 );
             }
         }
@@ -107,7 +93,7 @@ impl World {
     /// flight, suspect a lost protocol frame and tell every node to re-send
     /// whatever it already emitted (each message is idempotent at every
     /// receiver), then re-arm.
-    fn on_switch_retry_check(&mut self, now: SimTime, epoch: u64, bus: &mut Bus) {
+    pub(super) fn on_switch_retry_check(&mut self, now: SimTime, epoch: u64, sched: &mut Sched) {
         if self.master.pending_switch() != Some(epoch) {
             return; // the switch completed; the watchdog dies quietly
         }
@@ -115,10 +101,10 @@ impl World {
         self.trace.emit(now, Category::Gang, None, || {
             format!("switch epoch {epoch} overdue: multicasting ResendProtocol")
         });
-        self.fan_out(now, NodedCmd::ResendProtocol { epoch }, bus);
-        bus.emit(
+        self.fan_out(now, NodedCmd::ResendProtocol { epoch }, sched);
+        sched.at(
             now + self.cfg.reliability.switch_retry,
-            DaemonEvent::SwitchRetryCheck { epoch },
+            Event::SwitchRetryCheck { epoch },
         );
     }
 
@@ -128,14 +114,14 @@ impl World {
     /// serial unicast loop (N back-to-back wire transmissions on the
     /// master's link), or the combining tree (one unicast to the root;
     /// each node forwards to its children over its own link).
-    fn fan_out(&mut self, now: SimTime, cmd: NodedCmd, bus: &mut Bus) {
+    fn fan_out(&mut self, now: SimTime, cmd: NodedCmd, sched: &mut Sched) {
         match self.cfg.control {
             ControlPlane::Flat => {
                 let deliver = self.ctrl.multicast(now);
                 for node in 0..self.cfg.nodes {
-                    bus.emit(
+                    sched.at(
                         deliver,
-                        DaemonEvent::CtrlToNode {
+                        Event::CtrlToNode {
                             node,
                             cmd: cmd.clone(),
                         },
@@ -145,9 +131,9 @@ impl World {
             ControlPlane::Serial => {
                 for node in 0..self.cfg.nodes {
                     let t = self.ctrl.unicast_to_node(now);
-                    bus.emit(
+                    sched.at(
                         t,
-                        DaemonEvent::CtrlToNode {
+                        Event::CtrlToNode {
                             node,
                             cmd: cmd.clone(),
                         },
@@ -157,9 +143,9 @@ impl World {
             ControlPlane::Tree { .. } => {
                 let root = self.tree.as_ref().expect("tree control plane").root();
                 let t = self.ctrl.unicast_to_node(now);
-                bus.emit(
+                sched.at(
                     t,
-                    DaemonEvent::CtrlToPeer {
+                    Event::CtrlToPeer {
                         node: root,
                         msg: TreeMsg::Bcast(cmd),
                     },
@@ -170,7 +156,7 @@ impl World {
 
     /// A node-local scheduler tick (uncoordinated mode): rotate this
     /// node's processes without any cluster-wide coordination.
-    fn on_node_tick(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_node_tick(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         debug_assert!(!self.cfg.gang_scheduling);
         let n = &mut self.nodes[node];
         let slots: Vec<usize> = n.noded.assignments().map(|(s, _, _)| s).collect();
@@ -184,14 +170,14 @@ impl World {
                 n.noded.current_slot = next;
                 if let Some((_, pid)) = n.noded.in_slot(next) {
                     n.procs.signal(pid, Signal::Cont);
-                    bus.emit(
+                    sched.at(
                         now + self.cfg.host_costs.signal,
-                        AppEvent::ProcKick { node, pid },
+                        Event::ProcKick { node, pid },
                     );
                 }
             }
         }
-        bus.emit(now + self.cfg.quantum, DaemonEvent::NodeTick { node });
+        sched.at(now + self.cfg.quantum, Event::NodeTick { node });
     }
 
     /// The noded's wake-up latency once a message hits its socket:
@@ -208,9 +194,15 @@ impl World {
 
     /// A masterd command was delivered to a node's socket: the noded wakes
     /// up after its scheduling jitter and dispatch cost.
-    fn on_ctrl_to_node(&mut self, now: SimTime, node: usize, cmd: NodedCmd, bus: &mut Bus) {
+    pub(super) fn on_ctrl_to_node(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        cmd: NodedCmd,
+        sched: &mut Sched,
+    ) {
         let delay = self.daemon_wake_delay();
-        bus.emit(now + delay, DaemonEvent::NodedAct { node, cmd });
+        sched.at(now + delay, Event::NodedAct { node, cmd });
     }
 
     /// A combining-tree message reached a peer noded (`ControlPlane::Tree`).
@@ -222,28 +214,34 @@ impl World {
     /// node's reduction, and exactly when the whole subtree has reported
     /// the combined count moves one level up (or to the master at the
     /// root). Depth × (wake + wire) is the honest O(log N) latency.
-    fn on_ctrl_to_peer(&mut self, now: SimTime, node: usize, msg: TreeMsg, bus: &mut Bus) {
+    pub(super) fn on_ctrl_to_peer(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        msg: TreeMsg,
+        sched: &mut Sched,
+    ) {
         let tree = *self.tree.as_ref().expect("CtrlToPeer without a tree");
         let acted = now + self.daemon_wake_delay();
         match msg {
             TreeMsg::Bcast(cmd) => {
                 for child in tree.children(node) {
                     let t = self.ctrl.unicast_node_to_node(acted, node);
-                    bus.emit(
+                    sched.at(
                         t,
-                        DaemonEvent::CtrlToPeer {
+                        Event::CtrlToPeer {
                             node: child,
                             msg: TreeMsg::Bcast(cmd.clone()),
                         },
                     );
                 }
-                bus.emit(acted, DaemonEvent::NodedAct { node, cmd });
+                sched.at(acted, Event::NodedAct { node, cmd });
             }
             TreeMsg::SwitchDoneAgg { epoch, count } => {
-                self.route_switch_done(acted, node, epoch, count, bus);
+                self.route_switch_done(acted, node, epoch, count, sched);
             }
             TreeMsg::JobFinishedAgg { job, count } => {
-                self.route_job_finished(acted, node, job, count, bus);
+                self.route_job_finished(acted, node, job, count, sched);
             }
         }
     }
@@ -260,12 +258,12 @@ impl World {
         node: usize,
         epoch: u64,
         count: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let Some(tree) = self.tree else {
             let t = self.ctrl.unicast_to_master(now);
             let msg = MasterMsg::SwitchDone { epoch, node };
-            bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+            sched.at(t, Event::CtrlToMaster { msg });
             return;
         };
         let Some(count) = self.tree_agg[node].add_switch_done(epoch, count) else {
@@ -275,12 +273,12 @@ impl World {
             Some(parent) => {
                 let t = self.ctrl.unicast_node_to_node(now, node);
                 let msg = TreeMsg::SwitchDoneAgg { epoch, count };
-                bus.emit(t, DaemonEvent::CtrlToPeer { node: parent, msg });
+                sched.at(t, Event::CtrlToPeer { node: parent, msg });
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
                 let msg = MasterMsg::SwitchDoneAgg { epoch, count };
-                bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+                sched.at(t, Event::CtrlToMaster { msg });
             }
         }
     }
@@ -293,12 +291,12 @@ impl World {
         node: usize,
         job: JobId,
         count: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let Some(tree) = self.tree else {
             let t = self.ctrl.unicast_to_master(now);
             let msg = MasterMsg::JobFinished { job, node };
-            bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+            sched.at(t, Event::CtrlToMaster { msg });
             return;
         };
         let Some(count) = self.tree_agg[node].add_job_finished(job, count) else {
@@ -308,28 +306,28 @@ impl World {
             Some(parent) => {
                 let t = self.ctrl.unicast_node_to_node(now, node);
                 let msg = TreeMsg::JobFinishedAgg { job, count };
-                bus.emit(t, DaemonEvent::CtrlToPeer { node: parent, msg });
+                sched.at(t, Event::CtrlToPeer { node: parent, msg });
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
                 let msg = MasterMsg::JobFinishedAgg { job, count };
-                bus.emit(t, DaemonEvent::CtrlToMaster { msg });
+                sched.at(t, Event::CtrlToMaster { msg });
             }
         }
     }
 
     /// A noded report reached the masterd.
-    fn on_ctrl_to_master(&mut self, now: SimTime, msg: MasterMsg, bus: &mut Bus) {
+    pub(super) fn on_ctrl_to_master(&mut self, now: SimTime, msg: MasterMsg, sched: &mut Sched) {
         match msg {
             MasterMsg::ProcStarted { job, node } => {
                 if let Some(cmds) = self.master.on_proc_started(job, node) {
                     self.stats.job_all_up.insert(job, now);
-                    self.stats.job_bw.entry(job).or_default().open(now);
+                    self.stats.job_bytes.entry(job).or_default();
                     self.trace
                         .emit(now, Category::Gang, None, || format!("{job} all up"));
                     for (n, cmd) in cmds {
                         let t = self.ctrl.unicast_to_node(now);
-                        bus.emit(t, DaemonEvent::CtrlToNode { node: n, cmd });
+                        sched.at(t, Event::CtrlToNode { node: n, cmd });
                     }
                 }
             }
@@ -340,7 +338,7 @@ impl World {
             }
             MasterMsg::JobFinished { job, node } => {
                 if self.master.on_job_finished(job, node) {
-                    self.complete_job(now, job, bus);
+                    self.complete_job(now, job, sched);
                 }
             }
             MasterMsg::SwitchDoneAgg { epoch, count } => {
@@ -350,7 +348,7 @@ impl World {
             }
             MasterMsg::JobFinishedAgg { job, count } => {
                 if self.master.on_job_finished_agg(job, count) {
-                    self.complete_job(now, job, bus);
+                    self.complete_job(now, job, sched);
                 }
             }
         }
@@ -369,7 +367,7 @@ impl World {
     /// into the freed matrix space, and — in serving mode with eager
     /// reclaim — rotate away from a now-empty current slot instead of
     /// idling out the quantum.
-    fn complete_job(&mut self, now: SimTime, job: JobId, bus: &mut Bus) {
+    fn complete_job(&mut self, now: SimTime, job: JobId, sched: &mut Sched) {
         self.stats.job_finished.insert(job, now);
         if let Some(&t) = self.stats.job_dispatched.get(&job) {
             self.stats.service_latency.record(now.since(t).raw());
@@ -388,7 +386,7 @@ impl World {
                 .queued_programs
                 .remove(&ticket)
                 .expect("queued programs out of sync with jobrep");
-            self.admit(now, queued.submitted_at, sub, queued.programs, bus);
+            self.admit(now, queued.submitted_at, sub, queued.programs, sched);
         }
         self.stats
             .queue_depth
@@ -396,7 +394,7 @@ impl World {
         if self.cfg.eager_reclaim && self.cfg.gang_scheduling {
             let cur = self.master.current_slot();
             if !self.master.matrix().active_slots().contains(&cur) {
-                self.order_switch(now, bus);
+                self.order_switch(now, sched);
             }
         }
     }
@@ -404,13 +402,13 @@ impl World {
     /// A planned open-loop arrival fired: submit it through the jobrep
     /// queue, recording its submit time (and zero wait if it was admitted
     /// on the spot).
-    fn on_job_arrival(&mut self, now: SimTime, index: usize, bus: &mut Bus) {
+    pub(super) fn on_job_arrival(&mut self, now: SimTime, index: usize, sched: &mut Sched) {
         let planned = self.arrivals[index]
             .take()
             .expect("JobArrival fired twice for the same index");
         self.arrivals_pending -= 1;
         match self.jobrep.submit(&mut self.master, planned.spec) {
-            Ok(Admission::Admitted(sub)) => self.admit(now, now, sub, planned.programs, bus),
+            Ok(Admission::Admitted(sub)) => self.admit(now, now, sub, planned.programs, sched),
             Ok(Admission::Queued(ticket)) => self.enqueue(now, ticket, planned.programs),
             Err(_) => {
                 // Counted as rejected in jobrep.stats; the open-loop source
@@ -423,14 +421,20 @@ impl World {
     }
 
     /// The noded executes a command.
-    fn on_noded_act(&mut self, now: SimTime, node: usize, cmd: NodedCmd, bus: &mut Bus) {
+    pub(super) fn on_noded_act(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        cmd: NodedCmd,
+        sched: &mut Sched,
+    ) {
         match cmd {
             NodedCmd::LoadJob {
                 job,
                 rank,
                 placement,
                 slot,
-            } => self.load_job(now, node, job, rank, placement, slot, bus),
+            } => self.load_job(now, node, job, rank, placement, slot, sched),
             NodedCmd::AllUp { job } => {
                 let Some((_, pid)) = self.nodes[node].noded_lookup(job) else {
                     panic!("AllUp for job not on node {node}");
@@ -443,14 +447,14 @@ impl World {
                     format!("sync byte written for {job}")
                 });
                 if wake {
-                    bus.emit(
+                    sched.at(
                         now + self.cfg.host_costs.pipe_write,
-                        AppEvent::ProcKick { node, pid },
+                        Event::ProcKick { node, pid },
                     );
                 }
             }
             NodedCmd::SwitchSlot { epoch, from, to } => {
-                self.start_switch(now, node, epoch, from, to, bus);
+                self.start_switch(now, node, epoch, from, to, sched);
             }
             NodedCmd::KillJob { job } => {
                 if let Some((_, pid)) = self.nodes[node].noded.remove_job(job) {
@@ -458,7 +462,7 @@ impl World {
                     self.nodes[node].apps.remove(&pid);
                 }
             }
-            NodedCmd::ResendProtocol { epoch } => self.on_resend_protocol(now, node, epoch, bus),
+            NodedCmd::ResendProtocol { epoch } => self.on_resend_protocol(now, node, epoch, sched),
         }
     }
 
@@ -466,7 +470,7 @@ impl World {
     /// `epoch`. Re-send whatever protocol messages this node already
     /// emitted, according to where it is in the switch. If the send engine
     /// is mid-packet the attempt is skipped — the watchdog fires again.
-    fn on_resend_protocol(&mut self, now: SimTime, node: usize, epoch: u64, bus: &mut Bus) {
+    fn on_resend_protocol(&mut self, now: SimTime, node: usize, epoch: u64, sched: &mut Sched) {
         use gang_comm::sequencer::SwitchPhase;
         let n = &self.nodes[node];
         if n.send_engine_busy {
@@ -478,31 +482,31 @@ impl World {
                 // been the lost frame) or our SwitchSlot has not been acted
                 // on yet (nothing to re-send).
                 if n.seq.last_finished() == Some(epoch) {
-                    self.rebroadcast_ready(now, node, bus);
+                    self.rebroadcast_ready(now, node, sched);
                 }
             }
             SwitchPhase::Halting => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 if n.halt_broadcast_started {
-                    self.rebroadcast_halt(now, node, bus);
+                    self.rebroadcast_halt(now, node, sched);
                 } else {
                     // The original halt broadcast never ran (the engine was
                     // busy when the halt bit was set and went idle without
                     // re-checking, e.g. because the in-flight packet chain
                     // died to wire loss): run it now, first time, for real.
-                    self.kick_send_engine(now, node, bus);
+                    self.kick_send_engine(now, node, sched);
                 }
             }
             SwitchPhase::Copying => {
                 debug_assert_eq!(n.seq.epoch, epoch);
-                self.rebroadcast_halt(now, node, bus);
+                self.rebroadcast_halt(now, node, sched);
             }
             SwitchPhase::Releasing => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 // A peer may have missed our halt *or* our ready; re-send
                 // both (the ready re-broadcast chains off the halt
                 // completion, see `on_halt_broadcast_done`).
-                self.rebroadcast_halt(now, node, bus);
+                self.rebroadcast_halt(now, node, sched);
             }
         }
     }
@@ -517,7 +521,7 @@ impl World {
         rank: usize,
         placement: Rc<[usize]>,
         slot: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let geo = self.cfg.fm.geometry();
         let program = self
@@ -588,12 +592,12 @@ impl World {
         // FM_initialize.
         let after_fork = now + self.cfg.host_costs.fork;
         let t_master = self.ctrl.unicast_to_master(after_fork);
-        bus.emit(
+        sched.at(
             t_master,
-            DaemonEvent::CtrlToMaster {
+            Event::CtrlToMaster {
                 msg: MasterMsg::ProcStarted { job, node },
             },
         );
-        bus.emit(after_fork, AppEvent::ProcKick { node, pid });
+        sched.at(after_fork, Event::ProcKick { node, pid });
     }
 }

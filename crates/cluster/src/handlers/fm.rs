@@ -23,8 +23,7 @@ use myrinet::broadcast::CONTROL_PACKET_BYTES;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
-use crate::bus::Bus;
-use crate::event::{AppEvent, FmEvent, Frame, NicEvent};
+use crate::event::{Event, Frame, Sched};
 use crate::procsim::ProcPhase;
 use crate::world::World;
 
@@ -37,14 +36,6 @@ pub const PARKING_HEADROOM: usize = 16;
 pub const FAULT_OVERHEAD: Cycles = Cycles(10_000); // 50 µs
 
 impl World {
-    pub(crate) fn on_fm(&mut self, now: SimTime, ev: FmEvent, bus: &mut Bus) {
-        match ev {
-            FmEvent::FaultDone { node, job } => self.on_fault_done(now, node, job, bus),
-            FmEvent::RetransTimeout { node, pid } => self.on_retrans_timeout(now, node, pid, bus),
-            FmEvent::DemandRebalance { node } => self.on_demand_rebalance(now, node, bus),
-        }
-    }
-
     /// Is the virtual-networks residency policy active?
     pub(crate) fn vn_active(&self) -> bool {
         self.cfg.fm.policy == BufferPolicy::CachedEndpoints
@@ -59,7 +50,7 @@ impl World {
 
     /// Request that `job`'s endpoint become resident on `node`.
     /// Idempotent; queues behind an in-progress fault.
-    pub(crate) fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
+    pub(crate) fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, sched: &mut Sched) {
         debug_assert!(self.vn_active());
         let n = &mut self.nodes[node];
         if n.nic.find_context(job).is_some() {
@@ -72,7 +63,7 @@ impl World {
             n.fault_queue.push_back(job);
             return;
         }
-        self.start_fault(now, node, job, bus);
+        self.start_fault(now, node, job, sched);
     }
 
     /// An arrival found no resident endpoint under VN caching: park it
@@ -82,7 +73,7 @@ impl World {
         now: SimTime,
         node: usize,
         pkt: Packet,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let job = pkt.job;
         // Credits bound each endpoint's in-flight data to its receive-ring
@@ -98,9 +89,9 @@ impl World {
             let tx = self
                 .net
                 .transmit(now, node, pkt.src_host, CONTROL_PACKET_BYTES);
-            bus.emit(
+            sched.at(
                 tx.arrival,
-                NicEvent::FrameArrive {
+                Event::FrameArrive {
                     node: pkt.src_host,
                     frame: Frame::DropNotify {
                         job,
@@ -112,14 +103,20 @@ impl World {
             return;
         }
         n.parked.push(pkt);
-        self.begin_fault(now, node, job, bus);
+        self.begin_fault(now, node, job, sched);
     }
 
     /// Reliability layer: make sure a RetransTimeout event is outstanding
     /// for this process (armed on every fragment injection; cheap no-op
     /// while one is pending). The delay grows exponentially with
     /// consecutive no-progress firings.
-    pub(crate) fn arm_retrans_timer(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    pub(crate) fn arm_retrans_timer(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        sched: &mut Sched,
+    ) {
         debug_assert!(self.cfg.reliability.enabled);
         let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
         if proc.rel_timer_armed {
@@ -128,13 +125,19 @@ impl World {
         proc.rel_timer_armed = true;
         let shift = proc.rel_backoff.min(BACKOFF_CAP);
         let delay = Cycles(RETRANS_TIMEOUT.raw() << shift);
-        bus.emit(now + delay, FmEvent::RetransTimeout { node, pid });
+        sched.at(now + delay, Event::RetransTimeout { node, pid });
     }
 
     /// The go-back-N retransmit timer fired. If the ack horizon moved since
     /// the last firing the timer just re-arms; if not, the whole unacked
     /// window is re-pushed into the context's (empty) send queue.
-    fn on_retrans_timeout(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    pub(super) fn on_retrans_timeout(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        sched: &mut Sched,
+    ) {
         let Some(proc) = self.nodes[node].apps.get_mut(&pid) else {
             return; // torn down while the event was in flight
         };
@@ -144,7 +147,7 @@ impl World {
             if proc.phase == ProcPhase::Finished {
                 // The last ack may have arrived with no Refill retry
                 // pending: the deferred teardown can proceed now.
-                self.try_end_job(now, node, pid, bus);
+                self.try_end_job(now, node, pid, sched);
             }
             return;
         }
@@ -153,7 +156,7 @@ impl World {
             // Acks are flowing — no loss suspected, just a long queue.
             proc.rel_progress_mark = acked;
             proc.rel_backoff = 0;
-            self.arm_retrans_timer(now, node, pid, bus);
+            self.arm_retrans_timer(now, node, pid, sched);
             return;
         }
         let job = proc.fm.job;
@@ -188,9 +191,9 @@ impl World {
         };
         let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
         proc.rel_backoff = (proc.rel_backoff + 1).min(BACKOFF_CAP);
-        self.arm_retrans_timer(now, node, pid, bus);
+        self.arm_retrans_timer(now, node, pid, sched);
         if retransmitted {
-            self.kick_send_engine(now, node, bus);
+            self.kick_send_engine(now, node, sched);
         }
     }
 
@@ -200,7 +203,7 @@ impl World {
     /// The pass itself is free of simulated time — it is NIC-local
     /// bookkeeping over a handful of counters, dwarfed by any real event —
     /// so the moves take effect through the ordinary consume/refill path.
-    fn on_demand_rebalance(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_demand_rebalance(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let mut realloc = 0u64;
         let mut migrated = 0u64;
         for proc in self.nodes[node].apps.values_mut() {
@@ -223,13 +226,13 @@ impl World {
                 format!("demand rebalance: {realloc} ledgers changed, {migrated} credits granted")
             });
         }
-        bus.emit(
+        sched.at(
             now + self.cfg.fm.demand.rebalance_interval,
-            FmEvent::DemandRebalance { node },
+            Event::DemandRebalance { node },
         );
     }
 
-    fn start_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
+    fn start_fault(&mut self, now: SimTime, node: usize, job: u32, sched: &mut Sched) {
         let n = &mut self.nodes[node];
         n.fault_in_progress = Some(job);
         n.faults += 1;
@@ -252,7 +255,7 @@ impl World {
             format!("endpoint fault for job {job}")
         });
         let r = self.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, FmEvent::FaultDone { node, job });
+        sched.at(r.end, Event::FaultDone { node, job });
     }
 
     /// Would one more endpoint fit on `node`'s NIC: a free context slot
@@ -276,7 +279,7 @@ impl World {
 
     /// Fault service completed: evict if needed, install the endpoint,
     /// deliver parked traffic, unblock waiters, start the next fault.
-    fn on_fault_done(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
+    pub(super) fn on_fault_done(&mut self, now: SimTime, node: usize, job: u32, sched: &mut Sched) {
         debug_assert_eq!(self.nodes[node].fault_in_progress, Some(job));
         let geo = self.cfg.fm.geometry();
         // Evict until the endpoint fits.
@@ -319,7 +322,7 @@ impl World {
         for pkt in parked {
             // Re-enters the normal landing path (engine cost was already
             // paid on arrival; landing now is free of NIC time).
-            self.land_packet(now, node, pkt, bus);
+            self.land_packet(now, node, pkt, sched);
         }
 
         // Inject any fragment deferred by a mid-send eviction, then wake
@@ -338,7 +341,7 @@ impl World {
                     .send_q
                     .push(pkt)
                     .expect("fresh endpoint cannot be full");
-                self.kick_send_engine(now, node, bus);
+                self.kick_send_engine(now, node, sched);
             }
             // Wake the owner if it is blocked at all, not only on
             // ContextFault: a RecvWait-blocked process whose endpoint just
@@ -350,15 +353,15 @@ impl World {
                 .map(|p| p.blocked.is_some())
                 .unwrap_or(false);
             if blocked {
-                bus.emit_now(AppEvent::ProcKick { node, pid });
+                sched.immediately(Event::ProcKick { node, pid });
             }
         }
-        self.drain_pending_refills(now, node, bus);
+        self.drain_pending_refills(now, node, sched);
 
         // Serve the next queued fault.
         if let Some(next) = self.nodes[node].fault_queue.pop_front() {
             if self.nodes[node].nic.find_context(next).is_none() {
-                self.start_fault(now, node, next, bus);
+                self.start_fault(now, node, next, sched);
             }
         }
     }

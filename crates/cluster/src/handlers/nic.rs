@@ -15,34 +15,22 @@ use myrinet::broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
 use sim_core::time::SimTime;
 use sim_core::trace::Category;
 
-use crate::bus::Bus;
-use crate::event::{AppEvent, Frame, NicEvent};
+use crate::event::{Event, Frame, Sched};
 use crate::procsim::{BlockReason, ProcPhase};
 use crate::world::World;
 
 impl World {
-    pub(crate) fn on_nic(&mut self, now: SimTime, ev: NicEvent, bus: &mut Bus) {
-        match ev {
-            NicEvent::FrameArrive { node, frame } => self.on_frame_arrive(now, node, frame, bus),
-            NicEvent::SendEngineDone { node } => self.on_send_engine_done(now, node, bus),
-            NicEvent::RecvEngineDone { node, pkt } => self.land_packet(now, node, pkt, bus),
-            NicEvent::HaltBroadcastDone { node } => self.on_halt_broadcast_done(now, node, bus),
-            NicEvent::ReadyBroadcastDone { node } => self.on_ready_broadcast_done(now, node, bus),
-            NicEvent::BroadcastArrive { train } => self.on_broadcast_arrive(now, train, bus),
-        }
-    }
-
     /// Let the send engine pick up work if it is idle: the LANai send
     /// context scanning the send queues (paper §2.2), extended with the
     /// halt-bit check on packet boundaries (paper §3.2).
-    pub(crate) fn kick_send_engine(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn kick_send_engine(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let n = &mut self.nodes[node];
         if n.send_engine_busy {
             return;
         }
         if n.nic.halt_bit() {
             if n.halt_requested && !n.halt_broadcast_started {
-                self.begin_halt_broadcast(now, node, bus);
+                self.begin_halt_broadcast(now, node, sched);
             }
             return;
         }
@@ -70,13 +58,13 @@ impl World {
             n.outstanding += 1;
         }
         let dst = pkt.dst_host;
-        bus.emit(tx.injection_done, NicEvent::SendEngineDone { node });
+        sched.at(tx.injection_done, Event::SendEngineDone { node });
         if self.lose_frame() {
             return;
         }
-        bus.emit(
+        sched.at(
             tx.arrival,
-            NicEvent::FrameArrive {
+            Event::FrameArrive {
                 node: dst,
                 frame: Frame::Data(pkt),
             },
@@ -85,21 +73,27 @@ impl World {
 
     /// Start the serial halt broadcast (the send engine is at a packet
     /// boundary with the halt bit set).
-    pub(crate) fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let n = &mut self.nodes[node];
         debug_assert!(n.nic.halt_bit() && n.halt_requested);
         n.halt_broadcast_started = true;
-        self.serial_control_broadcast(now, node, Signal::Halt, bus);
+        self.serial_control_broadcast(now, node, Signal::Halt, sched);
     }
 
     /// Start the serial ready broadcast (release phase).
-    pub(crate) fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        self.serial_control_broadcast(now, node, Signal::Ready, bus);
+    pub(crate) fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
+        self.serial_control_broadcast(now, node, Signal::Ready, sched);
     }
 
     /// The receive engine landed one packet (also the re-entry point for
     /// parked packets the FM handler delivers after a fault).
-    pub(crate) fn land_packet(&mut self, now: SimTime, node: usize, pkt: Packet, bus: &mut Bus) {
+    pub(crate) fn land_packet(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pkt: Packet,
+        sched: &mut Sched,
+    ) {
         if pkt.kind == PacketKind::Refill {
             // Refills are consumed at the NIC layer: credits are host
             // memory, no queue slot is used (paper §2.2).
@@ -110,7 +104,7 @@ impl World {
                 proc.fm.on_refill(&pkt);
                 if matches!(proc.blocked, Some(BlockReason::Credits { peer }) if peer == pkt.src_host)
                 {
-                    bus.emit_now(AppEvent::ProcKick { node, pid });
+                    sched.immediately(Event::ProcKick { node, pid });
                 }
                 // Reliability: the piggybacked ack may have released the
                 // last unacked packet of a finished process whose teardown
@@ -118,7 +112,7 @@ impl World {
                 if self.cfg.reliability.enabled
                     && self.nodes[node].apps[&pid].phase == ProcPhase::Finished
                 {
-                    self.try_end_job(now, node, pid, bus);
+                    self.try_end_job(now, node, pid, sched);
                 }
             }
             return;
@@ -130,7 +124,7 @@ impl World {
             None if vn => {
                 // Virtual-networks semantics: hold the packet and fault
                 // the endpoint in.
-                self.vn_park_arrival(now, node, pkt, bus);
+                self.vn_park_arrival(now, node, pkt, sched);
             }
             None if self.cfg.reliability.enabled => {
                 // A late retransmission arrived after the destination
@@ -143,9 +137,9 @@ impl World {
                     .net
                     .transmit(now, node, ghost.dst_host, ghost.wire_bytes());
                 if !self.lose_frame() {
-                    bus.emit(
+                    sched.at(
                         tx.arrival,
-                        NicEvent::FrameArrive {
+                        Event::FrameArrive {
                             node: ghost.dst_host,
                             frame: Frame::Data(ghost),
                         },
@@ -171,9 +165,9 @@ impl World {
                 let tx = self
                     .net
                     .transmit(now, node, pkt.src_host, CONTROL_PACKET_BYTES);
-                bus.emit(
+                sched.at(
                     tx.arrival,
-                    NicEvent::FrameArrive {
+                    Event::FrameArrive {
                         node: pkt.src_host,
                         frame: notify,
                     },
@@ -211,20 +205,20 @@ impl World {
                             )
                         )
                     {
-                        bus.emit_now(AppEvent::ProcKick { node, pid });
+                        sched.immediately(Event::ProcKick { node, pid });
                     }
                     // Dynamic coscheduling (§5): the arrival preempts the
                     // node in favor of the destination process.
                     if self.cfg.dynamic_coscheduling && !self.cfg.gang_scheduling {
-                        self.dynamic_cosched_preempt(now, node, pid, bus);
+                        self.dynamic_cosched_preempt(now, node, pid, sched);
                     }
                 }
                 // AckDrain: acknowledge receipt to the sender's NIC.
                 if self.cfg.strategy.uses_acks() {
                     let tx = self.net.transmit(now, node, src_host, CONTROL_PACKET_BYTES);
-                    bus.emit(
+                    sched.at(
                         tx.arrival,
-                        NicEvent::FrameArrive {
+                        Event::FrameArrive {
                             node: src_host,
                             frame: Frame::Ack { to: src_host },
                         },
@@ -249,7 +243,7 @@ impl World {
     }
 
     /// The send engine finished injecting a packet.
-    fn on_send_engine_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_send_engine_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].send_engine_busy = false;
         // Queue space freed: unblock senders, flush deferred refills, and
         // complete any deferred job teardown. The collect is gated behind a
@@ -264,19 +258,25 @@ impl World {
             for pid in pids {
                 let proc = &self.nodes[node].apps[&pid];
                 if proc.blocked == Some(BlockReason::SendSpace) {
-                    bus.emit_now(AppEvent::ProcKick { node, pid });
+                    sched.immediately(Event::ProcKick { node, pid });
                 }
                 if proc.phase == ProcPhase::Finished {
-                    self.try_end_job(now, node, pid, bus);
+                    self.try_end_job(now, node, pid, sched);
                 }
             }
         }
-        self.drain_pending_refills(now, node, bus);
-        self.kick_send_engine(now, node, bus);
+        self.drain_pending_refills(now, node, sched);
+        self.kick_send_engine(now, node, sched);
     }
 
     /// A frame fully arrived at this node's NIC.
-    fn on_frame_arrive(&mut self, now: SimTime, node: usize, frame: Frame, bus: &mut Bus) {
+    pub(super) fn on_frame_arrive(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        frame: Frame,
+        sched: &mut Sched,
+    ) {
         match frame {
             Frame::Data(pkt) => {
                 // Both data and refill packets pass through the receive
@@ -284,7 +284,7 @@ impl World {
                 let n = &mut self.nodes[node];
                 let work = costs::recv_cycles(pkt.wire_bytes());
                 let end = n.nic.reserve_engine(now, work);
-                bus.emit(end, NicEvent::RecvEngineDone { node, pkt });
+                sched.at(end, Event::RecvEngineDone { node, pkt });
             }
             Frame::Ack { to } => {
                 debug_assert_eq!(to, node);
@@ -293,7 +293,7 @@ impl World {
                 assert!(n.outstanding > 0, "ack without outstanding packet");
                 n.outstanding -= 1;
                 if n.outstanding == 0 {
-                    self.alt_drain_maybe_done(now, node, bus);
+                    self.alt_drain_maybe_done(now, node, sched);
                 }
             }
             Frame::DropNotify {
@@ -309,7 +309,7 @@ impl World {
                     let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
                     proc.fm.flow.refill(drop_host, 1);
                     if proc.blocked == Some(BlockReason::Credits { peer: drop_host }) {
-                        bus.emit_now(AppEvent::ProcKick { node, pid });
+                        sched.immediately(Event::ProcKick { node, pid });
                     }
                 }
                 // Under AckDrain a nack settles the outstanding packet too.
@@ -318,7 +318,7 @@ impl World {
                     assert!(n.outstanding > 0, "nack without outstanding packet");
                     n.outstanding -= 1;
                     if n.outstanding == 0 {
-                        self.alt_drain_maybe_done(now, node, bus);
+                        self.alt_drain_maybe_done(now, node, sched);
                     }
                 }
             }
@@ -326,7 +326,7 @@ impl World {
     }
 
     /// The halt broadcast finished: the local halt ("lh") transition.
-    fn on_halt_broadcast_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_halt_broadcast_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].send_engine_busy = false;
         let complete = self.nodes[node].seq.on_local_halt();
         self.trace.emit(now, Category::Switch, Some(node), || {
@@ -336,49 +336,49 @@ impl World {
             )
         });
         if complete {
-            self.finish_flush(now, node, bus);
+            self.finish_flush(now, node, sched);
         } else if self.cfg.reliability.enabled
             && self.nodes[node].seq.phase() == gang_comm::sequencer::SwitchPhase::Releasing
         {
             // This completion was a recovery re-broadcast from a node
             // already past the flush: repeat the ready broadcast too, in
             // case that was the frame that got lost.
-            self.rebroadcast_ready(now, node, bus);
+            self.rebroadcast_ready(now, node, sched);
         }
     }
 
     /// The ready broadcast finished: the local ready transition.
-    fn on_ready_broadcast_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_ready_broadcast_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].send_engine_busy = false;
         if self.nodes[node].seq.on_local_ready() {
-            self.finish_release(now, node, bus);
+            self.finish_release(now, node, sched);
         } else if self.cfg.reliability.enabled {
             // A recovery re-broadcast completion (the sequencer treated it
             // as a no-op): the engine was reserved for it, so let queued
             // data traffic resume. During a real release this kick is a
             // no-op — the halt bit is still set.
-            self.kick_send_engine(now, node, bus);
+            self.kick_send_engine(now, node, sched);
         }
     }
 
     /// Reliability layer: repeat the halt broadcast for the in-flight
     /// epoch (a ResendProtocol response). Every receiver treats the copies
     /// idempotently, including our own completion event.
-    pub(crate) fn rebroadcast_halt(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        self.rebroadcast(now, node, Signal::Halt, bus);
+    pub(crate) fn rebroadcast_halt(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
+        self.rebroadcast(now, node, Signal::Halt, sched);
     }
 
     /// Reliability layer: repeat the ready broadcast (see
     /// [`World::rebroadcast_halt`]).
-    pub(crate) fn rebroadcast_ready(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        self.rebroadcast(now, node, Signal::Ready, bus);
+    pub(crate) fn rebroadcast_ready(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
+        self.rebroadcast(now, node, Signal::Ready, sched);
     }
 
-    fn rebroadcast(&mut self, now: SimTime, node: usize, signal: Signal, bus: &mut Bus) {
+    fn rebroadcast(&mut self, now: SimTime, node: usize, signal: Signal, sched: &mut Sched) {
         debug_assert!(self.cfg.reliability.enabled);
         debug_assert!(!self.nodes[node].send_engine_busy);
         self.stats.rebroadcasts += 1;
-        self.serial_control_broadcast(now, node, signal, bus);
+        self.serial_control_broadcast(now, node, signal, sched);
     }
 
     /// The LANai's serial-loop broadcast of one halt or ready frame to
@@ -394,7 +394,7 @@ impl World {
         now: SimTime,
         node: usize,
         signal: Signal,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         let n = &mut self.nodes[node];
         n.send_engine_busy = true;
@@ -414,24 +414,24 @@ impl World {
             if self.lose_frame() {
                 continue;
             }
-            let seq = bus.claim_seq();
+            let seq = sched.claim_seq();
             self.trains.add(train, tx.arrival, seq, dst);
         }
         let done = sends.last().map_or(start, |(_, tx)| tx.injection_done);
         self.bcast_sends = sends;
         self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, signal.done(node));
+        sched.at(done, signal.done(node));
         if let Some((t, seq)) = self.trains.seal(train) {
-            bus.push_claimed(t, seq, NicEvent::BroadcastArrive { train });
+            sched.push_claimed(t, seq, Event::BroadcastArrive { train });
         }
     }
 
     /// The head of a broadcast train arrived: queue the train's next
     /// arrival, then deliver this one.
-    fn on_broadcast_arrive(&mut self, now: SimTime, train: u32, bus: &mut Bus) {
+    pub(super) fn on_broadcast_arrive(&mut self, now: SimTime, train: u32, sched: &mut Sched) {
         let (node, frame, next) = self.trains.advance(train);
         if let Some((t, seq)) = next {
-            bus.push_claimed(t, seq, NicEvent::BroadcastArrive { train });
+            sched.push_claimed(t, seq, Event::BroadcastArrive { train });
         }
         let ControlFrame { signal, epoch, src } = frame;
         self.nodes[node].nic.stats.control_received += 1;
@@ -441,7 +441,7 @@ impl World {
                     format!("halt from n{src} (epoch {epoch})")
                 });
                 if self.nodes[node].seq.on_halt_msg(epoch, src) {
-                    self.finish_flush(now, node, bus);
+                    self.finish_flush(now, node, sched);
                 }
             }
             Signal::Ready => {
@@ -449,7 +449,7 @@ impl World {
                     format!("ready from n{src} (epoch {epoch})")
                 });
                 if self.nodes[node].seq.on_ready_msg(epoch, src) {
-                    self.finish_release(now, node, bus);
+                    self.finish_release(now, node, sched);
                 }
             }
         }
@@ -467,10 +467,10 @@ enum Signal {
 
 impl Signal {
     /// The event that ends the broadcast on the sending NIC.
-    fn done(self, node: usize) -> NicEvent {
+    fn done(self, node: usize) -> Event {
         match self {
-            Signal::Halt => NicEvent::HaltBroadcastDone { node },
-            Signal::Ready => NicEvent::ReadyBroadcastDone { node },
+            Signal::Halt => Event::HaltBroadcastDone { node },
+            Signal::Ready => Event::ReadyBroadcastDone { node },
         }
     }
 }
@@ -498,7 +498,7 @@ struct Train {
 }
 
 /// Slab of in-flight broadcast trains, indexed by
-/// [`NicEvent::BroadcastArrive`]'s `train`. Finished slots (and their
+/// [`Event::BroadcastArrive`]'s `train`. Finished slots (and their
 /// arrival buffers) are recycled, so a steady rotation allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Trains {

@@ -9,8 +9,7 @@ use hostsim::process::Signal;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
-use crate::bus::Bus;
-use crate::event::{AppEvent, SwitchEvent};
+use crate::event::{Event, Sched};
 use crate::node::AltSwitch;
 use crate::stats::QueueSample;
 use crate::world::World;
@@ -22,12 +21,6 @@ use crate::world::World;
 pub const COPY_JITTER_PCT: f64 = 0.03;
 
 impl World {
-    pub(crate) fn on_switch(&mut self, now: SimTime, ev: SwitchEvent, bus: &mut Bus) {
-        match ev {
-            SwitchEvent::CopyDone { node } => self.on_copy_done(now, node, bus),
-        }
-    }
-
     /// The noded received SwitchSlot: stop the outgoing process and run
     /// the configured strategy's switch sequence.
     pub(crate) fn start_switch(
@@ -37,7 +30,7 @@ impl World {
         epoch: u64,
         from: usize,
         to: usize,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         self.nodes[node].noded.current_slot = to;
         self.trace.emit(now, Category::Switch, Some(node), || {
@@ -70,14 +63,14 @@ impl World {
                 ) {
                     // Every context is permanently resident: nothing to
                     // flush or copy — the switch is just signals.
-                    self.resume_incoming(now, node, to, bus);
-                    self.route_switch_done(now, node, epoch, 1, bus);
+                    self.resume_incoming(now, node, to, sched);
+                    self.route_switch_done(now, node, epoch, 1, sched);
                     return;
                 }
                 self.nodes[node].seq.start(now, epoch, from, to);
                 // COMM_halt_network: stop sending on a packet boundary and
                 // run the global flush protocol.
-                self.comm_halt_network(now, node, bus)
+                self.comm_halt_network(now, node, sched)
                     .expect("halt ordered while idle");
             }
             // SHARE/PM-style baseline: no flush — stop sending and copy
@@ -86,21 +79,21 @@ impl World {
             SwitchStrategy::ShareDiscard { .. } => {
                 self.nodes[node].nic.set_halt_bit(true);
                 self.nodes[node].alt_switch = Some(alt);
-                self.begin_alt_copy(now, node, bus);
+                self.begin_alt_copy(now, node, sched);
             }
             // Per-node drain baseline: stop sending and wait until every
             // in-flight packet is acknowledged, then copy. No broadcasts.
             SwitchStrategy::AckDrain => {
                 self.nodes[node].nic.set_halt_bit(true);
                 self.nodes[node].alt_switch = Some(alt);
-                self.alt_drain_maybe_done(now, node, bus);
+                self.alt_drain_maybe_done(now, node, sched);
             }
         }
     }
 
     /// AckDrain: if the send engine is quiet and nothing is outstanding,
     /// the drain phase is over. Called by the NIC handler per ack.
-    pub(crate) fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let n = &self.nodes[node];
         let Some(alt) = n.alt_switch else {
             return;
@@ -108,11 +101,11 @@ impl World {
         if alt.copying || n.outstanding > 0 || n.send_engine_busy {
             return;
         }
-        self.begin_alt_copy(now, node, bus);
+        self.begin_alt_copy(now, node, sched);
     }
 
     /// A baseline switch's halt (or drain) phase is over: start the copy.
-    fn begin_alt_copy(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    fn begin_alt_copy(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let alt = self.nodes[node]
             .alt_switch
             .as_mut()
@@ -122,7 +115,7 @@ impl World {
         let (from, to) = (alt.from, alt.to);
         let cost = self.copy_cost_for(node, from, to);
         let r = self.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
+        sched.at(r.end, Event::CopyDone { node });
     }
 
     /// Occupancy-dependent buffer-switch cost; also records the Fig. 8
@@ -150,23 +143,23 @@ impl World {
 
     /// The flush completed on this node: begin the buffer switch. Called
     /// by the NIC handler when the last halt message is counted.
-    pub(crate) fn finish_flush(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn finish_flush(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].seq.flush_complete(now);
         self.trace
             .emit(now, Category::Switch, Some(node), || "flushed".to_string());
         // COMM_context_switch: swap buffers.
-        self.comm_context_switch(now, node, None, None, bus)
+        self.comm_context_switch(now, node, None, None, sched)
             .expect("copy ordered before flush completed");
     }
 
     /// Release protocol complete: restart communication and resume the
     /// incoming process. Called by the NIC handler when the last ready
     /// message is counted.
-    pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let breakdown = self.nodes[node].seq.finish(now);
         let seq = &self.nodes[node].seq;
         let (epoch, to) = (seq.epoch, seq.to_slot);
-        self.end_switch(now, node, epoch, to, breakdown, bus);
+        self.end_switch(now, node, epoch, to, breakdown, sched);
     }
 
     fn current_epoch(&self, node: usize) -> u64 {
@@ -193,7 +186,7 @@ impl World {
 
     /// The buffer copy finished: move the queue contents and enter the
     /// release phase (or, for the baselines, finish directly).
-    fn on_copy_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(super) fn on_copy_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         if let Some(alt) = self.nodes[node].alt_switch.take() {
             // A baseline switch has no release protocol.
             self.move_buffers(now, node, alt.from, alt.to);
@@ -202,7 +195,7 @@ impl World {
                 buffer_switch: now.since(alt.halt_done),
                 release: Cycles::ZERO,
             };
-            self.end_switch(now, node, alt.epoch, alt.to, breakdown, bus);
+            self.end_switch(now, node, alt.epoch, alt.to, breakdown, sched);
             return;
         }
         let s = &self.nodes[node].seq;
@@ -210,7 +203,7 @@ impl World {
         self.move_buffers(now, node, from, to);
         self.nodes[node].seq.copy_complete(now);
         // COMM_release_network: broadcast ready, collect peers' readys.
-        self.comm_release_network(now, node, bus)
+        self.comm_release_network(now, node, sched)
             .expect("release ordered before the copy completed");
     }
 
@@ -248,7 +241,7 @@ impl World {
         epoch: u64,
         to: usize,
         breakdown: StageBreakdown,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         self.stats.record_switch(node, epoch, breakdown);
         let n = &mut self.nodes[node];
@@ -256,17 +249,17 @@ impl World {
         n.halt_requested = false;
         n.halt_broadcast_started = false;
         n.noded.switches_done += 1;
-        self.kick_send_engine(now, node, bus);
-        self.resume_incoming(now, node, to, bus);
-        self.route_switch_done(now, node, epoch, 1, bus);
+        self.kick_send_engine(now, node, sched);
+        self.resume_incoming(now, node, to, sched);
+        self.route_switch_done(now, node, epoch, 1, sched);
     }
 
-    fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, bus: &mut Bus) {
+    fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, sched: &mut Sched) {
         if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
             self.nodes[node].procs.signal(pid_in, Signal::Cont);
-            bus.emit(
+            sched.at(
                 now + self.cfg.host_costs.signal,
-                AppEvent::ProcKick { node, pid: pid_in },
+                Event::ProcKick { node, pid: pid_in },
             );
         }
     }

@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod config;
 pub mod event;
 pub mod glue;
@@ -21,9 +20,8 @@ pub mod procsim;
 pub mod stats;
 pub mod world;
 
-pub use bus::Bus;
 pub use config::{ClusterConfig, TopologyKind};
-pub use event::{AppEvent, DaemonEvent, Event, FmEvent, Frame, HostOp, NicEvent, SwitchEvent};
+pub use event::{Event, Frame, HostOp};
 pub use glue::GlueFm;
 pub use measure::{Measurement, SchedulingMode, ServeCell};
 pub use myrinet::topology::{FatTreeShape, LinkTier};

@@ -281,14 +281,7 @@ fn run_fig6_cell(
     let t0 = sim.engine.now();
     let base: Vec<u64> = ids
         .iter()
-        .map(|j| {
-            sim.world()
-                .stats
-                .job_bw
-                .get(j)
-                .map(|m| m.bytes())
-                .unwrap_or(0)
-        })
+        .map(|j| sim.world().stats.job_bytes.get(j).copied().unwrap_or(0))
         .collect();
     let switches0 = sim.world().stats.switches;
     sim.run_for(duration);
@@ -297,14 +290,7 @@ fn run_fig6_cell(
         .iter()
         .zip(&base)
         .map(|(j, b)| {
-            let bytes = sim
-                .world()
-                .stats
-                .job_bw
-                .get(j)
-                .map(|m| m.bytes())
-                .unwrap_or(0)
-                - b;
+            let bytes = sim.world().stats.job_bytes.get(j).copied().unwrap_or(0) - b;
             bytes as f64 / 1e6 / elapsed
         })
         .collect();

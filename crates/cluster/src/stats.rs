@@ -3,7 +3,7 @@
 use gang_comm::overhead::OverheadLedger;
 use gang_comm::sequencer::StageBreakdown;
 use parpar::job::JobId;
-use sim_core::stats::{BandwidthMeter, LatencySketch, TimeWeighted};
+use sim_core::stats::{LatencySketch, TimeWeighted};
 use sim_core::time::{Cycles, SimTime};
 
 /// A per-job stat column backed by a flat `Vec` indexed by `JobId`.
@@ -208,8 +208,9 @@ pub struct WorldStats {
     pub stage_samples: Vec<(usize, u64, StageBreakdown)>,
     /// Queue-occupancy samples at switch time (Fig. 8).
     pub queue_samples: Vec<QueueSample>,
-    /// Receiver-side payload bandwidth per job (Figs. 5/6).
-    pub job_bw: PerJob<BandwidthMeter>,
+    /// Payload bytes delivered to each job's receivers. The entry opens at
+    /// AllUp, so every started job has one.
+    pub job_bytes: PerJob<u64>,
     /// When each job's processes all reported up (AllUp broadcast).
     pub job_all_up: PerJob<SimTime>,
     /// When each job's first data send was issued.

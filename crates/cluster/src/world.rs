@@ -1,4 +1,5 @@
-//! The simulated cluster: all state plus the top-level event dispatcher.
+//! The simulated cluster: all state and the simulation driver. The
+//! event dispatcher (`impl Model for World`) lives in [`crate::handlers`].
 
 use std::collections::BTreeMap;
 
@@ -13,15 +14,14 @@ use parpar::jobrep::JobRep;
 use parpar::masterd::{Masterd, Submitted};
 use parpar::matrix::PlaceError;
 use parpar::tree::{job_expectations, ControlTree, TreeAgg};
-use sim_core::engine::{Engine, Model, RunOutcome, Scheduler};
+use sim_core::engine::{Engine, RunOutcome};
 use sim_core::rng::DetRng;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Trace;
 use workloads::program::{Program, Workload};
 
-use crate::bus::Bus;
 use crate::config::ClusterConfig;
-use crate::event::{DaemonEvent, Event};
+use crate::event::{Event, Sched};
 use crate::handlers::nic::Trains;
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
@@ -173,7 +173,7 @@ impl World {
         now: SimTime,
         sub: Submitted,
         programs: Vec<Box<dyn Program>>,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         for (rank, program) in programs.into_iter().enumerate() {
             self.pending_programs.insert((sub.job, rank), program);
@@ -193,7 +193,7 @@ impl World {
                 "job placed on out-of-service node {node}"
             );
             let t = self.ctrl.unicast_to_node(now);
-            bus.emit(t, DaemonEvent::CtrlToNode { node, cmd });
+            sched.at(t, Event::CtrlToNode { node, cmd });
         }
     }
 
@@ -205,14 +205,14 @@ impl World {
         submitted_at: SimTime,
         sub: Submitted,
         programs: Vec<Box<dyn Program>>,
-        bus: &mut Bus,
+        sched: &mut Sched,
     ) {
         self.stats.job_submitted.insert(sub.job, submitted_at);
         self.stats.job_dispatched.insert(sub.job, now);
         self.stats
             .wait_latency
             .record(now.since(submitted_at).raw());
-        self.dispatch_submission(now, sub, programs, bus);
+        self.dispatch_submission(now, sub, programs, sched);
     }
 
     /// Hold a queued submission's programs until the jobrep admits it.
@@ -254,22 +254,6 @@ impl World {
     /// nothing queued) this degenerates to [`World::all_jobs_finished`].
     pub fn quiescent(&self) -> bool {
         self.master.all_jobs_finished() && self.jobrep.waiting() == 0 && self.arrivals_pending == 0
-    }
-}
-
-impl Model for World {
-    type Event = Event;
-
-    /// Route one event to its subsystem handler.
-    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
-        let bus = &mut Bus::new(sched);
-        match event {
-            Event::Daemon(e) => self.on_daemon(now, e, bus),
-            Event::Nic(e) => self.on_nic(now, e, bus),
-            Event::App(e) => self.on_app(now, e, bus),
-            Event::Switch(e) => self.on_switch(now, e, bus),
-            Event::Fm(e) => self.on_fm(now, e, bus),
-        }
     }
 }
 
@@ -325,11 +309,25 @@ impl Sim {
         }
         let demand = cfg.fm.policy == fastmsg::division::BufferPolicy::Demand;
         let rebalance_interval = cfg.fm.demand.rebalance_interval;
+        // Every periodic timer re-arms itself one period later: a zero
+        // period re-fires at the same instant until the event limit.
+        assert!(
+            !auto || quantum > Cycles::ZERO,
+            "cfg.quantum must be positive when auto_rotate is on"
+        );
+        assert!(
+            !demand || rebalance_interval > Cycles::ZERO,
+            "cfg.fm.demand.rebalance_interval must be positive under BufferPolicy::Demand"
+        );
+        assert!(
+            !(gang && cfg.reliability.enabled) || cfg.reliability.switch_retry > Cycles::ZERO,
+            "cfg.reliability.switch_retry must be positive when reliability is on"
+        );
         let mut engine = Engine::new(World::new(cfg));
         engine.event_limit = 2_000_000_000;
         engine.set_event_kinds(crate::event::KIND_NAMES, Event::kind_index);
         if auto && gang {
-            engine.schedule_at(SimTime::ZERO + quantum, DaemonEvent::QuantumExpired.into());
+            engine.schedule_at(SimTime::ZERO + quantum, Event::QuantumExpired);
         }
         if demand {
             // Each node rebalances its processes' credit windows on a fixed
@@ -337,7 +335,7 @@ impl Sim {
             for node in 0..nodes {
                 engine.schedule_at(
                     SimTime::ZERO + rebalance_interval,
-                    crate::event::FmEvent::DemandRebalance { node }.into(),
+                    Event::DemandRebalance { node },
                 );
             }
         }
@@ -346,10 +344,7 @@ impl Sim {
             // the first ticks across the quantum so nodes drift apart.
             for node in 0..nodes {
                 let phase = Cycles(quantum.raw() * (node as u64 + 1) / (nodes as u64 + 1));
-                engine.schedule_at(
-                    SimTime::ZERO + quantum + phase,
-                    DaemonEvent::NodeTick { node }.into(),
-                );
+                engine.schedule_at(SimTime::ZERO + quantum + phase, Event::NodeTick { node });
             }
         }
         Sim { engine }
@@ -419,11 +414,6 @@ impl Sim {
         h
     }
 
-    /// Shorthand for the world, mutably.
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.engine.model
-    }
-
     /// Submit a workload (optionally pinned to exact nodes) through the
     /// jobrep → masterd path; LoadJob commands go out on the control
     /// network immediately. Fails if the job does not fit *right now*
@@ -445,14 +435,14 @@ impl Sim {
         self.engine.drive(|w, sched| {
             let sub = w.master.submit(spec)?;
             let job = sub.job;
-            w.dispatch_submission(now, sub, programs, &mut Bus::new(sched));
+            w.dispatch_submission(now, sub, programs, sched);
             Ok(job)
         })
     }
 
     /// Install an open-loop arrival plan (serving mode): every entry gets
     /// its workload built now via `make(index, spec)` and a
-    /// [`DaemonEvent::JobArrival`] event scheduled at `now + spec.at`; when
+    /// [`Event::JobArrival`] event scheduled at `now + spec.at`; when
     /// each fires, the world submits the job through the jobrep queue and
     /// records its submit→dispatch→finish latencies. Call before running;
     /// [`Sim::run_until_quiescent`] waits for the whole plan to drain.
@@ -474,10 +464,8 @@ impl Sim {
                 programs,
             }));
             self.engine.model.arrivals_pending += 1;
-            self.engine.schedule_at(
-                now + spec.at,
-                DaemonEvent::JobArrival { index: base + i }.into(),
-            );
+            self.engine
+                .schedule_at(now + spec.at, Event::JobArrival { index: base + i });
         }
     }
 
@@ -508,5 +496,36 @@ impl Sim {
     pub fn run_for(&mut self, d: Cycles) -> RunOutcome {
         let t = self.engine.now() + d;
         self.run_until(t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastmsg::division::BufferPolicy;
+
+    #[test]
+    #[should_panic(expected = "cfg.quantum must be positive")]
+    fn zero_quantum_is_rejected() {
+        let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::FullBuffer);
+        cfg.quantum = Cycles::ZERO;
+        let _ = Sim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg.fm.demand.rebalance_interval must be positive")]
+    fn zero_rebalance_interval_is_rejected() {
+        let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::Demand);
+        cfg.fm.demand.rebalance_interval = Cycles::ZERO;
+        let _ = Sim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg.reliability.switch_retry must be positive")]
+    fn zero_switch_retry_is_rejected() {
+        let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::FullBuffer);
+        cfg.reliability.enabled = true;
+        cfg.reliability.switch_retry = Cycles::ZERO;
+        let _ = Sim::new(cfg);
     }
 }

@@ -47,15 +47,6 @@ impl OverheadLedger {
         )
     }
 
-    /// Maximum cycles of each stage.
-    pub fn max_stages(&self) -> (f64, f64, f64) {
-        (
-            self.halt.max(),
-            self.buffer_switch.max(),
-            self.release.max(),
-        )
-    }
-
     /// Mean total switch cycles.
     pub fn mean_total(&self) -> f64 {
         self.total.mean()
@@ -95,7 +86,6 @@ mod tests {
         assert_eq!(l.samples(), 2);
         let (h, b, r) = l.mean_stages();
         assert_eq!((h, b, r), (200.0, 2000.0, 300.0));
-        assert_eq!(l.max_stages(), (300.0, 3000.0, 400.0));
         assert_eq!(l.mean_total(), 2500.0);
         assert_eq!(l.max_total(), 3700.0);
     }

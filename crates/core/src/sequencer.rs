@@ -266,12 +266,6 @@ impl SwitchSequencer {
         }
     }
 
-    /// Is the release barrier satisfied (used when the local ready
-    /// broadcast finishes after all peer readys already arrived)?
-    pub fn release_ready(&self) -> bool {
-        self.release.complete()
-    }
-
     /// Epoch of the last completed switch, if any (recovery mode: a node
     /// answering a ResendProtocol for this epoch re-sends ready only).
     pub fn last_finished(&self) -> Option<u64> {

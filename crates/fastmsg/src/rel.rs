@@ -113,12 +113,6 @@ impl GoBackN {
         delta as usize
     }
 
-    /// Count one in-order packet consumed from `peer_host` and return the
-    /// new lifetime total (the `credits_total` value to send back).
-    pub fn note_consumed(&mut self, peer_host: usize) -> u64 {
-        self.add_consumed(peer_host, 1)
-    }
-
     /// Advance the lifetime consumed tally for `peer_host` by `units` and
     /// return the new total. Demand windows use this to make a window move
     /// loss-proof: a withheld credit adds 0 units (the sender's cumulative

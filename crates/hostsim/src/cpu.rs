@@ -41,16 +41,6 @@ impl HostCpu {
         }
     }
 
-    /// When the CPU next becomes free.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
-    /// Is the CPU idle at `now`?
-    pub fn idle_at(&self, now: SimTime) -> bool {
-        self.next_free <= now
-    }
-
     /// Reserve `work` cycles starting no earlier than `now`.
     pub fn reserve(&mut self, now: SimTime, work: Cycles) -> Reservation {
         let start = now.max(self.next_free);
@@ -64,14 +54,6 @@ impl HostCpu {
     pub fn busy_total(&self) -> Cycles {
         self.busy_total
     }
-
-    /// Utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.raw() == 0 {
-            return 0.0;
-        }
-        self.busy_total.raw() as f64 / now.raw() as f64
-    }
 }
 
 #[cfg(test)]
@@ -84,8 +66,6 @@ mod tests {
         let r = cpu.reserve(SimTime(100), Cycles(50));
         assert_eq!(r.start, SimTime(100));
         assert_eq!(r.end, SimTime(150));
-        assert!(cpu.idle_at(SimTime(150)));
-        assert!(!cpu.idle_at(SimTime(149)));
     }
 
     #[test]
@@ -98,13 +78,11 @@ mod tests {
     }
 
     #[test]
-    fn utilization_accounts_busy_time() {
+    fn busy_total_accounts_work() {
         let mut cpu = HostCpu::new();
         cpu.reserve(SimTime(0), Cycles(250));
         cpu.reserve(SimTime(500), Cycles(250));
         assert_eq!(cpu.busy_total(), Cycles(500));
-        assert!((cpu.utilization(SimTime(1000)) - 0.5).abs() < 1e-12);
-        assert_eq!(HostCpu::new().utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub struct Process {
     pub pid: Pid,
     /// Scheduling state.
     pub state: SchedState,
-    stops: u64,
-    conts: u64,
 }
 
 impl Process {
@@ -58,8 +56,6 @@ impl Process {
         Process {
             pid,
             state: SchedState::Active,
-            stops: 0,
-            conts: 0,
         }
     }
 
@@ -70,14 +66,12 @@ impl Process {
         }
         match sig {
             Signal::Stop => {
-                self.stops += 1;
                 if self.state != SchedState::Stopped {
                     self.state = SchedState::Stopped;
                     return true;
                 }
             }
             Signal::Cont => {
-                self.conts += 1;
                 if self.state != SchedState::Active {
                     self.state = SchedState::Active;
                     return true;
@@ -94,16 +88,6 @@ impl Process {
     /// Is the process currently eligible to run?
     pub fn is_active(&self) -> bool {
         self.state == SchedState::Active
-    }
-
-    /// Total SIGSTOPs delivered (one per gang deschedule).
-    pub fn stop_count(&self) -> u64 {
-        self.stops
-    }
-
-    /// Total SIGCONTs delivered.
-    pub fn cont_count(&self) -> u64 {
-        self.conts
     }
 }
 
@@ -184,12 +168,10 @@ mod tests {
         assert!(t.get(p).unwrap().is_active());
         assert!(t.signal(p, Signal::Stop));
         assert!(!t.get(p).unwrap().is_active());
-        // Redundant stop: no state change, but counted.
+        // Redundant stop: no state change.
         assert!(!t.signal(p, Signal::Stop));
         assert!(t.signal(p, Signal::Cont));
         assert!(t.get(p).unwrap().is_active());
-        assert_eq!(t.get(p).unwrap().stop_count(), 2);
-        assert_eq!(t.get(p).unwrap().cont_count(), 1);
     }
 
     #[test]

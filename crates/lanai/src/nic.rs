@@ -133,21 +133,6 @@ impl<P> Nic<P> {
         self.contexts.get_mut(id).and_then(Option::take)
     }
 
-    /// Install a previously saved/constructed context into a free slot.
-    pub fn install_context(&mut self, ctx: NicContext<P>) -> Result<CtxId, NicError> {
-        let need = ctx.send_q.capacity() as u64 * self.packet_bytes;
-        if self.send_ram_used() + need > self.send_buf_bytes {
-            return Err(NicError::MemoryExhausted);
-        }
-        let slot = self
-            .contexts
-            .iter()
-            .position(Option::is_none)
-            .ok_or(NicError::NoFreeContext)?;
-        self.contexts[slot] = Some(ctx);
-        Ok(slot)
-    }
-
     /// Context by slot id.
     pub fn context(&self, id: CtxId) -> Option<&NicContext<P>> {
         self.contexts.get(id).and_then(Option::as_ref)
@@ -273,15 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn free_and_install_round_trip() {
+    fn free_returns_the_context_and_its_memory() {
         let mut n = nic();
         let id = n.alloc_context(1, 0, 252, 668).unwrap();
         n.context_mut(id).unwrap().send_q.push(42).unwrap();
         let ctx = n.free_context(id).unwrap();
         assert_eq!(n.send_ram_used(), 0);
         assert_eq!(ctx.send_q.len(), 1);
-        let id2 = n.install_context(ctx).unwrap();
-        assert_eq!(n.context(id2).unwrap().send_q.peek(), Some(&42));
     }
 
     #[test]

@@ -24,10 +24,11 @@ pub struct RingFull;
 /// ring.push(7).unwrap();
 /// ring.push(8).unwrap();
 /// // The buffer switch drains the valid packets to backing store…
-/// let saved = ring.drain_all();
+/// let mut saved = Vec::new();
+/// ring.drain_into(&mut saved);
 /// assert_eq!(saved, vec![7, 8]);
 /// // …and loads them back on restore, preserving FIFO order.
-/// ring.load(saved);
+/// ring.load_from(&mut saved);
 /// assert_eq!(ring.pop(), Some(7));
 /// ```
 #[derive(Debug, Clone)]
@@ -109,35 +110,9 @@ impl<P> PacketRing<P> {
         self.slots.iter()
     }
 
-    /// Remove all packets, returning them in FIFO order. Used by the buffer
-    /// switch to move queue contents into backing store.
-    pub fn drain_all(&mut self) -> Vec<P> {
-        self.total_popped += self.slots.len() as u64;
-        self.slots.drain(..).collect()
-    }
-
-    /// Refill from saved contents (restore side of the buffer switch).
-    /// Panics if the contents exceed capacity — saved state always came from
-    /// a ring of the same geometry.
-    pub fn load(&mut self, packets: Vec<P>) {
-        assert!(
-            self.slots.is_empty(),
-            "loading into a non-empty ring would interleave jobs' packets"
-        );
-        assert!(
-            packets.len() <= self.capacity,
-            "saved contents exceed ring capacity"
-        );
-        self.total_pushed += packets.len() as u64;
-        self.slots.extend(packets);
-        if self.slots.len() > self.high_water {
-            self.high_water = self.slots.len();
-        }
-    }
-
-    /// Remove all packets into `buf` in FIFO order, reusing its allocation.
-    /// Allocation-free analogue of [`drain_all`](Self::drain_all) for the
-    /// buffer-switch hot path; `buf` is cleared first.
+    /// Remove all packets into `buf` in FIFO order, reusing its allocation:
+    /// the buffer switch moves queue contents into backing store this way.
+    /// `buf` is cleared first.
     pub fn drain_into(&mut self, buf: &mut Vec<P>) {
         buf.clear();
         self.total_popped += self.slots.len() as u64;
@@ -145,9 +120,9 @@ impl<P> PacketRing<P> {
     }
 
     /// Refill from `buf`, draining it in place (restore side of the buffer
-    /// switch, without giving up `buf`'s allocation). Same invariants as
-    /// [`load`](Self::load): the ring must be empty and the contents must
-    /// fit in `capacity`.
+    /// switch, without giving up `buf`'s allocation). Panics if the ring is
+    /// not empty or the contents exceed capacity — saved state always came
+    /// from a ring of the same geometry.
     pub fn load_from(&mut self, buf: &mut Vec<P>) {
         assert!(
             self.slots.is_empty(),
@@ -199,20 +174,6 @@ mod tests {
         assert!(r.is_full());
         assert_eq!(r.push('c'), Err(RingFull));
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn drain_and_load_round_trip() {
-        let mut r = PacketRing::new(5);
-        for i in 0..4 {
-            r.push(i).unwrap();
-        }
-        let saved = r.drain_all();
-        assert_eq!(saved, vec![0, 1, 2, 3]);
-        assert!(r.is_empty());
-        r.load(saved);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.pop(), Some(0));
     }
 
     #[test]
@@ -285,13 +246,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "exceed ring capacity")]
-    fn load_over_capacity_panics() {
-        let mut r = PacketRing::new(1);
-        r.load(vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed ring capacity")]
     fn load_from_over_capacity_panics() {
         let mut r = PacketRing::new(1);
         let mut buf = vec![1, 2];
@@ -305,13 +259,5 @@ mod tests {
         r.push(1).unwrap();
         let mut buf = vec![2];
         r.load_from(&mut buf);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty ring")]
-    fn load_into_nonempty_panics() {
-        let mut r = PacketRing::new(3);
-        r.push(1).unwrap();
-        r.load(vec![2]);
     }
 }

@@ -42,9 +42,10 @@ proptest! {
                     prop_assert_eq!(ring.pop(), model.pop_front());
                 }
                 Action::DrainAndReload => {
-                    let saved = ring.drain_all();
+                    let mut saved = Vec::new();
+                    ring.drain_into(&mut saved);
                     prop_assert_eq!(&saved, &model.iter().copied().collect::<Vec<_>>());
-                    ring.load(saved);
+                    ring.load_from(&mut saved);
                 }
             }
             prop_assert_eq!(ring.len(), model.len());

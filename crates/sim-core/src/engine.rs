@@ -19,31 +19,6 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Why a schedule request was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedError {
-    /// The requested instant is before the scheduler's current time;
-    /// delivering it would reorder causality.
-    InPast {
-        /// The instant that was requested.
-        requested: SimTime,
-        /// The scheduler's clock at the time of the request.
-        now: SimTime,
-    },
-}
-
-impl std::fmt::Display for SchedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedError::InPast { requested, now } => {
-                write!(f, "scheduling into the past: {requested:?} < {now:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SchedError {}
-
 /// The pending-event queue, handed to the model during event handling so it
 /// can schedule follow-ups.
 pub struct Scheduler<E> {
@@ -72,32 +47,11 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Validate a requested instant against the current clock.
-    #[inline]
-    fn check(&self, t: SimTime) -> Result<(), SchedError> {
-        if t < self.now {
-            Err(SchedError::InPast {
-                requested: t,
-                now: self.now,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Unchecked enqueue at `t` with the next FIFO sequence number.
     #[inline]
     fn push(&mut self, t: SimTime, event: E) {
         self.queue.push(t, self.seq, event);
         self.seq += 1;
-    }
-
-    /// Schedule `event` at absolute instant `t`, rejecting past instants
-    /// instead of clamping them. On `Err` the event is dropped.
-    pub fn try_at(&mut self, t: SimTime, event: E) -> Result<(), SchedError> {
-        self.check(t)?;
-        self.push(t, event);
-        Ok(())
     }
 
     /// Schedule `event` at absolute instant `t`. Scheduling in the past
@@ -106,13 +60,12 @@ impl<E> Scheduler<E> {
     /// instant, and count the violation (see
     /// [`Scheduler::causality_clamps`]).
     pub fn at(&mut self, t: SimTime, event: E) {
-        match self.check(t) {
-            Ok(()) => self.push(t, event),
-            Err(e) => {
-                debug_assert!(false, "{e}");
-                self.clamped += 1;
-                self.push(self.now, event);
-            }
+        if t < self.now {
+            debug_assert!(false, "scheduling into the past: {t:?} < {:?}", self.now);
+            self.clamped += 1;
+            self.push(self.now, event);
+        } else {
+            self.push(t, event);
         }
     }
 
@@ -534,29 +487,6 @@ mod tests {
         let out = e.run_until_pred(SimTime(1000), |m| m.fired.len() == 4);
         assert_eq!(out, RunOutcome::Horizon);
         assert_eq!(e.model.fired.len(), 4);
-    }
-
-    #[test]
-    fn try_at_rejects_past_instants() {
-        let mut e = engine();
-        e.schedule_at(SimTime(100), 1);
-        e.run_to_idle();
-        assert_eq!(e.now(), SimTime(100));
-        let err = e.drive(|_, s| s.try_at(SimTime(50), 2)).unwrap_err();
-        assert_eq!(
-            err,
-            SchedError::InPast {
-                requested: SimTime(50),
-                now: SimTime(100),
-            }
-        );
-        // The rejected event was not enqueued; the clamp counter is
-        // untouched (try_at refuses rather than papering over).
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.causality_clamps(), 0);
-        // Scheduling at exactly `now` is fine.
-        e.drive(|_, s| s.try_at(SimTime(100), 3)).unwrap();
-        assert_eq!(e.pending(), 1);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   small index entries over a slab arena of event payloads;
 //! * [`mem`] — the host-side memory-region copy-cost model calibrated to the
 //!   paper's measured 45 / 14 / 80 MB/s bandwidths;
-//! * [`stats`] — bandwidth meters, summaries, latency sketches,
-//!   time-weighted statistics;
+//! * [`stats`] — summaries, latency sketches, time-weighted statistics;
 //! * [`rng`] — seedable RNG with independent per-purpose streams;
 //! * [`trace`] — bounded categorized trace ring;
 //! * [`report`] — table/CSV rendering shared by the figure harnesses.
@@ -29,6 +28,6 @@ pub mod trace;
 pub use engine::{Engine, Model, RunOutcome, Scheduler};
 pub use mem::Region;
 pub use rng::DetRng;
-pub use stats::{BandwidthMeter, Summary, TimeWeighted};
+pub use stats::{Summary, TimeWeighted};
 pub use time::{Cycles, SimTime, CPU_HZ, CYCLES_PER_US};
 pub use trace::{Category, Record, Trace};

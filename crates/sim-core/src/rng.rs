@@ -95,18 +95,6 @@ impl DetRng {
         lo + self.below(hi - lo)
     }
 
-    /// Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        if p >= 1.0 {
-            // Consume one draw either way so the stream position does not
-            // depend on the probability value.
-            let _ = self.next_u64();
-            return true;
-        }
-        self.unit() < p
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         // 53 random mantissa bits scaled into [0, 1).
@@ -174,12 +162,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = DetRng::new(9);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 }

@@ -1,73 +1,7 @@
-//! Measurement helpers: bandwidth meters, latency sketches, summaries and
-//! time-weighted statistics used by the experiment harnesses.
+//! Measurement helpers: latency sketches, summaries and time-weighted
+//! statistics used by the experiment harnesses.
 
 use crate::time::{Cycles, SimTime};
-
-/// Measures achieved bandwidth from (instant, bytes) samples.
-///
-/// Bandwidth is `total payload bytes / (last - first sample instant)`, the
-/// same definition the paper's point-to-point benchmark uses (the finish
-/// message closes the interval).
-#[derive(Debug, Clone, Default)]
-pub struct BandwidthMeter {
-    first: Option<SimTime>,
-    last: SimTime,
-    bytes: u64,
-    samples: u64,
-}
-
-impl BandwidthMeter {
-    /// Fresh meter with no samples.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` of payload delivered at instant `t`.
-    pub fn record(&mut self, t: SimTime, bytes: u64) {
-        if self.first.is_none() {
-            self.first = Some(t);
-        }
-        self.last = self.last.max(t);
-        self.bytes += bytes;
-        self.samples += 1;
-    }
-
-    /// Open the measurement interval at `t` without adding bytes (e.g. at
-    /// benchmark start, before the first send).
-    pub fn open(&mut self, t: SimTime) {
-        if self.first.is_none() {
-            self.first = Some(t);
-            self.last = self.last.max(t);
-        }
-    }
-
-    /// Total payload bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Length of the measurement interval.
-    pub fn elapsed(&self) -> Cycles {
-        match self.first {
-            Some(f) => self.last.since(f),
-            None => Cycles::ZERO,
-        }
-    }
-
-    /// Achieved bandwidth in MB/s (decimal megabytes, as the paper plots).
-    pub fn mb_per_sec(&self) -> f64 {
-        let secs = self.elapsed().as_secs();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / secs
-    }
-}
 
 /// A statistic sampled over time, weighted by how long each value was held
 /// (e.g. queue occupancy).
@@ -338,25 +272,6 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bandwidth_meter_basic() {
-        let mut m = BandwidthMeter::new();
-        m.open(SimTime::ZERO);
-        // 200 M cycles = 1 s; 80 MB in 1 s = 80 MB/s.
-        m.record(SimTime(200_000_000), 80_000_000);
-        assert!((m.mb_per_sec() - 80.0).abs() < 1e-9);
-        assert_eq!(m.bytes(), 80_000_000);
-        assert_eq!(m.samples(), 1);
-    }
-
-    #[test]
-    fn bandwidth_meter_no_interval_is_zero() {
-        let mut m = BandwidthMeter::new();
-        m.record(SimTime(5), 100);
-        assert_eq!(m.mb_per_sec(), 0.0);
-        assert_eq!(BandwidthMeter::new().mb_per_sec(), 0.0);
-    }
 
     #[test]
     fn time_weighted_mean() {

@@ -102,12 +102,6 @@ impl Trace {
         }
     }
 
-    /// Is recording on?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Emit a record. `msg` is only evaluated when enabled, so callers pass
     /// a closure.
     #[inline]

@@ -22,13 +22,6 @@ pub struct P2pBandwidth {
 }
 
 impl P2pBandwidth {
-    /// Benchmark with the paper's message-count convention: 500 k messages
-    /// up to 1 KB, 100 k above.
-    pub fn paper_counts(msg_bytes: u64) -> Self {
-        let count = if msg_bytes <= 1024 { 500_000 } else { 100_000 };
-        P2pBandwidth { msg_bytes, count }
-    }
-
     /// Benchmark with an explicit message count (harnesses use smaller
     /// counts: steady-state bandwidth converges long before the paper's
     /// accuracy-driven totals).
@@ -161,14 +154,6 @@ mod tests {
             }
         );
         assert_eq!(r.next_op(&view(1, 3, 1)), Op::Done);
-    }
-
-    #[test]
-    fn paper_counts_convention() {
-        assert_eq!(P2pBandwidth::paper_counts(64).count, 500_000);
-        assert_eq!(P2pBandwidth::paper_counts(1024).count, 500_000);
-        assert_eq!(P2pBandwidth::paper_counts(4096).count, 100_000);
-        assert_eq!(P2pBandwidth::paper_counts(65536).count, 100_000);
     }
 
     #[test]

@@ -113,6 +113,12 @@ fn parse_args() -> Args {
             other => panic!("unknown flag {other} (try --help)"),
         }
     }
+    if a.nodes < 2 {
+        panic!("--nodes must be at least 2, got {}", a.nodes);
+    }
+    if a.quantum_ms == 0 {
+        panic!("--quantum-ms must be positive, got 0");
+    }
     a
 }
 
@@ -198,12 +204,12 @@ fn main() {
 
     let mut t = Table::new("per-job receive bandwidth", &["job", "MB/s", "bytes"]);
     for j in &jobs {
-        if let Some(m) = world.stats.job_bw.get(j) {
+        if let Some(&bytes) = world.stats.job_bytes.get(j) {
             let secs = (a.duration_ms as f64) / 1e3;
             t.row(vec![
                 format!("{j}").into(),
-                Cell::Float(m.bytes() as f64 / 1e6 / secs, 2),
-                m.bytes().into(),
+                Cell::Float(bytes as f64 / 1e6 / secs, 2),
+                bytes.into(),
             ]);
         }
     }

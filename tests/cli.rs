@@ -34,3 +34,21 @@ fn unknown_workload_fails_before_any_output() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn degenerate_sizes_fail_before_any_output() {
+    for (flag, value) in [("--nodes", "0"), ("--nodes", "1"), ("--quantum-ms", "0")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gang-sim"))
+            .args([flag, value])
+            .output()
+            .expect("run gang-sim");
+        assert!(!out.status.success(), "gang-sim accepted {flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
