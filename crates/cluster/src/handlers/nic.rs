@@ -9,7 +9,6 @@
 //! delivery order is unchanged (DESIGN.md §3i).
 
 use fastmsg::packet::{Packet, PacketKind};
-use hostsim::process::Pid;
 use lanai::costs;
 use myrinet::broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
 use sim_core::time::SimTime;
@@ -246,16 +245,18 @@ impl World {
     pub(super) fn on_send_engine_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].send_engine_busy = false;
         // Queue space freed: unblock senders, flush deferred refills, and
-        // complete any deferred job teardown. The collect is gated behind a
-        // cheap scan — on the streaming fast path nothing here applies and
-        // this handler must stay allocation-free.
+        // complete any deferred job teardown. The pid snapshot goes into a
+        // pooled buffer (`try_end_job` may remove residents mid-loop), so
+        // this handler stays allocation-free in steady state.
         let any_waiting = self.nodes[node]
             .apps
             .values()
             .any(|p| p.blocked == Some(BlockReason::SendSpace) || p.phase == ProcPhase::Finished);
         if any_waiting {
-            let pids: Vec<Pid> = self.nodes[node].apps.keys().copied().collect();
-            for pid in pids {
+            let mut pids = std::mem::take(&mut self.pid_buf);
+            pids.clear();
+            pids.extend(self.nodes[node].apps.keys().copied());
+            for &pid in &pids {
                 let proc = &self.nodes[node].apps[&pid];
                 if proc.blocked == Some(BlockReason::SendSpace) {
                     sched.immediately(Event::ProcKick { node, pid });
@@ -264,6 +265,7 @@ impl World {
                     self.try_end_job(now, node, pid, sched);
                 }
             }
+            self.pid_buf = pids;
         }
         self.drain_pending_refills(now, node, sched);
         self.kick_send_engine(now, node, sched);

@@ -1,5 +1,7 @@
 //! Cluster-wide measurement collection.
 
+pub use myrinet::network::TierTraffic;
+
 use gang_comm::overhead::OverheadLedger;
 use gang_comm::sequencer::StageBreakdown;
 use parpar::job::JobId;
@@ -171,18 +173,6 @@ impl<T> std::ops::Index<&JobId> for PerJob<T> {
         self.get(job)
             .unwrap_or_else(|| panic!("no entry for job {}", job.0))
     }
-}
-
-/// Per-fabric-tier link totals (edge, aggregation, spine), folded from the
-/// network's per-link counters by [`myrinet::topology::Topology::link_tier`].
-/// The single crossbar ([`crate::TopologyKind::SingleSwitch`]) has host
-/// links only, so its `Agg` and `Spine` rows are always zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierTraffic {
-    /// Packets carried per tier.
-    pub packets: [u64; 3],
-    /// Bytes carried per tier.
-    pub bytes: [u64; 3],
 }
 
 /// One Fig. 8 sample: valid packets found in the outgoing context's queues

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 
 use fastmsg::packet::PACKET_BYTES;
+use hostsim::process::Pid;
 use lanai::nic::Nic;
 use myrinet::network::{Network, Transmit};
-use myrinet::topology::{LinkTier, Topology};
+use myrinet::topology::Topology;
 use parpar::arrivals::{ArrivalPlan, ArrivalSpec};
 use parpar::control::{ControlNet, ControlPlane};
 use parpar::job::{JobId, JobSpec};
@@ -84,6 +85,8 @@ pub struct World {
     pub(crate) trains: Trains,
     /// Pooled per-peer transmit buffer for the serial broadcasts.
     pub(crate) bcast_sends: Vec<(usize, Transmit)>,
+    /// Pooled pid buffer for `on_send_engine_done`'s resident scan.
+    pub(crate) pid_buf: Vec<Pid>,
 }
 
 impl World {
@@ -147,6 +150,7 @@ impl World {
             switch_ordered_at: SimTime::ZERO,
             trains: Trains::default(),
             bcast_sends: Vec::new(),
+            pid_buf: Vec::new(),
             cfg,
         };
         w.stats.tree_depth = w.tree.as_ref().map_or(0, ControlTree::depth);
@@ -224,21 +228,10 @@ impl World {
         self.queued_programs.insert(ticket, sub);
     }
 
-    /// Fold the network's per-link counters by fabric tier (edge /
-    /// aggregation / spine) — the scalability sweep's per-tier load view.
+    /// The network's per-tier link totals (edge / aggregation / spine) —
+    /// the scalability sweep's per-tier load view.
     pub fn tier_traffic(&self) -> crate::stats::TierTraffic {
-        let topo = self.net.topology();
-        let mut t = crate::stats::TierTraffic::default();
-        for (lid, st) in self.net.link_stats().iter().enumerate() {
-            let i = match topo.link_tier(lid) {
-                LinkTier::Edge => 0,
-                LinkTier::Agg => 1,
-                LinkTier::Spine => 2,
-            };
-            t.packets[i] += st.packets;
-            t.bytes[i] += st.bytes;
-        }
-        t
+        self.net.tier_traffic()
     }
 
     /// Have all submitted jobs finished? O(1) — the masterd keeps an

@@ -18,5 +18,5 @@ pub mod network;
 pub mod topology;
 
 pub use broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
-pub use network::{LinkStats, Network, Transmit};
+pub use network::{Network, TierTraffic, Transmit};
 pub use topology::{HostId, Link, LinkId, Port, Topology, HOP_LATENCY_CYCLES, MYRINET_BW};

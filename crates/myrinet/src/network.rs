@@ -16,13 +16,17 @@ use sim_core::time::{Cycles, SimTime};
 
 use crate::topology::{HostId, Topology, HOP_LATENCY_CYCLES, MYRINET_BW};
 
-/// Per-link running counters.
-#[derive(Debug, Clone, Default)]
-pub struct LinkStats {
-    /// Packets carried.
-    pub packets: u64,
-    /// Payload + header bytes carried.
-    pub bytes: u64,
+/// Per-fabric-tier link totals (edge, aggregation, spine): a packet
+/// counts once on every link it crosses. The single crossbar
+/// ([`Topology::single_switch`]) has host links only, so its `Agg` and
+/// `Spine` rows are always zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierTraffic {
+    /// Packets carried per tier, indexed like
+    /// [`LinkTier`](crate::topology::LinkTier).
+    pub packets: [u64; 3],
+    /// Payload + header bytes carried per tier.
+    pub bytes: [u64; 3],
 }
 
 /// Outcome of injecting one packet.
@@ -40,7 +44,7 @@ pub struct Transmit {
 pub struct Network {
     topo: Topology,
     next_free: Vec<SimTime>,
-    stats: Vec<LinkStats>,
+    tiers: TierTraffic,
     total_packets: u64,
 }
 
@@ -51,7 +55,7 @@ impl Network {
         Network {
             topo,
             next_free: vec![SimTime::ZERO; n],
-            stats: vec![LinkStats::default(); n],
+            tiers: TierTraffic::default(),
             total_packets: 0,
         }
     }
@@ -83,15 +87,18 @@ impl Network {
         for (i, lid) in route.iter().copied().enumerate() {
             let end = ready.max(self.next_free[lid]) + tx_time;
             self.next_free[lid] = end;
-            let st = &mut self.stats[lid];
-            st.packets += 1;
-            st.bytes += bytes;
             if i == 0 {
                 injection_done = end;
             }
             // Store-and-forward: the next stage sees the packet after the
             // full transmission plus the propagation latency.
             ready = end + Cycles(HOP_LATENCY_CYCLES);
+        }
+        // Routes are up-down: a route of L links climbs the first L/2
+        // tiers and comes back down, crossing each of them twice.
+        for tier in 0..route.len() / 2 {
+            self.tiers.packets[tier] += 2;
+            self.tiers.bytes[tier] += 2 * bytes;
         }
         self.total_packets += 1;
         Transmit {
@@ -100,9 +107,9 @@ impl Network {
         }
     }
 
-    /// Per-link statistics, indexed like [`Topology::links`].
-    pub fn link_stats(&self) -> &[LinkStats] {
-        &self.stats
+    /// Packets and bytes carried so far, per fabric tier.
+    pub fn tier_traffic(&self) -> TierTraffic {
+        self.tiers
     }
 
     /// Total packets transmitted since construction.
@@ -114,7 +121,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use crate::topology::{FatTreeShape, Topology};
 
     fn net(n: usize) -> Network {
         Network::new(Topology::single_switch(n))
@@ -175,13 +182,35 @@ mod tests {
     }
 
     #[test]
-    fn link_stats_accumulate() {
+    fn tier_totals_accumulate() {
         let mut n = net(2);
         n.transmit(SimTime::ZERO, 0, 1, 1000);
         n.transmit(SimTime(10_000), 0, 1, 1000);
-        let total_bytes: u64 = n.link_stats().iter().map(|s| s.bytes).sum();
-        assert_eq!(total_bytes, 4000); // 2 packets x 2 links
+        // 2 packets x 2 host links; a crossbar has no upper tiers.
+        let t = n.tier_traffic();
+        assert_eq!(t.packets, [4, 0, 0]);
+        assert_eq!(t.bytes, [4000, 0, 0]);
         assert_eq!(n.total_packets(), 2);
+    }
+
+    #[test]
+    fn tier_totals_match_a_link_tier_fold_over_every_route() {
+        let topo = Topology::fat_tree(FatTreeShape::for_hosts(64));
+        let mut n = Network::new(topo.clone());
+        let mut expect = TierTraffic::default();
+        for src in 0..64 {
+            for dst in (0..64).filter(|&d| d != src) {
+                let bytes = 16 + (src * 64 + dst) as u64;
+                n.transmit(SimTime::ZERO, src, dst, bytes);
+                for &lid in topo.route(src, dst).iter() {
+                    let tier = topo.link_tier(lid) as usize;
+                    expect.packets[tier] += 1;
+                    expect.bytes[tier] += bytes;
+                }
+            }
+        }
+        assert!(expect.packets.iter().all(|&p| p > 0), "{expect:?}");
+        assert_eq!(n.tier_traffic(), expect);
     }
 
     #[test]

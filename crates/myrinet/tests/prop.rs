@@ -60,9 +60,9 @@ proptest! {
     }
 
     /// Conservation: every transmitted packet's bytes are accounted on
-    /// exactly the links of its route.
+    /// exactly the links of its route, all of them in the host tier.
     #[test]
-    fn link_stats_conserve_bytes(
+    fn tier_totals_conserve_bytes(
         pkts in proptest::collection::vec((1u64..3000, 0usize..6, 0usize..6), 1..80),
     ) {
         let hosts = 6;
@@ -77,9 +77,10 @@ proptest! {
             total += bytes;
             n += 1;
         }
-        let carried: u64 = net.link_stats().iter().map(|s| s.bytes).sum();
-        // Single-switch routes are exactly two links.
-        prop_assert_eq!(carried, 2 * total);
+        let t = net.tier_traffic();
+        // Single-switch routes are exactly two host links.
+        prop_assert_eq!(t.bytes, [2 * total, 0, 0]);
+        prop_assert_eq!(t.packets, [2 * n, 0, 0]);
         prop_assert_eq!(net.total_packets(), n);
     }
 

@@ -95,10 +95,6 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.queue.pop()
-    }
-
     fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -288,8 +284,15 @@ impl<M: Model> Engine<M> {
     }
 
     /// Process a single event, if any. Returns the instant it fired.
+    ///
+    /// The pop leaves the event's queue entry behind as a stale root, and
+    /// the handler's first push overwrites it: one sift instead of two
+    /// (see [`crate::queue`]). While the handler runs,
+    /// [`Scheduler::pending`] already leaves the event out. If the handler
+    /// pushed nothing, the stale root is removed before `step` returns, so
+    /// between steps the queue holds exactly the pending events.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (time, event) = self.sched.pop()?;
+        let (time, event) = self.sched.queue.pop()?;
         debug_assert!(time >= self.sched.now);
         self.sched.now = time;
         self.events_processed += 1;
@@ -303,6 +306,7 @@ impl<M: Model> Engine<M> {
         }
         self.digest = fnv1a(fnv1a(self.digest, time.raw()), kind as u64);
         self.model.handle(time, event, &mut self.sched);
+        self.sched.queue.settle();
         Some(time)
     }
 
@@ -539,5 +543,54 @@ mod tests {
         e.schedule_at(SimTime(0), 1);
         e.run_to_idle();
         assert_eq!(e.model.0, vec![0, 1, 100]);
+    }
+
+    #[test]
+    fn pending_inside_a_handler_excludes_the_event_being_handled() {
+        // Records `pending()` on entry and after its push; event 2
+        // pushes nothing.
+        struct Pending(Vec<usize>);
+        impl Model for Pending {
+            type Event = u32;
+            fn handle(&mut self, _: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+                self.0.push(sched.pending());
+                if ev < 2 {
+                    sched.after(Cycles(1_000), 9);
+                    self.0.push(sched.pending());
+                }
+            }
+        }
+        let mut e = Engine::new(Pending(Vec::new()));
+        for ev in [0, 1, 2] {
+            e.schedule_at(SimTime(ev as u64), ev);
+        }
+        assert_eq!(e.pending(), 3);
+        e.step();
+        // Event 0 sees the two others, then its own follow-up.
+        assert_eq!(e.model.0, vec![2, 3]);
+        assert_eq!(e.pending(), 3);
+        e.step();
+        assert_eq!(e.model.0, vec![2, 3, 2, 3]);
+        e.step();
+        // Event 2 pushed nothing: its entry is gone after the step.
+        assert_eq!(e.model.0, vec![2, 3, 2, 3, 2]);
+        assert_eq!(e.pending(), 2);
+    }
+
+    #[test]
+    fn a_handler_that_pushes_nothing_leaves_the_next_event_due() {
+        let mut e = engine();
+        for (t, ev) in [(40, 4), (10, 1), (30, 3), (20, 2), (50, 5)] {
+            e.schedule_at(SimTime(t), ev);
+        }
+        assert_eq!(e.step(), Some(SimTime(10)));
+        assert_eq!(e.sched.peek_time(), Some(SimTime(20)));
+        assert_eq!(e.pending(), 4);
+        // A bounded step must see the next event, not the handled one.
+        assert_eq!(e.step_bounded(SimTime(15)), None);
+        assert_eq!(e.step_bounded(SimTime(20)), Some(SimTime(20)));
+        assert_eq!(e.run_until(SimTime(35)), RunOutcome::Horizon);
+        assert_eq!(e.model.fired, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(e.sched.peek_time(), Some(SimTime(40)));
     }
 }
