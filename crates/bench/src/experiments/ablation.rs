@@ -11,7 +11,7 @@
 //! ```
 
 use crate::{par_sweep, HarnessOpts};
-use cluster::measure::{switch_overhead_run, Measurement};
+use cluster::measure::Measurement;
 use fastmsg::division::CreditRounding;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
@@ -29,14 +29,13 @@ pub fn run(opts: &HarnessOpts) {
         &["nodes", "full copy", "valid-only", "speedup"],
     );
     let rows = par_sweep(nodes.to_vec(), |&n| {
-        let f = switch_overhead_run(n, CopyStrategy::Full, SwitchStrategy::GangFlush, 4, seed);
-        let v = switch_overhead_run(
-            n,
-            CopyStrategy::ValidOnly,
-            SwitchStrategy::GangFlush,
-            4,
-            seed,
-        );
+        let f = Measurement::switch_overhead(n, CopyStrategy::Full, SwitchStrategy::GangFlush, 4)
+            .seed(seed)
+            .run();
+        let v =
+            Measurement::switch_overhead(n, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4)
+                .seed(seed)
+                .run();
         (f.ledger.mean_stages().1, v.ledger.mean_stages().1)
     });
     for (&n, (f, v)) in nodes.iter().zip(&rows) {
@@ -67,7 +66,9 @@ pub fn run(opts: &HarnessOpts) {
         ],
     );
     let rows = par_sweep(strategies.to_vec(), |&s| {
-        let r = switch_overhead_run(8, CopyStrategy::ValidOnly, s, 6, seed);
+        let r = Measurement::switch_overhead(8, CopyStrategy::ValidOnly, s, 6)
+            .seed(seed)
+            .run();
         (s, r.ledger.mean_total(), r.drops)
     });
     for (s, total, drops) in rows {

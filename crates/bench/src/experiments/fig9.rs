@@ -6,7 +6,7 @@
 //! ```
 
 use crate::{par_sweep, HarnessOpts, FIG7_NODES};
-use cluster::measure::switch_overhead_run;
+use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::Table;
@@ -17,13 +17,14 @@ pub fn run(opts: &HarnessOpts) {
     let switches = if opts.full { 12 } else { 5 };
     let seed = opts.seed;
     let results = par_sweep(FIG7_NODES.to_vec(), |&nodes| {
-        switch_overhead_run(
+        Measurement::switch_overhead(
             nodes,
             CopyStrategy::ValidOnly,
             SwitchStrategy::GangFlush,
             switches,
-            seed,
         )
+        .seed(seed)
+        .run()
     });
     let mut table = Table::new(
         "Fig. 9 — switch stage times in cycles, improved (valid-only) copy",

@@ -8,7 +8,7 @@
 //! ```
 
 use crate::HarnessOpts;
-use cluster::measure::switch_overhead_run;
+use cluster::measure::Measurement;
 use fastmsg::config::FmConfig;
 use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
@@ -61,20 +61,14 @@ pub fn run(opts: &HarnessOpts) {
     opts.emit("overheads_switch", &t2);
 
     // -- measured overhead vs quantum ------------------------------------
-    let measured_full = switch_overhead_run(
-        16,
-        CopyStrategy::Full,
-        SwitchStrategy::GangFlush,
-        5,
-        opts.seed,
-    );
-    let measured_valid = switch_overhead_run(
-        16,
-        CopyStrategy::ValidOnly,
-        SwitchStrategy::GangFlush,
-        5,
-        opts.seed,
-    );
+    let measured_full =
+        Measurement::switch_overhead(16, CopyStrategy::Full, SwitchStrategy::GangFlush, 5)
+            .seed(opts.seed)
+            .run();
+    let measured_valid =
+        Measurement::switch_overhead(16, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 5)
+            .seed(opts.seed)
+            .run();
     let mut t3 = Table::new(
         "§4.2 — measured switch total vs gang quantum (16 nodes, all-to-all)",
         &["quantum", "full-copy overhead %", "valid-only overhead %"],

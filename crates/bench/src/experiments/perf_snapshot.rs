@@ -7,28 +7,19 @@
 //!   division, no rotation: the data plane at scale.
 //!
 //! Each scenario is one row carrying the run's event-stream digest,
-//! printed as a stable `DIGEST` line for CI to diff. The row format and
-//! its writer live in [`crate::snapshot`].
+//! printed as a stable `DIGEST` line for CI to diff. The row format, its
+//! writer and the median-of-three timer live in [`crate::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- perf_snapshot [--seed N] [--out DIR]
 //! ```
 
-use std::time::Instant;
-
-use crate::snapshot::{Row, Snapshot};
+use crate::snapshot::{median_wall_ms, Row, Snapshot};
 use crate::HarnessOpts;
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use sim_core::time::{Cycles, SimTime};
 use workloads::ring::Ring;
-
-/// Everything a run returns besides wall time.
-struct Outcome {
-    logical_events: u64,
-    /// The engine's event-stream digest.
-    digest: u64,
-}
 
 /// A static-division cluster of `nodes` one-slot hosts with rotation off.
 fn config(nodes: usize, seed: u64) -> ClusterConfig {
@@ -38,19 +29,7 @@ fn config(nodes: usize, seed: u64) -> ClusterConfig {
     cfg
 }
 
-/// Run every submitted job to completion and collect the row's outcome.
-fn finish(mut sim: Sim, what: &str) -> Outcome {
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
-        "{what} did not finish"
-    );
-    Outcome {
-        logical_events: sim.engine.logical_events(),
-        digest: sim.engine.stream_digest(),
-    }
-}
-
-fn run_ring(seed: u64) -> Outcome {
+fn ring(seed: u64) -> Sim {
     let mut sim = Sim::new(config(4, seed));
     let ring = Ring {
         nprocs: 4,
@@ -58,37 +37,34 @@ fn run_ring(seed: u64) -> Outcome {
         laps: 4,
     };
     sim.submit(&ring, Some(vec![0, 1, 2, 3])).unwrap();
-    finish(sim, "ring")
+    sim
 }
 
-fn run_pairs64(seed: u64) -> Outcome {
+fn pairs64(seed: u64) -> Sim {
     let mut sim = Sim::new(config(64, seed));
     let bench = workloads::registry::build("p2p", 2, seed, 400).expect("registry has p2p");
     for pair in 0..32 {
         sim.submit(&*bench, Some(vec![2 * pair, 2 * pair + 1]))
             .unwrap();
     }
-    finish(sim, "pairs")
+    sim
 }
 
-/// Median-of-three wall time, as a row.
-fn measure(scenario: &str, f: impl Fn() -> Outcome) -> Row {
-    let mut times = Vec::with_capacity(3);
-    let mut out = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let o = f();
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(o);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("wall time is finite"));
-    let wall_ms = times[times.len() / 2];
-    let o = out.expect("at least one rep");
+/// One row: run a freshly built `scenario` to completion three times and
+/// keep the median wall time. Building the cluster is not timed.
+fn measure(scenario: &str, build: impl Fn() -> Sim) -> Row {
+    let (wall_ms, sim) = median_wall_ms(build, |mut sim| {
+        assert!(
+            sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
+            "{scenario} did not finish"
+        );
+        sim
+    });
     Row {
         scenario: scenario.into(),
         wall_ms,
-        logical_events: o.logical_events,
-        digest: o.digest,
+        logical_events: sim.engine.logical_events(),
+        digest: sim.engine.stream_digest(),
     }
 }
 
@@ -96,8 +72,8 @@ fn measure(scenario: &str, f: impl Fn() -> Outcome) -> Row {
 pub fn run(opts: &HarnessOpts) {
     let seed = opts.seed;
     let rows = vec![
-        measure("ring_1mib", || run_ring(seed)),
-        measure("pairs64", || run_pairs64(seed)),
+        measure("ring_1mib", || ring(seed)),
+        measure("pairs64", || pairs64(seed)),
     ];
 
     println!(

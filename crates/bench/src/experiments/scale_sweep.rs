@@ -21,17 +21,15 @@
 //! a byte prefix of the committed full `results/scale_sweep.csv`. All
 //! table values come from deterministic simulation stats, and per-cell
 //! `DIGEST` lines pin each cell's event stream. With `--out DIR`,
-//! wall-clock throughput of each cell is written to `DIR/BENCH_scale.json`
-//! via [`crate::snapshot`].
+//! wall-clock throughput of each cell (the median of three runs) is
+//! written to `DIR/BENCH_scale.json` via [`crate::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- scale_sweep \
 //!     [--max-n N] [--out DIR] [--full] [--csv DIR] [--seed N]
 //! ```
 
-use std::time::Instant;
-
-use crate::snapshot::{Row, Snapshot};
+use crate::snapshot::{median_wall_ms, Row, Snapshot};
 use crate::HarnessOpts;
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, Sim, TopologyKind};
 use fastmsg::division::{BufferPolicy, CreditRounding};
@@ -96,23 +94,27 @@ fn run_cell(
     cfg.host_costs = HostCosts::deterministic();
     cfg.quantum = Cycles::from_ms(20);
     cfg.seed = opts.seed;
-    let mut sim = Sim::new(cfg);
     // The registry's `p2p` entry pins the 64 KB message size this cell's
     // bandwidth column assumes.
     let bench = workloads::registry::build("p2p", 2, opts.seed, count).expect("registry has p2p");
-    let mut jobs = Vec::new();
-    for (a, b) in placements(nodes) {
-        // Two jobs on the same pair: they must occupy both slots, so
-        // every quantum performs a whole-machine gang switch.
-        jobs.push(sim.submit(&*bench, Some(vec![a, b])).unwrap());
-        jobs.push(sim.submit(&*bench, Some(vec![a, b])).unwrap());
-    }
-    let t0 = Instant::now();
-    assert!(
-        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
-        "{name} N={nodes} did not finish"
-    );
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let build = || {
+        let mut sim = Sim::new(cfg.clone());
+        let mut jobs = Vec::new();
+        for (a, b) in placements(nodes) {
+            // Two jobs on the same pair: they must occupy both slots, so
+            // every quantum performs a whole-machine gang switch.
+            jobs.push(sim.submit(&*bench, Some(vec![a, b])).unwrap());
+            jobs.push(sim.submit(&*bench, Some(vec![a, b])).unwrap());
+        }
+        (sim, jobs)
+    };
+    let (wall_ms, (sim, jobs)) = median_wall_ms(build, |(mut sim, jobs)| {
+        assert!(
+            sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
+            "{name} N={nodes} did not finish"
+        );
+        (sim, jobs)
+    });
     let logical_events = sim.engine.logical_events();
     let digest = sim.engine.stream_digest();
     let w = sim.world();

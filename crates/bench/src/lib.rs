@@ -158,11 +158,6 @@ pub fn max_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Ceiling on [`par_sweep`] workers: the machine's [`max_parallelism`].
-pub fn sweep_pool_size() -> usize {
-    max_parallelism()
-}
-
 /// Run `f` over `params` on a bounded worker pool, preserving parameter
 /// order in the results. Workers pull the next parameter from a shared
 /// counter, so at most the pool size runs at once no matter how large the
@@ -174,7 +169,7 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    let workers = sweep_pool_size().min(params.len().max(1));
+    let workers = max_parallelism().min(params.len().max(1));
     let next = AtomicUsize::new(0);
     let mut batches: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
@@ -255,9 +250,9 @@ mod tests {
         assert_eq!(r[999], 1000);
         let peak = peak.load(Ordering::SeqCst);
         assert!(
-            peak <= sweep_pool_size(),
+            peak <= max_parallelism(),
             "{peak} live workers exceeds pool of {}",
-            sweep_pool_size()
+            max_parallelism()
         );
     }
 

@@ -6,8 +6,30 @@
 //! writer (hand-rolled: the crate has no serde) and
 //! [`crate::HarnessOpts::emit_snapshot`] the one place that prints the
 //! `DIGEST` lines and writes the file, so the format is defined once.
+//! [`median_wall_ms`] times the `perf_snapshot` and `scale_sweep` rows.
 
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// Timed runs per row; the row keeps their median.
+const REPS: usize = 3;
+
+/// Time `run` on three fresh inputs from `setup` and return the median
+/// wall time in milliseconds with the last run's output. Neither `setup`
+/// nor dropping a previous output is timed.
+pub fn median_wall_ms<S, T>(mut setup: impl FnMut() -> S, mut run: impl FnMut(S) -> T) -> (f64, T) {
+    let mut times = [0.0; REPS];
+    let mut out = None;
+    for t in &mut times {
+        drop(out.take());
+        let input = setup();
+        let t0 = Instant::now();
+        out = Some(run(input));
+        *t = t0.elapsed().as_secs_f64() * 1e3;
+    }
+    times.sort_by(f64::total_cmp);
+    (times[REPS / 2], out.expect("REPS > 0"))
+}
 
 /// One measured run of one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,6 +106,25 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_wall_ms_runs_each_fresh_input_once() {
+        let mut built = 0;
+        let mut ran = Vec::new();
+        let (ms, last) = median_wall_ms(
+            || {
+                built += 1;
+                built
+            },
+            |i| {
+                ran.push(i);
+                i * 10
+            },
+        );
+        assert_eq!(ran, [1, 2, 3]);
+        assert_eq!(last, 30);
+        assert!(ms >= 0.0);
+    }
 
     #[test]
     fn json_text_is_pinned() {

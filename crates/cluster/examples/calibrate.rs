@@ -36,15 +36,22 @@ fn main() {
     if arg.is_empty() || arg == "fig7" {
         println!("== fig7/8/9 by nodes ==");
         for nodes in [2usize, 4, 8, 16] {
-            let full =
-                switch_overhead_run(nodes, CopyStrategy::Full, SwitchStrategy::GangFlush, 6, 1);
-            let valid = switch_overhead_run(
+            let full = Measurement::switch_overhead(
+                nodes,
+                CopyStrategy::Full,
+                SwitchStrategy::GangFlush,
+                6,
+            )
+            .seed(1)
+            .run();
+            let valid = Measurement::switch_overhead(
                 nodes,
                 CopyStrategy::ValidOnly,
                 SwitchStrategy::GangFlush,
                 6,
-                1,
-            );
+            )
+            .seed(1)
+            .run();
             let (h, b, r) = full.ledger.mean_stages();
             let (h2, b2, r2) = valid.ledger.mean_stages();
             println!("N={nodes:>2} full: halt={h:>9.0} bswitch={b:>10.0} release={r:>9.0} | valid: halt={h2:>9.0} bswitch={b2:>9.0} release={r2:>9.0} | occ send={:.1} recv={:.1}",

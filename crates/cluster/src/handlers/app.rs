@@ -5,6 +5,7 @@ use fastmsg::costs;
 use fastmsg::init::InitStep;
 use fastmsg::packet::{fragment_payload, fragments_for, Packet, HEADER_BYTES};
 use hostsim::process::{Pid, Signal};
+use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
@@ -65,7 +66,7 @@ impl World {
         let n = &mut self.nodes[node];
         n.procs.signal(pid, Signal::Kill);
         n.noded.remove_job(job);
-        self.route_job_finished(now, node, job, 1, sched);
+        self.route_ack(now, node, MasterMsg::JobFinished { job, count: 1 }, sched);
     }
 
     /// Retry deferred refills once send-queue space frees up. Called by

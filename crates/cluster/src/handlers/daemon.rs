@@ -237,81 +237,51 @@ impl World {
                 }
                 sched.at(acted, Event::NodedAct { node, cmd });
             }
-            TreeMsg::SwitchDoneAgg { epoch, count } => {
-                self.route_switch_done(acted, node, epoch, count, sched);
-            }
-            TreeMsg::JobFinishedAgg { job, count } => {
-                self.route_job_finished(acted, node, job, count, sched);
-            }
+            TreeMsg::Ack(ack) => self.route_ack(acted, node, ack, sched),
         }
     }
 
-    /// Route `count` switch-done acks for `epoch` from `node`. Without a
-    /// combining tree, `node`'s own ack goes straight to the masterd. With
-    /// one, the acks fold into `node`'s reduction, and once its whole
-    /// subtree has reported the combined count moves one level up (or to
-    /// the masterd from the root). A node's own contribution is free — the
-    /// noded is already running — only upward hops pay wire costs.
-    pub(crate) fn route_switch_done(
+    /// Route a completion report (`SwitchDone` or `JobFinished`, a count)
+    /// from `node`. Without a combining tree, it goes straight to the
+    /// masterd. With one, the count folds into `node`'s reduction, and
+    /// once its whole subtree has reported the combined count moves one
+    /// level up (or to the masterd from the root). A node's own
+    /// contribution is free — the noded is already running — only upward
+    /// hops pay wire costs.
+    pub(crate) fn route_ack(
         &mut self,
         now: SimTime,
         node: usize,
-        epoch: u64,
-        count: usize,
+        ack: MasterMsg,
         sched: &mut Sched,
     ) {
         let Some(tree) = self.tree else {
             let t = self.ctrl.unicast_to_master(now);
-            let msg = MasterMsg::SwitchDone { epoch, node };
-            sched.at(t, Event::CtrlToMaster { msg });
+            sched.at(t, Event::CtrlToMaster { msg: ack });
             return;
         };
-        let Some(count) = self.tree_agg[node].add_switch_done(epoch, count) else {
+        let agg = &mut self.tree_agg[node];
+        let folded = match ack {
+            MasterMsg::SwitchDone { epoch, count } => agg
+                .add_switch_done(epoch, count)
+                .map(|count| MasterMsg::SwitchDone { epoch, count }),
+            MasterMsg::JobFinished { job, count } => agg
+                .add_job_finished(job, count)
+                .map(|count| MasterMsg::JobFinished { job, count }),
+            MasterMsg::ProcStarted { .. } => unreachable!("ProcStarted is not an ack"),
+        };
+        let Some(ack) = folded else {
             return;
         };
         match tree.parent(node) {
             Some(parent) => {
                 let t = self.ctrl.unicast_node_to_node(now, node);
-                let msg = TreeMsg::SwitchDoneAgg { epoch, count };
+                let msg = TreeMsg::Ack(ack);
                 sched.at(t, Event::CtrlToPeer { node: parent, msg });
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
-                let msg = MasterMsg::SwitchDoneAgg { epoch, count };
-                sched.at(t, Event::CtrlToMaster { msg });
-            }
-        }
-    }
-
-    /// Route `count` job-finished acks for `job` from `node`, exactly like
-    /// [`World::route_switch_done`].
-    pub(crate) fn route_job_finished(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        job: JobId,
-        count: usize,
-        sched: &mut Sched,
-    ) {
-        let Some(tree) = self.tree else {
-            let t = self.ctrl.unicast_to_master(now);
-            let msg = MasterMsg::JobFinished { job, node };
-            sched.at(t, Event::CtrlToMaster { msg });
-            return;
-        };
-        let Some(count) = self.tree_agg[node].add_job_finished(job, count) else {
-            return;
-        };
-        match tree.parent(node) {
-            Some(parent) => {
-                let t = self.ctrl.unicast_node_to_node(now, node);
-                let msg = TreeMsg::JobFinishedAgg { job, count };
-                sched.at(t, Event::CtrlToPeer { node: parent, msg });
-            }
-            None => {
-                let t = self.ctrl.unicast_to_master(now);
-                let msg = MasterMsg::JobFinishedAgg { job, count };
-                sched.at(t, Event::CtrlToMaster { msg });
+                sched.at(t, Event::CtrlToMaster { msg: ack });
             }
         }
     }
@@ -319,8 +289,8 @@ impl World {
     /// A noded report reached the masterd.
     pub(super) fn on_ctrl_to_master(&mut self, now: SimTime, msg: MasterMsg, sched: &mut Sched) {
         match msg {
-            MasterMsg::ProcStarted { job, node } => {
-                if let Some(cmds) = self.master.on_proc_started(job, node) {
+            MasterMsg::ProcStarted { job } => {
+                if let Some(cmds) = self.master.on_proc_started(job) {
                     self.stats.job_all_up.insert(job, now);
                     self.stats.job_bytes.entry(job).or_default();
                     self.trace
@@ -331,23 +301,13 @@ impl World {
                     }
                 }
             }
-            MasterMsg::SwitchDone { epoch, node } => {
-                if self.master.on_switch_done(node, epoch) {
+            MasterMsg::SwitchDone { epoch, count } => {
+                if self.master.on_switch_done(epoch, count) {
                     self.complete_switch(now, epoch);
                 }
             }
-            MasterMsg::JobFinished { job, node } => {
-                if self.master.on_job_finished(job, node) {
-                    self.complete_job(now, job, sched);
-                }
-            }
-            MasterMsg::SwitchDoneAgg { epoch, count } => {
-                if self.master.on_switch_done_agg(epoch, count) {
-                    self.complete_switch(now, epoch);
-                }
-            }
-            MasterMsg::JobFinishedAgg { job, count } => {
-                if self.master.on_job_finished_agg(job, count) {
+            MasterMsg::JobFinished { job, count } => {
+                if self.master.on_job_finished(job, count) {
                     self.complete_job(now, job, sched);
                 }
             }
@@ -595,7 +555,7 @@ impl World {
         sched.at(
             t_master,
             Event::CtrlToMaster {
-                msg: MasterMsg::ProcStarted { job, node },
+                msg: MasterMsg::ProcStarted { job },
             },
         );
         sched.at(after_fork, Event::ProcKick { node, pid });

@@ -6,6 +6,7 @@ use gang_comm::sequencer::StageBreakdown;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
 use hostsim::process::Signal;
+use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
@@ -64,7 +65,7 @@ impl World {
                     // Every context is permanently resident: nothing to
                     // flush or copy — the switch is just signals.
                     self.resume_incoming(now, node, to, sched);
-                    self.route_switch_done(now, node, epoch, 1, sched);
+                    self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
                     return;
                 }
                 self.nodes[node].seq.start(now, epoch, from, to);
@@ -251,7 +252,7 @@ impl World {
         n.noded.switches_done += 1;
         self.kick_send_engine(now, node, sched);
         self.resume_incoming(now, node, to, sched);
-        self.route_switch_done(now, node, epoch, 1, sched);
+        self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
     }
 
     fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, sched: &mut Sched) {

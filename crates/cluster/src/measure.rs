@@ -371,19 +371,6 @@ impl Measurement<SwitchOverhead> {
     }
 }
 
-/// Figs. 7/8/9 with only the seed set — see [`Measurement::switch_overhead`].
-pub fn switch_overhead_run(
-    nodes: usize,
-    copy: CopyStrategy,
-    strategy: SwitchStrategy,
-    switches: u64,
-    seed: u64,
-) -> SwitchOverheadRun {
-    Measurement::switch_overhead(nodes, copy, strategy, switches)
-        .seed(seed)
-        .run()
-}
-
 fn run_switch_overhead(cfg: ClusterConfig, nodes: usize, switches: u64) -> SwitchOverheadRun {
     let mut sim = Sim::new(cfg);
     let all: Vec<usize> = (0..nodes).collect();
@@ -734,7 +721,9 @@ mod tests {
 
     #[test]
     fn fig7_run_produces_stage_samples() {
-        let r = switch_overhead_run(4, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 7);
+        let r = Measurement::switch_overhead(4, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+            .seed(7)
+            .run();
         assert!(r.ledger.samples() >= 3 * 4_u64, "{}", r.ledger.samples());
         let (_h, b, _r) = r.ledger.mean_stages();
         // Full copy: ~16 M cycles.

@@ -155,9 +155,7 @@ mod tests {
     use crate::job::JobId;
 
     fn finish(m: &mut Masterd, sub: &Submitted) {
-        for &n in &sub.placement.nodes.clone() {
-            m.on_job_finished(sub.job, n);
-        }
+        m.on_job_finished(sub.job, sub.placement.nodes.len());
     }
 
     fn admitted(a: Result<Admission, PlaceError>) -> Submitted {

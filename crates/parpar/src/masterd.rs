@@ -4,7 +4,7 @@
 //! Pure state machine: methods return the commands to deliver over the
 //! control network; the cluster simulator times their delivery.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::job::{JobId, JobSpec, JobState};
@@ -20,11 +20,10 @@ pub struct JobRecord {
     pub placement: Placement,
     /// Lifecycle state.
     pub state: JobState,
-    nodes_up: BTreeSet<usize>,
-    nodes_finished: BTreeSet<usize>,
-    /// Exited processes reported via aggregated tree counts (the tree
-    /// control plane reports subtotals, not node ids).
-    finished_agg: usize,
+    /// Processes reported started.
+    up: usize,
+    /// Processes reported exited.
+    finished: usize,
 }
 
 /// A slot-switch order produced when the quantum expires.
@@ -47,12 +46,9 @@ pub struct Masterd {
     nodes: usize,
     current_slot: usize,
     epoch: u64,
-    switch_done: BTreeSet<usize>,
-    /// Switch acks received as aggregated tree counts this epoch.
-    switch_agg: usize,
+    /// Nodes reported done with the switch in flight.
+    switch_acks: usize,
     switch_in_flight: bool,
-    /// Completed switches (for reports).
-    pub switches_completed: u64,
     /// Jobs submitted but not yet Finished. Kept incrementally so the
     /// engine's per-event "all jobs done?" predicate is O(1) instead of a
     /// scan over every job record ever admitted.
@@ -80,10 +76,8 @@ impl Masterd {
             nodes,
             current_slot: 0,
             epoch: 0,
-            switch_done: BTreeSet::new(),
-            switch_agg: 0,
+            switch_acks: 0,
             switch_in_flight: false,
-            switches_completed: 0,
             unfinished: 0,
         }
     }
@@ -98,11 +92,6 @@ impl Masterd {
         self.current_slot
     }
 
-    /// Current switch epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The epoch of the switch currently in flight, if any (the reliability
     /// layer's watchdog re-arms while this returns `Some`).
     pub fn pending_switch(&self) -> Option<u64> {
@@ -112,11 +101,6 @@ impl Masterd {
     /// Record of a job.
     pub fn job(&self, id: JobId) -> Option<&JobRecord> {
         self.jobs.get(&id)
-    }
-
-    /// All jobs currently known.
-    pub fn jobs(&self) -> impl Iterator<Item = (JobId, &JobRecord)> {
-        self.jobs.iter().map(|(k, v)| (*k, v))
     }
 
     /// Have all submitted jobs reached `Finished`? O(1): maintained as a
@@ -158,9 +142,8 @@ impl Masterd {
                 spec,
                 placement: placement.clone(),
                 state: JobState::Loading,
-                nodes_up: BTreeSet::new(),
-                nodes_finished: BTreeSet::new(),
-                finished_agg: 0,
+                up: 0,
+                finished: 0,
             },
         );
         self.unfinished += 1;
@@ -174,15 +157,15 @@ impl Masterd {
     /// A noded reports its process started. When the last one arrives, the
     /// job becomes Running and AllUp commands are returned for its nodes
     /// (the "collect all notifications" step of Fig. 2).
-    pub fn on_proc_started(&mut self, job: JobId, node: usize) -> Option<Vec<(usize, NodedCmd)>> {
+    pub fn on_proc_started(&mut self, job: JobId) -> Option<Vec<(usize, NodedCmd)>> {
         let rec = self.jobs.get_mut(&job).expect("unknown job");
         assert_eq!(
             rec.state,
             JobState::Loading,
             "ProcStarted for non-loading job"
         );
-        rec.nodes_up.insert(node);
-        if rec.nodes_up.len() == rec.spec.nprocs {
+        rec.up += 1;
+        if rec.up == rec.spec.nprocs {
             rec.state = JobState::Running;
             Some(
                 rec.placement
@@ -223,8 +206,7 @@ impl Masterd {
         }
         self.epoch += 1;
         self.switch_in_flight = true;
-        self.switch_done.clear();
-        self.switch_agg = 0;
+        self.switch_acks = 0;
         let order = SwitchOrder {
             epoch: self.epoch,
             from: self.current_slot,
@@ -234,73 +216,40 @@ impl Masterd {
         Some(order)
     }
 
-    /// A noded finished all three phases of a switch. Returns `true` when
-    /// every node has reported.
-    pub fn on_switch_done(&mut self, node: usize, epoch: u64) -> bool {
+    /// `count` nodes finished all three phases of switch `epoch`: one
+    /// node's own report, or a combining-tree subtotal. Returns `true`
+    /// when every node has reported.
+    pub fn on_switch_done(&mut self, epoch: u64, count: usize) -> bool {
         assert_eq!(epoch, self.epoch, "stale SwitchDone");
         assert!(self.switch_in_flight, "SwitchDone with no switch in flight");
-        self.switch_done.insert(node);
-        if self.switch_done.len() == self.nodes {
-            self.switch_in_flight = false;
-            self.switches_completed += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The tree control plane delivered an aggregated count of switch
-    /// acks (normally one root message covering every node). Returns
-    /// `true` when the whole cluster has reported — the same single
-    /// logical completion [`Masterd::on_switch_done`] produces, reached
-    /// through counts instead of node ids.
-    pub fn on_switch_done_agg(&mut self, epoch: u64, count: usize) -> bool {
-        assert_eq!(epoch, self.epoch, "stale SwitchDone");
-        assert!(self.switch_in_flight, "SwitchDone with no switch in flight");
-        self.switch_agg += count;
+        self.switch_acks += count;
         assert!(
-            self.switch_agg <= self.nodes,
-            "{} aggregated switch acks for {} nodes",
-            self.switch_agg,
+            self.switch_acks <= self.nodes,
+            "{} switch acks for {} nodes",
+            self.switch_acks,
             self.nodes
         );
-        if self.switch_agg == self.nodes {
+        if self.switch_acks == self.nodes {
             self.switch_in_flight = false;
-            self.switches_completed += 1;
             true
         } else {
             false
         }
     }
 
-    /// A job's process exited on `node`. When the last one exits the job
-    /// leaves the matrix; returns `true` then.
-    pub fn on_job_finished(&mut self, job: JobId, node: usize) -> bool {
+    /// `count` of the job's processes exited (one node's report, or a
+    /// combining-tree subtotal). When the last one exits the job leaves
+    /// the matrix; returns `true` then.
+    pub fn on_job_finished(&mut self, job: JobId, count: usize) -> bool {
         let rec = self.jobs.get_mut(&job).expect("unknown job");
-        rec.nodes_finished.insert(node);
-        if rec.nodes_finished.len() == rec.spec.nprocs {
-            rec.state = JobState::Finished;
-            self.unfinished -= 1;
-            self.matrix.remove(job);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The tree control plane delivered an aggregated count of exited
-    /// processes for `job`. Returns `true` when the last one exits —
-    /// the same completion [`Masterd::on_job_finished`] produces.
-    pub fn on_job_finished_agg(&mut self, job: JobId, count: usize) -> bool {
-        let rec = self.jobs.get_mut(&job).expect("unknown job");
-        rec.finished_agg += count;
+        rec.finished += count;
         assert!(
-            rec.finished_agg <= rec.spec.nprocs,
-            "{} aggregated exits for a job of {} procs",
-            rec.finished_agg,
+            rec.finished <= rec.spec.nprocs,
+            "{} exits for a job of {} procs",
+            rec.finished,
             rec.spec.nprocs
         );
-        if rec.finished_agg == rec.spec.nprocs {
+        if rec.finished == rec.spec.nprocs {
             rec.state = JobState::Finished;
             self.unfinished -= 1;
             self.matrix.remove(job);
@@ -355,9 +304,9 @@ mod tests {
     fn all_up_after_every_proc_started() {
         let mut m = Masterd::new(4, 2);
         let s = m.submit(JobSpec::sized("a", 3)).unwrap();
-        assert!(m.on_proc_started(s.job, s.placement.nodes[0]).is_none());
-        assert!(m.on_proc_started(s.job, s.placement.nodes[1]).is_none());
-        let all_up = m.on_proc_started(s.job, s.placement.nodes[2]).unwrap();
+        assert!(m.on_proc_started(s.job).is_none());
+        assert!(m.on_proc_started(s.job).is_none());
+        let all_up = m.on_proc_started(s.job).unwrap();
         assert_eq!(all_up.len(), 3);
         assert_eq!(m.job(s.job).unwrap().state, JobState::Running);
     }
@@ -370,14 +319,10 @@ mod tests {
         m.submit(JobSpec::pinned("c", vec![0, 1])).unwrap(); // slot 2
         let o1 = m.quantum_expired().unwrap();
         assert_eq!((o1.from, o1.to), (0, 1));
-        for n in 0..2 {
-            m.on_switch_done(n, o1.epoch);
-        }
+        m.on_switch_done(o1.epoch, 2);
         let o2 = m.quantum_expired().unwrap();
         assert_eq!((o2.from, o2.to), (1, 2));
-        for n in 0..2 {
-            m.on_switch_done(n, o2.epoch);
-        }
+        m.on_switch_done(o2.epoch, 2);
         let o3 = m.quantum_expired().unwrap();
         assert_eq!((o3.from, o3.to), (2, 0)); // wraps
     }
@@ -398,21 +343,52 @@ mod tests {
         let o = m.quantum_expired().unwrap();
         // Second quantum fires before the switch completes: suppressed.
         assert_eq!(m.quantum_expired(), None);
-        assert!(!m.on_switch_done(0, o.epoch));
-        assert!(!m.on_switch_done(1, o.epoch));
-        assert!(m.on_switch_done(2, o.epoch));
-        assert_eq!(m.switches_completed, 1);
+        // Flat and serial planes: one report of 1 per node.
+        assert!(!m.on_switch_done(o.epoch, 1));
+        assert!(!m.on_switch_done(o.epoch, 1));
+        assert!(m.on_switch_done(o.epoch, 1));
+        assert_eq!(m.pending_switch(), None);
+        // Tree plane: the root's one aggregated report of N.
+        let o = m.quantum_expired().unwrap();
+        assert_eq!(m.pending_switch(), Some(o.epoch));
+        assert!(m.on_switch_done(o.epoch, 3));
         assert!(m.quantum_expired().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "4 switch acks for 3 nodes")]
+    fn duplicate_switch_report_panics() {
+        let mut m = Masterd::new(3, 2);
+        m.submit(JobSpec::pinned("a", vec![0, 1, 2])).unwrap();
+        m.submit(JobSpec::pinned("b", vec![0, 1, 2])).unwrap();
+        let o = m.quantum_expired().unwrap();
+        m.on_switch_done(o.epoch, 1);
+        m.on_switch_done(o.epoch, 3);
     }
 
     #[test]
     fn job_finish_removes_from_matrix() {
         let mut m = Masterd::new(4, 2);
         let s = m.submit(JobSpec::sized("a", 2)).unwrap();
-        assert!(!m.on_job_finished(s.job, s.placement.nodes[0]));
-        assert!(m.on_job_finished(s.job, s.placement.nodes[1]));
+        assert!(!m.on_job_finished(s.job, 1));
+        assert!(m.on_job_finished(s.job, 1));
         assert_eq!(m.job(s.job).unwrap().state, JobState::Finished);
         assert!(m.matrix().active_slots().is_empty());
+        assert!(m.all_jobs_finished());
+        // One aggregated report covering the whole job.
+        let t = m.submit(JobSpec::sized("b", 3)).unwrap();
+        assert!(!m.all_jobs_finished());
+        assert!(m.on_job_finished(t.job, 3));
+        assert!(m.all_jobs_finished());
+    }
+
+    #[test]
+    #[should_panic(expected = "3 exits for a job of 2 procs")]
+    fn duplicate_exit_report_panics() {
+        let mut m = Masterd::new(4, 2);
+        let s = m.submit(JobSpec::sized("a", 2)).unwrap();
+        m.on_job_finished(s.job, 2);
+        m.on_job_finished(s.job, 1);
     }
 
     #[test]
@@ -422,6 +398,6 @@ mod tests {
         m.submit(JobSpec::pinned("a", vec![0, 1])).unwrap();
         m.submit(JobSpec::pinned("b", vec![0, 1])).unwrap();
         let o = m.quantum_expired().unwrap();
-        m.on_switch_done(0, o.epoch - 1);
+        m.on_switch_done(o.epoch - 1, 1);
     }
 }

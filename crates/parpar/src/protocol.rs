@@ -56,59 +56,29 @@ pub enum TreeMsg {
     /// Downward: deliver this command locally and forward it to the
     /// subtree, each hop serializing on its own control link.
     Bcast(NodedCmd),
-    /// Upward: a child's subtree completed switch `epoch`; `count` nodes
-    /// are covered by this aggregated ack.
-    SwitchDoneAgg {
-        /// The switch epoch.
-        epoch: u64,
-        /// Nodes covered by the subtree.
-        count: usize,
-    },
-    /// Upward: `count` of the job's processes under a child's subtree
-    /// have exited.
-    JobFinishedAgg {
-        /// The job.
-        job: JobId,
-        /// Exited processes covered.
-        count: usize,
-    },
+    /// Upward: a child's subtree reports completions, as a count.
+    Ack(MasterMsg),
 }
 
-/// Reports the nodeds send back to the masterd.
+/// Reports the nodeds send back to the masterd. Completions travel as
+/// counts: on the flat and serial planes each node reports a count of 1;
+/// on the tree plane the root reports one subtotal for the whole cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MasterMsg {
     /// The forked process exists and its context is ready to receive.
     ProcStarted {
         /// The job.
         job: JobId,
-        /// Reporting node.
-        node: usize,
     },
-    /// This node completed all three phases of switch `epoch`.
+    /// `count` nodes completed all three phases of switch `epoch`.
     SwitchDone {
-        /// The switch epoch.
-        epoch: u64,
-        /// Reporting node.
-        node: usize,
-    },
-    /// The job's process on this node exited.
-    JobFinished {
-        /// The job.
-        job: JobId,
-        /// Reporting node.
-        node: usize,
-    },
-    /// Tree control plane: the root's combining tree completed switch
-    /// `epoch` for `count` nodes (a single message replaces N unicasts).
-    SwitchDoneAgg {
         /// The switch epoch.
         epoch: u64,
         /// Nodes covered.
         count: usize,
     },
-    /// Tree control plane: `count` of the job's processes exited, as
-    /// aggregated by the root.
-    JobFinishedAgg {
+    /// `count` of the job's processes exited.
+    JobFinished {
         /// The job.
         job: JobId,
         /// Exited processes covered.
@@ -122,17 +92,9 @@ mod tests {
 
     #[test]
     fn messages_are_comparable() {
-        let a = MasterMsg::ProcStarted {
-            job: JobId(1),
-            node: 2,
-        };
-        assert_eq!(
-            a,
-            MasterMsg::ProcStarted {
-                job: JobId(1),
-                node: 2
-            }
-        );
+        let a = MasterMsg::SwitchDone { epoch: 1, count: 2 };
+        assert_eq!(a, MasterMsg::SwitchDone { epoch: 1, count: 2 });
+        assert_ne!(a, MasterMsg::SwitchDone { epoch: 1, count: 1 });
         let c = NodedCmd::AllUp { job: JobId(1) };
         assert_ne!(c, NodedCmd::KillJob { job: JobId(1) });
     }

@@ -58,9 +58,7 @@ proptest! {
             prop_assert_eq!(o.to, (current + 1) % slots);
             current = o.to;
             visited[o.to] += 1;
-            for n in 0..2 {
-                m.on_switch_done(n, o.epoch);
-            }
+            m.on_switch_done(o.epoch, 2);
         }
         // Fair coverage.
         let min = visited.iter().min().unwrap();

@@ -24,5 +24,5 @@ pub use collectives::{AllReduce, Barrier, Broadcast, Gather};
 pub use p2p::{P2pBandwidth, FINISH_BYTES};
 pub use pairs::RandomPairs;
 pub use pingpong::PingPong;
-pub use program::{IdleProgram, Op, ProcView, Program, SpinProgram, Uniform, Workload};
+pub use program::{Op, ProcView, Program, SpinProgram, Uniform, Workload};
 pub use ring::Ring;

@@ -74,19 +74,6 @@ pub trait Workload {
     }
 }
 
-/// A program that immediately exits — a placeholder occupying a gang slot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdleProgram;
-
-impl Program for IdleProgram {
-    fn next_op(&mut self, _view: &ProcView) -> Op {
-        Op::Done
-    }
-    fn name(&self) -> &'static str {
-        "idle"
-    }
-}
-
 /// A program that computes forever in fixed-size chunks, never
 /// communicating — a CPU-bound slot filler for switch-overhead runs.
 #[derive(Debug, Clone, Copy)]
@@ -157,11 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_exits_immediately() {
-        assert_eq!(IdleProgram.next_op(&view()), Op::Done);
-    }
-
-    #[test]
     fn spin_never_exits() {
         let mut s = SpinProgram::default();
         for _ in 0..10 {
@@ -171,10 +153,12 @@ mod tests {
 
     #[test]
     fn uniform_builds_per_rank() {
-        let w = Uniform::new(4, "idles", |_r| Box::new(IdleProgram) as Box<dyn Program>);
+        let w = Uniform::new(4, "spins", |_r| {
+            Box::new(SpinProgram::default()) as Box<dyn Program>
+        });
         assert_eq!(w.nprocs(), 4);
-        assert_eq!(w.name(), "idles");
+        assert_eq!(w.name(), "spins");
         let mut p = w.program(3);
-        assert_eq!(p.next_op(&view()), Op::Done);
+        assert!(matches!(p.next_op(&view()), Op::Compute(_)));
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example strategy_ablation
 //! ```
 
-use cluster::measure::switch_overhead_run;
+use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::Table;
@@ -32,7 +32,9 @@ fn main() {
         ],
     );
     for s in strategies {
-        let r = switch_overhead_run(8, CopyStrategy::ValidOnly, s, 6, 21);
+        let r = Measurement::switch_overhead(8, CopyStrategy::ValidOnly, s, 6)
+            .seed(21)
+            .run();
         let (h, c, rel) = r.ledger.mean_stages();
         table.row(vec![
             s.name().into(),

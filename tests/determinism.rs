@@ -1,7 +1,7 @@
 //! The simulation is deterministic: identical configuration and seed give
 //! bit-identical runs; the figures are exactly reproducible.
 
-use cluster::measure::{switch_overhead_run, Measurement};
+use cluster::measure::Measurement;
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, Sim, TopologyKind};
 use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
@@ -155,8 +155,12 @@ fn fig_cells_are_reproducible() {
         .run();
     assert_eq!(a.total_mbps.to_bits(), b.total_mbps.to_bits());
 
-    let a = switch_overhead_run(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3, 5);
-    let b = switch_overhead_run(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3, 5);
+    let a = Measurement::switch_overhead(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3)
+        .seed(5)
+        .run();
+    let b = Measurement::switch_overhead(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3)
+        .seed(5)
+        .run();
     assert_eq!(
         a.ledger.mean_total().to_bits(),
         b.ledger.mean_total().to_bits()
@@ -235,6 +239,13 @@ fn run_rotate64(wire_loss_ppm: u32) -> (u64, u64, u64) {
         });
     assert_eq!(sim.world().stats.switches, ROTATE64_SWITCHES);
     assert_eq!(sim.engine.causality_clamps(), 0);
+    // The masterd counts acks instead of filing node ids, so each node
+    // must end each switch exactly once, lost frames and re-broadcasts
+    // included.
+    let w = sim.world();
+    for n in &w.nodes {
+        assert_eq!(n.noded.switches_done, w.stats.switches, "node {}", n.id);
+    }
     if wire_loss_ppm > 0 {
         // The loss run exercises lost control frames and re-broadcasts.
         assert!(sim.world().stats.rebroadcasts > 0);
@@ -282,8 +293,12 @@ fn fat_tree_rotation_pending_stays_linear_in_hosts() {
 
 #[test]
 fn different_seeds_vary_jitter_but_preserve_shape() {
-    let x = switch_overhead_run(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 1);
-    let y = switch_overhead_run(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 2);
+    let x = Measurement::switch_overhead(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+        .seed(1)
+        .run();
+    let y = Measurement::switch_overhead(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+        .seed(2)
+        .run();
     // Halt depends on daemon jitter → differs across seeds.
     let (hx, bx, _) = x.ledger.mean_stages();
     let (hy, by, _) = y.ledger.mean_stages();

@@ -6,7 +6,7 @@
 //!   on the wire;
 //! * the paper's gang-flush: slower halt/release, zero loss.
 
-use cluster::measure::switch_overhead_run;
+use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::time::Cycles;
@@ -17,14 +17,18 @@ const SHARE: SwitchStrategy = SwitchStrategy::ShareDiscard {
 
 #[test]
 fn gang_flush_never_drops() {
-    let r = switch_overhead_run(6, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4, 3);
+    let r = Measurement::switch_overhead(6, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4)
+        .seed(3)
+        .run();
     assert_eq!(r.drops, 0);
     assert!(r.ledger.samples() > 0);
 }
 
 #[test]
 fn share_discard_drops_in_flight_packets() {
-    let r = switch_overhead_run(6, CopyStrategy::ValidOnly, SHARE, 6, 3);
+    let r = Measurement::switch_overhead(6, CopyStrategy::ValidOnly, SHARE, 6)
+        .seed(3)
+        .run();
     assert!(
         r.drops > 0,
         "switching without a flush must catch packets in flight"
@@ -33,8 +37,13 @@ fn share_discard_drops_in_flight_packets() {
 
 #[test]
 fn share_discard_halt_phase_is_free() {
-    let flush = switch_overhead_run(8, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4, 3);
-    let share = switch_overhead_run(8, CopyStrategy::ValidOnly, SHARE, 4, 3);
+    let flush =
+        Measurement::switch_overhead(8, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4)
+            .seed(3)
+            .run();
+    let share = Measurement::switch_overhead(8, CopyStrategy::ValidOnly, SHARE, 4)
+        .seed(3)
+        .run();
     let (hf, _, rf) = flush.ledger.mean_stages();
     let (hs, _, rs) = share.ledger.mean_stages();
     assert!(hs < hf / 10.0, "share halt {hs} vs flush halt {hf}");
@@ -44,19 +53,30 @@ fn share_discard_halt_phase_is_free() {
 
 #[test]
 fn ack_drain_quiesces_without_broadcasts() {
-    let r = switch_overhead_run(6, CopyStrategy::ValidOnly, SwitchStrategy::AckDrain, 4, 3);
+    let r = Measurement::switch_overhead(6, CopyStrategy::ValidOnly, SwitchStrategy::AckDrain, 4)
+        .seed(3)
+        .run();
     // The drain settles a node's *own* in-flight packets; packets headed
     // toward a node that finished first are nacked (counted as drops) and
     // left to the sender, exactly the PM/SCore semantics.
     assert!(r.ledger.samples() > 0);
     // The drain (halt) phase exists but needs no serial broadcast: it is
     // bounded by the in-flight round trip, not by cluster size.
-    let big = switch_overhead_run(16, CopyStrategy::ValidOnly, SwitchStrategy::AckDrain, 4, 3);
+    let big =
+        Measurement::switch_overhead(16, CopyStrategy::ValidOnly, SwitchStrategy::AckDrain, 4)
+            .seed(3)
+            .run();
     let (h6, _, _) = r.ledger.mean_stages();
     let (h16, _, _) = big.ledger.mean_stages();
     // Growth is much weaker than the flush protocol's broadcast collection.
-    let flush6 = switch_overhead_run(6, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4, 3);
-    let flush16 = switch_overhead_run(16, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4, 3);
+    let flush6 =
+        Measurement::switch_overhead(6, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4)
+            .seed(3)
+            .run();
+    let flush16 =
+        Measurement::switch_overhead(16, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 4)
+            .seed(3)
+            .run();
     let (f6, _, _) = flush6.ledger.mean_stages();
     let (f16, _, _) = flush16.ledger.mean_stages();
     let _ = (h6, h16, f6, f16); // magnitudes depend on traffic; assert sanity only
@@ -67,8 +87,13 @@ fn ack_drain_quiesces_without_broadcasts() {
 fn strategies_trade_switch_speed_for_loss() {
     // The ablation summary: SHARE switches fastest but drops; gang-flush
     // pays halt+release and never drops.
-    let share = switch_overhead_run(8, CopyStrategy::ValidOnly, SHARE, 5, 11);
-    let flush = switch_overhead_run(8, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 5, 11);
+    let share = Measurement::switch_overhead(8, CopyStrategy::ValidOnly, SHARE, 5)
+        .seed(11)
+        .run();
+    let flush =
+        Measurement::switch_overhead(8, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 5)
+            .seed(11)
+            .run();
     assert!(share.ledger.mean_total() < flush.ledger.mean_total());
     assert!(share.drops > 0);
     assert_eq!(flush.drops, 0);

@@ -1,13 +1,15 @@
 //! Shape assertions for the context-switch overhead results
 //! (paper §4.2, Figs. 7, 8, 9).
 
-use cluster::measure::switch_overhead_run;
+use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::time::Cycles;
 
 fn run(nodes: usize, copy: CopyStrategy) -> cluster::measure::SwitchOverheadRun {
-    switch_overhead_run(nodes, copy, SwitchStrategy::GangFlush, 4, 99)
+    Measurement::switch_overhead(nodes, copy, SwitchStrategy::GangFlush, 4)
+        .seed(99)
+        .run()
 }
 
 #[test]
