@@ -16,8 +16,9 @@ pub enum TopologyKind {
     /// One crossbar sized to `nodes`, every host two hops from every
     /// other (ParPar): the fat-tree shape [`FatTreeShape::crossbar`].
     SingleSwitch,
-    /// Three-tier k-ary fat-tree/Clos with table-free ECMP-deterministic
-    /// routing; the datacenter-scale fabric of the scalability sweep.
+    /// Three-tier k-ary fat-tree/Clos with ECMP-deterministic routing and
+    /// no route table (only an O(hosts) placement table); the
+    /// datacenter-scale fabric of the scalability sweep.
     FatTree {
         /// Pods × edges × hosts-per-edge shape (see
         /// [`FatTreeShape::for_hosts`] for the canonical sizing).

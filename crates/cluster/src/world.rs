@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use fastmsg::packet::PACKET_BYTES;
 use hostsim::process::Pid;
 use lanai::nic::Nic;
-use myrinet::network::{Network, Transmit};
+use myrinet::network::Network;
 use myrinet::topology::Topology;
 use parpar::arrivals::{ArrivalPlan, ArrivalSpec};
 use parpar::control::{ControlNet, ControlPlane};
@@ -23,7 +23,7 @@ use workloads::program::{Program, Workload};
 
 use crate::config::ClusterConfig;
 use crate::event::{Event, Sched};
-use crate::handlers::nic::Trains;
+use crate::handlers::nic::{Trains, MAX_NODES};
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
 
@@ -83,8 +83,6 @@ pub struct World {
     pub(crate) switch_ordered_at: SimTime,
     /// In-flight serial halt/ready broadcasts (see `handlers::nic`).
     pub(crate) trains: Trains,
-    /// Pooled per-peer transmit buffer for the serial broadcasts.
-    pub(crate) bcast_sends: Vec<(usize, Transmit)>,
     /// Pooled pid buffer for `on_send_engine_done`'s resident scan.
     pub(crate) pid_buf: Vec<Pid>,
 }
@@ -92,6 +90,11 @@ pub struct World {
 impl World {
     /// Build an idle world from a configuration.
     pub fn new(cfg: ClusterConfig) -> Self {
+        assert!(
+            cfg.nodes <= MAX_NODES,
+            "{} nodes: a serial broadcast reaches at most {MAX_NODES}",
+            cfg.nodes
+        );
         let topo = match cfg.topology {
             crate::config::TopologyKind::SingleSwitch => Topology::single_switch(cfg.nodes),
             crate::config::TopologyKind::FatTree { shape } => {
@@ -149,7 +152,6 @@ impl World {
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
             trains: Trains::default(),
-            bcast_sends: Vec::new(),
             pid_buf: Vec::new(),
             cfg,
         };
@@ -503,6 +505,12 @@ mod tests {
         let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::FullBuffer);
         cfg.quantum = Cycles::ZERO;
         let _ = Sim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 nodes: a serial broadcast reaches at most 65536")]
+    fn clusters_past_the_broadcast_key_width_are_rejected() {
+        let _ = World::new(ClusterConfig::parpar(65_537, 1, BufferPolicy::FullBuffer));
     }
 
     #[test]

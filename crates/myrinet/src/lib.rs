@@ -17,6 +17,6 @@ pub mod broadcast;
 pub mod network;
 pub mod topology;
 
-pub use broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
+pub use broadcast::{serial_peer, CONTROL_PACKET_BYTES};
 pub use network::{Network, TierTraffic, Transmit};
 pub use topology::{HostId, Link, LinkId, Port, Topology, HOP_LATENCY_CYCLES, MYRINET_BW};

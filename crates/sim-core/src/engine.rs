@@ -99,20 +99,24 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// Claim the next FIFO sequence number without enqueueing an event.
+    /// Claim the next `n` FIFO sequence numbers without enqueueing an
+    /// event; returns the first, `base`, so the block is `base..base + n`.
     ///
-    /// A model that wants to enqueue an event later (via
-    /// [`Scheduler::push_claimed`]) claims its seq at the exact point it
-    /// would otherwise have scheduled it, so tie-breaking order is the
-    /// same as if it had been scheduled there.
+    /// A model that wants to enqueue events later (via
+    /// [`Scheduler::push_claimed`]) claims their seqs at the exact point it
+    /// would otherwise have scheduled them, so tie-breaking order is the
+    /// same as if they had been scheduled there. Seqs of a block that are
+    /// never pushed leave gaps, which change no order: the queue only
+    /// compares seqs with each other, and every other seq is below or
+    /// above the whole block.
     #[inline]
-    pub fn claim_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+    pub fn claim_seqs(&mut self, n: u64) -> u64 {
+        let base = self.seq;
+        self.seq += n;
+        base
     }
 
-    /// Enqueue an event under a previously [claimed](Scheduler::claim_seq)
+    /// Enqueue an event under a previously [claimed](Scheduler::claim_seqs)
     /// sequence number.
     #[inline]
     pub fn push_claimed(&mut self, t: SimTime, seq: u64, event: E) {
@@ -575,6 +579,41 @@ mod tests {
         // Event 2 pushed nothing: its entry is gone after the step.
         assert_eq!(e.model.0, vec![2, 3, 2, 3, 2]);
         assert_eq!(e.pending(), 2);
+    }
+
+    #[test]
+    fn claimed_blocks_with_gaps_pop_in_time_seq_order() {
+        // Event `ev` at time `ev / 10`; the handler of event 0 claims two
+        // blocks around ordinary pushes and fills only some of their seqs.
+        struct Blocks(Vec<u32>);
+        impl Model for Blocks {
+            type Event = u32;
+            fn handle(&mut self, _: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+                self.0.push(ev);
+                if ev != 0 {
+                    return;
+                }
+                sched.at(SimTime(2), 20);
+                let a = sched.claim_seqs(4);
+                sched.at(SimTime(1), 11);
+                let b = sched.claim_seqs(3);
+                sched.at(SimTime(2), 24);
+                // Block `a`: seqs a+1 and a+2 stay unused.
+                sched.push_claimed(SimTime(2), a + 3, 22);
+                sched.push_claimed(SimTime(1), a, 10);
+                // Block `b`: seq b+1 stays unused.
+                sched.push_claimed(SimTime(2), b + 2, 23);
+                sched.push_claimed(SimTime(3), b, 30);
+                sched.at(SimTime(1), 12);
+                sched.push_claimed(SimTime(2), a + 1, 21);
+            }
+        }
+        let mut e = Engine::new(Blocks(Vec::new()));
+        e.schedule_at(SimTime(0), 0);
+        e.run_to_idle();
+        // (time, seq) order: time first, then the order the seqs were
+        // claimed or pushed in, whatever order the pushes came in.
+        assert_eq!(e.model.0, vec![0, 10, 11, 12, 20, 21, 22, 23, 24, 30]);
     }
 
     #[test]
