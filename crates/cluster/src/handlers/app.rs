@@ -4,13 +4,13 @@
 use fastmsg::costs;
 use fastmsg::init::InitStep;
 use fastmsg::packet::{fragment_payload, fragments_for, Packet, HEADER_BYTES};
-use hostsim::process::{Pid, Signal};
+use hostsim::process::Pid;
 use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::event::{Event, HostOp, Sched};
-use crate::procsim::{BlockReason, ProcPhase, SendProgress};
+use crate::procsim::{BlockReason, ProcPhase, ProcSim, SendProgress};
 use crate::world::World;
 
 /// Outcome of one scheduling decision for a process.
@@ -43,7 +43,7 @@ impl World {
         let Some(proc) = n.apps.get(&pid) else {
             return;
         };
-        if proc.phase != ProcPhase::Finished || proc.finished_at.is_none() {
+        if proc.phase != ProcPhase::Finished {
             return;
         }
         if self.cfg.reliability.enabled && proc.fm.rel_unacked() > 0 {
@@ -57,14 +57,12 @@ impl World {
             if !n.nic.context(ctx_id).unwrap().send_q.is_empty() {
                 return; // drained later; SendEngineDone retries
             }
-        } else if !n.backing.contains(pid) {
-            return; // already torn down
         }
         // COMM_end_job: release the context / backing entry.
         self.comm_end_job(now, node, job.0, pid)
             .expect("end_job: context vanished");
         let n = &mut self.nodes[node];
-        n.procs.signal(pid, Signal::Kill);
+        n.apps.get_mut(&pid).unwrap().phase = ProcPhase::Exited;
         n.noded.remove_job(job);
         self.route_ack(now, node, MasterMsg::JobFinished { job, count: 1 }, sched);
     }
@@ -75,19 +73,21 @@ impl World {
         // Hot-path gate: deferred refills are rare (send queue was full at
         // refill time); skip the allocation below when there are none.
         // Under the reliability layer finished processes still owe final
-        // acks, so their deferred refills drain too.
+        // acks, so their deferred refills drain too; a torn-down process
+        // has no context to send them through.
         let keep_finished = self.cfg.reliability.enabled;
-        if !self.nodes[node].apps.values().any(|p| {
-            !p.pending_refills.is_empty() && (keep_finished || p.phase != ProcPhase::Finished)
-        }) {
+        let owes = |p: &ProcSim| {
+            !p.pending_refills.is_empty()
+                && p.phase != ProcPhase::Exited
+                && (keep_finished || p.phase != ProcPhase::Finished)
+        };
+        if !self.nodes[node].apps.values().any(owes) {
             return;
         }
         let pids: Vec<Pid> = self.nodes[node]
             .apps
             .iter()
-            .filter(|(_, p)| {
-                !p.pending_refills.is_empty() && (keep_finished || p.phase != ProcPhase::Finished)
-            })
+            .filter(|(_, p)| owes(p))
             .map(|(pid, _)| *pid)
             .collect();
         for pid in pids {
@@ -108,9 +108,9 @@ impl World {
         let Some(proc) = n.apps.get_mut(&pid) else {
             return Step::Park;
         };
-        if proc.phase == ProcPhase::Finished
+        if matches!(proc.phase, ProcPhase::Finished | ProcPhase::Exited)
             || proc.busy
-            || !n.procs.get(pid).is_some_and(|p| p.is_active())
+            || proc.stopped
         {
             return Step::Park;
         }
@@ -305,7 +305,7 @@ impl World {
                 let n = &self.nodes[node];
                 let resident = n.nic.find_context(n.apps[&pid].fm.job).is_some();
                 if slot != n.noded.current_slot || (!resident && !self.vn_active()) {
-                    self.nodes[node].procs.signal(pid, Signal::Stop);
+                    self.nodes[node].stop(pid);
                     return Step::Park;
                 }
                 Step::Continue
@@ -380,10 +380,7 @@ impl World {
             let Some(proc) = n.apps.get_mut(&pid) else {
                 return;
             };
-            if proc.busy
-                || proc.phase != ProcPhase::Running
-                || !n.procs.get(pid).is_some_and(|p| p.is_active())
-            {
+            if proc.busy || proc.phase != ProcPhase::Running || proc.stopped {
                 return;
             }
             let job = proc.fm.job;
@@ -539,7 +536,6 @@ impl World {
         {
             let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
             proc.phase = ProcPhase::Finished;
-            proc.finished_at = Some(now);
             if !self.cfg.reliability.enabled {
                 proc.pending_refills.clear();
             }

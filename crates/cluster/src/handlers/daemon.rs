@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use fastmsg::proc::FmProcess;
 use gang_comm::state::SavedCommState;
-use hostsim::process::{Pid, Signal};
+use hostsim::process::Pid;
 use parpar::control::ControlPlane;
 use parpar::job::JobId;
 use parpar::jobrep::Admission;
@@ -15,7 +15,7 @@ use sim_core::trace::Category;
 
 use crate::event::{Event, Sched};
 use crate::procsim::{ProcPhase, ProcSim};
-use crate::world::World;
+use crate::world::{QueuedSub, World};
 
 impl World {
     /// Dynamic coscheduling: deschedule whoever runs and schedule the
@@ -36,10 +36,10 @@ impl World {
             return; // already scheduled
         }
         if let Some((_, cur_pid)) = n.noded.in_slot(n.noded.current_slot) {
-            n.procs.signal(cur_pid, Signal::Stop);
+            n.stop(cur_pid);
         }
         n.noded.current_slot = target_slot;
-        n.procs.signal(pid, Signal::Cont);
+        n.cont(pid);
         sched.at(
             now + self.cfg.host_costs.signal,
             Event::ProcKick { node, pid },
@@ -159,22 +159,28 @@ impl World {
     pub(super) fn on_node_tick(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         debug_assert!(!self.cfg.gang_scheduling);
         let n = &mut self.nodes[node];
-        let slots: Vec<usize> = n.noded.assignments().map(|(s, _, _)| s).collect();
-        if slots.len() > 1 || (slots.len() == 1 && slots[0] != n.noded.current_slot) {
-            let cur = n.noded.current_slot;
-            let next = slots.iter().copied().find(|&s| s > cur).unwrap_or(slots[0]);
-            if next != cur {
-                if let Some((_, pid)) = n.noded.in_slot(cur) {
-                    n.procs.signal(pid, Signal::Stop);
-                }
-                n.noded.current_slot = next;
-                if let Some((_, pid)) = n.noded.in_slot(next) {
-                    n.procs.signal(pid, Signal::Cont);
-                    sched.at(
-                        now + self.cfg.host_costs.signal,
-                        Event::ProcKick { node, pid },
-                    );
-                }
+        let cur = n.noded.current_slot;
+        // Round robin: the first occupied slot above the current one,
+        // wrapping to the first occupied slot.
+        let next = {
+            let mut slots = n.noded.assignments().map(|(s, _, _)| s);
+            let first = slots.next();
+            first
+                .filter(|&s| s > cur)
+                .or_else(|| slots.find(|&s| s > cur))
+                .or(first)
+        };
+        if let Some(next) = next.filter(|&s| s != cur) {
+            if let Some((_, pid)) = n.noded.in_slot(cur) {
+                n.stop(pid);
+            }
+            n.noded.current_slot = next;
+            if let Some((_, pid)) = n.noded.in_slot(next) {
+                n.cont(pid);
+                sched.at(
+                    now + self.cfg.host_costs.signal,
+                    Event::ProcKick { node, pid },
+                );
             }
         }
         sched.at(now + self.cfg.quantum, Event::NodeTick { node });
@@ -337,15 +343,7 @@ impl World {
         }
         self.trace
             .emit(now, Category::Gang, None, || format!("{job} finished"));
-        let drained = self.jobrep.drain(&mut self.master);
-        for ticket in &drained.dropped {
-            self.queued_programs.remove(ticket);
-        }
-        for (ticket, sub) in drained.admitted {
-            let queued = self
-                .queued_programs
-                .remove(&ticket)
-                .expect("queued programs out of sync with jobrep");
+        for (sub, queued) in self.jobrep.drain(&mut self.master) {
             self.admit(now, queued.submitted_at, sub, queued.programs, sched);
         }
         self.stats
@@ -367,13 +365,17 @@ impl World {
             .take()
             .expect("JobArrival fired twice for the same index");
         self.arrivals_pending -= 1;
-        match self.jobrep.submit(&mut self.master, planned.spec) {
-            Ok(Admission::Admitted(sub)) => self.admit(now, now, sub, planned.programs, sched),
-            Ok(Admission::Queued(ticket)) => self.enqueue(now, ticket, planned.programs),
-            Err(_) => {
-                // Counted as rejected in jobrep.stats; the open-loop source
-                // does not retry.
-            }
+        let queued = QueuedSub {
+            submitted_at: now,
+            programs: planned.programs,
+        };
+        // A queued job waits with its payload in the jobrep; a rejected
+        // one is counted in jobrep.stats (the open-loop source does not
+        // retry).
+        if let Ok(Admission::Admitted(sub, queued)) =
+            self.jobrep.submit(&mut self.master, planned.spec, queued)
+        {
+            self.admit(now, now, sub, queued.programs, sched);
         }
         self.stats
             .queue_depth
@@ -415,12 +417,6 @@ impl World {
             }
             NodedCmd::SwitchSlot { epoch, from, to } => {
                 self.start_switch(now, node, epoch, from, to, sched);
-            }
-            NodedCmd::KillJob { job } => {
-                if let Some((_, pid)) = self.nodes[node].noded.remove_job(job) {
-                    self.nodes[node].procs.signal(pid, Signal::Kill);
-                    self.nodes[node].apps.remove(&pid);
-                }
             }
             NodedCmd::ResendProtocol { epoch } => self.on_resend_protocol(now, node, epoch, sched),
         }
@@ -501,7 +497,7 @@ impl World {
         // Fork: create the process and its pipe. The environment handoff
         // (job, rank, placement) is modelled only by its cost, which the
         // process's `InitMode::ParPar` start-up charges as host work.
-        let pid = n.procs.fork();
+        let pid = n.fork();
         n.noded.assign(slot, job, pid);
         let mut fm = FmProcess::new(job.0, rank, placement, self.cfg.nodes, geo.credits);
         // Under the no-flush baselines (paper §5) packets can be dropped at
@@ -528,6 +524,7 @@ impl World {
             program,
             init: fastmsg::init::InitMachine::new(self.cfg.init_mode),
             phase: ProcPhase::Initializing,
+            stopped: false,
             sending: None,
             blocked: None,
             busy: false,
@@ -535,7 +532,6 @@ impl World {
             pending_refills: std::collections::BTreeMap::new(),
             deferred_pkt: None,
             first_send: None,
-            finished_at: None,
             rel_timer_armed: false,
             rel_backoff: 0,
             rel_progress_mark: 0,

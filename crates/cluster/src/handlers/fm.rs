@@ -138,9 +138,10 @@ impl World {
         pid: Pid,
         sched: &mut Sched,
     ) {
-        let Some(proc) = self.nodes[node].apps.get_mut(&pid) else {
-            return; // torn down while the event was in flight
-        };
+        let proc = self.nodes[node]
+            .apps
+            .get_mut(&pid)
+            .expect("RetransTimeout for unknown process");
         proc.rel_timer_armed = false;
         if proc.fm.rel_unacked() == 0 {
             proc.rel_backoff = 0;

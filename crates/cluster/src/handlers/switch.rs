@@ -5,7 +5,6 @@ use fastmsg::division::BufferPolicy;
 use gang_comm::sequencer::StageBreakdown;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
-use hostsim::process::Signal;
 use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
@@ -41,7 +40,7 @@ impl World {
         // SIGSTOP the outgoing process first: "at this point it is assured
         // that the process will not produce any more packets".
         if let Some(pid) = self.nodes[node].app_in_slot(from) {
-            self.nodes[node].procs.signal(pid, Signal::Stop);
+            self.nodes[node].stop(pid);
         }
 
         let alt = AltSwitch {
@@ -257,7 +256,7 @@ impl World {
 
     fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, sched: &mut Sched) {
         if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
-            self.nodes[node].procs.signal(pid_in, Signal::Cont);
+            self.nodes[node].cont(pid_in);
             sched.at(
                 now + self.cfg.host_costs.signal,
                 Event::ProcKick { node, pid: pid_in },

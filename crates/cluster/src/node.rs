@@ -7,7 +7,7 @@ use gang_comm::sequencer::SwitchSequencer;
 use gang_comm::state::SavedCommState;
 use hostsim::backing::BackingStore;
 use hostsim::cpu::HostCpu;
-use hostsim::process::{Pid, ProcessTable};
+use hostsim::process::Pid;
 use lanai::nic::{CtxId, Nic};
 use parpar::job::JobId;
 use parpar::noded::Noded;
@@ -20,8 +20,9 @@ use crate::procsim::ProcSim;
 /// configuration the paper studies — and the hot handlers (`proc_kick`,
 /// `HostOpDone`, packet landing) do several lookups per event. A sorted
 /// `Vec` keeps those lookups inside one cache line instead of chasing
-/// `BTreeMap` node pointers; iteration order (ascending pid) and the whole
-/// method surface match the map it replaces, so determinism is unaffected.
+/// `BTreeMap` node pointers; iteration order (ascending pid) matches the
+/// map it replaces, so determinism is unaffected. Torn-down processes stay
+/// resident as `ProcPhase::Exited`.
 #[derive(Default)]
 pub struct AppMap {
     entries: Vec<(Pid, ProcSim)>,
@@ -60,14 +61,6 @@ impl AppMap {
                 self.entries.insert(i, (pid, proc));
                 None
             }
-        }
-    }
-
-    /// Remove and return the process with id `pid`, if resident.
-    pub fn remove(&mut self, pid: &Pid) -> Option<ProcSim> {
-        match self.entries.binary_search_by_key(&pid.0, |(k, _)| k.0) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
         }
     }
 
@@ -116,8 +109,6 @@ pub struct NodeSim {
     pub id: usize,
     /// The host CPU timeline.
     pub cpu: HostCpu,
-    /// Kernel process table.
-    pub procs: ProcessTable,
     /// The node daemon's slot bookkeeping.
     pub noded: Noded,
     /// The NIC.
@@ -155,6 +146,8 @@ pub struct NodeSim {
     pub faults: u64,
     /// State of a non-flush switch in progress (ShareDiscard / AckDrain).
     pub alt_switch: Option<AltSwitch>,
+    /// The pid the next fork gets.
+    next_pid: u32,
     /// Recycled [`SavedCommState`] shells. Buffer switches happen every
     /// quantum; draining into a pooled shell and loading back out of it
     /// keeps the switch path allocation-free at steady state.
@@ -184,7 +177,6 @@ impl NodeSim {
         NodeSim {
             id,
             cpu: HostCpu::new(),
-            procs: ProcessTable::new(),
             noded: Noded::new(id),
             nic,
             seq: SwitchSequencer::new(peers),
@@ -202,8 +194,35 @@ impl NodeSim {
             lru: BTreeMap::new(),
             faults: 0,
             alt_switch: None,
+            next_pid: 100, // leave room for "daemon" pids in traces
             state_pool: Vec::new(),
         }
+    }
+
+    /// Fork: a fresh pid for a process the caller makes resident in
+    /// [`NodeSim::apps`].
+    pub fn fork(&mut self) -> Pid {
+        let pid = Pid(self.next_pid);
+        self.next_pid += 1;
+        pid
+    }
+
+    /// SIGSTOP `pid`: it starts no host work until [`NodeSim::cont`].
+    pub fn stop(&mut self, pid: Pid) {
+        self.signalled(pid).stopped = true;
+    }
+
+    /// SIGCONT `pid`.
+    pub fn cont(&mut self, pid: Pid) {
+        self.signalled(pid).stopped = false;
+    }
+
+    /// The target of a signal. Panics on a pid that is not resident (a
+    /// simulation bug, not a runtime condition).
+    fn signalled(&mut self, pid: Pid) -> &mut ProcSim {
+        self.apps
+            .get_mut(&pid)
+            .unwrap_or_else(|| panic!("no such process {pid}"))
     }
 
     /// Save the resident context `ctx_id` to pageable backing store under

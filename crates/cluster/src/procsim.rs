@@ -52,8 +52,12 @@ pub enum ProcPhase {
     Initializing,
     /// Executing its program.
     Running,
-    /// Program returned Done.
+    /// Program returned Done; `COMM_end_job` waits for the send queue to
+    /// drain (and, under reliability, for every packet to be acked).
     Finished,
+    /// `COMM_end_job` tore the process down: it holds no NIC context and
+    /// no backing-store entry.
+    Exited,
 }
 
 /// One simulated application process.
@@ -74,6 +78,9 @@ pub struct ProcSim {
     pub init: InitMachine,
     /// Lifecycle phase.
     pub phase: ProcPhase,
+    /// SIGSTOPped by the gang scheduler: the process starts no host work
+    /// until SIGCONT clears this.
+    pub stopped: bool,
     /// The in-progress message send, if any.
     pub sending: Option<SendProgress>,
     /// Why the process is blocked, if it is.
@@ -91,8 +98,6 @@ pub struct ProcSim {
     /// When this process issued its first Send (opens the paper's
     /// bandwidth-measurement interval).
     pub first_send: Option<SimTime>,
-    /// When the program returned Done.
-    pub finished_at: Option<SimTime>,
     /// Reliability layer: a RetransTimeout event is outstanding.
     pub rel_timer_armed: bool,
     /// Reliability layer: consecutive timer firings without ack progress
@@ -112,6 +117,7 @@ impl std::fmt::Debug for ProcSim {
             .field("rank", &self.rank)
             .field("slot", &self.slot)
             .field("phase", &self.phase)
+            .field("stopped", &self.stopped)
             .field("blocked", &self.blocked)
             .field("busy", &self.busy)
             .finish_non_exhaustive()

@@ -27,10 +27,9 @@ use crate::handlers::nic::{Trains, MAX_NODES};
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
 
-/// A submission waiting in the jobrep queue: when it was submitted (for
-/// the wait-latency sketch) and the programs to dispatch on admission,
-/// keyed by the jobrep ticket.
-pub(crate) struct QueuedSub {
+/// The payload of a jobrep submission: when it was submitted (for the
+/// wait-latency sketch) and the programs to dispatch on admission.
+pub struct QueuedSub {
     pub(crate) submitted_at: SimTime,
     pub(crate) programs: Vec<Box<dyn Program>>,
 }
@@ -61,12 +60,9 @@ pub struct World {
     /// Measurements.
     pub stats: WorldStats,
     /// The job representative's submission queue.
-    pub jobrep: JobRep,
+    pub jobrep: JobRep<QueuedSub>,
     /// Programs awaiting their LoadJob, keyed by (job, rank).
     pub(crate) pending_programs: BTreeMap<(JobId, usize), Box<dyn Program>>,
-    /// Programs (and submit timestamps) of queued — not yet admitted —
-    /// submissions, keyed by jobrep ticket.
-    pub(crate) queued_programs: BTreeMap<u64, QueuedSub>,
     /// The installed open-loop arrival plan (serving mode); each entry is
     /// taken when its `JobArrival` event fires.
     pub(crate) arrivals: Vec<Option<PlannedArrival>>,
@@ -145,7 +141,6 @@ impl World {
             stats: WorldStats::default(),
             jobrep: JobRep::new(),
             pending_programs: BTreeMap::new(),
-            queued_programs: BTreeMap::new(),
             arrivals: Vec::new(),
             arrivals_pending: 0,
             tree,
@@ -219,15 +214,6 @@ impl World {
             .wait_latency
             .record(now.since(submitted_at).raw());
         self.dispatch_submission(now, sub, programs, sched);
-    }
-
-    /// Hold a queued submission's programs until the jobrep admits it.
-    pub(crate) fn enqueue(&mut self, now: SimTime, ticket: u64, programs: Vec<Box<dyn Program>>) {
-        let sub = QueuedSub {
-            submitted_at: now,
-            programs,
-        };
-        self.queued_programs.insert(ticket, sub);
     }
 
     /// The network's per-tier link totals (edge / aggregation / spine) —
@@ -452,10 +438,8 @@ impl Sim {
             let programs: Vec<Box<dyn Program>> = (0..workload.nprocs())
                 .map(|r| workload.program(r))
                 .collect();
-            let job_spec =
-                JobSpec::sized(workload.name(), workload.nprocs()).with_priority(spec.priority);
             self.engine.model.arrivals.push(Some(PlannedArrival {
-                spec: job_spec,
+                spec: JobSpec::sized(workload.name(), workload.nprocs()),
                 programs,
             }));
             self.engine.model.arrivals_pending += 1;

@@ -1,13 +1,15 @@
 //! # hostsim — simulated ParPar compute node host
 //!
-//! The host side of a node: a serial [`cpu::HostCpu`], a process table with
-//! SIGSTOP/SIGCONT gang-scheduling semantics, the noded↔process sync
-//! [`pipe::Pipe`] (paper Fig. 2), the pageable [`backing::BackingStore`]
-//! that receives swapped-out communication state (paper §1), and the host
-//! operation [`costs::HostCosts`].
+//! The host side of a node: a serial [`cpu::HostCpu`], process ids
+//! ([`process::Pid`]), the noded↔process sync [`pipe::Pipe`] (paper
+//! Fig. 2), the pageable [`backing::BackingStore`] that receives
+//! swapped-out communication state (paper §1), and the host operation
+//! [`costs::HostCosts`].
 //!
-//! Memory-region *copy* costs live in `sim_core::mem`; this crate models
-//! who runs when, and where state lives.
+//! Memory-region *copy* costs live in `sim_core::mem`; a process's run
+//! state (SIGSTOP/SIGCONT, exit) lives in the `cluster` crate's
+//! per-process record. This crate models when the host CPU is busy and
+//! where swapped state lives.
 
 #![warn(missing_docs)]
 
@@ -21,4 +23,4 @@ pub use backing::BackingStore;
 pub use costs::HostCosts;
 pub use cpu::{HostCpu, Reservation};
 pub use pipe::Pipe;
-pub use process::{Pid, Process, ProcessTable, SchedState, Signal};
+pub use process::Pid;

@@ -3,7 +3,7 @@
 use hostsim::backing::BackingStore;
 use hostsim::cpu::HostCpu;
 use hostsim::pipe::Pipe;
-use hostsim::process::{Pid, ProcessTable, Signal};
+use hostsim::process::Pid;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 
@@ -49,35 +49,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(p.buffered(), model.len());
-        }
-    }
-
-    /// Signal semantics: state is a pure function of the last
-    /// state-changing signal; exits are permanent.
-    #[test]
-    fn signal_state_machine(sigs in proptest::collection::vec(0u8..3, 0..60)) {
-        let mut t = ProcessTable::new();
-        let pid = t.fork();
-        let mut exited = false;
-        let mut active = true;
-        for s in sigs {
-            let sig = match s {
-                0 => Signal::Stop,
-                1 => Signal::Cont,
-                _ => Signal::Kill,
-            };
-            t.signal(pid, sig);
-            if !exited {
-                match sig {
-                    Signal::Stop => active = false,
-                    Signal::Cont => active = true,
-                    Signal::Kill => {
-                        exited = true;
-                        active = false;
-                    }
-                }
-            }
-            prop_assert_eq!(t.get(pid).unwrap().is_active(), active && !exited);
         }
     }
 

@@ -26,9 +26,6 @@ pub struct ArrivalSpec {
     /// Scenario-defined work size (e.g. message count for a p2p job),
     /// drawn from the seeded RNG for Poisson plans.
     pub size: u64,
-    /// Admission priority class (higher is served first; FIFO within a
-    /// class).
-    pub priority: u8,
 }
 
 /// A fully materialised, time-sorted arrival plan.
@@ -71,12 +68,7 @@ impl ArrivalPlan {
             }
             let at = Cycles((t * CPU_HZ as f64) as u64);
             let size = sizes.range(size_lo, size_hi + 1);
-            jobs.push(ArrivalSpec {
-                at,
-                nprocs,
-                size,
-                priority: 0,
-            });
+            jobs.push(ArrivalSpec { at, nprocs, size });
         }
         ArrivalPlan { jobs }
     }
@@ -152,7 +144,6 @@ mod tests {
             at: Cycles(at),
             nprocs: 2,
             size,
-            priority: 0,
         };
         let plan = ArrivalPlan::trace(vec![mk(30, 1), mk(10, 2), mk(30, 3), mk(10, 4)]);
         let sizes: Vec<u64> = plan.jobs().iter().map(|j| j.size).collect();

@@ -17,44 +17,32 @@ impl fmt::Display for JobId {
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Human name (hard-coded in the application, mapped to a [`JobId`]).
-    pub name: String,
+    pub name: &'static str,
     /// Number of processes = number of nodes required (one per node).
     pub nprocs: usize,
     /// Pin the job to these exact nodes instead of letting the matrix
     /// choose (used to force several jobs onto the same node pair, as the
     /// paper's Fig. 6 measurement does).
     pub pinned_nodes: Option<Vec<usize>>,
-    /// Admission priority class: the jobrep serves higher classes first
-    /// and keeps FIFO order within a class. All paper workloads use the
-    /// default class 0.
-    pub priority: u8,
 }
 
 impl JobSpec {
     /// An unpinned job of `nprocs` processes.
-    pub fn sized(name: &str, nprocs: usize) -> Self {
+    pub fn sized(name: &'static str, nprocs: usize) -> Self {
         JobSpec {
-            name: name.to_string(),
+            name,
             nprocs,
             pinned_nodes: None,
-            priority: 0,
         }
     }
 
     /// A job pinned to exact nodes.
-    pub fn pinned(name: &str, nodes: Vec<usize>) -> Self {
+    pub fn pinned(name: &'static str, nodes: Vec<usize>) -> Self {
         JobSpec {
-            name: name.to_string(),
+            name,
             nprocs: nodes.len(),
             pinned_nodes: Some(nodes),
-            priority: 0,
         }
-    }
-
-    /// Same spec in a different admission class.
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
     }
 }
 
@@ -81,8 +69,6 @@ mod tests {
         let b = JobSpec::pinned("bw2", vec![0, 1]);
         assert_eq!(b.nprocs, 2);
         assert_eq!(b.pinned_nodes, Some(vec![0, 1]));
-        assert_eq!(b.priority, 0);
-        assert_eq!(a.with_priority(3).priority, 3);
     }
 
     #[test]

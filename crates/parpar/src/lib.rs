@@ -23,7 +23,7 @@ pub mod tree;
 pub use arrivals::{ArrivalPlan, ArrivalSpec};
 pub use control::{ControlNet, ControlPlane};
 pub use job::{JobId, JobSpec, JobState};
-pub use jobrep::{Admission, Drained, JobRep, JobRepStats};
+pub use jobrep::{Admission, JobRep, JobRepStats};
 pub use masterd::{Masterd, Submitted, SwitchOrder};
 pub use matrix::{GangMatrix, PlaceError, Placement};
 pub use noded::Noded;

@@ -34,11 +34,6 @@ pub enum NodedCmd {
         /// Slot being scheduled.
         to: usize,
     },
-    /// Tear down the job's process and context.
-    KillJob {
-        /// The job.
-        job: JobId,
-    },
     /// Reliability layer: the masterd's switch watchdog suspects a lost
     /// halt/ready packet — re-send whatever protocol messages this node
     /// already emitted for the epoch (idempotent at every receiver).
@@ -96,6 +91,6 @@ mod tests {
         assert_eq!(a, MasterMsg::SwitchDone { epoch: 1, count: 2 });
         assert_ne!(a, MasterMsg::SwitchDone { epoch: 1, count: 1 });
         let c = NodedCmd::AllUp { job: JobId(1) };
-        assert_ne!(c, NodedCmd::KillJob { job: JobId(1) });
+        assert_ne!(c, NodedCmd::AllUp { job: JobId(2) });
     }
 }

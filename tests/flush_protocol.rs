@@ -1,11 +1,15 @@
 //! Cluster-level verification of the flush protocol's ordering claims
-//! (paper §3.2), read off the trace of a real run.
+//! (paper §3.2), read off the trace of a real run, and of the SIGSTOP /
+//! SIGCONT discipline around it, read off the per-process records.
 
-use cluster::{ClusterConfig, Sim};
+use std::collections::BTreeMap;
+
+use cluster::{ClusterConfig, ProcPhase, Sim};
 use fastmsg::division::BufferPolicy;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 use workloads::alltoall::AllToAll;
+use workloads::p2p::P2pBandwidth;
 
 fn traced_run(nodes: usize) -> Sim {
     let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::FullBuffer);
@@ -93,4 +97,82 @@ fn no_data_is_in_flight_when_any_node_copies() {
     // recv rings, parked in saved states, or on the wire at the horizon.
     assert!(sent >= received);
     assert!(sent - received < 2000, "{sent} vs {received}");
+}
+
+#[test]
+fn stopped_process_waits_for_sigcont_and_finished_processes_exit() {
+    // With buffer switching the outgoing context is swapped out too; with
+    // static division it stays resident, so only the stop keeps the
+    // process from extracting what keeps landing there.
+    for policy in [BufferPolicy::FullBuffer, BufferPolicy::StaticDivision] {
+        check_stop_cont_and_exit(policy);
+    }
+}
+
+/// Two p2p jobs share nodes 0 and 1 on a 2-slot rotation: a stopped
+/// process starts no host work until its SIGCONT, and once both jobs
+/// finish every process is `Exited` with no NIC context and no
+/// backing-store entry left.
+fn check_stop_cont_and_exit(policy: BufferPolicy) {
+    let mut cfg = ClusterConfig::parpar(2, 2, policy);
+    cfg.quantum = Cycles::from_ms(5);
+    let mut sim = Sim::new(cfg);
+    let bench = P2pBandwidth::with_count(4096, 200);
+    sim.submit(&bench, Some(vec![0, 1])).unwrap();
+    sim.submit(&bench, Some(vec![0, 1])).unwrap();
+    let horizon = SimTime::ZERO + Cycles::from_secs(20);
+    // Per (node, pid), after every event: (stopped, busy, sent, received).
+    let mut last: BTreeMap<(usize, u32), (bool, bool, u64, u64)> = BTreeMap::new();
+    let (mut stops, mut conts) = (0, 0);
+    while !sim.world().quiescent() && sim.engine.now() < horizon {
+        sim.engine.step().expect("event queue ran dry");
+        for (node, n) in sim.world().nodes.iter().enumerate() {
+            for p in n.apps.values() {
+                let s = &p.fm.stats;
+                let now = (p.stopped, p.busy, s.msgs_sent, s.msgs_received);
+                let Some(prev) = last.insert((node, p.pid.0), now) else {
+                    continue;
+                };
+                // A host op in flight at SIGSTOP may still complete; once
+                // it has, nothing runs until SIGCONT.
+                if prev.0 && !prev.1 && now.0 {
+                    assert!(!now.1, "{policy:?}: stopped {} started host work", p.pid);
+                    assert_eq!(prev, now, "{policy:?}: stopped {} made progress", p.pid);
+                }
+                stops += usize::from(!prev.0 && now.0);
+                conts += usize::from(prev.0 && !now.0);
+            }
+        }
+    }
+    let w = sim.world();
+    assert!(
+        w.quiescent(),
+        "{policy:?}: jobs did not finish by the horizon"
+    );
+    assert_eq!(w.stats.job_finished.len(), 2);
+    assert!(
+        w.stats.switches >= 4,
+        "{policy:?}: {} switches",
+        w.stats.switches
+    );
+    assert!(
+        stops >= 4 && conts >= 4,
+        "{policy:?}: {stops} stops, {conts} conts"
+    );
+    for n in &w.nodes {
+        assert_eq!(n.apps.len(), 2);
+        for p in n.apps.values() {
+            assert_eq!(p.phase, ProcPhase::Exited, "{} not torn down", p.pid);
+            assert!(
+                n.nic.find_context(p.job.0).is_none(),
+                "{} kept its NIC context",
+                p.pid
+            );
+            assert!(
+                !n.backing.contains(p.pid),
+                "{} kept a backing-store entry",
+                p.pid
+            );
+        }
+    }
 }

@@ -14,7 +14,6 @@ fn submit_at_zero(sim: &mut Sim, jobs: usize, bench: P2pBandwidth) {
         at: Cycles::ZERO,
         nprocs: bench.nprocs(),
         size: 0,
-        priority: 0,
     };
     sim.install_arrivals(&ArrivalPlan::trace(vec![spec; jobs]), |_, _| {
         Box::new(bench)

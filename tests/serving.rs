@@ -94,13 +94,11 @@ fn serve_trace_overrides_poisson() {
             at: Cycles::from_ms(100),
             nprocs: 2,
             size: 10,
-            priority: 0,
         },
         ArrivalSpec {
             at: Cycles::from_ms(50),
             nprocs: 2,
             size: 10,
-            priority: 0,
         },
     ];
     let c = Measurement::serve(4, 2, SchedulingMode::Gang)
@@ -115,8 +113,8 @@ fn serve_trace_overrides_poisson() {
 }
 
 /// Open-loop admission invariants under randomized rates, seeds, and
-/// widths: no job is lost or double-dispatched, same-class admission is
-/// FIFO, and the queue drains to empty once arrivals stop.
+/// widths: no job is lost or double-dispatched, admission is FIFO, and
+/// the queue drains to empty once arrivals stop.
 fn admission_case(rate_x10: u64, seed: u64, width: usize) -> Result<(), TestCaseError> {
     let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::StaticDivision);
     cfg.quantum = Cycles::from_ms(100);
@@ -153,9 +151,9 @@ fn admission_case(rate_x10: u64, seed: u64, width: usize) -> Result<(), TestCase
     prop_assert_eq!(w.stats.wait_latency.count(), w.jobrep.stats.admitted);
     prop_assert_eq!(w.stats.e2e_latency.count(), w.jobrep.stats.admitted);
     prop_assert_eq!(w.jobrep.waiting(), 0);
-    // FIFO within the single priority class: JobIds are allocated at
-    // admission, so dispatch times must be non-decreasing in JobId, and so
-    // must submit times (an arrival can never overtake an earlier one).
+    // FIFO admission: JobIds are allocated at admission, so dispatch times
+    // must be non-decreasing in JobId, and so must submit times (an
+    // arrival can never overtake an earlier one).
     let dispatched: Vec<_> = w.stats.job_dispatched.iter().map(|(_, t)| *t).collect();
     for pair in dispatched.windows(2) {
         prop_assert!(pair[0] <= pair[1], "dispatch out of FIFO order");
