@@ -10,7 +10,8 @@ use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::event::{Event, HostOp, Sched};
-use crate::procsim::{BlockReason, ProcPhase, ProcSim, SendProgress};
+use crate::node::ExitRecord;
+use crate::procsim::{BlockReason, ProcPhase, SendProgress};
 use crate::world::World;
 
 /// Outcome of one scheduling decision for a process.
@@ -36,16 +37,13 @@ impl World {
         panic!("process {pid} on node {node} livelocked (program makes no progress)");
     }
 
-    /// Complete `COMM_end_job` once the context's send queue is empty.
-    /// Called by the NIC handler as the send engine drains.
+    /// Complete a finished process's `COMM_end_job` once its context's send
+    /// queue is empty, and evict it from its node. Called again by the NIC
+    /// handler as the send engine drains.
     pub(crate) fn try_end_job(&mut self, now: SimTime, node: usize, pid: Pid, sched: &mut Sched) {
         let n = &mut self.nodes[node];
-        let Some(proc) = n.apps.get(&pid) else {
-            return;
-        };
-        if proc.phase != ProcPhase::Finished {
-            return;
-        }
+        let proc = &n.apps[&pid];
+        debug_assert_eq!(proc.phase, ProcPhase::Finished);
         if self.cfg.reliability.enabled && proc.fm.rel_unacked() > 0 {
             // Peers have not acked everything we sent: a teardown now could
             // orphan a lost packet forever. A later ack (Refill arrival) or
@@ -62,7 +60,16 @@ impl World {
         self.comm_end_job(now, node, job.0, pid)
             .expect("end_job: context vanished");
         let n = &mut self.nodes[node];
-        n.apps.get_mut(&pid).unwrap().phase = ProcPhase::Exited;
+        let proc = n.apps.remove(&pid).unwrap();
+        n.exited.push(ExitRecord {
+            pid,
+            job,
+            rank: proc.rank,
+            stats: proc.fm.stats,
+            gaps: proc.fm.gaps,
+            held_credits: proc.fm.flow.held_credits_total(),
+        });
+        n.lru.remove(&job.0);
         n.noded.remove_job(job);
         self.route_ack(now, node, MasterMsg::JobFinished { job, count: 1 }, sched);
     }
@@ -70,33 +77,19 @@ impl World {
     /// Retry deferred refills once send-queue space frees up. Called by
     /// the NIC and FM handlers.
     pub(crate) fn drain_pending_refills(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        // Hot-path gate: deferred refills are rare (send queue was full at
-        // refill time); skip the allocation below when there are none.
-        // Under the reliability layer finished processes still owe final
-        // acks, so their deferred refills drain too; a torn-down process
-        // has no context to send them through.
-        let keep_finished = self.cfg.reliability.enabled;
-        let owes = |p: &ProcSim| {
-            !p.pending_refills.is_empty()
-                && p.phase != ProcPhase::Exited
-                && (keep_finished || p.phase != ProcPhase::Finished)
-        };
-        if !self.nodes[node].apps.values().any(owes) {
-            return;
-        }
+        // Deferred refills are rare (the send queue was full at refill
+        // time), and collecting no pids allocates nothing. A finished
+        // process keeps its deferred refills only under the reliability
+        // layer, which still owes its peers final acks.
         let pids: Vec<Pid> = self.nodes[node]
             .apps
-            .iter()
-            .filter(|(_, p)| owes(p))
-            .map(|(pid, _)| *pid)
+            .values()
+            .filter(|p| !p.pending_refills.is_empty())
+            .map(|p| p.pid)
             .collect();
         for pid in pids {
-            let pending: Vec<(usize, usize)> = {
-                let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
-                std::mem::take(&mut proc.pending_refills)
-                    .into_iter()
-                    .collect()
-            };
+            let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
+            let pending = std::mem::take(&mut proc.pending_refills);
             for (peer, k) in pending {
                 self.queue_refill(now, node, pid, peer, k, sched);
             }
@@ -108,10 +101,7 @@ impl World {
         let Some(proc) = n.apps.get_mut(&pid) else {
             return Step::Park;
         };
-        if matches!(proc.phase, ProcPhase::Finished | ProcPhase::Exited)
-            || proc.busy
-            || proc.stopped
-        {
+        if proc.phase == ProcPhase::Finished || proc.busy || proc.stopped {
             return Step::Park;
         }
 

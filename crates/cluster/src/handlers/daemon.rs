@@ -536,7 +536,7 @@ impl World {
             rel_backoff: 0,
             rel_progress_mark: 0,
         };
-        n.apps.insert(pid, proc);
+        n.apps.insert(proc);
         if !resident {
             n.backing.save(pid, SavedCommState::empty(job.0), 0);
         }

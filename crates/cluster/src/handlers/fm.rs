@@ -131,6 +131,8 @@ impl World {
     /// The go-back-N retransmit timer fired. If the ack horizon moved since
     /// the last firing the timer just re-arms; if not, the whole unacked
     /// window is re-pushed into the context's (empty) send queue.
+    /// A timer may outlive its process: teardown waited for
+    /// `rel_unacked() == 0`, so firing after the eviction is a no-op.
     pub(super) fn on_retrans_timeout(
         &mut self,
         now: SimTime,
@@ -138,10 +140,14 @@ impl World {
         pid: Pid,
         sched: &mut Sched,
     ) {
-        let proc = self.nodes[node]
-            .apps
-            .get_mut(&pid)
-            .expect("RetransTimeout for unknown process");
+        let n = &mut self.nodes[node];
+        let Some(proc) = n.apps.get_mut(&pid) else {
+            assert!(
+                n.exited.iter().any(|e| e.pid == pid),
+                "RetransTimeout for unknown process {pid}"
+            );
+            return;
+        };
         proc.rel_timer_armed = false;
         if proc.fm.rel_unacked() == 0 {
             proc.rel_backoff = 0;
@@ -290,10 +296,12 @@ impl World {
                 .expect("no endpoint to evict but no room either");
             let n = &mut self.nodes[node];
             let vjob = n.nic.context(victim).expect("victim is resident").job;
-            let vpid = n
-                .find_proc_by_job(vjob)
-                .expect("evicted endpoint's process is gone");
-            n.save_context(victim, vpid);
+            match n.find_proc_by_job(vjob) {
+                Some(vpid) => n.save_context(victim, vpid),
+                // A late retransmission faulted in an endpoint for a job
+                // already torn down here; no process will ever read it.
+                None => drop(n.nic.free_context(victim)),
+            }
             self.trace.emit(now, Category::Nic, Some(node), || {
                 format!("evicted endpoint of job {vjob}")
             });
@@ -329,12 +337,8 @@ impl World {
         // Inject any fragment deferred by a mid-send eviction, then wake
         // fault waiters.
         if let Some(pid) = pid {
-            let deferred = self.nodes[node]
-                .apps
-                .get_mut(&pid)
-                .and_then(|p| p.deferred_pkt.take());
-            if let Some(pkt) = deferred {
-                let n = &mut self.nodes[node];
+            let n = &mut self.nodes[node];
+            if let Some(pkt) = n.apps.get_mut(&pid).unwrap().deferred_pkt.take() {
                 let ctx_id = n.nic.find_context(job).unwrap();
                 n.nic
                     .context_mut(ctx_id)
@@ -348,12 +352,7 @@ impl World {
             // ContextFault: a RecvWait-blocked process whose endpoint just
             // faulted in (queues restored from backing store) re-polls and
             // finds its parked arrivals; a spurious kick is a no-op.
-            let blocked = self.nodes[node]
-                .apps
-                .get(&pid)
-                .map(|p| p.blocked.is_some())
-                .unwrap_or(false);
-            if blocked {
+            if self.nodes[node].apps[&pid].blocked.is_some() {
                 sched.immediately(Event::ProcKick { node, pid });
             }
         }

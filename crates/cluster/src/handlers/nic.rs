@@ -246,11 +246,9 @@ impl World {
     pub(super) fn on_send_engine_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].send_engine_busy = false;
         // Queue space freed: unblock senders, flush deferred refills, and
-        // complete any deferred job teardown (torn-down processes are
-        // `Exited`, not `Finished`, so they are skipped). The pid snapshot
-        // goes into a pooled buffer (`try_end_job` needs `&mut self`
-        // mid-loop), so this handler stays allocation-free in steady
-        // state.
+        // complete any deferred job teardown. The pid snapshot goes into a
+        // pooled buffer (`try_end_job` evicts mid-loop), so this handler
+        // stays allocation-free in steady state.
         let any_waiting = self.nodes[node]
             .apps
             .values()
@@ -258,7 +256,7 @@ impl World {
         if any_waiting {
             let mut pids = std::mem::take(&mut self.pid_buf);
             pids.clear();
-            pids.extend(self.nodes[node].apps.keys().copied());
+            pids.extend(self.nodes[node].apps.values().map(|p| p.pid));
             for &pid in &pids {
                 let proc = &self.nodes[node].apps[&pid];
                 if proc.blocked == Some(BlockReason::SendSpace) {

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fastmsg::packet::Packet;
+use fastmsg::proc::ProcStats;
 use gang_comm::sequencer::SwitchSequencer;
 use gang_comm::state::SavedCommState;
 use hostsim::backing::BackingStore;
@@ -14,84 +15,63 @@ use parpar::noded::Noded;
 
 use crate::procsim::ProcSim;
 
-/// Pid → [`ProcSim`] map, flat.
+/// The node's live processes, flat and sorted by [`ProcSim::pid`].
 ///
-/// A node hosts one process per gang slot — one or two in every
-/// configuration the paper studies — and the hot handlers (`proc_kick`,
-/// `HostOpDone`, packet landing) do several lookups per event. A sorted
-/// `Vec` keeps those lookups inside one cache line instead of chasing
-/// `BTreeMap` node pointers; iteration order (ascending pid) matches the
-/// map it replaces, so determinism is unaffected. Torn-down processes stay
-/// resident as `ProcPhase::Exited`.
+/// A node hosts one process per gang slot, and `COMM_end_job` evicts a
+/// process at teardown, so this holds at most `cfg.slots` entries — one or
+/// two in every configuration the paper studies. The hot handlers
+/// (`proc_kick`, `HostOpDone`, packet landing) do several lookups per
+/// event; a short sorted `Vec` keeps them inside one cache line, and
+/// iteration is in ascending pid order, so determinism is unaffected.
 #[derive(Default)]
 pub struct AppMap {
-    entries: Vec<(Pid, ProcSim)>,
+    procs: Vec<ProcSim>,
 }
 
 impl AppMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        AppMap {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The process with id `pid`, if resident.
+    /// The process with id `pid`, if live.
     #[inline]
     pub fn get(&self, pid: &Pid) -> Option<&ProcSim> {
-        self.entries
-            .iter()
-            .find_map(|(k, v)| (k == pid).then_some(v))
+        self.procs.iter().find(|p| p.pid == *pid)
     }
 
-    /// Mutable access to the process with id `pid`, if resident.
+    /// Mutable access to the process with id `pid`, if live.
     #[inline]
     pub fn get_mut(&mut self, pid: &Pid) -> Option<&mut ProcSim> {
-        self.entries
-            .iter_mut()
-            .find_map(|(k, v)| (k == pid).then_some(v))
+        self.procs.iter_mut().find(|p| p.pid == *pid)
     }
 
-    /// Insert `proc` under `pid`, returning the displaced process if the
-    /// pid was already resident.
-    pub fn insert(&mut self, pid: Pid, proc: ProcSim) -> Option<ProcSim> {
-        match self.entries.binary_search_by_key(&pid.0, |(k, _)| k.0) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, proc)),
-            Err(i) => {
-                self.entries.insert(i, (pid, proc));
-                None
-            }
-        }
+    /// Make a freshly forked `proc` live. Pids are forked in ascending
+    /// order, so it sorts last.
+    pub fn insert(&mut self, proc: ProcSim) {
+        debug_assert!(self.procs.last().is_none_or(|p| p.pid < proc.pid));
+        self.procs.push(proc);
     }
 
-    /// Resident pids, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = &Pid> {
-        self.entries.iter().map(|(k, _)| k)
+    /// Evict the process with id `pid`, if live.
+    pub fn remove(&mut self, pid: &Pid) -> Option<ProcSim> {
+        let i = self.procs.iter().position(|p| p.pid == *pid)?;
+        Some(self.procs.remove(i))
     }
 
-    /// `(pid, process)` pairs in ascending pid order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Pid, &ProcSim)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Resident processes in ascending pid order.
+    /// Live processes in ascending pid order.
     pub fn values(&self) -> impl Iterator<Item = &ProcSim> {
-        self.entries.iter().map(|(_, v)| v)
+        self.procs.iter()
     }
 
     /// Mutable iteration in ascending pid order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut ProcSim> {
-        self.entries.iter_mut().map(|(_, v)| v)
+        self.procs.iter_mut()
     }
 
-    /// Number of resident processes.
+    /// Number of live processes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.procs.len()
     }
 
-    /// Is no process resident?
+    /// Is no process live?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.procs.is_empty()
     }
 }
 
@@ -101,6 +81,25 @@ impl std::ops::Index<&Pid> for AppMap {
         self.get(pid)
             .unwrap_or_else(|| panic!("no process with pid {}", pid.0))
     }
+}
+
+/// What a torn-down process leaves on its node: who it was and the FM
+/// library's final counters. `COMM_end_job` drops the rest of its
+/// [`ProcSim`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExitRecord {
+    /// Host-local pid.
+    pub pid: Pid,
+    /// Owning job.
+    pub job: JobId,
+    /// Rank within the job.
+    pub rank: usize,
+    /// FM library counters at teardown.
+    pub stats: ProcStats,
+    /// Sequence gaps observed (see [`fastmsg::proc::FmProcess::gaps`]).
+    pub gaps: u64,
+    /// Send credits held toward all peers at teardown.
+    pub held_credits: usize,
 }
 
 /// One compute node of the simulated cluster.
@@ -117,8 +116,10 @@ pub struct NodeSim {
     pub seq: SwitchSequencer,
     /// Pageable backing store for descheduled jobs' queue contents.
     pub backing: BackingStore<SavedCommState<Packet>>,
-    /// Application-process simulation state by pid.
+    /// Live application processes by pid.
     pub apps: AppMap,
+    /// Torn-down processes, in teardown order.
+    pub exited: Vec<ExitRecord>,
     /// True while a SendEngineDone event is outstanding.
     pub send_engine_busy: bool,
     /// The noded asked for a halt; the engine starts the halt broadcast at
@@ -140,7 +141,7 @@ pub struct NodeSim {
     /// Packets that arrived for non-resident endpoints, held until their
     /// endpoint faults in (virtual-networks semantics).
     pub parked: Vec<fastmsg::packet::Packet>,
-    /// Last-activity instant per job, for LRU endpoint eviction.
+    /// Last-activity instant per live job, for LRU endpoint eviction.
     pub lru: BTreeMap<u32, sim_core::time::SimTime>,
     /// Endpoint faults served on this node.
     pub faults: u64,
@@ -181,7 +182,8 @@ impl NodeSim {
             nic,
             seq: SwitchSequencer::new(peers),
             backing: BackingStore::new(),
-            apps: AppMap::new(),
+            apps: AppMap::default(),
+            exited: Vec::new(),
             send_engine_busy: false,
             halt_requested: false,
             halt_broadcast_started: false,
@@ -199,7 +201,7 @@ impl NodeSim {
         }
     }
 
-    /// Fork: a fresh pid for a process the caller makes resident in
+    /// Fork: a fresh pid for a process the caller makes live in
     /// [`NodeSim::apps`].
     pub fn fork(&mut self) -> Pid {
         let pid = Pid(self.next_pid);
@@ -217,7 +219,7 @@ impl NodeSim {
         self.signalled(pid).stopped = false;
     }
 
-    /// The target of a signal. Panics on a pid that is not resident (a
+    /// The target of a signal. Panics on a pid that is not live (a
     /// simulation bug, not a runtime condition).
     fn signalled(&mut self, pid: Pid) -> &mut ProcSim {
         self.apps
@@ -272,10 +274,7 @@ impl NodeSim {
 
     /// The pid of the process of `job` on this node, if any.
     pub fn find_proc_by_job(&self, job: u32) -> Option<Pid> {
-        self.apps
-            .iter()
-            .find(|(_, p)| p.fm.job == job)
-            .map(|(pid, _)| *pid)
+        self.apps.values().find(|p| p.fm.job == job).map(|p| p.pid)
     }
 
     /// The (slot, pid) the noded assigned to `job`, if loaded.

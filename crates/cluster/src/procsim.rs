@@ -53,11 +53,10 @@ pub enum ProcPhase {
     /// Executing its program.
     Running,
     /// Program returned Done; `COMM_end_job` waits for the send queue to
-    /// drain (and, under reliability, for every packet to be acked).
+    /// drain (and, under reliability, for every packet to be acked), then
+    /// evicts the process from its node, leaving only its
+    /// [`ExitRecord`](crate::node::ExitRecord).
     Finished,
-    /// `COMM_end_job` tore the process down: it holds no NIC context and
-    /// no backing-store entry.
-    Exited,
 }
 
 /// One simulated application process.

@@ -338,8 +338,9 @@ impl Sim {
 
     /// FNV-1a fold of the run's *logical* observables: the logical event
     /// count, per-job all-up/first-send/finish times, per-process
-    /// delivered-message counts, completed switches, retransmits, drops,
-    /// and wire losses.
+    /// delivered-message counts (each node's live processes and exit
+    /// records together, in pid order), completed switches, retransmits,
+    /// drops, and wire losses.
     ///
     /// Where [`Engine::stream_digest`] pins the order of every dispatched
     /// event, this pins only what the run reports: serving cells and the
@@ -369,9 +370,13 @@ impl Sim {
             fold(t.raw());
         }
         for n in &w.nodes {
-            for p in n.apps.values() {
-                fold(p.fm.stats.msgs_received);
-            }
+            // Processes are not torn down in pid order: merge the live
+            // ones with the exit records before folding.
+            let live = n.apps.values().map(|p| (p.pid, p.fm.stats.msgs_received));
+            let exited = n.exited.iter().map(|e| (e.pid, e.stats.msgs_received));
+            let mut received: Vec<(Pid, u64)> = live.chain(exited).collect();
+            received.sort_unstable();
+            received.into_iter().for_each(|(_, msgs)| fold(msgs));
         }
         fold(w.stats.switches);
         fold(w.stats.retransmits);

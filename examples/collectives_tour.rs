@@ -33,9 +33,9 @@ fn run(name: &str, w: &dyn Workload, per_op_msgs: f64) {
     let msgs: u64 = world
         .nodes
         .iter()
-        .flat_map(|n| n.apps.values())
-        .filter(|p| p.job == job)
-        .map(|p| p.fm.stats.msgs_sent)
+        .flat_map(|n| &n.exited)
+        .filter(|e| e.job == job)
+        .map(|e| e.stats.msgs_sent)
         .sum();
     println!(
         "{name:<10} {nodes:>2} ranks  {msgs:>6} msgs  wall {:>9}  ~{:.1} µs/op (time-shared 2 ways, {} switches)",

@@ -22,13 +22,15 @@ fn wire_loss_demo(ppm: u32) {
         .unwrap();
     let done = sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(8));
     let w = sim.world();
-    let received: u64 = w
-        .nodes
-        .iter()
-        .flat_map(|n| n.apps.values())
-        .filter(|p| p.rank == 1)
+    // The receiver (rank 1) runs on node 1, live or torn down.
+    let n = &w.nodes[1];
+    let received: u64 = n
+        .apps
+        .values()
         .map(|p| p.fm.stats.msgs_received)
-        .sum();
+        .sum::<u64>()
+        + n.exited.iter().map(|e| e.stats.msgs_received).sum::<u64>();
+    // Stalls of the processes still running: a wedged run's stuck ones.
     let stalls: u64 = w
         .nodes
         .iter()

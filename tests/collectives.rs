@@ -33,10 +33,10 @@ fn barrier_completes_across_switches() {
     assert!(world.stats.switches > 3);
     assert_eq!(world.stats.drops, 0);
     for n in &world.nodes {
-        for p in n.apps.values() {
+        for e in &n.exited {
             // ceil(log2(8)) = 3 rounds per episode.
-            assert_eq!(p.fm.stats.msgs_sent, 1800);
-            assert_eq!(p.fm.stats.msgs_received, 1800);
+            assert_eq!(e.stats.msgs_sent, 1800);
+            assert_eq!(e.stats.msgs_received, 1800);
         }
     }
 }
@@ -53,12 +53,12 @@ fn broadcast_tree_delivers_once_per_episode() {
     let world = sim.world();
     assert_eq!(world.stats.drops, 0);
     for n in &world.nodes {
-        for p in n.apps.values() {
-            if p.rank == 1 {
-                assert_eq!(p.fm.stats.msgs_received, 0);
+        for e in &n.exited {
+            if e.rank == 1 {
+                assert_eq!(e.stats.msgs_received, 0);
             } else {
-                assert_eq!(p.fm.stats.msgs_received, 30);
-                assert_eq!(p.fm.stats.bytes_received, 30 * 32 * 1024);
+                assert_eq!(e.stats.msgs_received, 30);
+                assert_eq!(e.stats.bytes_received, 30 * 32 * 1024);
             }
         }
     }
@@ -75,9 +75,9 @@ fn allreduce_recursive_doubling_is_symmetric() {
     let world = sim.world();
     assert_eq!(world.stats.drops, 0);
     for n in &world.nodes {
-        for p in n.apps.values() {
-            assert_eq!(p.fm.stats.msgs_sent, 40 * 3);
-            assert_eq!(p.fm.stats.msgs_received, 40 * 3);
+        for e in &n.exited {
+            assert_eq!(e.stats.msgs_sent, 40 * 3);
+            assert_eq!(e.stats.msgs_received, 40 * 3);
         }
     }
 }
@@ -94,11 +94,11 @@ fn gather_funnels_into_the_root() {
     let world = sim.world();
     assert_eq!(world.stats.drops, 0);
     for n in &world.nodes {
-        for p in n.apps.values() {
-            if p.rank == 0 {
-                assert_eq!(p.fm.stats.msgs_received, 700);
+        for e in &n.exited {
+            if e.rank == 0 {
+                assert_eq!(e.stats.msgs_received, 700);
             } else {
-                assert_eq!(p.fm.stats.msgs_sent, 100);
+                assert_eq!(e.stats.msgs_sent, 100);
             }
         }
     }

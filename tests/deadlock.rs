@@ -17,7 +17,7 @@
 //! * the ledger can never acquire credits: its conserved capacity is
 //!   bounded by the full-buffer scheme's receive queue.
 
-use cluster::{ClusterConfig, Sim};
+use cluster::{ClusterConfig, Sim, World};
 use fastmsg::config::FmConfig;
 use fastmsg::demand::DemandWindows;
 use fastmsg::division::{BufferPolicy, CreditRounding};
@@ -90,29 +90,43 @@ fn quiesce_case(
             sim.submit(&p2p, Some(vec![0, 1])).unwrap();
         }
     }
-    let done = sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(60));
-    prop_assert!(done, "schedule wedged");
+    // A process is evicted with its ledger at teardown, so the ledgers
+    // are audited while live: after every event, until the run quiesces.
+    let mut audit = Ok(());
+    sim.engine
+        .run_until_pred(SimTime::ZERO + Cycles::from_secs(60), |w| {
+            audit = audit_ledgers(w, geo.recv_slots, full.recv_slots);
+            audit.is_err() || w.quiescent()
+        });
+    audit?;
     let w = sim.world();
+    prop_assert!(w.all_jobs_finished(), "schedule wedged");
     prop_assert_eq!(w.stats.drops, 0);
-    for (h, n) in w.nodes.iter().enumerate() {
+    for n in &w.nodes {
         prop_assert_eq!(n.nic.send_q_occupancy(), 0);
         prop_assert_eq!(n.nic.recv_q_occupancy(), 0);
         prop_assert!(n.backing.is_empty());
+        for e in &n.exited {
+            prop_assert_eq!(e.gaps, 0);
+        }
+    }
+    Ok(())
+}
+
+/// Check every live process's demand ledger.
+fn audit_ledgers(w: &World, share: usize, full: usize) -> Result<(), TestCaseError> {
+    for (h, n) in w.nodes.iter().enumerate() {
         for p in n.apps.values() {
-            prop_assert_eq!(p.fm.gaps, 0);
             let d = p.fm.flow.demand().expect("demand ledger missing");
             // Conservation: the ledger still administers exactly the
             // geometry's receive share — no credit was minted or leaked —
             // and that share never exceeds the full-buffer queue.
-            prop_assert_eq!(d.capacity(), geo.recv_slots);
-            prop_assert!(d.capacity() <= full.recv_slots);
-            for peer in 0..4 {
-                if peer == h {
-                    continue;
-                }
-                // The deadlock-freedom floor, post-quiescence: every peer
-                // channel keeps a credit, and no scheduled shrink could
-                // ever take the last one.
+            prop_assert_eq!(d.capacity(), share);
+            prop_assert!(d.capacity() <= full);
+            for peer in (0..w.nodes.len()).filter(|&peer| peer != h) {
+                // The deadlock-freedom floor: every peer channel keeps a
+                // credit, and no scheduled shrink could ever take the
+                // last one.
                 prop_assert!(d.window(peer) >= 1, "host {h} peer {peer} starved");
                 prop_assert!(d.pending_shrink(peer) < d.window(peer));
             }
@@ -194,13 +208,13 @@ proptest! {
 /// split, keeps every channel at the floor or better and completes.
 #[test]
 fn demand_completes_where_static_division_wedges() {
-    let run = |policy: BufferPolicy| {
+    let run = |policy: BufferPolicy, count: u64| {
         let mut cfg = ClusterConfig::parpar(16, 8, policy);
         cfg.quantum = Cycles::from_ms(10);
         cfg.seed = 7;
         let geo = cfg.fm.geometry();
         let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(2048, 10);
+        let bench = P2pBandwidth::with_count(2048, count);
         for _ in 0..4 {
             sim.submit(&bench, Some(vec![0, 1])).unwrap();
         }
@@ -209,13 +223,19 @@ fn demand_completes_where_static_division_wedges() {
         (geo.credits, done, w.stats.drops, w.stats.realloc_events)
     };
 
-    let (c0, done, drops, _) = run(BufferPolicy::StaticDivision);
+    let (c0, done, drops, _) = run(BufferPolicy::StaticDivision, 10);
     assert_eq!(c0, 0, "the n² collapse should zero static credits");
     assert!(!done, "zero-credit static division cannot finish");
     assert_eq!(drops, 0, "a wedge is starvation, not loss");
 
-    let (c0, done, drops, reallocs) = run(BufferPolicy::Demand);
+    let (c0, done, drops, _) = run(BufferPolicy::Demand, 10);
     assert!(c0 >= 1, "demand must start live");
+    assert!(done, "demand wedged at the paper scale");
+    assert_eq!(drops, 0);
+
+    // Ten messages finish before a rebalance sees a skew; a longer stream
+    // makes the live processes' ledgers move.
+    let (_, done, drops, reallocs) = run(BufferPolicy::Demand, 200);
     assert!(done, "demand wedged at the paper scale");
     assert_eq!(drops, 0);
     assert!(reallocs > 0, "skewed traffic should trigger rebalances");

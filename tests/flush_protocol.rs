@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use cluster::{ClusterConfig, ProcPhase, Sim};
+use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
@@ -111,8 +111,8 @@ fn stopped_process_waits_for_sigcont_and_finished_processes_exit() {
 
 /// Two p2p jobs share nodes 0 and 1 on a 2-slot rotation: a stopped
 /// process starts no host work until its SIGCONT, and once both jobs
-/// finish every process is `Exited` with no NIC context and no
-/// backing-store entry left.
+/// finish every process is evicted from its node, leaving an exit record
+/// but no NIC context and no backing-store entry.
 fn check_stop_cont_and_exit(policy: BufferPolicy) {
     let mut cfg = ClusterConfig::parpar(2, 2, policy);
     cfg.quantum = Cycles::from_ms(5);
@@ -160,18 +160,22 @@ fn check_stop_cont_and_exit(policy: BufferPolicy) {
         "{policy:?}: {stops} stops, {conts} conts"
     );
     for n in &w.nodes {
-        assert_eq!(n.apps.len(), 2);
-        for p in n.apps.values() {
-            assert_eq!(p.phase, ProcPhase::Exited, "{} not torn down", p.pid);
+        assert!(
+            n.apps.is_empty(),
+            "node {}: a process was not evicted",
+            n.id
+        );
+        assert_eq!(n.exited.len(), 2, "node {}: exit records", n.id);
+        for e in &n.exited {
             assert!(
-                n.nic.find_context(p.job.0).is_none(),
+                n.nic.find_context(e.job.0).is_none(),
                 "{} kept its NIC context",
-                p.pid
+                e.pid
             );
             assert!(
-                !n.backing.contains(p.pid),
+                !n.backing.contains(e.pid),
                 "{} kept a backing-store entry",
-                p.pid
+                e.pid
             );
         }
     }

@@ -71,9 +71,9 @@ fn uncoordinated_mode_still_loses_no_packets() {
     let w = sim.world();
     assert_eq!(w.stats.drops, 0);
     for n in &w.nodes {
-        for p in n.apps.values() {
-            assert_eq!(p.fm.gaps, 0);
-            assert_eq!(p.fm.stats.msgs_received, 100); // 2 per superstep
+        for e in &n.exited {
+            assert_eq!(e.gaps, 0);
+            assert_eq!(e.stats.msgs_received, 100); // 2 per superstep
         }
     }
 }

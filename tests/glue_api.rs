@@ -142,6 +142,30 @@ fn add_remove_node_membership() {
 }
 
 #[test]
+fn remove_node_after_its_jobs_finish() {
+    // COMM_end_job evicts each process, so a node whose jobs all finished
+    // hosts nothing and may leave service.
+    let mut s = sim(2);
+    let bench = P2pBandwidth::with_count(1024, 5);
+    s.submit(&bench, Some(vec![0, 1])).unwrap();
+    let horizon = SimTime::ZERO + Cycles::from_secs(5);
+    s.engine
+        .run_until_pred(horizon, |w| !w.nodes[1].apps.is_empty());
+    let now = s.engine.now();
+    s.engine.drive(|w, sched| {
+        let mut glue = GlueFm::new(w, sched, 0);
+        assert_eq!(glue.remove_node(now, 1), Err(CommError::NoResources));
+    });
+    assert!(s.run_until_jobs_done(horizon));
+    let now = s.engine.now();
+    s.engine.drive(|w, sched| {
+        let mut glue = GlueFm::new(w, sched, 0);
+        assert_eq!(glue.remove_node(now, 1), Ok(()));
+        assert_eq!(glue.remove_node(now, 0), Ok(()));
+    });
+}
+
+#[test]
 fn end_job_through_the_trait() {
     // Run a real job to completion, then verify end_job already cleaned
     // up (double end_job errors).

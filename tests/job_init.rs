@@ -130,9 +130,11 @@ fn sixteen_node_job_loads_everywhere() {
     assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(10)));
     let w = sim.world();
     assert!(w.stats.job_finished.contains_key(&job));
-    // Every node hosted exactly one rank and saw traffic.
+    // Every node hosted exactly one rank, now torn down, and saw traffic.
     for n in &w.nodes {
-        assert_eq!(n.apps.len(), 1);
+        assert!(n.apps.is_empty());
+        assert_eq!(n.exited.len(), 1);
+        assert_eq!(n.exited[0].job, job);
         assert!(n.nic.stats.data_sent > 0);
         assert!(n.nic.stats.data_received > 0);
     }

@@ -85,8 +85,8 @@ fn switches_with_partial_node_coverage_lose_nothing() {
         assert_eq!(n.nic.send_q_occupancy(), 0);
         assert_eq!(n.nic.recv_q_occupancy(), 0);
         assert!(n.backing.is_empty());
-        for p in n.apps.values() {
-            assert_eq!(p.fm.gaps, 0);
+        for e in &n.exited {
+            assert_eq!(e.gaps, 0);
         }
     }
 }

@@ -42,10 +42,10 @@ fn run_case(
         prop_assert_eq!(n.nic.send_q_occupancy(), 0);
         prop_assert_eq!(n.nic.recv_q_occupancy(), 0);
         prop_assert!(n.backing.is_empty());
-        for p in n.apps.values() {
-            prop_assert_eq!(p.fm.gaps, 0);
-            if p.rank == 1 {
-                prop_assert_eq!(p.fm.stats.msgs_received, count);
+        for e in &n.exited {
+            prop_assert_eq!(e.gaps, 0);
+            if e.rank == 1 {
+                prop_assert_eq!(e.stats.msgs_received, count);
             }
         }
     }

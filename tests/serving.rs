@@ -112,6 +112,46 @@ fn serve_trace_overrides_poisson() {
     assert!(c.drained);
 }
 
+/// A node keeps only its live processes: `COMM_end_job` evicts each one,
+/// so however many jobs a node has served it never holds more than one
+/// process per gang slot, holds none once the stream drains, and keeps one
+/// exit record per finished rank. Reliability is on, so retransmit timers
+/// armed before a teardown fire after it.
+#[test]
+fn nodes_hold_only_live_processes() {
+    let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::StaticDivision);
+    cfg.quantum = Cycles::from_ms(100);
+    cfg.eager_reclaim = true;
+    cfg.reliability.enabled = true;
+    cfg.seed = 3;
+    let slots = cfg.slots;
+    let mut sim = Sim::new(cfg);
+    let plan = ArrivalPlan::poisson(3, 12.0, Cycles::from_secs(2), 2, 5, 20);
+    sim.install_arrivals(&plan, |i, spec| {
+        workloads::registry::build("p2p", spec.nprocs, i as u64, spec.size).unwrap()
+    });
+    let mut peak = 0;
+    sim.engine
+        .run_until_pred(SimTime::ZERO + Cycles::from_secs(60), |w| {
+            let most = w.nodes.iter().map(|n| n.apps.len()).max().unwrap();
+            peak = peak.max(most);
+            w.quiescent()
+        });
+    let w = sim.world();
+    assert!(w.quiescent(), "pipeline did not drain");
+    let finished = w.stats.job_finished.len();
+    assert!(finished > 2 * w.nodes.len(), "only {finished} jobs served");
+    assert!(
+        peak <= slots,
+        "a node held {peak} processes on {slots} slots"
+    );
+    for n in &w.nodes {
+        assert!(n.apps.is_empty(), "node {} kept a process", n.id);
+    }
+    let exits: usize = w.nodes.iter().map(|n| n.exited.len()).sum();
+    assert_eq!(exits, 2 * finished);
+}
+
 /// Open-loop admission invariants under randomized rates, seeds, and
 /// widths: no job is lost or double-dispatched, admission is FIFO, and
 /// the queue drains to empty once arrivals stop.

@@ -42,10 +42,10 @@ fn cross_trunk_p2p_completes_with_switches() {
     assert!(w.stats.switches > 2);
     assert_eq!(w.stats.drops, 0);
     for n in &w.nodes {
-        for p in n.apps.values() {
-            assert_eq!(p.fm.gaps, 0);
-            if p.rank == 1 {
-                assert_eq!(p.fm.stats.msgs_received, 800);
+        for e in &n.exited {
+            assert_eq!(e.gaps, 0);
+            if e.rank == 1 {
+                assert_eq!(e.stats.msgs_received, 800);
             }
         }
     }
@@ -71,8 +71,8 @@ fn all_to_all_over_a_contended_trunk_flushes_cleanly() {
     assert_eq!(w.stats.drops, 0);
     let expect = 60 * 6 * 7;
     for n in &w.nodes {
-        for p in n.apps.values() {
-            assert_eq!(p.fm.stats.msgs_received, expect);
+        for e in &n.exited {
+            assert_eq!(e.stats.msgs_received, expect);
         }
     }
 }
@@ -192,10 +192,10 @@ fn cross_pod_p2p_completes_with_switches() {
     assert!(w.stats.switches > 2);
     assert_eq!(w.stats.drops, 0);
     for n in &w.nodes {
-        for p in n.apps.values() {
-            assert_eq!(p.fm.gaps, 0);
-            if p.rank == 1 {
-                assert_eq!(p.fm.stats.msgs_received, 400);
+        for e in &n.exited {
+            assert_eq!(e.gaps, 0);
+            if e.rank == 1 {
+                assert_eq!(e.stats.msgs_received, 400);
             }
         }
     }

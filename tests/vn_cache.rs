@@ -32,14 +32,18 @@ fn jobs_beyond_the_cache_fault_in_and_complete() {
     assert!(faults > 0, "three jobs over two slots must fault");
     // Every receiver got every message (parking preserved them).
     for n in &w.nodes {
-        for p in n.apps.values() {
-            if p.rank == 1 {
-                assert_eq!(p.fm.stats.msgs_received, 800);
+        for e in &n.exited {
+            if e.rank == 1 {
+                assert_eq!(e.stats.msgs_received, 800);
             }
-            assert_eq!(p.fm.gaps, 0, "VN run lost packets");
+            assert_eq!(e.gaps, 0, "VN run lost packets");
         }
     }
     assert_eq!(w.stats.drops, 0, "parking should absorb all arrivals here");
+    // Teardown drops a job's LRU entry with its endpoint.
+    for n in &w.nodes {
+        assert!(n.lru.is_empty(), "node {} kept {:?}", n.id, n.lru);
+    }
 }
 
 #[test]

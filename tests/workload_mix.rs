@@ -30,11 +30,11 @@ fn random_pairs_survive_gang_switches() {
     assert!(w.stats.switches > 2);
     assert_eq!(w.stats.drops, 0);
     for n in &w.nodes {
-        for p in n.apps.values() {
-            let expect = expected_received(31, 8, p.rank, 400);
-            assert_eq!(p.fm.stats.msgs_received, expect, "rank {}", p.rank);
-            assert_eq!(p.fm.stats.msgs_sent, 400);
-            assert_eq!(p.fm.gaps, 0);
+        for e in &n.exited {
+            let expect = expected_received(31, 8, e.rank, 400);
+            assert_eq!(e.stats.msgs_received, expect, "rank {}", e.rank);
+            assert_eq!(e.stats.msgs_sent, 400);
+            assert_eq!(e.gaps, 0);
         }
     }
 }
@@ -102,8 +102,8 @@ fn four_way_mixed_day() {
         assert_eq!(n.nic.send_q_occupancy(), 0, "node {}", n.id);
         assert_eq!(n.nic.recv_q_occupancy(), 0, "node {}", n.id);
         assert!(n.backing.is_empty(), "node {}", n.id);
-        for p in n.apps.values() {
-            assert_eq!(p.fm.gaps, 0);
+        for e in &n.exited {
+            assert_eq!(e.gaps, 0);
         }
     }
     // Global packet conservation: everything sent was received.
