@@ -13,6 +13,8 @@
 //! deterministic, and per-cell `DIGEST` lines print the logical
 //! fingerprint for CI to diff. With `--out DIR`, wall-clock throughput
 //! (engine logical events per second) goes to `DIR/BENCH_serve.json`.
+//! Cells run one at a time, each timed as the median of three runs, so a
+//! row's `wall_ms` is one cell on an otherwise idle harness.
 //!
 //! The figure to look for: every discipline holds the e2e tail near the
 //! bare service time until the capacity knee (~6-8 jobs/s here), then the
@@ -26,10 +28,8 @@
 //!     [--max-rate R] [--out DIR] [--csv DIR] [--seed N]
 //! ```
 
-use std::time::Instant;
-
-use crate::snapshot::{Row, Snapshot};
-use crate::{par_sweep, HarnessOpts};
+use crate::snapshot::{median_wall_ms, Row, Snapshot};
+use crate::HarnessOpts;
 use cluster::measure::{Measurement, SchedulingMode, ServeCell};
 use sim_core::report::{Cell, Table};
 use sim_core::time::Cycles;
@@ -52,33 +52,33 @@ struct CellOut {
 }
 
 fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessOpts) -> CellOut {
-    let t0 = Instant::now();
-    let cell = Measurement::serve(8, 2, mode)
-        .arrival_rate(rate)
-        .horizon(Cycles::from_secs(4))
-        .size_range(200, 800)
-        .slo(Cycles::from_secs(1))
-        .seed(opts.seed)
-        .run();
+    let (wall_ms, cell) = median_wall_ms(
+        || {
+            Measurement::serve(8, 2, mode)
+                .arrival_rate(rate)
+                .horizon(Cycles::from_secs(4))
+                .size_range(200, 800)
+                .slo(Cycles::from_secs(1))
+                .seed(opts.seed)
+        },
+        |m| m.run(),
+    );
     CellOut {
         mode: name,
         rate,
         cell,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        wall_ms,
     }
 }
 
 /// Run the sweep up to `--max-rate` and emit its table and snapshot.
 pub fn run(opts: &HarnessOpts) {
-    let mut params = Vec::new();
+    let mut cells = Vec::new();
     for &rate in RATES.iter().filter(|&&r| r <= opts.max_rate) {
         for (mode, name) in MODES {
-            params.push((mode, name, rate));
+            cells.push(run_cell(mode, name, rate, opts));
         }
     }
-    let cells = par_sweep(params, |&(mode, name, rate)| {
-        run_cell(mode, name, rate, opts)
-    });
 
     let mut t = Table::new(
         "serve_sweep — open-loop request latency vs offered load (8 nodes, 2 slots, p2p jobs)",

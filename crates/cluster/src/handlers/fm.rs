@@ -298,8 +298,9 @@ impl World {
             let vjob = n.nic.context(victim).expect("victim is resident").job;
             match n.find_proc_by_job(vjob) {
                 Some(vpid) => n.save_context(victim, vpid),
-                // A late retransmission faulted in an endpoint for a job
-                // already torn down here; no process will ever read it.
+                // The job was torn down here while this endpoint's fault
+                // was in service (its last ack arrived meanwhile); no
+                // process will ever read it.
                 None => drop(n.nic.free_context(victim)),
             }
             self.trace.emit(now, Category::Nic, Some(node), || {

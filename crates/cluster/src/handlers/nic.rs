@@ -121,16 +121,16 @@ impl World {
         let vn = self.vn_active();
         let n = &mut self.nodes[node];
         match n.nic.find_context(pkt.job) {
-            None if vn => {
-                // Virtual-networks semantics: hold the packet and fault
-                // the endpoint in.
-                self.vn_park_arrival(now, node, pkt, sched);
-            }
-            None if self.cfg.reliability.enabled => {
+            None if self.cfg.reliability.enabled
+                && (!vn || n.exited.iter().any(|e| e.job.0 == pkt.job)) =>
+            {
                 // A late retransmission arrived after the destination
                 // context was torn down (its job finished while copies were
                 // in flight). Send a context-free cumulative ack home so
-                // the sender's retransmit timer stops chasing it.
+                // the sender's retransmit timer stops chasing it. Under
+                // virtual networks a missing context is usually an
+                // evicted endpoint, so only a job this node has torn down
+                // takes this branch.
                 n.nic.stats.dropped_no_context += 1;
                 let ghost = pkt.ghost_ack();
                 let tx = self
@@ -145,6 +145,11 @@ impl World {
                         },
                     );
                 }
+            }
+            None if vn => {
+                // Virtual-networks semantics: hold the packet and fault
+                // the endpoint in.
+                self.vn_park_arrival(now, node, pkt, sched);
             }
             None => {
                 // Only the no-flush baselines can reach this: the context

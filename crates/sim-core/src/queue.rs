@@ -1,13 +1,39 @@
-//! The engine's pending-event queue: a 4-ary min-heap of small `Copy`
-//! index entries over a slab arena of event payloads.
+//! The engine's pending-event queue: a 4-ary min-heap of packed 16-byte
+//! keys over a slab arena of event payloads.
 //!
 //! `BinaryHeap<Scheduled<E>>` moves whole events during every sift; with
 //! the cluster simulation's multi-word event enum that is the dominant
-//! cost of a deep queue. Here the heap orders 24-byte `(time, seq, slot)`
-//! entries — two cache lines hold five of them — and the payload sits
-//! still in the arena until it is popped. The 4-ary layout halves the tree
-//! depth of a binary heap, trading a wider (but cache-local) child scan
-//! per level for fewer levels, which wins for sift-dominated workloads.
+//! cost of a deep queue. Here the heap orders small keys and the payload
+//! sits still in the arena until it is popped. The 4-ary layout halves the
+//! tree depth of a binary heap, trading a wider (but cache-local) child
+//! scan per level for fewer levels, which wins for sift-dominated
+//! workloads.
+//!
+//! **Packed keys.** A heap entry is one `u128`:
+//!
+//! ```text
+//!  127            64 63              24 23        0
+//! ┌────────────────┬──────────────────┬───────────┐
+//! │  time (64 bit) │   seq (40 bit)   │ slot (24) │
+//! └────────────────┴──────────────────┴───────────┘
+//! ```
+//!
+//! Seqs are unique, so the integer order of two entries is their
+//! `(time, seq)` order and the slot bits never decide a comparison. Every
+//! sift, the stale-root scan of [`EventQueue::peek_time`] and `settle`
+//! compare whole entries with one `u128` comparison, and a group of four
+//! children is 64 bytes. The limits: a seq must be below 2^40 (days of
+//! simulation at ten million events per host second) and the arena holds
+//! fewer than 2^24 payloads at once. Both are asserted when an entry is
+//! built.
+//!
+//! **Branch-free selection.** A sift-down level with a full group of four
+//! children picks the least of children 0 and 1, the least of children 2
+//! and 3, then the least of those two winners, each with a conditional
+//! move rather than a branch, since which child is least depends on the
+//! data and predicts poorly. Only the one comparison with the sifted
+//! entry, which decides whether to go on, is a branch. A partial last
+//! group scans its children in a loop.
 //!
 //! **Fused pop and push.** Most handlers schedule exactly one follow-up
 //! (a broadcast train's next stop, a NIC engine's completion), so a pop is
@@ -19,7 +45,9 @@
 //! ordinary way: the last entry moves to the root and sifts down.
 //! The engine settles after every handler, so between steps the heap holds
 //! exactly the pending events. While the root is stale, [`EventQueue::len`]
-//! and [`EventQueue::peek_time`] leave it out.
+//! and [`EventQueue::peek_time`] leave it out. `pop` and `push` are
+//! `#[inline]`, so the engine's step loop takes the popped event straight
+//! from the arena instead of through an out-of-line return slot.
 //!
 //! Ordering contract: entries pop in strictly ascending `(time, seq)`.
 //! `seq` is unique per push, so the order is total and identical to the
@@ -32,20 +60,44 @@
 //! claimed seq older than the popped root's at the same instant: the new
 //! entry then simply stays at the root.
 
+use std::hint::select_unpredictable;
+
 use crate::time::SimTime;
 
-/// A heap entry: the ordering key plus the arena slot of the payload.
-#[derive(Clone, Copy)]
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
+/// Bits of an [`Entry`] that hold the arena slot.
+const SLOT_BITS: u32 = 24;
+/// Bits of an [`Entry`] that hold the seq, between the slot and the time.
+const SEQ_BITS: u32 = 40;
+
+/// A heap entry: `time << 64 | seq << 24 | slot`. The derived order is
+/// `(time, seq)` order, because seqs are unique.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
 
 impl Entry {
+    /// Pack `(time, seq, slot)`. Panics if `seq` or `slot` does not fit
+    /// its field.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn new(time: SimTime, seq: u64, slot: usize) -> Entry {
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "event seq {seq} is past the queue's limit of 2^40 seqs"
+        );
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "event queue arena is full: the limit is 2^24 pending events"
+        );
+        Entry((time.0 as u128) << 64 | (seq as u128) << SLOT_BITS | slot as u128)
+    }
+
+    #[inline]
+    fn time(self) -> SimTime {
+        SimTime((self.0 >> 64) as u64)
+    }
+
+    #[inline]
+    fn slot(self) -> usize {
+        (self.0 as usize) & ((1 << SLOT_BITS) - 1)
     }
 }
 
@@ -55,9 +107,9 @@ const ARITY: usize = 4;
 
 /// The pending-event queue. See the module docs for the design.
 pub struct EventQueue<E> {
-    /// 4-ary min-heap on `(time, seq)`.
+    /// 4-ary min-heap of packed `(time, seq, slot)` entries.
     heap: Vec<Entry>,
-    /// Payload slab, indexed by `Entry::slot`.
+    /// Payload slab, indexed by an entry's slot.
     arena: Vec<Option<E>>,
     /// Free arena slots, reused LIFO (hottest memory first).
     free: Vec<u32>,
@@ -107,34 +159,34 @@ impl<E> EventQueue<E> {
         if self.stale {
             // The next entry is the smallest child of the stale root.
             let children = self.heap.iter().skip(1).take(ARITY);
-            return children.map(Entry::key).min().map(|(t, _)| t);
+            return children.min().map(|e| e.time());
         }
-        self.heap.first().map(|e| e.time)
+        self.heap.first().map(|e| e.time())
     }
 
     /// Insert an event keyed by `(time, seq)`. `seq` must be unique
-    /// (the scheduler's monotone counter guarantees it). Overwrites a
-    /// stale root, reusing its arena slot, if there is one.
+    /// (the scheduler's monotone counter guarantees it) and below 2^40.
+    /// Overwrites a stale root, reusing its arena slot, if there is one.
+    #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
         if self.stale {
             self.stale = false;
-            let slot = self.heap[0].slot;
-            self.arena[slot as usize] = Some(event);
-            self.sift_down(0, Entry { time, seq, slot });
+            let slot = self.heap[0].slot();
+            self.arena[slot] = Some(event);
+            self.sift_down(0, Entry::new(time, seq, slot));
             return;
         }
         let slot = match self.free.pop() {
             Some(s) => {
                 self.arena[s as usize] = Some(event);
-                s
+                s as usize
             }
             None => {
-                assert!(self.arena.len() < u32::MAX as usize, "event queue overflow");
                 self.arena.push(Some(event));
-                (self.arena.len() - 1) as u32
+                self.arena.len() - 1
             }
         };
-        let entry = Entry { time, seq, slot };
+        let entry = Entry::new(time, seq, slot);
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1, entry);
     }
@@ -143,14 +195,15 @@ impl<E> EventQueue<E> {
     /// slot it names, stay behind as a stale root until the next push or
     /// pop. [`EventQueue::len`] and [`EventQueue::peek_time`] leave it
     /// out.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
         let top = *self.heap.first()?;
-        let event = self.arena[top.slot as usize]
+        let event = self.arena[top.slot()]
             .take()
             .expect("heap entry points at an occupied slot");
         self.stale = true;
-        Some((top.time, event))
+        Some((top.time(), event))
     }
 
     /// Remove a stale root that no push has overwritten: its slot is
@@ -162,7 +215,7 @@ impl<E> EventQueue<E> {
             return;
         }
         self.stale = false;
-        self.free.push(self.heap[0].slot);
+        self.free.push(self.heap[0].slot() as u32);
         let last = self.heap.pop().expect("a stale root is a heap entry");
         if !self.heap.is_empty() {
             self.sift_down(0, last);
@@ -174,7 +227,7 @@ impl<E> EventQueue<E> {
         let h = &mut self.heap;
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if h[parent].key() <= item.key() {
+            if h[parent] <= item {
                 break;
             }
             h[i] = h[parent];
@@ -197,26 +250,31 @@ impl<E> EventQueue<E> {
         let n = h.len();
         loop {
             let first = i * ARITY + 1;
-            if first >= n {
-                break;
-            }
-            // Smallest of up to ARITY children. Indexed loop: the
-            // iterator form obscures that `min` is an index we sift to.
-            let mut min = first;
-            let mut min_key = h[first].key();
-            let end = (first + ARITY).min(n);
-            #[allow(clippy::needless_range_loop)]
-            for c in first + 1..end {
-                let k = h[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
+            let (min, min_entry) = if first + ARITY <= n {
+                // A full group: a tournament of conditional moves.
+                let c = &h[first..first + ARITY];
+                let (a, b) = (first, first + 2);
+                let lo = select_unpredictable(c[1] < c[0], (a + 1, c[1]), (a, c[0]));
+                let hi = select_unpredictable(c[3] < c[2], (b + 1, c[3]), (b, c[2]));
+                select_unpredictable(hi.1 < lo.1, hi, lo)
+            } else if first < n {
+                // The partial last group. Indexed loop: the iterator form
+                // obscures that `min` is an index we sift to.
+                let mut min = first;
+                #[allow(clippy::needless_range_loop)]
+                for c in first + 1..n {
+                    if h[c] < h[min] {
+                        min = c;
+                    }
                 }
-            }
-            if min_key >= item.key() {
+                (min, h[min])
+            } else {
+                break;
+            };
+            if min_entry >= item {
                 break;
             }
-            h[i] = h[min];
+            h[i] = min_entry;
             i = min;
             #[cfg(test)]
             {
@@ -422,5 +480,55 @@ mod tests {
                 "depth {depth}: fused {fused} vs split {split}"
             );
         }
+    }
+
+    #[test]
+    fn an_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn slot_bits_never_decide_the_order() {
+        // Push in descending seq order, so the arena hands out slots in
+        // the opposite order to seqs: at equal times a smaller seq sits
+        // in a larger slot. Pops must still follow `(time, seq)`.
+        let mut q = EventQueue::new();
+        let mut reference = Vec::new();
+        for i in 0..200u64 {
+            let seq = 1_000 - i;
+            let t = i % 7;
+            q.push(SimTime(t), seq, seq);
+            reference.push((SimTime(t), seq));
+        }
+        reference.sort_unstable();
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, reference);
+    }
+
+    #[test]
+    fn seqs_that_differ_above_bit_24_pop_in_seq_order() {
+        // Equal low 24 bits, so a seq field narrower than 40 bits, or one
+        // overlapping the slot, would tie or misorder these.
+        let mut q = EventQueue::new();
+        let seqs = [3u64 << 24, (1 << 40) - (1 << 24), 1 << 24, 1 << 39, 2 << 24];
+        for &s in &seqs {
+            q.push(SimTime(5), s | 0xabc, s);
+        }
+        let mut expect = seqs.to_vec();
+        expect.sort_unstable();
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, s)| s).collect();
+        assert_eq!(popped, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 2^40 seqs")]
+    fn a_seq_past_40_bits_panics() {
+        Entry::new(SimTime(0), 1 << 40, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit is 2^24 pending events")]
+    fn a_slot_past_24_bits_panics() {
+        Entry::new(SimTime(0), 0, 1 << 24);
     }
 }

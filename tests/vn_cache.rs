@@ -109,3 +109,34 @@ fn vn_pays_faults_where_gang_switch_pays_copies() {
     assert_eq!(gang_w.nodes.iter().map(|n| n.faults).sum::<u64>(), 0);
     assert!(vn_w.nodes.iter().map(|n| n.faults).sum::<u64>() > 0);
 }
+
+#[test]
+fn late_retransmissions_for_a_torn_down_job_are_ghost_acked() {
+    // Reliability plus wire loss: a go-back-N retransmission can land
+    // after its job was torn down on the receiving node. The sender still
+    // needs the cumulative ack, so the node answers with a ghost ack
+    // instead of faulting in an endpoint no process will read. With this
+    // seed and loss rate, a late copy for a torn-down job used to be
+    // parked instead, its sender never tore down, and the run hit the
+    // horizon with a job unfinished.
+    let mut cfg = vn_cfg(2, 2);
+    cfg.reliability.enabled = true;
+    cfg.wire_loss_ppm = 3_000;
+    cfg.seed = 3;
+    let mut sim = Sim::new(cfg);
+    let bench = P2pBandwidth::with_count(4096, 300);
+    for _ in 0..4 {
+        sim.submit(&bench, Some(vec![0, 1])).unwrap();
+    }
+    assert!(
+        sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(60)),
+        "a job was left waiting for an ack"
+    );
+    let w = sim.world();
+    assert!(w.stats.wire_losses > 0, "fault injector never fired");
+    let ghosted: u64 = w.nodes.iter().map(|n| n.nic.stats.dropped_no_context).sum();
+    assert!(
+        ghosted > 0,
+        "no late retransmission reached a torn-down job"
+    );
+}
