@@ -59,8 +59,8 @@ impl World {
     /// `COMM_init_job` — allocate a communication context for (job, rank)
     /// so the LANai can already receive, *before* the process is forked
     /// (paper §3.2 / Fig. 2). Under the buffer-switching scheme a job
-    /// loaded into an inactive slot starts life in the backing store
-    /// instead; returns whether the context is NIC-resident.
+    /// loaded into an inactive slot starts life swapped out instead;
+    /// returns whether the context is NIC-resident.
     pub fn comm_init_job(
         &mut self,
         _now: SimTime,
@@ -77,9 +77,9 @@ impl World {
             // division, Demand the same queue split with movable credit
             // windows on top.
             BufferPolicy::StaticDivision | BufferPolicy::Demand => true,
-            BufferPolicy::FullBuffer => slot == n.noded.current_slot,
+            BufferPolicy::FullBuffer => slot == n.current_slot,
             // VN caching: resident while cache slots remain; later jobs
-            // start in backing store and fault in on first use.
+            // start swapped out and fault in on first use.
             BufferPolicy::CachedEndpoints => n
                 .nic
                 .alloc_context(job, rank, geo.send_slots, geo.recv_slots)
@@ -93,8 +93,8 @@ impl World {
         Ok(resident)
     }
 
-    /// `COMM_end_job` — release the job's context (or its backing-store
-    /// entry) and clean up.
+    /// `COMM_end_job` — release the job's context (or, if the process is
+    /// swapped out, its saved queues) and clean up.
     pub fn comm_end_job(
         &mut self,
         _now: SimTime,
@@ -106,7 +106,7 @@ impl World {
         if let Some(ctx_id) = n.nic.find_context(job) {
             n.nic.free_context(ctx_id);
             Ok(())
-        } else if n.backing.restore(pid).is_some() {
+        } else if n.apps.get_mut(&pid).and_then(|p| p.saved.take()).is_some() {
             Ok(())
         } else {
             Err(CommError::UnknownJob)
@@ -136,12 +136,12 @@ impl World {
     }
 
     /// `COMM_context_switch` — "swap buffers": schedule the copy of the
-    /// outgoing context's queues to backing store and the incoming
-    /// context's back (Fig. 4), with strategy-dependent cost.
+    /// outgoing context's queues into its process's pageable memory and
+    /// the incoming context's back (Fig. 4), with strategy-dependent cost.
     ///
     /// `from_job` / `to_job`, when given, name the jobs the caller believes
     /// occupy the outgoing and incoming slots; a mismatch against the
-    /// noded's slot table is refused with [`CommError::UnknownJob`] before
+    /// node's live processes is refused with [`CommError::UnknownJob`] before
     /// any copy is scheduled. `None` skips the check (the internal switch
     /// sequencer already knows its slots).
     pub fn comm_context_switch(
@@ -161,7 +161,7 @@ impl World {
         };
         for (claimed, slot) in [(from_job, from), (to_job, to)] {
             if let Some(job) = claimed {
-                let occupant = self.nodes[node].noded.in_slot(slot).map(|(j, _)| j.0);
+                let occupant = self.nodes[node].apps.in_slot(slot).map(|p| p.job.0);
                 if occupant != Some(job) {
                     return Err(CommError::UnknownJob);
                 }
@@ -223,7 +223,7 @@ impl CommManager for GlueFm<'_> {
     fn init_job(&mut self, now: SimTime, job: CommJob, rank: usize) -> Result<bool, CommError> {
         // Through the abstract interface the slot is not known yet; the
         // context is made resident (active-slot semantics).
-        let slot = self.world.nodes[self.node].noded.current_slot;
+        let slot = self.world.nodes[self.node].current_slot;
         self.world.comm_init_job(now, self.node, job, rank, slot)
     }
 

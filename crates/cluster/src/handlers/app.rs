@@ -56,7 +56,7 @@ impl World {
                 return; // drained later; SendEngineDone retries
             }
         }
-        // COMM_end_job: release the context / backing entry.
+        // COMM_end_job: release the context or the saved queues.
         self.comm_end_job(now, node, job.0, pid)
             .expect("end_job: context vanished");
         let n = &mut self.nodes[node];
@@ -69,8 +69,6 @@ impl World {
             gaps: proc.fm.gaps,
             held_credits: proc.fm.flow.held_credits_total(),
         });
-        n.lru.remove(&job.0);
-        n.noded.remove_job(job);
         self.route_ack(now, node, MasterMsg::JobFinished { job, count: 1 }, sched);
     }
 
@@ -294,7 +292,7 @@ impl World {
                 // served by a context fault, not a switch.)
                 let n = &self.nodes[node];
                 let resident = n.nic.find_context(n.apps[&pid].fm.job).is_some();
-                if slot != n.noded.current_slot || (!resident && !self.vn_active()) {
+                if slot != n.current_slot || (!resident && !self.vn_active()) {
                     self.nodes[node].stop(pid);
                     return Step::Park;
                 }
@@ -330,7 +328,7 @@ impl World {
                 "running process lost its context outside VN caching \
                  (node {node} pid {pid:?} job {job} slot {} current_slot {} phase {:?})",
                 self.nodes[node].apps[&pid].slot,
-                self.nodes[node].noded.current_slot,
+                self.nodes[node].current_slot,
                 self.nodes[node].seq.phase(),
             );
             let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
@@ -380,7 +378,7 @@ impl World {
             // Under VN caching the poll itself is an endpoint access: a
             // non-resident endpoint faults in, exactly like a send would
             // (otherwise a receiver whose endpoint was evicted — with its
-            // pending packets saved to backing store — waits forever).
+            // pending packets saved in its own memory — waits forever).
             if self.vn_active() {
                 self.begin_fault(now, node, job, sched);
             }
@@ -451,13 +449,11 @@ impl World {
             self.begin_fault(now, node, job, sched);
             return;
         };
-        n.nic
-            .context_mut(ctx_id)
-            .unwrap()
-            .send_q
+        let ctx = n.nic.context_mut(ctx_id).unwrap();
+        ctx.send_q
             .push(pkt)
             .expect("send queue overflowed despite the space check");
-        self.vn_touch(now, node, job);
+        ctx.last_use = now;
         if self.cfg.reliability.enabled {
             self.arm_retrans_timer(now, node, pid, sched);
         }

@@ -14,7 +14,7 @@ use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::event::{Event, Sched};
-use crate::procsim::{ProcPhase, ProcSim};
+use crate::procsim::ProcSim;
 use crate::world::{QueuedSub, World};
 
 impl World {
@@ -32,13 +32,13 @@ impl World {
         let Some(target_slot) = n.apps.get(&pid).map(|p| p.slot) else {
             return;
         };
-        if n.noded.current_slot == target_slot {
+        if n.current_slot == target_slot {
             return; // already scheduled
         }
-        if let Some((_, cur_pid)) = n.noded.in_slot(n.noded.current_slot) {
+        if let Some(cur_pid) = n.app_in_slot(n.current_slot) {
             n.stop(cur_pid);
         }
-        n.noded.current_slot = target_slot;
+        n.current_slot = target_slot;
         n.cont(pid);
         sched.at(
             now + self.cfg.host_costs.signal,
@@ -159,23 +159,13 @@ impl World {
     pub(super) fn on_node_tick(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         debug_assert!(!self.cfg.gang_scheduling);
         let n = &mut self.nodes[node];
-        let cur = n.noded.current_slot;
-        // Round robin: the first occupied slot above the current one,
-        // wrapping to the first occupied slot.
-        let next = {
-            let mut slots = n.noded.assignments().map(|(s, _, _)| s);
-            let first = slots.next();
-            first
-                .filter(|&s| s > cur)
-                .or_else(|| slots.find(|&s| s > cur))
-                .or(first)
-        };
-        if let Some(next) = next.filter(|&s| s != cur) {
-            if let Some((_, pid)) = n.noded.in_slot(cur) {
+        let cur = n.current_slot;
+        if let Some(next) = n.apps.next_slot(cur).filter(|&s| s != cur) {
+            if let Some(pid) = n.app_in_slot(cur) {
                 n.stop(pid);
             }
-            n.noded.current_slot = next;
-            if let Some((_, pid)) = n.noded.in_slot(next) {
+            n.current_slot = next;
+            if let Some(pid) = n.app_in_slot(next) {
                 n.cont(pid);
                 sched.at(
                     now + self.cfg.host_costs.signal,
@@ -398,11 +388,11 @@ impl World {
                 slot,
             } => self.load_job(now, node, job, rank, placement, slot, sched),
             NodedCmd::AllUp { job } => {
-                let Some((_, pid)) = self.nodes[node].noded_lookup(job) else {
+                let n = &mut self.nodes[node];
+                let Some(proc) = n.apps.values_mut().find(|p| p.job == job) else {
                     panic!("AllUp for job not on node {node}");
                 };
-                let n = &mut self.nodes[node];
-                let proc = n.apps.get_mut(&pid).expect("AllUp for unknown process");
+                let pid = proc.pid;
                 // Write the sync byte (Fig. 2); wake the blocked reader.
                 let wake = proc.pipe.write(&[1]);
                 self.trace.emit(now, Category::Gang, Some(node), || {
@@ -488,7 +478,7 @@ impl World {
         // COMM_init_job: make the context able to receive *before* the
         // fork. Under static division every context is resident; under the
         // buffer-switching scheme only the active slot's context occupies
-        // the NIC — other jobs start life in the backing store.
+        // the NIC — other jobs start life swapped out.
         let resident = self
             .comm_init_job(now, node, job.0, rank, slot)
             .expect("NIC context allocation failed at load");
@@ -498,7 +488,6 @@ impl World {
         // (job, rank, placement) is modelled only by its cost, which the
         // process's `InitMode::ParPar` start-up charges as host work.
         let pid = n.fork();
-        n.noded.assign(slot, job, pid);
         let mut fm = FmProcess::new(job.0, rank, placement, self.cfg.nodes, geo.credits);
         // Under the no-flush baselines (paper §5) packets can be dropped at
         // a switch and recovered by higher layers; FM's strict FIFO check
@@ -515,31 +504,17 @@ impl World {
             // can grow hot channels up to full-buffer strength.
             fm.enable_demand(geo.recv_slots);
         }
-        let proc = ProcSim {
+        let mut proc = ProcSim::new(
             pid,
             job,
             rank,
             slot,
             fm,
             program,
-            init: fastmsg::init::InitMachine::new(self.cfg.init_mode),
-            phase: ProcPhase::Initializing,
-            stopped: false,
-            sending: None,
-            blocked: None,
-            busy: false,
-            pipe: hostsim::pipe::Pipe::new(),
-            pending_refills: std::collections::BTreeMap::new(),
-            deferred_pkt: None,
-            first_send: None,
-            rel_timer_armed: false,
-            rel_backoff: 0,
-            rel_progress_mark: 0,
-        };
+            fastmsg::init::InitMachine::new(self.cfg.init_mode),
+        );
+        proc.saved = (!resident).then(|| SavedCommState::empty(job.0));
         n.apps.insert(proc);
-        if !resident {
-            n.backing.save(pid, SavedCommState::empty(job.0), 0);
-        }
         self.trace.emit(now, Category::Gang, Some(node), || {
             format!("loaded {job} rank {rank} in slot {slot} ({pid})")
         });

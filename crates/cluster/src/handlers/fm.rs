@@ -8,11 +8,13 @@
 //! Under `BufferPolicy::CachedEndpoints` the NIC holds up to `k` resident
 //! endpoints (each a 1/k share of the buffers). A send to — or an arrival
 //! for — a non-resident endpoint raises a *fault*: the host evicts the
-//! LRU endpoint to backing store and restores the faulted one, paying the
-//! same copy costs as the paper's buffer switch, but reactively, on the
-//! critical path of the first message. Arrivals wait in a parking area
-//! while their endpoint faults in (the VN paper's return-to-sender is
-//! modeled as a drop-notify once parking overflows).
+//! least recently used endpoint (by
+//! [`NicContext::last_use`](lanai::nic::NicContext::last_use)) into its
+//! process's memory and restores the faulted one, paying the same copy
+//! costs as the paper's buffer switch, but reactively, on the critical
+//! path of the first message. Arrivals wait in a parking area while their
+//! endpoint faults in (the VN paper's return-to-sender is modeled as a
+//! drop-notify once parking overflows).
 
 use fastmsg::config::{BACKOFF_CAP, RETRANS_TIMEOUT};
 use fastmsg::division::BufferPolicy;
@@ -39,13 +41,6 @@ impl World {
     /// Is the virtual-networks residency policy active?
     pub(crate) fn vn_active(&self) -> bool {
         self.cfg.fm.policy == BufferPolicy::CachedEndpoints
-    }
-
-    /// Note activity on `job`'s endpoint (for LRU eviction).
-    pub(crate) fn vn_touch(&mut self, now: SimTime, node: usize, job: u32) {
-        if self.vn_active() {
-            self.nodes[node].lru.insert(job, now);
-        }
     }
 
     /// Request that `job`'s endpoint become resident on `node`.
@@ -253,9 +248,8 @@ impl World {
                 cost += switcher::save_cost(self.cfg.copy, &self.cfg.fm, s, r);
             }
         }
-        let n = &self.nodes[node];
-        let saved = n.find_proc_by_job(job).and_then(|pid| n.backing.peek(pid));
-        if let Some((s, r)) = saved.map(|s| s.occupancy()) {
+        let proc = self.nodes[node].apps.values().find(|p| p.fm.job == job);
+        if let Some((s, r)) = proc.and_then(|p| p.saved.as_ref()).map(|s| s.occupancy()) {
             cost += switcher::restore_cost(self.cfg.copy, &self.cfg.fm, s, r);
         }
         self.trace.emit(now, Category::Nic, Some(node), || {
@@ -274,14 +268,11 @@ impl World {
             && nic.send_ram_used() + send_bytes <= nic.send_buf_bytes
     }
 
-    /// The LRU resident endpoint, excluding any that is currently the
-    /// fault target.
+    /// The least recently used resident endpoint.
     fn vn_lru_victim(&self, node: usize) -> Option<usize> {
-        let n = &self.nodes[node];
-        n.nic.resident_contexts().min_by_key(|&c| {
-            let j = n.nic.context(c).unwrap().job;
-            n.lru.get(&j).copied().unwrap_or(SimTime::ZERO)
-        })
+        let nic = &self.nodes[node].nic;
+        nic.resident_contexts()
+            .min_by_key(|&c| nic.context(c).unwrap().last_use)
     }
 
     /// Fault service completed: evict if needed, install the endpoint,
@@ -318,8 +309,8 @@ impl World {
         if let Some(pid) = pid {
             n.restore_context(pid, ctx_id);
         }
-        self.vn_touch(now, node, job);
-        self.nodes[node].fault_in_progress = None;
+        n.nic.context_mut(ctx_id).unwrap().last_use = now;
+        n.fault_in_progress = None;
 
         // Deliver parked packets for this endpoint, preserving arrival
         // order.
@@ -351,7 +342,7 @@ impl World {
             }
             // Wake the owner if it is blocked at all, not only on
             // ContextFault: a RecvWait-blocked process whose endpoint just
-            // faulted in (queues restored from backing store) re-polls and
+            // faulted in (its saved queues restored) re-polls and
             // finds its parked arrivals; a spurious kick is a no-op.
             if self.nodes[node].apps[&pid].blocked.is_some() {
                 sched.immediately(Event::ProcKick { node, pid });

@@ -189,14 +189,12 @@ impl World {
                     n.nic.stats.dropped_ring_full += 1;
                     return;
                 }
-                n.nic
-                    .context_mut(ctx_id)
-                    .unwrap()
-                    .recv_q
+                let ctx = n.nic.context_mut(ctx_id).unwrap();
+                ctx.recv_q
                     .push(pkt)
                     .expect("receive ring overflow: credit accounting violated");
+                ctx.last_use = now;
                 n.nic.stats.data_received += 1;
-                self.vn_touch(now, node, job);
                 // Wake the owning process if it is waiting for traffic.
                 if let Some(pid) = self.nodes[node].find_proc_by_job(job) {
                     let proc = &self.nodes[node].apps[&pid];

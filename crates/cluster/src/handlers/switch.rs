@@ -32,7 +32,7 @@ impl World {
         to: usize,
         sched: &mut Sched,
     ) {
-        self.nodes[node].noded.current_slot = to;
+        self.nodes[node].current_slot = to;
         self.trace.emit(now, Category::Switch, Some(node), || {
             format!("switch epoch {epoch}: slot {from} -> {to}")
         });
@@ -173,15 +173,15 @@ impl World {
     /// `slot` on `node`, if any.
     fn outgoing_occupancy(&self, node: usize, slot: usize) -> Option<(usize, usize)> {
         let n = &self.nodes[node];
-        let proc = n.apps.get(&n.app_in_slot(slot)?)?;
+        let proc = n.apps.in_slot(slot)?;
         let ctx = n.nic.context(n.nic.find_context(proc.fm.job)?)?;
         Some((ctx.send_q.len(), ctx.recv_q.len()))
     }
 
-    /// Saved occupancy of the incoming job's state in the backing store.
+    /// Saved occupancy of the incoming process's swapped-out queues.
     fn incoming_occupancy(&self, node: usize, to: usize) -> Option<(usize, usize)> {
-        let pid = self.nodes[node].app_in_slot(to)?;
-        self.nodes[node].backing.peek(pid).map(|s| s.occupancy())
+        let proc = self.nodes[node].apps.in_slot(to)?;
+        proc.saved.as_ref().map(|s| s.occupancy())
     }
 
     /// The buffer copy finished: move the queue contents and enter the
@@ -216,15 +216,13 @@ impl World {
                 n.save_context(ctx_id, pid_out);
             }
         }
-        if let Some(pid_in) = n.app_in_slot(to) {
-            if n.backing.contains(pid_in) {
-                let proc = &n.apps[&pid_in];
-                let ctx_id = n
-                    .nic
-                    .alloc_context(proc.fm.job, proc.rank, geo.send_slots, geo.recv_slots)
-                    .expect("NIC context slot must be free after eviction");
-                n.restore_context(pid_in, ctx_id);
-            }
+        if let Some(proc) = n.apps.in_slot(to).filter(|p| p.saved.is_some()) {
+            let pid_in = proc.pid;
+            let ctx_id = n
+                .nic
+                .alloc_context(proc.fm.job, proc.rank, geo.send_slots, geo.recv_slots)
+                .expect("NIC context slot must be free after eviction");
+            n.restore_context(pid_in, ctx_id);
         }
         self.trace.emit(now, Category::Switch, Some(node), || {
             format!("buffers switched (slot {from} -> {to})")
@@ -248,7 +246,7 @@ impl World {
         n.nic.set_halt_bit(false);
         n.halt_requested = false;
         n.halt_broadcast_started = false;
-        n.noded.switches_done += 1;
+        n.switches_done += 1;
         self.kick_send_engine(now, node, sched);
         self.resume_incoming(now, node, to, sched);
         self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);

@@ -1,17 +1,15 @@
 //! Per-node composite state: host, NIC, daemon, processes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use fastmsg::packet::Packet;
 use fastmsg::proc::ProcStats;
 use gang_comm::sequencer::SwitchSequencer;
 use gang_comm::state::SavedCommState;
-use hostsim::backing::BackingStore;
 use hostsim::cpu::HostCpu;
 use hostsim::process::Pid;
 use lanai::nic::{CtxId, Nic};
 use parpar::job::JobId;
-use parpar::noded::Noded;
 
 use crate::procsim::ProcSim;
 
@@ -42,10 +40,34 @@ impl AppMap {
     }
 
     /// Make a freshly forked `proc` live. Pids are forked in ascending
-    /// order, so it sorts last.
+    /// order, so it sorts last. Panics if another live process already
+    /// serves `proc.slot` — the masterd's matrix makes that impossible.
     pub fn insert(&mut self, proc: ProcSim) {
         debug_assert!(self.procs.last().is_none_or(|p| p.pid < proc.pid));
+        if let Some(p) = self.in_slot(proc.slot) {
+            panic!(
+                "slot {} double-booked by {} and {}",
+                p.slot, p.pid, proc.pid
+            );
+        }
         self.procs.push(proc);
+    }
+
+    /// The live process serving gang slot `slot`, if any.
+    #[inline]
+    pub fn in_slot(&self, slot: usize) -> Option<&ProcSim> {
+        self.procs.iter().find(|p| p.slot == slot)
+    }
+
+    /// The occupied slot that follows `cur` in round-robin order: the
+    /// first occupied slot above it, else the lowest occupied slot.
+    pub fn next_slot(&self, cur: usize) -> Option<usize> {
+        let slots = self.procs.iter().map(|p| p.slot);
+        slots
+            .clone()
+            .filter(|&s| s > cur)
+            .min()
+            .or_else(|| slots.min())
     }
 
     /// Evict the process with id `pid`, if live.
@@ -108,15 +130,17 @@ pub struct NodeSim {
     pub id: usize,
     /// The host CPU timeline.
     pub cpu: HostCpu,
-    /// The node daemon's slot bookkeeping.
-    pub noded: Noded,
+    /// The gang slot this node's daemon believes is active; the live
+    /// processes in [`NodeSim::apps`] say who serves each slot.
+    pub current_slot: usize,
+    /// Gang switches this node has completed.
+    pub switches_done: u64,
     /// The NIC.
     pub nic: Nic<Packet>,
     /// The three-phase switch sequencer.
     pub seq: SwitchSequencer,
-    /// Pageable backing store for descheduled jobs' queue contents.
-    pub backing: BackingStore<SavedCommState<Packet>>,
-    /// Live application processes by pid.
+    /// Live application processes by pid. A descheduled process holds
+    /// its saved queues in [`ProcSim::saved`].
     pub apps: AppMap,
     /// Torn-down processes, in teardown order.
     pub exited: Vec<ExitRecord>,
@@ -141,8 +165,6 @@ pub struct NodeSim {
     /// Packets that arrived for non-resident endpoints, held until their
     /// endpoint faults in (virtual-networks semantics).
     pub parked: Vec<fastmsg::packet::Packet>,
-    /// Last-activity instant per live job, for LRU endpoint eviction.
-    pub lru: BTreeMap<u32, sim_core::time::SimTime>,
     /// Endpoint faults served on this node.
     pub faults: u64,
     /// State of a non-flush switch in progress (ShareDiscard / AckDrain).
@@ -178,10 +200,10 @@ impl NodeSim {
         NodeSim {
             id,
             cpu: HostCpu::new(),
-            noded: Noded::new(id),
+            current_slot: 0,
+            switches_done: 0,
             nic,
             seq: SwitchSequencer::new(peers),
-            backing: BackingStore::new(),
             apps: AppMap::default(),
             exited: Vec::new(),
             send_engine_busy: false,
@@ -193,7 +215,6 @@ impl NodeSim {
             fault_in_progress: None,
             fault_queue: VecDeque::new(),
             parked: Vec::new(),
-            lru: BTreeMap::new(),
             faults: 0,
             alt_switch: None,
             next_pid: 100, // leave room for "daemon" pids in traces
@@ -211,25 +232,25 @@ impl NodeSim {
 
     /// SIGSTOP `pid`: it starts no host work until [`NodeSim::cont`].
     pub fn stop(&mut self, pid: Pid) {
-        self.signalled(pid).stopped = true;
+        self.live(pid).stopped = true;
     }
 
     /// SIGCONT `pid`.
     pub fn cont(&mut self, pid: Pid) {
-        self.signalled(pid).stopped = false;
+        self.live(pid).stopped = false;
     }
 
-    /// The target of a signal. Panics on a pid that is not live (a
+    /// The live process `pid`. Panics on a pid that is not live (a
     /// simulation bug, not a runtime condition).
-    fn signalled(&mut self, pid: Pid) -> &mut ProcSim {
+    fn live(&mut self, pid: Pid) -> &mut ProcSim {
         self.apps
             .get_mut(&pid)
             .unwrap_or_else(|| panic!("no such process {pid}"))
     }
 
-    /// Save the resident context `ctx_id` to pageable backing store under
-    /// `pid`, freeing its NIC slot: the swap out of a gang buffer switch
-    /// and of an endpoint eviction alike.
+    /// Save the resident context `ctx_id` into the pageable memory of
+    /// process `pid`, freeing its NIC slot: the swap out of a gang buffer
+    /// switch and of an endpoint eviction alike.
     pub fn save_context(&mut self, ctx_id: CtxId, pid: Pid) {
         let mut ctx = self
             .nic
@@ -244,22 +265,26 @@ impl NodeSim {
         };
         ctx.send_q.drain_into(&mut saved.send_q);
         ctx.recv_q.drain_into(&mut saved.recv_q);
-        let bytes = saved.stored_bytes();
-        self.backing.save(pid, saved, bytes);
+        let proc = self.live(pid);
+        debug_assert!(proc.saved.is_none(), "{pid} saved twice");
+        proc.saved = Some(saved);
     }
 
-    /// Load `pid`'s saved queues, if any, from backing store into the
-    /// freshly allocated context `ctx_id`: the swap back in of a gang
-    /// buffer switch and of an endpoint fault alike.
+    /// Load `pid`'s saved queues, if any, into the freshly allocated
+    /// context `ctx_id`: the swap back in of a gang buffer switch and of
+    /// an endpoint fault alike.
     pub fn restore_context(&mut self, pid: Pid, ctx_id: CtxId) {
-        let Some(mut saved) = self.backing.restore(pid) else {
+        let Some(mut saved) = self.live(pid).saved.take() else {
             return;
         };
         let ctx = self
             .nic
             .context_mut(ctx_id)
             .expect("restore into a context that is not resident");
-        assert_eq!(saved.job, ctx.job, "backing store mix-up");
+        assert_eq!(
+            saved.job, ctx.job,
+            "saved queues restored into another job's context"
+        );
         ctx.send_q.load_from(&mut saved.send_q);
         ctx.recv_q.load_from(&mut saved.recv_q);
         // Keep the emptied shell's allocations for the next save.
@@ -269,18 +294,59 @@ impl NodeSim {
 
     /// The app process (if any) occupying `slot` on this node.
     pub fn app_in_slot(&self, slot: usize) -> Option<Pid> {
-        self.noded.in_slot(slot).map(|(_, pid)| pid)
+        self.apps.in_slot(slot).map(|p| p.pid)
     }
 
     /// The pid of the process of `job` on this node, if any.
     pub fn find_proc_by_job(&self, job: u32) -> Option<Pid> {
         self.apps.values().find(|p| p.fm.job == job).map(|p| p.pid)
     }
+}
 
-    /// The (slot, pid) the noded assigned to `job`, if loaded.
-    pub fn noded_lookup(&self, job: JobId) -> Option<(usize, Pid)> {
-        let slot = self.noded.slot_of(job)?;
-        let (_, pid) = self.noded.in_slot(slot)?;
-        Some((slot, pid))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastmsg::init::{InitMachine, InitMode};
+    use fastmsg::proc::FmProcess;
+    use workloads::program::SpinProgram;
+
+    fn proc(pid: u32, job: u32, slot: usize) -> ProcSim {
+        let fm = FmProcess::new(job, 0, vec![0].into(), 1, 1);
+        ProcSim::new(
+            Pid(pid),
+            JobId(job),
+            0,
+            slot,
+            fm,
+            Box::new(SpinProgram::default()),
+            InitMachine::new(InitMode::ParPar),
+        )
+    }
+
+    #[test]
+    fn slots_are_read_off_the_live_processes() {
+        let mut apps = AppMap::default();
+        assert_eq!(apps.next_slot(0), None);
+        apps.insert(proc(100, 1, 2));
+        apps.insert(proc(101, 5, 0));
+        assert_eq!(apps.in_slot(2).map(|p| p.pid), Some(Pid(100)));
+        assert_eq!(apps.in_slot(1).map(|p| p.pid), None);
+        // Round robin: the next occupied slot above, else the lowest.
+        assert_eq!(apps.next_slot(0), Some(2));
+        assert_eq!(apps.next_slot(1), Some(2));
+        assert_eq!(apps.next_slot(2), Some(0));
+        // Eviction frees the slot for a later job.
+        apps.remove(&Pid(100));
+        assert_eq!(apps.in_slot(2).map(|p| p.pid), None);
+        assert_eq!(apps.next_slot(0), Some(0));
+        apps.insert(proc(102, 9, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "double-booked")]
+    fn double_booking_panics() {
+        let mut apps = AppMap::default();
+        apps.insert(proc(100, 1, 0));
+        apps.insert(proc(101, 2, 0));
     }
 }

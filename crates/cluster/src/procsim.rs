@@ -4,7 +4,9 @@
 use std::collections::BTreeMap;
 
 use fastmsg::init::InitMachine;
+use fastmsg::packet::Packet;
 use fastmsg::proc::FmProcess;
+use gang_comm::state::SavedCommState;
 use hostsim::pipe::Pipe;
 use hostsim::process::Pid;
 use parpar::job::JobId;
@@ -71,6 +73,10 @@ pub struct ProcSim {
     pub slot: usize,
     /// FM library state (lives in process memory; never buffer-switched).
     pub fm: FmProcess,
+    /// The context's queue contents while the process is swapped out,
+    /// kept in its own pageable memory (paper §1). `Some` means swapped
+    /// out: the NIC holds no context for the process.
+    pub saved: Option<SavedCommState<Packet>>,
     /// The application behavior.
     pub program: Box<dyn Program>,
     /// FM_initialize progress.
@@ -93,7 +99,7 @@ pub struct ProcSim {
     pub pending_refills: BTreeMap<usize, usize>,
     /// A fragment built while the endpoint was being evicted; injected as
     /// soon as the endpoint faults back in (CachedEndpoints only).
-    pub deferred_pkt: Option<fastmsg::packet::Packet>,
+    pub deferred_pkt: Option<Packet>,
     /// When this process issued its first Send (opens the paper's
     /// bandwidth-measurement interval).
     pub first_send: Option<SimTime>,
@@ -124,6 +130,41 @@ impl std::fmt::Debug for ProcSim {
 }
 
 impl ProcSim {
+    /// A freshly forked process about to run FM_initialize: not stopped,
+    /// blocked or busy, and holding no saved queues.
+    pub fn new(
+        pid: Pid,
+        job: JobId,
+        rank: usize,
+        slot: usize,
+        fm: FmProcess,
+        program: Box<dyn Program>,
+        init: InitMachine,
+    ) -> Self {
+        ProcSim {
+            pid,
+            job,
+            rank,
+            slot,
+            fm,
+            saved: None,
+            program,
+            init,
+            phase: ProcPhase::Initializing,
+            stopped: false,
+            sending: None,
+            blocked: None,
+            busy: false,
+            pipe: Pipe::new(),
+            pending_refills: BTreeMap::new(),
+            deferred_pkt: None,
+            first_send: None,
+            rel_timer_armed: false,
+            rel_backoff: 0,
+            rel_progress_mark: 0,
+        }
+    }
+
     /// Observable state handed to the program when choosing its next op.
     pub fn view(&self, now: SimTime) -> workloads::program::ProcView {
         workloads::program::ProcView {

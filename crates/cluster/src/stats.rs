@@ -44,12 +44,6 @@ impl<T> PerJob<T> {
     }
 
     #[inline]
-    /// Mutable access to the value recorded for `job`, if any.
-    pub fn get_mut(&mut self, job: &JobId) -> Option<&mut T> {
-        self.slots.get_mut(Self::idx(*job))?.as_mut()
-    }
-
-    #[inline]
     /// Is there a value recorded for `job`?
     pub fn contains_key(&self, job: &JobId) -> bool {
         self.get(job).is_some()
@@ -72,15 +66,6 @@ impl<T> PerJob<T> {
         prev
     }
 
-    /// Take `job`'s value out of the table, if present.
-    pub fn remove(&mut self, job: &JobId) -> Option<T> {
-        let taken = self.slots.get_mut(Self::idx(*job))?.take();
-        if taken.is_some() {
-            self.live -= 1;
-        }
-        taken
-    }
-
     /// `BTreeMap::entry(job)`-style in-place access; the two `or_*` forms
     /// the handlers use are provided directly.
     #[inline]
@@ -100,11 +85,6 @@ impl<T> PerJob<T> {
         self.live == 0
     }
 
-    /// Live job ids in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.iter().map(|(j, _)| j)
-    }
-
     /// Live `(JobId, &T)` pairs in ascending job order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &T)> {
         self.slots
@@ -116,20 +96,6 @@ impl<T> PerJob<T> {
     /// Live values in ascending job order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(|s| s.as_ref())
-    }
-}
-
-impl<T> IntoIterator for PerJob<T> {
-    type Item = (JobId, T);
-    type IntoIter = std::iter::FilterMap<
-        std::iter::Enumerate<std::vec::IntoIter<Option<T>>>,
-        fn((usize, Option<T>)) -> Option<(JobId, T)>,
-    >;
-    fn into_iter(self) -> Self::IntoIter {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|v| (JobId(i as u32), v)))
     }
 }
 
@@ -154,7 +120,7 @@ impl<'a, T> PerJobEntry<'a, T> {
     }
 
     /// Insert `make()` if the slot is vacant; return the value in place.
-    pub fn or_insert_with(self, make: impl FnOnce() -> T) -> &'a mut T {
+    fn or_insert_with(self, make: impl FnOnce() -> T) -> &'a mut T {
         let i = PerJob::<T>::idx(self.job);
         if self.table.slots.len() <= i {
             self.table.slots.resize_with(i + 1, || None);

@@ -54,7 +54,7 @@ pub trait CommManager {
     /// the fork so arriving packets can already be received (paper §3.2).
     /// Returns whether the context came up NIC-resident: under the
     /// buffer-switching and endpoint-caching schemes a job loaded into an
-    /// inactive slot starts life in the backing store instead.
+    /// inactive slot starts life swapped out instead.
     fn init_job(&mut self, now: SimTime, job: CommJob, rank: usize) -> Result<bool, CommError>;
 
     /// `COMM_end_job` — release the job's context and clean up.

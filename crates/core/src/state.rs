@@ -5,8 +5,6 @@
 //! else the library needs — credit counters, sequence numbers — lives in
 //! the process's own pageable memory and needs no special handling.
 
-use fastmsg::packet::PACKET_BYTES;
-
 /// Saved queue contents for one descheduled process.
 #[derive(Debug, Clone)]
 pub struct SavedCommState<P> {
@@ -19,15 +17,6 @@ pub struct SavedCommState<P> {
 }
 
 impl<P> SavedCommState<P> {
-    /// Wrap drained queues.
-    pub fn new(job: u32, send_q: Vec<P>, recv_q: Vec<P>) -> Self {
-        SavedCommState {
-            job,
-            send_q,
-            recv_q,
-        }
-    }
-
     /// Empty state for a job that has not communicated yet.
     pub fn empty(job: u32) -> Self {
         SavedCommState {
@@ -41,12 +30,6 @@ impl<P> SavedCommState<P> {
     pub fn occupancy(&self) -> (usize, usize) {
         (self.send_q.len(), self.recv_q.len())
     }
-
-    /// Pageable bytes this state occupies in the backing store (packet
-    /// slots are stored whole, as the implementation copies slots).
-    pub fn stored_bytes(&self) -> u64 {
-        (self.send_q.len() + self.recv_q.len()) as u64 * PACKET_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -54,17 +37,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn occupancy_and_bytes() {
-        let s = SavedCommState::new(3, vec![1, 2], vec![7, 8, 9]);
+    fn occupancy_counts_both_queues() {
+        let s = SavedCommState {
+            job: 3,
+            send_q: vec![1, 2],
+            recv_q: vec![7, 8, 9],
+        };
         assert_eq!(s.occupancy(), (2, 3));
-        assert_eq!(s.stored_bytes(), 5 * PACKET_BYTES);
     }
 
     #[test]
     fn empty_state() {
         let s: SavedCommState<u8> = SavedCommState::empty(1);
         assert_eq!(s.occupancy(), (0, 0));
-        assert_eq!(s.stored_bytes(), 0);
         assert_eq!(s.job, 1);
     }
 }

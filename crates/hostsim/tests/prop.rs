@@ -1,9 +1,7 @@
 //! Property tests for host-side primitives.
 
-use hostsim::backing::BackingStore;
 use hostsim::cpu::HostCpu;
 use hostsim::pipe::Pipe;
-use hostsim::process::Pid;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 
@@ -50,28 +48,5 @@ proptest! {
             }
             prop_assert_eq!(p.buffered(), model.len());
         }
-    }
-
-    /// Backing store byte accounting: total equals the sum of live saves
-    /// and the high-water mark never decreases.
-    #[test]
-    fn backing_store_accounting(ops in proptest::collection::vec((0u32..8, 0u64..100_000, any::<bool>()), 0..100)) {
-        let mut bs: BackingStore<u64> = BackingStore::new();
-        let mut model: std::collections::BTreeMap<Pid, u64> = Default::default();
-        let mut hw = 0u64;
-        for (slot, bytes, save) in ops {
-            let pid = Pid(slot);
-            if save {
-                bs.save(pid, bytes, bytes);
-                model.insert(pid, bytes);
-                hw = hw.max(model.values().sum());
-            } else {
-                let got = bs.restore(pid);
-                prop_assert_eq!(got, model.remove(&pid));
-            }
-            prop_assert_eq!(bs.total_bytes(), model.values().sum::<u64>());
-            prop_assert_eq!(bs.len(), model.len());
-        }
-        prop_assert_eq!(bs.high_water_bytes(), hw);
     }
 }

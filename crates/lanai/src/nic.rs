@@ -36,6 +36,10 @@ pub struct NicContext<P> {
     pub send_q: PacketRing<P>,
     /// Receive queue (lives in the pinned host DMA buffer).
     pub recv_q: PacketRing<P>,
+    /// When a packet was last queued or landed here: the LRU stamp for
+    /// endpoint eviction (read only under endpoint caching). Starts at
+    /// [`SimTime::ZERO`] and dies with the context.
+    pub last_use: SimTime,
 }
 
 /// Running NIC counters.
@@ -123,6 +127,7 @@ impl<P> Nic<P> {
             rank,
             send_q: PacketRing::new(send_cap),
             recv_q: PacketRing::new(recv_cap),
+            last_use: SimTime::ZERO,
         });
         Ok(slot)
     }

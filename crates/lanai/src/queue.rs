@@ -23,7 +23,7 @@ pub struct RingFull;
 /// let mut ring: PacketRing<u32> = PacketRing::new(3);
 /// ring.push(7).unwrap();
 /// ring.push(8).unwrap();
-/// // The buffer switch drains the valid packets to backing store…
+/// // The buffer switch drains the valid packets into process memory…
 /// let mut saved = Vec::new();
 /// ring.drain_into(&mut saved);
 /// assert_eq!(saved, vec![7, 8]);
@@ -35,9 +35,6 @@ pub struct RingFull;
 pub struct PacketRing<P> {
     slots: VecDeque<P>,
     capacity: usize,
-    high_water: usize,
-    total_pushed: u64,
-    total_popped: u64,
 }
 
 impl<P> PacketRing<P> {
@@ -47,9 +44,6 @@ impl<P> PacketRing<P> {
         PacketRing {
             slots: VecDeque::new(),
             capacity,
-            high_water: 0,
-            total_pushed: 0,
-            total_popped: 0,
         }
     }
 
@@ -84,20 +78,12 @@ impl<P> PacketRing<P> {
             return Err(RingFull);
         }
         self.slots.push_back(p);
-        self.total_pushed += 1;
-        if self.slots.len() > self.high_water {
-            self.high_water = self.slots.len();
-        }
         Ok(())
     }
 
     /// Remove the oldest packet.
     pub fn pop(&mut self) -> Option<P> {
-        let p = self.slots.pop_front();
-        if p.is_some() {
-            self.total_popped += 1;
-        }
-        p
+        self.slots.pop_front()
     }
 
     /// Oldest packet without removing it.
@@ -111,11 +97,10 @@ impl<P> PacketRing<P> {
     }
 
     /// Remove all packets into `buf` in FIFO order, reusing its allocation:
-    /// the buffer switch moves queue contents into backing store this way.
+    /// the buffer switch saves queue contents into process memory this way.
     /// `buf` is cleared first.
     pub fn drain_into(&mut self, buf: &mut Vec<P>) {
         buf.clear();
-        self.total_popped += self.slots.len() as u64;
         buf.extend(self.slots.drain(..));
     }
 
@@ -132,21 +117,7 @@ impl<P> PacketRing<P> {
             buf.len() <= self.capacity,
             "saved contents exceed ring capacity"
         );
-        self.total_pushed += buf.len() as u64;
         self.slots.extend(buf.drain(..));
-        if self.slots.len() > self.high_water {
-            self.high_water = self.slots.len();
-        }
-    }
-
-    /// Largest occupancy ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// (pushed, popped) lifetime counters.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.total_pushed, self.total_popped)
     }
 }
 
@@ -177,20 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn high_water_and_totals() {
-        let mut r = PacketRing::new(10);
-        for i in 0..7 {
-            r.push(i).unwrap();
-        }
-        for _ in 0..5 {
-            r.pop();
-        }
-        r.push(99).unwrap();
-        assert_eq!(r.high_water(), 7);
-        assert_eq!(r.totals(), (8, 5));
-    }
-
-    #[test]
     fn drain_into_and_load_from_reuse_buffer() {
         let mut r = PacketRing::new(5);
         let mut buf = vec![42]; // stale contents must be cleared
@@ -210,8 +167,6 @@ mod tests {
         );
         assert_eq!(r.len(), 4);
         assert_eq!(r.pop(), Some(0));
-        assert_eq!(r.totals(), (8, 5));
-        assert_eq!(r.high_water(), 4);
     }
 
     #[test]
@@ -230,7 +185,7 @@ mod tests {
                 r.pop();
             }
         }
-        assert_eq!(r.high_water(), 4);
+        assert_eq!(r.len(), 3);
         assert!(r.slots.capacity() <= 8, "{} slots", r.slots.capacity());
     }
 

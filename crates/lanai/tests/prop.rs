@@ -53,20 +53,4 @@ proptest! {
             prop_assert_eq!(ring.peek(), model.front());
         }
     }
-
-    /// Occupancy bookkeeping: pushed - popped == len at all times.
-    #[test]
-    fn totals_balance(cap in 1usize..32, ops in proptest::collection::vec(any::<bool>(), 0..200)) {
-        let mut ring = PacketRing::new(cap);
-        for (i, push) in ops.into_iter().enumerate() {
-            if push {
-                let _ = ring.push(i);
-            } else {
-                let _ = ring.pop();
-            }
-            let (pushed, popped) = ring.totals();
-            prop_assert_eq!(pushed - popped, ring.len() as u64);
-            prop_assert!(ring.high_water() <= cap);
-        }
-    }
 }

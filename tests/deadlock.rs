@@ -105,7 +105,7 @@ fn quiesce_case(
     for n in &w.nodes {
         prop_assert_eq!(n.nic.send_q_occupancy(), 0);
         prop_assert_eq!(n.nic.recv_q_occupancy(), 0);
-        prop_assert!(n.backing.is_empty());
+        prop_assert!(n.apps.values().all(|p| p.saved.is_none()));
         for e in &n.exited {
             prop_assert_eq!(e.gaps, 0);
         }

@@ -244,7 +244,7 @@ fn run_rotate64(wire_loss_ppm: u32) -> (u64, u64, u64) {
     // included.
     let w = sim.world();
     for n in &w.nodes {
-        assert_eq!(n.noded.switches_done, w.stats.switches, "node {}", n.id);
+        assert_eq!(n.switches_done, w.stats.switches, "node {}", n.id);
     }
     if wire_loss_ppm > 0 {
         // The loss run exercises lost control frames and re-broadcasts.

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
+use gang_comm::sequencer::SwitchPhase;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 use workloads::alltoall::AllToAll;
@@ -112,7 +113,7 @@ fn stopped_process_waits_for_sigcont_and_finished_processes_exit() {
 /// Two p2p jobs share nodes 0 and 1 on a 2-slot rotation: a stopped
 /// process starts no host work until its SIGCONT, and once both jobs
 /// finish every process is evicted from its node, leaving an exit record
-/// but no NIC context and no backing-store entry.
+/// but no NIC context (its saved queues, if any, went with it).
 fn check_stop_cont_and_exit(policy: BufferPolicy) {
     let mut cfg = ClusterConfig::parpar(2, 2, policy);
     cfg.quantum = Cycles::from_ms(5);
@@ -172,11 +173,75 @@ fn check_stop_cont_and_exit(policy: BufferPolicy) {
                 "{} kept its NIC context",
                 e.pid
             );
-            assert!(
-                !n.backing.contains(e.pid),
-                "{} kept a backing-store entry",
-                e.pid
-            );
         }
     }
+}
+
+/// On a 2-slot `FullBuffer` rotation the descheduled process keeps its
+/// context's queues in its own memory: when a node's copy completes, the
+/// process switched out holds exactly what its context held as the copy
+/// ran, and the process switched in holds nothing saved and owns the NIC
+/// context. The switch's Fig. 8 sample, taken when the copy is ordered,
+/// is a lower bound: until the copy runs, the send queue can still gain
+/// the fragment of a host op that was in flight at SIGSTOP, and the
+/// receive queue the data packets that were inside the LANai receive
+/// engine when the last halt was counted.
+#[test]
+fn a_descheduled_process_holds_its_saved_queues() {
+    let mut cfg = ClusterConfig::parpar(2, 2, BufferPolicy::FullBuffer);
+    cfg.quantum = Cycles::from_ms(5);
+    let mut sim = Sim::new(cfg);
+    let bench = P2pBandwidth::with_count(4096, 2000);
+    sim.submit(&bench, Some(vec![0, 1])).unwrap();
+    sim.submit(&bench, Some(vec![0, 1])).unwrap();
+    let horizon = SimTime::ZERO + Cycles::from_secs(20);
+    // Per node: the outgoing context's (send, recv) occupancy after the
+    // last event that left the node in its copy phase.
+    let mut copying: [Option<(usize, usize)>; 2] = [None; 2];
+    let (mut checked, mut nonempty) = (0, 0);
+    while !sim.world().quiescent() && sim.engine.now() < horizon {
+        sim.engine.step().expect("event queue ran dry");
+        let w = sim.world();
+        for n in &w.nodes {
+            let out = n.apps.in_slot(n.seq.from_slot);
+            if n.seq.phase() == SwitchPhase::Copying {
+                let ctx = out.and_then(|p| n.nic.context(n.nic.find_context(p.job.0)?));
+                copying[n.id] = ctx.map(|c| (c.send_q.len(), c.recv_q.len()));
+                continue;
+            }
+            let Some(held) = copying[n.id].take() else {
+                continue;
+            };
+            let out = out.expect("the switched-out process vanished mid-switch");
+            let saved = out
+                .saved
+                .as_ref()
+                .expect("switched-out process lost its queues");
+            assert_eq!(saved.occupancy(), held, "{} saved other queues", out.pid);
+            assert!(n.nic.find_context(out.job.0).is_none());
+            if let Some(inc) = n.apps.in_slot(n.seq.to_slot) {
+                assert!(
+                    inc.saved.is_none(),
+                    "{} switched in but swapped out",
+                    inc.pid
+                );
+                assert!(n.nic.find_context(inc.job.0).is_some());
+            }
+            let sample = w
+                .stats
+                .queue_samples
+                .iter()
+                .rfind(|s| s.node == n.id && s.epoch == n.seq.epoch)
+                .expect("switch recorded no queue sample");
+            assert!(sample.send_valid <= held.0 && sample.recv_valid <= held.1);
+            checked += 1;
+            nonempty += usize::from(held != (0, 0));
+        }
+    }
+    assert!(
+        sim.world().quiescent(),
+        "jobs did not finish by the horizon"
+    );
+    assert!(checked >= 4, "{checked} copies checked");
+    assert!(nonempty > 0, "every switch saved empty queues");
 }

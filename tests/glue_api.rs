@@ -90,8 +90,8 @@ fn context_switch_validates_claimed_jobs_in_both_slots() {
     let now = SimTime::ZERO + Cycles::from_ms(10);
     s.run_until(now);
     s.engine.drive(|w, sched| {
-        assert_eq!(w.nodes[0].noded.in_slot(0).map(|(j, _)| j), Some(j1));
-        assert_eq!(w.nodes[0].noded.in_slot(1).map(|(j, _)| j), Some(j2));
+        assert_eq!(w.nodes[0].apps.in_slot(0).map(|p| p.job), Some(j1));
+        assert_eq!(w.nodes[0].apps.in_slot(1).map(|p| p.job), Some(j2));
         // Reach Copying by hand: one peer halt plus the local halt
         // completes the flush on a 2-node cluster.
         let seq = &mut w.nodes[0].seq;

@@ -84,7 +84,7 @@ fn switches_with_partial_node_coverage_lose_nothing() {
     for n in &w.nodes {
         assert_eq!(n.nic.send_q_occupancy(), 0);
         assert_eq!(n.nic.recv_q_occupancy(), 0);
-        assert!(n.backing.is_empty());
+        assert!(n.apps.values().all(|p| p.saved.is_none()));
         for e in &n.exited {
             assert_eq!(e.gaps, 0);
         }
@@ -108,6 +108,6 @@ fn uncovered_nodes_still_flush_and_report() {
     assert!(w.stats.switches > 2);
     // Every node (including empty ones) completed every switch.
     for n in &w.nodes {
-        assert_eq!(n.noded.switches_done, w.stats.switches, "node {}", n.id);
+        assert_eq!(n.switches_done, w.stats.switches, "node {}", n.id);
     }
 }

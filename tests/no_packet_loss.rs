@@ -155,6 +155,10 @@ fn queues_are_empty_after_all_jobs_finish() {
     for n in &w.nodes {
         assert_eq!(n.nic.send_q_occupancy(), 0, "node {} send_q", n.id);
         assert_eq!(n.nic.recv_q_occupancy(), 0, "node {} recv_q", n.id);
-        assert!(n.backing.is_empty(), "node {} backing store", n.id);
+        assert!(
+            n.apps.values().all(|p| p.saved.is_none()),
+            "node {} kept saved queues",
+            n.id
+        );
     }
 }

@@ -41,7 +41,7 @@ fn run_case(
     for n in &w.nodes {
         prop_assert_eq!(n.nic.send_q_occupancy(), 0);
         prop_assert_eq!(n.nic.recv_q_occupancy(), 0);
-        prop_assert!(n.backing.is_empty());
+        prop_assert!(n.apps.values().all(|p| p.saved.is_none()));
         for e in &n.exited {
             prop_assert_eq!(e.gaps, 0);
             if e.rank == 1 {

@@ -16,7 +16,7 @@ fn vn_cfg(nodes: usize, cache_slots: usize) -> ClusterConfig {
 
 #[test]
 fn jobs_beyond_the_cache_fault_in_and_complete() {
-    // 3 jobs, 2 cache slots: the third job starts in backing store and
+    // 3 jobs, 2 cache slots: the third job starts swapped out and
     // faults its endpoints in on first use; rotation churns them.
     let mut sim = Sim::new(vn_cfg(2, 2));
     let bench = P2pBandwidth::with_count(4096, 800);
@@ -40,10 +40,6 @@ fn jobs_beyond_the_cache_fault_in_and_complete() {
         }
     }
     assert_eq!(w.stats.drops, 0, "parking should absorb all arrivals here");
-    // Teardown drops a job's LRU entry with its endpoint.
-    for n in &w.nodes {
-        assert!(n.lru.is_empty(), "node {} kept {:?}", n.id, n.lru);
-    }
 }
 
 #[test]

@@ -101,7 +101,7 @@ fn four_way_mixed_day() {
     for n in &w.nodes {
         assert_eq!(n.nic.send_q_occupancy(), 0, "node {}", n.id);
         assert_eq!(n.nic.recv_q_occupancy(), 0, "node {}", n.id);
-        assert!(n.backing.is_empty(), "node {}", n.id);
+        assert!(n.apps.values().all(|p| p.saved.is_none()), "node {}", n.id);
         for e in &n.exited {
             assert_eq!(e.gaps, 0);
         }
