@@ -16,7 +16,6 @@ use fastmsg::division::CreditRounding;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::{Cell, Table};
-use sim_core::time::Cycles;
 
 /// Run the three ablations and emit `ablation_{copy,strategy,rounding}`.
 pub fn run(opts: &HarnessOpts) {
@@ -51,9 +50,7 @@ pub fn run(opts: &HarnessOpts) {
     // 2. Switch strategies.
     let strategies = [
         SwitchStrategy::GangFlush,
-        SwitchStrategy::ShareDiscard {
-            retransmit_timeout: Cycles::from_ms(10),
-        },
+        SwitchStrategy::ShareDiscard,
         SwitchStrategy::AckDrain,
     ];
     let mut t2 = Table::new(

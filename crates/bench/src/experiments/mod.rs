@@ -9,8 +9,7 @@ pub mod ablation;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod fig8;
-pub mod fig9;
+pub mod fig8_9;
 pub mod gang_premise;
 pub mod latency;
 pub mod loss_sweep;
@@ -28,12 +27,11 @@ pub type Experiment = fn(&HarnessOpts);
 /// Every experiment, in the order a bare `figs` runs them: the paper's
 /// figures and §4.2 numbers, the extension tables and sweeps (the last
 /// two also measure wall time), then the engine snapshot.
-pub const REGISTRY: [(&str, Experiment); 16] = [
+pub const REGISTRY: [(&str, Experiment); 15] = [
     ("fig5", fig5::run),
     ("fig6", fig6::run),
     ("fig7", fig7::run),
-    ("fig8", fig8::run),
-    ("fig9", fig9::run),
+    ("fig8_9", fig8_9::run),
     ("overheads", overheads::run),
     ("ablation", ablation::run),
     ("latency", latency::run),

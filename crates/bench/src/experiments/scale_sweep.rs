@@ -33,7 +33,6 @@ use crate::snapshot::{median_wall_ms, Row, Snapshot};
 use crate::HarnessOpts;
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, Sim, TopologyKind};
 use fastmsg::division::{BufferPolicy, CreditRounding};
-use hostsim::costs::HostCosts;
 use sim_core::report::{Cell, Table};
 use sim_core::time::{Cycles, SimTime};
 
@@ -91,7 +90,7 @@ fn run_cell(
     cfg.fm.rounding = CreditRounding::Ceil;
     // Zero daemon jitter: the latency column isolates the control-plane
     // fan-out/reduction cost instead of averaging a 4 ms noise floor.
-    cfg.host_costs = HostCosts::deterministic();
+    cfg.daemon_jitter_max = Cycles::ZERO;
     cfg.quantum = Cycles::from_ms(20);
     cfg.seed = opts.seed;
     // The registry's `p2p` entry pins the 64 KB message size this cell's

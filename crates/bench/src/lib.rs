@@ -1,6 +1,6 @@
 //! # bench-harness — figure regeneration
 //!
-//! Every paper figure (`fig5` … `fig9`, `overheads`, `ablation`), every
+//! Every paper figure (`fig5` … `fig8_9`, `overheads`, `ablation`), every
 //! extension table and the three wall-clock snapshots are experiments in
 //! one registry ([`experiments::REGISTRY`]), run by the one `figs`
 //! binary. Each experiment prints the same rows or series the paper plots

@@ -5,7 +5,6 @@ use fastmsg::division::BufferPolicy;
 use fastmsg::init::InitMode;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
-use hostsim::costs::HostCosts;
 use myrinet::topology::FatTreeShape;
 use parpar::control::ControlPlane;
 use sim_core::time::Cycles;
@@ -62,8 +61,13 @@ pub struct ClusterConfig {
     pub strategy: SwitchStrategy,
     /// Buffer-switch copy algorithm (Fig. 7 vs Fig. 9).
     pub copy: CopyStrategy,
-    /// Host operation costs.
-    pub host_costs: HostCosts,
+    /// Upper bound of the uniform noded scheduling jitter: the noded is a
+    /// user-level daemon, so reacting to a control message lands anywhere
+    /// within this window after its fixed dispatch cost
+    /// (`hostsim::costs::DAEMON_DISPATCH`). This skew is what makes the
+    /// halt phase grow with the number of unsynchronized nodes (paper
+    /// Fig. 7). Zero removes it, for tests that need exact timings.
+    pub daemon_jitter_max: Cycles,
     /// FM initialization protocol.
     pub init_mode: InitMode,
     /// Injected wire loss, packets-per-million (0 = the reliable SAN FM
@@ -105,7 +109,7 @@ impl ClusterConfig {
             dynamic_coscheduling: false,
             strategy: SwitchStrategy::GangFlush,
             copy: CopyStrategy::ValidOnly,
-            host_costs: HostCosts::default(),
+            daemon_jitter_max: Cycles::from_ms(4),
             init_mode: InitMode::ParPar,
             wire_loss_ppm: 0,
             eager_reclaim: false,
@@ -157,5 +161,7 @@ mod more_tests {
         assert_eq!(c.wire_loss_ppm, 0); // FM's reliable-SAN assumption
         assert!(!c.reliability.enabled); // ...and no retransmission layer
         const { assert!(COPY_JITTER_PCT > 0.0 && COPY_JITTER_PCT < 0.2) };
+        // Jitter dominates the fixed dispatch cost, as Fig. 7 requires.
+        assert!(c.daemon_jitter_max.raw() > 10 * hostsim::costs::DAEMON_DISPATCH.raw());
     }
 }

@@ -4,6 +4,7 @@
 use fastmsg::costs;
 use fastmsg::init::InitStep;
 use fastmsg::packet::{fragment_payload, fragments_for, Packet, HEADER_BYTES};
+use hostsim::costs as host;
 use hostsim::process::Pid;
 use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
@@ -146,9 +147,7 @@ impl World {
                 debug_assert_eq!(byte, Some(1));
                 proc.blocked = None;
                 proc.busy = true;
-                let r = self.nodes[node]
-                    .cpu
-                    .reserve(now, self.cfg.host_costs.pipe_read);
+                let r = self.nodes[node].cpu.reserve(now, host::PIPE_READ);
                 sched.at(
                     r.end,
                     Event::HostOpDone {
@@ -262,9 +261,7 @@ impl World {
                 if let Some(byte) = proc.pipe.read_byte() {
                     debug_assert_eq!(byte, 1);
                     proc.busy = true;
-                    let r = self.nodes[node]
-                        .cpu
-                        .reserve(now, self.cfg.host_costs.pipe_read);
+                    let r = self.nodes[node].cpu.reserve(now, host::PIPE_READ);
                     sched.at(
                         r.end,
                         Event::HostOpDone {

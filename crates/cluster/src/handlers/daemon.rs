@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use fastmsg::proc::FmProcess;
 use gang_comm::state::SavedCommState;
+use hostsim::costs as host;
 use hostsim::process::Pid;
 use parpar::control::ControlPlane;
 use parpar::job::JobId;
@@ -40,10 +41,7 @@ impl World {
         }
         n.current_slot = target_slot;
         n.cont(pid);
-        sched.at(
-            now + self.cfg.host_costs.signal,
-            Event::ProcKick { node, pid },
-        );
+        sched.at(now + host::SIGNAL, Event::ProcKick { node, pid });
     }
 
     /// The masterd's quantum timer fired: rotate if there is anything to
@@ -167,10 +165,7 @@ impl World {
             n.current_slot = next;
             if let Some(pid) = n.app_in_slot(next) {
                 n.cont(pid);
-                sched.at(
-                    now + self.cfg.host_costs.signal,
-                    Event::ProcKick { node, pid },
-                );
+                sched.at(now + host::SIGNAL, Event::ProcKick { node, pid });
             }
         }
         sched.at(now + self.cfg.quantum, Event::NodeTick { node });
@@ -179,13 +174,13 @@ impl World {
     /// The noded's wake-up latency once a message hits its socket:
     /// scheduling jitter plus dispatch cost.
     fn daemon_wake_delay(&mut self) -> Cycles {
-        let jmax = self.cfg.host_costs.daemon_jitter_max.raw();
+        let jmax = self.cfg.daemon_jitter_max.raw();
         let jitter = if jmax == 0 {
             Cycles::ZERO
         } else {
             Cycles(self.rng.below(jmax + 1))
         };
-        self.cfg.host_costs.daemon_dispatch + jitter
+        host::DAEMON_DISPATCH + jitter
     }
 
     /// A masterd command was delivered to a node's socket: the noded wakes
@@ -399,10 +394,7 @@ impl World {
                     format!("sync byte written for {job}")
                 });
                 if wake {
-                    sched.at(
-                        now + self.cfg.host_costs.pipe_write,
-                        Event::ProcKick { node, pid },
-                    );
+                    sched.at(now + host::PIPE_WRITE, Event::ProcKick { node, pid });
                 }
             }
             NodedCmd::SwitchSlot { epoch, from, to } => {
@@ -415,11 +407,12 @@ impl World {
     /// Reliability layer: the masterd suspects a lost halt/ready frame for
     /// `epoch`. Re-send whatever protocol messages this node already
     /// emitted, according to where it is in the switch. If the send engine
-    /// is mid-packet the attempt is skipped — the watchdog fires again.
+    /// is mid-packet the attempt is skipped — the watchdog fires again. A
+    /// §5 baseline broadcasts nothing, so it has nothing to re-send.
     fn on_resend_protocol(&mut self, now: SimTime, node: usize, epoch: u64, sched: &mut Sched) {
         use gang_comm::sequencer::SwitchPhase;
         let n = &self.nodes[node];
-        if n.send_engine_busy {
+        if n.send_engine_busy || !self.cfg.strategy.uses_flush_protocol() {
             return;
         }
         match n.seq.phase() {
@@ -521,7 +514,7 @@ impl World {
 
         // Fork cost, then: notify the masterd, and let the process start
         // FM_initialize.
-        let after_fork = now + self.cfg.host_costs.fork;
+        let after_fork = now + host::FORK;
         let t_master = self.ctrl.unicast_to_master(after_fork);
         sched.at(
             t_master,

@@ -299,7 +299,7 @@ impl World {
                 assert!(n.outstanding > 0, "ack without outstanding packet");
                 n.outstanding -= 1;
                 if n.outstanding == 0 {
-                    self.alt_drain_maybe_done(now, node, sched);
+                    self.baseline_halt_maybe_done(now, node, sched);
                 }
             }
             Frame::DropNotify {
@@ -324,7 +324,7 @@ impl World {
                     assert!(n.outstanding > 0, "nack without outstanding packet");
                     n.outstanding -= 1;
                     if n.outstanding == 0 {
-                        self.alt_drain_maybe_done(now, node, sched);
+                        self.baseline_halt_maybe_done(now, node, sched);
                     }
                 }
             }

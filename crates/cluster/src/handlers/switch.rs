@@ -2,15 +2,15 @@
 //! the §5 baseline strategies.
 
 use fastmsg::division::BufferPolicy;
-use gang_comm::sequencer::StageBreakdown;
+use gang_comm::sequencer::{StageBreakdown, SwitchPhase};
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
+use hostsim::costs as host;
 use parpar::protocol::MasterMsg;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::event::{Event, Sched};
-use crate::node::AltSwitch;
 use crate::stats::QueueSample;
 use crate::world::World;
 
@@ -43,14 +43,6 @@ impl World {
             self.nodes[node].stop(pid);
         }
 
-        let alt = AltSwitch {
-            epoch,
-            from,
-            to,
-            started: now,
-            halt_done: now,
-            copying: false,
-        };
         match self.cfg.strategy {
             // The paper's scheme: halt + global flush, copy, release (three
             // phases, each a broadcast barrier).
@@ -73,49 +65,39 @@ impl World {
                 self.comm_halt_network(now, node, sched)
                     .expect("halt ordered while idle");
             }
-            // SHARE/PM-style baseline: no flush — stop sending and copy
-            // immediately; stragglers are dropped by the job-ID check on
-            // arrival.
-            SwitchStrategy::ShareDiscard { .. } => {
+            // The §5 baselines run the same three phases with no peers to
+            // wait on: stop sending, halt once this node alone is quiet,
+            // copy, and release at once.
+            SwitchStrategy::ShareDiscard | SwitchStrategy::AckDrain => {
                 self.nodes[node].nic.set_halt_bit(true);
-                self.nodes[node].alt_switch = Some(alt);
-                self.begin_alt_copy(now, node, sched);
-            }
-            // Per-node drain baseline: stop sending and wait until every
-            // in-flight packet is acknowledged, then copy. No broadcasts.
-            SwitchStrategy::AckDrain => {
-                self.nodes[node].nic.set_halt_bit(true);
-                self.nodes[node].alt_switch = Some(alt);
-                self.alt_drain_maybe_done(now, node, sched);
+                self.nodes[node].seq.start(now, epoch, from, to);
+                self.baseline_halt_maybe_done(now, node, sched);
             }
         }
     }
 
-    /// AckDrain: if the send engine is quiet and nothing is outstanding,
-    /// the drain phase is over. Called by the NIC handler per ack.
-    pub(crate) fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        let n = &self.nodes[node];
-        let Some(alt) = n.alt_switch else {
-            return;
-        };
-        if alt.copying || n.outstanding > 0 || n.send_engine_busy {
+    /// A baseline's halt phase: SHARE-style discard halts at once (its
+    /// stragglers are dropped by the job-ID check on arrival); PM/SCore
+    /// ack-drain halts once the send engine is quiet and every packet it
+    /// injected is acked or nacked. Called by the NIC handler per ack and
+    /// per nack.
+    pub(crate) fn baseline_halt_maybe_done(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        sched: &mut Sched,
+    ) {
+        let n = &mut self.nodes[node];
+        if n.seq.phase() != SwitchPhase::Halting {
             return;
         }
-        self.begin_alt_copy(now, node, sched);
-    }
-
-    /// A baseline switch's halt (or drain) phase is over: start the copy.
-    fn begin_alt_copy(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        let alt = self.nodes[node]
-            .alt_switch
-            .as_mut()
-            .expect("baseline copy without a switch in progress");
-        alt.copying = true;
-        alt.halt_done = now;
-        let (from, to) = (alt.from, alt.to);
-        let cost = self.copy_cost_for(node, from, to);
-        let r = self.nodes[node].cpu.reserve(now, cost);
-        sched.at(r.end, Event::CopyDone { node });
+        let drained = n.outstanding == 0 && !n.send_engine_busy;
+        if self.cfg.strategy.uses_acks() && !drained {
+            return;
+        }
+        let complete = n.seq.on_local_halt();
+        debug_assert!(complete, "a baseline sequencer has no peers");
+        self.finish_flush(now, node, sched);
     }
 
     /// Occupancy-dependent buffer-switch cost; also records the Fig. 8
@@ -123,10 +105,9 @@ impl World {
     pub(crate) fn copy_cost_for(&mut self, node: usize, from: usize, to: usize) -> Cycles {
         let mut cost = Cycles::from_us(5); // noded bookkeeping floor
         if let Some((s, r)) = self.outgoing_occupancy(node, from) {
-            let epoch = self.current_epoch(node);
             self.stats.queue_samples.push(QueueSample {
                 node,
-                epoch,
+                epoch: self.nodes[node].seq.epoch,
                 send_valid: s,
                 recv_valid: r,
             });
@@ -142,7 +123,8 @@ impl World {
     }
 
     /// The flush completed on this node: begin the buffer switch. Called
-    /// by the NIC handler when the last halt message is counted.
+    /// by the NIC handler when the last halt message is counted, or by
+    /// [`World::baseline_halt_maybe_done`].
     pub(crate) fn finish_flush(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         self.nodes[node].seq.flush_complete(now);
         self.trace
@@ -154,19 +136,12 @@ impl World {
 
     /// Release protocol complete: restart communication and resume the
     /// incoming process. Called by the NIC handler when the last ready
-    /// message is counted.
+    /// message is counted, or at once after a baseline's copy.
     pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let breakdown = self.nodes[node].seq.finish(now);
         let seq = &self.nodes[node].seq;
         let (epoch, to) = (seq.epoch, seq.to_slot);
         self.end_switch(now, node, epoch, to, breakdown, sched);
-    }
-
-    fn current_epoch(&self, node: usize) -> u64 {
-        self.nodes[node]
-            .alt_switch
-            .map(|a| a.epoch)
-            .unwrap_or(self.nodes[node].seq.epoch)
     }
 
     /// (send, recv) occupancy of the outgoing job's resident context in
@@ -185,26 +160,22 @@ impl World {
     }
 
     /// The buffer copy finished: move the queue contents and enter the
-    /// release phase (or, for the baselines, finish directly).
+    /// release phase.
     pub(super) fn on_copy_done(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        if let Some(alt) = self.nodes[node].alt_switch.take() {
-            // A baseline switch has no release protocol.
-            self.move_buffers(now, node, alt.from, alt.to);
-            let breakdown = StageBreakdown {
-                halt: alt.halt_done.since(alt.started),
-                buffer_switch: now.since(alt.halt_done),
-                release: Cycles::ZERO,
-            };
-            self.end_switch(now, node, alt.epoch, alt.to, breakdown, sched);
-            return;
-        }
         let s = &self.nodes[node].seq;
         let (from, to) = (s.from_slot, s.to_slot);
         self.move_buffers(now, node, from, to);
         self.nodes[node].seq.copy_complete(now);
-        // COMM_release_network: broadcast ready, collect peers' readys.
-        self.comm_release_network(now, node, sched)
-            .expect("release ordered before the copy completed");
+        if self.cfg.strategy.uses_flush_protocol() {
+            // COMM_release_network: broadcast ready, collect peers' readys.
+            self.comm_release_network(now, node, sched)
+                .expect("release ordered before the copy completed");
+        } else {
+            // A baseline has no peers to wait on: its own ready releases.
+            let complete = self.nodes[node].seq.on_local_ready();
+            debug_assert!(complete, "a baseline sequencer has no peers");
+            self.finish_release(now, node, sched);
+        }
     }
 
     /// Physically exchange the queue contents (paper Fig. 4).
@@ -255,10 +226,7 @@ impl World {
     fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, sched: &mut Sched) {
         if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
             self.nodes[node].cont(pid_in);
-            sched.at(
-                now + self.cfg.host_costs.signal,
-                Event::ProcKick { node, pid: pid_in },
-            );
+            sched.at(now + host::SIGNAL, Event::ProcKick { node, pid: pid_in });
         }
     }
 }

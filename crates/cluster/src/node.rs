@@ -167,31 +167,12 @@ pub struct NodeSim {
     pub parked: Vec<fastmsg::packet::Packet>,
     /// Endpoint faults served on this node.
     pub faults: u64,
-    /// State of a non-flush switch in progress (ShareDiscard / AckDrain).
-    pub alt_switch: Option<AltSwitch>,
     /// The pid the next fork gets.
     next_pid: u32,
     /// Recycled [`SavedCommState`] shells. Buffer switches happen every
     /// quantum; draining into a pooled shell and loading back out of it
     /// keeps the switch path allocation-free at steady state.
     state_pool: Vec<SavedCommState<Packet>>,
-}
-
-/// Progress of a ShareDiscard or AckDrain switch on one node.
-#[derive(Debug, Clone, Copy)]
-pub struct AltSwitch {
-    /// Switch epoch.
-    pub epoch: u64,
-    /// Slot being descheduled.
-    pub from: usize,
-    /// Slot being scheduled.
-    pub to: usize,
-    /// When the SwitchSlot command was acted on.
-    pub started: sim_core::time::SimTime,
-    /// When the halt/drain phase completed (copy began).
-    pub halt_done: sim_core::time::SimTime,
-    /// True once the copy has been scheduled.
-    pub copying: bool,
 }
 
 impl NodeSim {
@@ -216,7 +197,6 @@ impl NodeSim {
             fault_queue: VecDeque::new(),
             parked: Vec::new(),
             faults: 0,
-            alt_switch: None,
             next_pid: 100, // leave room for "daemon" pids in traces
             state_pool: Vec::new(),
         }

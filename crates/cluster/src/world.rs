@@ -115,6 +115,14 @@ impl World {
             }
             ControlPlane::Flat | ControlPlane::Serial => (None, Vec::new()),
         };
+        // The flush protocol waits on every other node; the §5 baselines'
+        // sequencers have no peers, so a node's own halt and ready complete
+        // their phases.
+        let peers = if cfg.strategy.uses_flush_protocol() {
+            cfg.nodes - 1
+        } else {
+            0
+        };
         let nodes = (0..cfg.nodes)
             .map(|id| {
                 let nic = Nic::new(
@@ -123,7 +131,7 @@ impl World {
                     cfg.fm.send_region_bytes,
                     PACKET_BYTES,
                 );
-                NodeSim::new(id, cfg.nodes - 1, nic)
+                NodeSim::new(id, peers, nic)
             })
             .collect();
         let trace = if cfg.trace_capacity > 0 {

@@ -14,6 +14,10 @@
 //! command. The sequencer buffers such early messages by epoch and applies
 //! them when the switch starts, which is exactly the `S,k (k>0)` left
 //! column of the Fig. 3 state graph.
+//!
+//! The §5 baseline strategies ([`crate::strategy`]) run the same machine
+//! with zero peers: the local halt alone completes the flush and the
+//! local ready alone the release.
 
 use std::collections::BTreeSet;
 

@@ -12,8 +12,13 @@
 //!   transmitting and waits until its own in-flight packets are all
 //!   acknowledged — no halt/ready broadcasts, but every data packet costs
 //!   an ack on the wire.
-
-use sim_core::time::Cycles;
+//!
+//! All three run the same per-node machine,
+//! [`crate::sequencer::SwitchSequencer`]: halt, buffer switch, release.
+//! The baselines are its zero-peer case. With no peers, a node's own halt
+//! completes the flush and its own ready completes the release, so their
+//! `release` stage is always zero and only `AckDrain`'s halt waits (for
+//! its acks).
 
 /// How the cluster coordinates a gang context switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,11 +26,8 @@ pub enum SwitchStrategy {
     /// The paper's three-phase halt-broadcast / copy / ready-broadcast.
     GangFlush,
     /// SHARE-style: no flush; stragglers are discarded by job-ID check and
-    /// retransmitted by a higher layer after `retransmit_timeout`.
-    ShareDiscard {
-        /// Higher-level retransmission timeout.
-        retransmit_timeout: Cycles,
-    },
+    /// left to a higher layer to retransmit.
+    ShareDiscard,
     /// PM/SCore-style: per-node quiescence via acks; no global broadcast.
     AckDrain,
 }
@@ -48,7 +50,7 @@ impl SwitchStrategy {
     pub fn may_drop(&self) -> bool {
         matches!(
             self,
-            SwitchStrategy::ShareDiscard { .. } | SwitchStrategy::AckDrain
+            SwitchStrategy::ShareDiscard | SwitchStrategy::AckDrain
         )
     }
 
@@ -56,7 +58,7 @@ impl SwitchStrategy {
     pub fn name(&self) -> &'static str {
         match self {
             SwitchStrategy::GangFlush => "gang-flush",
-            SwitchStrategy::ShareDiscard { .. } => "share-discard",
+            SwitchStrategy::ShareDiscard => "share-discard",
             SwitchStrategy::AckDrain => "ack-drain",
         }
     }
@@ -69,9 +71,7 @@ mod tests {
     #[test]
     fn classification_matrix() {
         let g = SwitchStrategy::GangFlush;
-        let s = SwitchStrategy::ShareDiscard {
-            retransmit_timeout: Cycles::from_ms(10),
-        };
+        let s = SwitchStrategy::ShareDiscard;
         let a = SwitchStrategy::AckDrain;
         assert!(g.uses_flush_protocol() && !s.uses_flush_protocol() && !a.uses_flush_protocol());
         assert!(!g.uses_acks() && !s.uses_acks() && a.uses_acks());

@@ -2,7 +2,7 @@
 //!
 //! The host side of a node: a serial [`cpu::HostCpu`], process ids
 //! ([`process::Pid`]), the noded↔process sync [`pipe::Pipe`] (paper
-//! Fig. 2), and the host operation [`costs::HostCosts`].
+//! Fig. 2), and the host operation costs in [`costs`].
 //!
 //! Memory-region *copy* costs live in `sim_core::mem`; a process's run
 //! state (SIGSTOP/SIGCONT, exit) and its swapped-out communication state
@@ -16,7 +16,6 @@ pub mod cpu;
 pub mod pipe;
 pub mod process;
 
-pub use costs::HostCosts;
 pub use cpu::{HostCpu, Reservation};
 pub use pipe::Pipe;
 pub use process::Pid;

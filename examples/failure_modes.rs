@@ -73,9 +73,7 @@ fn main() {
     );
     println!("switch strategies under a multiprogrammed p2p load:");
     switch_strategy_demo(SwitchStrategy::GangFlush);
-    switch_strategy_demo(SwitchStrategy::ShareDiscard {
-        retransmit_timeout: Cycles::from_ms(10),
-    });
+    switch_strategy_demo(SwitchStrategy::ShareDiscard);
     switch_strategy_demo(SwitchStrategy::AckDrain);
     println!(
         "\ngang-flush loses nothing; the §5 alternatives trade packets (and\n\

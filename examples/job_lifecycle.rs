@@ -19,7 +19,7 @@ fn run(mode: InitMode) -> (Vec<String>, Cycles) {
     cfg.trace_capacity = 4096;
     // Remove daemon scheduling jitter so the two protocols compare
     // apples-to-apples.
-    cfg.host_costs = hostsim::costs::HostCosts::deterministic();
+    cfg.daemon_jitter_max = Cycles::ZERO;
     let mut sim = Sim::new(cfg);
     let ring = Ring {
         nprocs: 4,

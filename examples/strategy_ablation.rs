@@ -10,14 +10,11 @@ use cluster::measure::Measurement;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::report::Table;
-use sim_core::time::Cycles;
 
 fn main() {
     let strategies = [
         SwitchStrategy::GangFlush,
-        SwitchStrategy::ShareDiscard {
-            retransmit_timeout: Cycles::from_ms(10),
-        },
+        SwitchStrategy::ShareDiscard,
         SwitchStrategy::AckDrain,
     ];
     let mut table = Table::new(

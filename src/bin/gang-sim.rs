@@ -94,9 +94,7 @@ fn parse_args() -> Args {
             "--strategy" => {
                 a.strategy = match val().as_str() {
                     "flush" => SwitchStrategy::GangFlush,
-                    "share" => SwitchStrategy::ShareDiscard {
-                        retransmit_timeout: Cycles::from_ms(10),
-                    },
+                    "share" => SwitchStrategy::ShareDiscard,
                     "ack" => SwitchStrategy::AckDrain,
                     other => panic!("unknown strategy {other} (flush|share|ack)"),
                 }

@@ -47,8 +47,8 @@ mod golden {
     /// quantum / seed 1234, three P2pBandwidth(4096 B × 800) jobs on [0, 1].
     pub const VN_CACHE_EVENTS: u64 = 43_422;
     pub const VN_CACHE_DIGEST: u64 = 0xb1b5_b5ea_bd1b_8f67;
-    /// [`super::baseline_strategy_run`] under `ShareDiscard` (2 ms
-    /// retransmit timeout). Recorded in release mode; debug matches.
+    /// [`super::baseline_strategy_run`] under `ShareDiscard`. Recorded in
+    /// release mode; debug matches.
     pub const SHARE_DISCARD_EVENTS: u64 = 131_577;
     pub const SHARE_DISCARD_DIGEST: u64 = 0xd66f_ae6c_0b8a_dbfb;
     /// [`super::baseline_strategy_run`] under `AckDrain`. Recorded in
@@ -126,11 +126,8 @@ fn event_stream_digest_matches_pre_refactor_golden() {
 
     // Scenarios C and D: the §5 baselines, which switch without the
     // flush protocol.
-    let share = SwitchStrategy::ShareDiscard {
-        retransmit_timeout: Cycles(2_000_000),
-    };
     assert_eq!(
-        baseline_strategy_run(share),
+        baseline_strategy_run(SwitchStrategy::ShareDiscard),
         (golden::SHARE_DISCARD_EVENTS, golden::SHARE_DISCARD_DIGEST),
         "ShareDiscard"
     );

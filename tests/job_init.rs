@@ -17,7 +17,7 @@ fn run_init(mode: InitMode, nodes: usize) -> (Sim, parpar::job::JobId) {
     cfg.init_mode = mode;
     cfg.trace_capacity = 4096;
     // Daemon jitter off: init-latency comparisons must not depend on luck.
-    cfg.host_costs = hostsim::costs::HostCosts::deterministic();
+    cfg.daemon_jitter_max = Cycles::ZERO;
     let mut sim = Sim::new(cfg);
     let bench = P2pBandwidth::with_count(1024, 10);
     let job = sim.submit(&bench, Some(vec![0, 1])).unwrap();
@@ -44,7 +44,7 @@ fn context_is_receive_ready_before_fork_completes() {
     // queues yet. We verify the context exists as soon as LoadJob ran.
     let mut cfg = ClusterConfig::parpar(2, 2, BufferPolicy::FullBuffer);
     cfg.auto_rotate = false;
-    cfg.host_costs = hostsim::costs::HostCosts::deterministic();
+    cfg.daemon_jitter_max = Cycles::ZERO;
     let mut sim = Sim::new(cfg);
     let bench = P2pBandwidth::with_count(1024, 10);
     let job = sim.submit(&bench, Some(vec![0, 1])).unwrap();

@@ -7,13 +7,14 @@
 //! * the paper's gang-flush: slower halt/release, zero loss.
 
 use cluster::measure::Measurement;
+use cluster::{ClusterConfig, Sim};
+use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
-use sim_core::time::Cycles;
+use sim_core::time::{Cycles, SimTime};
+use workloads::alltoall::AllToAll;
 
-const SHARE: SwitchStrategy = SwitchStrategy::ShareDiscard {
-    retransmit_timeout: Cycles(2_000_000),
-};
+const SHARE: SwitchStrategy = SwitchStrategy::ShareDiscard;
 
 #[test]
 fn gang_flush_never_drops() {
@@ -97,4 +98,57 @@ fn strategies_trade_switch_speed_for_loss() {
     assert!(share.ledger.mean_total() < flush.ledger.mean_total());
     assert!(share.drops > 0);
     assert_eq!(flush.drops, 0);
+}
+
+#[test]
+fn every_strategy_reports_its_stages_through_the_sequencer() {
+    // 6 nodes, two whole-machine all-to-all stress jobs, 50 ms quantum,
+    // run to 4 completed switches.
+    const NODES: usize = 6;
+    for strategy in [SwitchStrategy::GangFlush, SHARE, SwitchStrategy::AckDrain] {
+        let mut cfg = ClusterConfig::parpar(NODES, 2, BufferPolicy::FullBuffer);
+        cfg.strategy = strategy;
+        cfg.quantum = Cycles::from_ms(50);
+        cfg.seed = 3;
+        let mut sim = Sim::new(cfg);
+        let all: Vec<usize> = (0..NODES).collect();
+        let a = AllToAll::stress(NODES);
+        sim.submit(&a, Some(all.clone())).unwrap();
+        sim.submit(&a, Some(all)).unwrap();
+        sim.engine
+            .run_until_pred(SimTime::ZERO + Cycles::from_secs(600), |w| {
+                w.stats.switches >= 4
+            });
+        let w = sim.world();
+        assert_eq!(w.stats.switches, 4, "{}", strategy.name());
+        let samples = &w.stats.stage_samples;
+        assert_eq!(samples.len(), 4 * NODES, "{}", strategy.name());
+        for (node, epoch, b) in samples {
+            match strategy {
+                // SHARE halts at once and has no release barrier.
+                SwitchStrategy::ShareDiscard => {
+                    assert_eq!((b.halt, b.release), (Cycles::ZERO, Cycles::ZERO));
+                }
+                // Ack-drain waits for its own acks, but releases alone.
+                SwitchStrategy::AckDrain => assert_eq!(b.release, Cycles::ZERO),
+                SwitchStrategy::GangFlush => {
+                    assert!(b.halt > Cycles::ZERO && b.release > Cycles::ZERO);
+                }
+            }
+            assert!(b.buffer_switch > Cycles::ZERO, "node {node} epoch {epoch}");
+        }
+        // Every breakdown came from the node's sequencer: each one's last
+        // finished epoch is the epoch of its last stage sample.
+        for n in &w.nodes {
+            let last = samples.iter().rfind(|s| s.0 == n.id).map(|s| s.1);
+            assert!(last.is_some(), "node {} never switched", n.id);
+            assert_eq!(
+                n.seq.last_finished(),
+                last,
+                "{} node {}",
+                strategy.name(),
+                n.id
+            );
+        }
+    }
 }

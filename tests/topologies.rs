@@ -5,7 +5,6 @@
 
 use cluster::{ClusterConfig, ControlPlane, FatTreeShape, LinkTier, Sim, TopologyKind};
 use fastmsg::division::BufferPolicy;
-use hostsim::costs::HostCosts;
 use myrinet::topology::Topology;
 use sim_core::time::{Cycles, SimTime};
 use workloads::alltoall::AllToAll;
@@ -221,7 +220,7 @@ fn control_planes_agree_and_order_switch_latency_honestly() {
             shape: FatTreeShape::for_hosts(64),
         };
         cfg.control = control;
-        cfg.host_costs = HostCosts::deterministic();
+        cfg.daemon_jitter_max = Cycles::ZERO;
         cfg.quantum = Cycles::from_ms(50);
         let mut sim = Sim::new(cfg);
         // Same pair twice: the jobs share nodes, so they must occupy two
