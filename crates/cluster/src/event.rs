@@ -31,8 +31,8 @@ pub enum Frame {
         job: u32,
         /// Host that sent the dropped packet.
         src_host: usize,
-        /// Host that dropped it.
-        drop_host: usize,
+        /// Rank whose context dropped it (the packet's destination).
+        drop_rank: usize,
     },
 }
 

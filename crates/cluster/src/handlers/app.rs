@@ -89,7 +89,7 @@ impl World {
         for pid in pids {
             let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
             let pending = std::mem::take(&mut proc.pending_refills);
-            for (peer, k) in pending {
+            for ((_, peer), k) in pending {
                 self.queue_refill(now, node, pid, peer, k, sched);
             }
         }
@@ -309,10 +309,10 @@ impl World {
             proc.sending = None;
             return Step::Continue;
         }
-        let dst_host = proc.fm.host_of(sp.dst_rank);
-        if !proc.fm.flow.can_send(dst_host) {
-            proc.fm.flow.consume(dst_host); // records the stall
-            proc.blocked = Some(BlockReason::Credits { peer: dst_host });
+        let dst = sp.dst_rank;
+        if !proc.fm.flow.can_send(dst) {
+            proc.fm.flow.consume(dst); // records the stall
+            proc.blocked = Some(BlockReason::Credits { peer: dst });
             self.try_start_extract(now, node, pid, sched);
             return Step::Park;
         }
@@ -338,7 +338,7 @@ impl World {
             self.try_start_extract(now, node, pid, sched);
             return Step::Park;
         }
-        assert!(proc.fm.flow.consume(dst_host), "checked can_send above");
+        assert!(proc.fm.flow.consume(dst), "checked can_send above");
         let payload = fragment_payload(sp.bytes, sp.next_frag);
         let mut cost = costs::inject_cycles(HEADER_BYTES + payload);
         if sp.next_frag == 0 {
@@ -486,8 +486,8 @@ impl World {
         self.proc_kick(now, node, pid, sched);
     }
 
-    /// Emit a dedicated refill packet (or defer it if the send queue is
-    /// momentarily full).
+    /// Emit a dedicated refill packet to rank `peer` (or defer it if the
+    /// send queue is momentarily full).
     fn queue_refill(
         &mut self,
         now: SimTime,
@@ -508,7 +508,8 @@ impl World {
                 self.kick_send_engine(now, node, sched);
             }
             _ => {
-                *proc.pending_refills.entry(peer).or_insert(0) += credits;
+                let host = proc.fm.host_of(peer);
+                *proc.pending_refills.entry((host, peer)).or_insert(0) += credits;
             }
         }
     }
@@ -524,21 +525,20 @@ impl World {
             }
         }
         if self.cfg.reliability.enabled {
-            // Flush a final ack-bearing refill to every peer host: a peer
-            // whose last refill toward us was lost would otherwise keep
-            // retransmitting into a context about to be torn down, and our
-            // own teardown waits on acks a peer may only send in response.
-            let peers: Vec<usize> = {
+            // Flush a final ack-bearing refill to every peer, in host
+            // order: a peer whose last refill toward us was lost would
+            // otherwise keep retransmitting into a context about to be
+            // torn down, and our own teardown waits on acks a peer may
+            // only send in response.
+            let mut peers: Vec<(usize, usize)> = {
                 let proc = &self.nodes[node].apps[&pid];
-                let me = proc.fm.host_of(proc.rank);
                 (0..proc.fm.nprocs())
-                    .map(|r| proc.fm.host_of(r))
-                    .filter(|&h| h != me)
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .into_iter()
+                    .filter(|&r| r != proc.rank)
+                    .map(|r| (proc.fm.host_of(r), r))
                     .collect()
             };
-            for peer in peers {
+            peers.sort_unstable();
+            for (_, peer) in peers {
                 self.queue_refill(now, node, pid, peer, 0, sched);
             }
         }

@@ -481,7 +481,7 @@ impl World {
         // (job, rank, placement) is modelled only by its cost, which the
         // process's `InitMode::ParPar` start-up charges as host work.
         let pid = n.fork();
-        let mut fm = FmProcess::new(job.0, rank, placement, self.cfg.nodes, geo.credits);
+        let mut fm = FmProcess::new(job.0, rank, placement, geo.credits);
         // Under the no-flush baselines (paper §5) packets can be dropped at
         // a switch and recovered by higher layers; FM's strict FIFO check
         // becomes a gap counter.
@@ -489,13 +489,13 @@ impl World {
             || self.cfg.wire_loss_ppm > 0
             || self.cfg.fm.policy == fastmsg::division::BufferPolicy::CachedEndpoints;
         if self.cfg.reliability.enabled {
-            fm.enable_reliability(self.cfg.nodes);
+            fm.enable_reliability();
         }
         if self.cfg.fm.policy == fastmsg::division::BufferPolicy::Demand {
             // The geometry's even split seeds the windows; the ledger's
             // capacity is the context's whole receive queue, so rebalances
             // can grow hot channels up to full-buffer strength.
-            fm.enable_demand(geo.recv_slots);
+            fm.enable_demand(geo.recv_slots, self.cfg.nodes);
         }
         let mut proc = ProcSim::new(
             pid,

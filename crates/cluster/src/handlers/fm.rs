@@ -91,7 +91,7 @@ impl World {
                     frame: Frame::DropNotify {
                         job,
                         src_host: pkt.src_host,
-                        drop_host: node,
+                        drop_rank: pkt.dst_rank,
                     },
                 },
             );

@@ -102,7 +102,7 @@ impl World {
             if let Some(pid) = pid {
                 let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
                 proc.fm.on_refill(&pkt);
-                if matches!(proc.blocked, Some(BlockReason::Credits { peer }) if peer == pkt.src_host)
+                if matches!(proc.blocked, Some(BlockReason::Credits { peer }) if peer == pkt.src_rank)
                 {
                     sched.immediately(Event::ProcKick { node, pid });
                 }
@@ -165,7 +165,7 @@ impl World {
                 let notify = Frame::DropNotify {
                     job: pkt.job,
                     src_host: pkt.src_host,
-                    drop_host: node,
+                    drop_rank: pkt.dst_rank,
                 };
                 let tx = self
                     .net
@@ -305,7 +305,7 @@ impl World {
             Frame::DropNotify {
                 job,
                 src_host,
-                drop_host,
+                drop_rank,
             } => {
                 debug_assert_eq!(src_host, node);
                 // Return the credit the dropped packet consumed, standing
@@ -313,8 +313,8 @@ impl World {
                 let pid = self.nodes[node].find_proc_by_job(job);
                 if let Some(pid) = pid {
                     let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
-                    proc.fm.flow.refill(drop_host, 1);
-                    if proc.blocked == Some(BlockReason::Credits { peer: drop_host }) {
+                    proc.fm.flow.refill(drop_rank, 1);
+                    if proc.blocked == Some(BlockReason::Credits { peer: drop_rank }) {
                         sched.immediately(Event::ProcKick { node, pid });
                     }
                 }

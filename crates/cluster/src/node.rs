@@ -291,7 +291,7 @@ mod tests {
     use workloads::program::SpinProgram;
 
     fn proc(pid: u32, job: u32, slot: usize) -> ProcSim {
-        let fm = FmProcess::new(job, 0, vec![0].into(), 1, 1);
+        let fm = FmProcess::new(job, 0, vec![0].into(), 1);
         ProcSim::new(
             Pid(pid),
             JobId(job),

@@ -16,9 +16,9 @@ use workloads::program::{Op, Program};
 /// Why a process cannot currently make progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
-    /// FM_send is spinning for credits toward this peer host.
+    /// FM_send is spinning for credits toward this peer rank.
     Credits {
-        /// The peer host we need credits for.
+        /// The peer rank we need credits for.
         peer: usize,
     },
     /// The NIC send queue is full.
@@ -94,9 +94,10 @@ pub struct ProcSim {
     pub busy: bool,
     /// The noded↔process sync pipe (Fig. 2).
     pub pipe: Pipe,
-    /// Refill credits owed per peer host when the send queue was full at
-    /// refill time; drained opportunistically.
-    pub pending_refills: BTreeMap<usize, usize>,
+    /// Refill credits owed per peer when the send queue was full at
+    /// refill time, keyed by the peer's `(host, rank)` so they drain in
+    /// host order; drained opportunistically.
+    pub pending_refills: BTreeMap<(usize, usize), usize>,
     /// A fragment built while the endpoint was being evicted; injected as
     /// soon as the endpoint faults back in (CachedEndpoints only).
     pub deferred_pkt: Option<Packet>,

@@ -412,7 +412,7 @@ impl Sim {
     /// jobrep → masterd path; LoadJob commands go out on the control
     /// network immediately. Fails if the job does not fit *right now*
     /// (jobs from [`Sim::install_arrivals`] wait in the jobrep queue
-    /// instead).
+    /// instead), or if a pinned placement names a node twice.
     pub fn submit(
         &mut self,
         workload: &dyn Workload,

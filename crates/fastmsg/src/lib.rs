@@ -28,6 +28,7 @@ pub mod division;
 pub mod flow;
 pub mod init;
 pub mod packet;
+pub mod peers;
 pub mod proc;
 pub mod rel;
 

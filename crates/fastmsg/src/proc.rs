@@ -4,11 +4,18 @@
 //! in and out with the process itself, so the buffer switch never touches
 //! it; only the NIC send queue and the pinned receive queue need swapping
 //! (paper Fig. 4).
+//!
+//! Every per-peer table is indexed by the peer's rank in the job and is
+//! allocated at the process's first send or receive (see
+//! [`peers`]); a packet names both ends by rank
+//! (`src_rank`/`dst_rank`) and by host, and the job's placement maps one
+//! to the other.
 
 use std::rc::Rc;
 
 use crate::flow::FlowControl;
 use crate::packet::{fragment_payload, fragments_for, Packet, PacketKind};
+use crate::peers;
 use crate::rel::GoBackN;
 
 /// Library operation counters for one process.
@@ -33,8 +40,8 @@ pub struct ProcStats {
 pub struct Extract {
     /// True if this packet completed a message.
     pub message_complete: bool,
-    /// `Some((peer_host, credits))` if a dedicated refill message is now
-    /// due to `peer_host`.
+    /// `Some((peer_rank, credits))` if a dedicated refill message is now
+    /// due to `peer_rank`.
     pub refill_due: Option<(usize, usize)>,
     /// False when the reliability layer discarded the packet (sequence
     /// gap or duplicate) instead of delivering it to the handler. Always
@@ -54,9 +61,13 @@ pub struct FmProcess {
     /// `placement[r]` = host of rank `r` in this job; one table shared by
     /// every process of the job.
     pub placement: Rc<[usize]>,
-    /// Credit state toward each peer host.
+    /// Credit state toward each peer rank.
     pub flow: FlowControl,
+    /// Next sequence number toward each peer rank (empty until the first
+    /// send).
     send_seq: Vec<u64>,
+    /// Next sequence number expected from each peer rank (empty until the
+    /// first receive).
     recv_expect: Vec<u64>,
     /// Counters.
     pub stats: ProcStats,
@@ -72,18 +83,18 @@ pub struct FmProcess {
 
 impl FmProcess {
     /// Library state for rank `rank` of `job` placed per `placement`, with
-    /// initial credit `c0` toward each of `hosts` peer hosts.
-    pub fn new(job: u32, rank: usize, placement: Rc<[usize]>, hosts: usize, c0: usize) -> Self {
-        let nprocs = placement.len();
+    /// initial credit `c0` toward each peer rank. Allocates no per-peer
+    /// table: those come with the first send or receive.
+    pub fn new(job: u32, rank: usize, placement: Rc<[usize]>, c0: usize) -> Self {
         let host = placement[rank];
         FmProcess {
             job,
             rank,
             host,
+            flow: FlowControl::new(rank, placement.len(), c0),
             placement,
-            flow: FlowControl::new(host, hosts, c0),
-            send_seq: vec![0; nprocs],
-            recv_expect: vec![0; nprocs],
+            send_seq: Vec::new(),
+            recv_expect: Vec::new(),
             stats: ProcStats::default(),
             allow_loss: false,
             gaps: 0,
@@ -94,18 +105,19 @@ impl FmProcess {
     /// Turn on the go-back-N reliability layer for this process. Must be
     /// called before any traffic flows (the cumulative tallies start at
     /// zero on both sides).
-    pub fn enable_reliability(&mut self, hosts: usize) {
+    pub fn enable_reliability(&mut self) {
         assert_eq!(self.stats.packets_sent + self.stats.packets_received, 0);
-        self.rel = Some(GoBackN::new(self.nprocs(), hosts));
+        self.rel = Some(GoBackN::new(self.nprocs()));
     }
 
     /// Switch this process to demand-driven credit windows over its
-    /// `recv_slots`-slot receive queue (`BufferPolicy::Demand`). Must be
-    /// called before any traffic flows — both sides must agree on the
-    /// initial windows.
-    pub fn enable_demand(&mut self, recv_slots: usize) {
+    /// `recv_slots`-slot receive queue (`BufferPolicy::Demand`), with a
+    /// ledger over all `hosts` of the cluster. Must be called before any
+    /// traffic flows — both sides must agree on the initial windows.
+    pub fn enable_demand(&mut self, recv_slots: usize, hosts: usize) {
         assert_eq!(self.stats.packets_sent + self.stats.packets_received, 0);
-        self.flow.enable_demand(recv_slots);
+        self.flow
+            .enable_demand(recv_slots, hosts, Rc::clone(&self.placement));
     }
 
     /// Number of processes in the job.
@@ -120,25 +132,26 @@ impl FmProcess {
 
     /// Build fragment `idx` of a `msg_bytes` message to `dst_rank`,
     /// consuming a sequence number and attaching any piggybacked credits
-    /// owed to the destination host.
+    /// owed to the destination rank.
     ///
     /// The caller must have consumed a send credit first.
     pub fn make_fragment(&mut self, dst_rank: usize, msg_bytes: u64, idx: u64) -> Packet {
         assert_ne!(dst_rank, self.rank, "FM does not loop back self-sends");
         let dst_host = self.placement[dst_rank];
-        let seq = self.send_seq[dst_rank];
-        self.send_seq[dst_rank] += 1;
+        let next = peers::entry(&mut self.send_seq, dst_rank, self.placement.len(), 0);
+        let seq = *next;
+        *next += 1;
         let n = fragments_for(msg_bytes);
         let payload = fragment_payload(msg_bytes, idx) as u32;
         let last = idx + 1 == n;
-        let piggyback = self.flow.take_piggyback(dst_host) as u32;
+        let piggyback = self.flow.take_piggyback(dst_rank) as u32;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += payload as u64;
         if last {
             self.stats.msgs_sent += 1;
         }
         let (ack, credits_total) = match &self.rel {
-            Some(rel) => (self.recv_expect[dst_rank], rel.consumed_total(dst_host)),
+            Some(rel) => (self.expected_from(dst_rank), rel.consumed_total(dst_rank)),
             None => (0, 0),
         };
         let pkt = Packet {
@@ -161,22 +174,17 @@ impl FmProcess {
         pkt
     }
 
-    /// Build a dedicated refill packet returning `credits` to the job's
-    /// process on `peer_host`.
-    pub fn make_refill(&self, peer_host: usize, credits: usize) -> Packet {
-        let dst_rank = self
-            .placement
-            .iter()
-            .position(|&h| h == peer_host)
-            .expect("no rank of this job on peer host");
+    /// Build a dedicated refill packet returning `credits` to rank
+    /// `dst_rank` of the job.
+    pub fn make_refill(&self, dst_rank: usize, credits: usize) -> Packet {
         let (ack, credits_total) = match &self.rel {
-            Some(rel) => (self.recv_expect[dst_rank], rel.consumed_total(peer_host)),
+            Some(rel) => (self.expected_from(dst_rank), rel.consumed_total(dst_rank)),
             None => (0, 0),
         };
         Packet {
             job: self.job,
             src_host: self.host,
-            dst_host: peer_host,
+            dst_host: self.placement[dst_rank],
             src_rank: self.rank,
             dst_rank,
             seq: 0,
@@ -202,7 +210,7 @@ impl FmProcess {
             PacketKind::Data,
             "refills are consumed by the NIC layer"
         );
-        let expected = self.recv_expect[pkt.src_rank];
+        let expected = self.expected_from(pkt.src_rank);
         if self.rel.is_some() {
             return self.on_extract_reliable(pkt, expected);
         }
@@ -223,12 +231,12 @@ impl FmProcess {
                 self.rank, pkt.seq, pkt.src_rank, expected
             );
         }
-        self.recv_expect[pkt.src_rank] = pkt.seq + 1;
+        self.set_expected_from(pkt.src_rank, pkt.seq + 1);
         // Piggybacked credits on a data packet refill our window toward the
-        // sender's host.
+        // sender.
         if pkt.piggyback_credits > 0 {
             self.flow
-                .refill(pkt.src_host, pkt.piggyback_credits as usize);
+                .refill(pkt.src_rank, pkt.piggyback_credits as usize);
         }
         self.stats.packets_received += 1;
         self.stats.bytes_received += pkt.payload as u64;
@@ -237,8 +245,8 @@ impl FmProcess {
         }
         let refill_due = self
             .flow
-            .on_packet_consumed(pkt.src_host)
-            .map(|k| (pkt.src_host, k));
+            .on_packet_consumed(pkt.src_rank)
+            .map(|k| (pkt.src_rank, k));
         Extract {
             message_complete: pkt.last_fragment,
             refill_due,
@@ -274,11 +282,11 @@ impl FmProcess {
             rel.stats.dup_acks += 1;
             return Extract {
                 message_complete: false,
-                refill_due: Some((pkt.src_host, 0)),
+                refill_due: Some((pkt.src_rank, 0)),
                 delivered: false,
             };
         }
-        self.recv_expect[pkt.src_rank] = pkt.seq + 1;
+        self.set_expected_from(pkt.src_rank, pkt.seq + 1);
         self.stats.packets_received += 1;
         self.stats.bytes_received += pkt.payload as u64;
         if pkt.last_fragment {
@@ -290,10 +298,10 @@ impl FmProcess {
         // withholding the credit) or 1+g (a grant riding along) — the
         // cumulative tally must advance by exactly that amount so window
         // moves survive lost or duplicated refills.
-        let (due, units) = self.flow.on_packet_consumed_counted(pkt.src_host);
+        let (due, units) = self.flow.on_packet_consumed_counted(pkt.src_rank);
         let rel = self.rel.as_mut().expect("reliable path");
-        rel.add_consumed(pkt.src_host, units);
-        let refill_due = due.map(|k| (pkt.src_host, k));
+        rel.add_consumed(pkt.src_rank, units);
+        let refill_due = due.map(|k| (pkt.src_rank, k));
         Extract {
             message_complete: pkt.last_fragment,
             refill_due,
@@ -312,7 +320,16 @@ impl FmProcess {
             return;
         }
         self.flow
-            .refill(pkt.src_host, pkt.piggyback_credits as usize);
+            .refill(pkt.src_rank, pkt.piggyback_credits as usize);
+    }
+
+    /// The next sequence number expected from rank `src`.
+    fn expected_from(&self, src: usize) -> u64 {
+        peers::get(&self.recv_expect, src, self.placement.len(), 0)
+    }
+
+    fn set_expected_from(&mut self, src: usize, seq: u64) {
+        *peers::entry(&mut self.recv_expect, src, self.placement.len(), 0) = seq;
     }
 
     /// Apply the cumulative ack and credit fields a packet carries
@@ -322,9 +339,9 @@ impl FmProcess {
             return;
         };
         rel.on_ack(pkt.src_rank, pkt.ack);
-        let delta = rel.credit_delta(pkt.src_host, pkt.credits_total);
+        let delta = rel.credit_delta(pkt.src_rank, pkt.credits_total);
         if delta > 0 {
-            self.flow.refill(pkt.src_host, delta);
+            self.flow.refill(pkt.src_rank, delta);
         }
     }
 
@@ -350,8 +367,8 @@ impl FmProcess {
         let mut pkts = rel.window_packets(max);
         rel.stats.retransmits += pkts.len() as u64;
         for p in &mut pkts {
-            p.ack = self.recv_expect[p.dst_rank];
-            p.credits_total = rel.consumed_total(p.dst_host);
+            p.ack = peers::get(&self.recv_expect, p.dst_rank, self.placement.len(), 0);
+            p.credits_total = rel.consumed_total(p.dst_rank);
         }
         pkts
     }
@@ -362,11 +379,11 @@ mod tests {
     use super::*;
 
     fn proc2() -> (FmProcess, FmProcess) {
-        // Two-process job on hosts 0 and 1 of a 2-host cluster, C0 = 4.
+        // Two-process job on hosts 0 and 1, C0 = 4.
         let placement: Rc<[usize]> = Rc::from([0, 1]);
         (
-            FmProcess::new(7, 0, placement.clone(), 2, 4),
-            FmProcess::new(7, 1, placement, 2, 4),
+            FmProcess::new(7, 0, placement.clone(), 4),
+            FmProcess::new(7, 1, placement, 4),
         )
     }
 
@@ -440,13 +457,34 @@ mod tests {
     }
 
     #[test]
-    fn refill_rank_lookup_by_host() {
-        let placement: Rc<[usize]> = Rc::from([3, 5, 9]);
-        let p = FmProcess::new(1, 0, placement, 16, 4);
-        let r = p.make_refill(9, 2);
+    fn refill_to_a_rank_is_addressed_to_its_host() {
+        let placement: Rc<[usize]> = Rc::from([3, 9, 5]);
+        let p = FmProcess::new(1, 0, placement, 4);
+        let r = p.make_refill(2, 2);
         assert_eq!(r.dst_rank, 2);
-        assert_eq!(r.dst_host, 9);
+        assert_eq!(r.dst_host, 5);
         assert_eq!(r.piggyback_credits, 2);
+    }
+
+    #[test]
+    fn traffic_is_accounted_by_rank_on_a_non_ascending_placement() {
+        // Rank 0 on host 9 and rank 1 on host 2: the refill due after two
+        // consumed packets names rank 0, and it reaches host 9.
+        let placement: Rc<[usize]> = Rc::from([9, 2]);
+        let mut a = FmProcess::new(4, 0, placement.clone(), 4);
+        let mut b = FmProcess::new(4, 1, placement, 4);
+        a.flow.consume(1);
+        a.flow.consume(1);
+        b.on_extract(&a.make_fragment(1, 100, 0));
+        let (peer, k) = b
+            .on_extract(&a.make_fragment(1, 100, 0))
+            .refill_due
+            .unwrap();
+        assert_eq!((peer, k), (0, 2));
+        let refill = b.make_refill(peer, k);
+        assert_eq!((refill.dst_host, refill.dst_rank), (9, 0));
+        a.on_refill(&refill);
+        assert_eq!(a.flow.credits(1), 4);
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //!   duplicate is discarded undelivered. A duplicate additionally forces
 //!   an ack-bearing refill home (a "dup-ack"), healing the case where the
 //!   final refill of a stream was the packet that got lost.
+//!
+//! Every table is indexed by the peer's rank in the job and allocated at
+//! the first packet that writes it (see [`peers`]).
 
 use crate::packet::Packet;
+use crate::peers;
 use std::collections::VecDeque;
 
 /// Counters for the reliability layer of one process.
@@ -42,18 +46,20 @@ pub struct RelStats {
 /// credit tallies.
 #[derive(Debug, Clone)]
 pub struct GoBackN {
+    /// Ranks in the job: the length of every table below.
+    ranks: usize,
     /// `ring[dst_rank]` — sent-but-unacked fragment clones, in sequence
     /// order. Bounded in practice by the credit window: a sender cannot
-    /// have more than `C0` unacked packets toward one host.
+    /// have more than `C0` unacked packets toward one peer.
     ring: Vec<VecDeque<Packet>>,
     /// `acked[dst_rank]` — cumulative ack received for that stream (the
     /// next sequence number the peer expects from us).
     acked: Vec<u64>,
-    /// `consumed_total[peer_host]` — lifetime in-order packets consumed
-    /// from that host; the value every outgoing packet carries in
+    /// `consumed_total[peer_rank]` — lifetime in-order packets consumed
+    /// from that peer; the value every outgoing packet carries in
     /// `credits_total`.
     consumed_total: Vec<u64>,
-    /// `credited[peer_host]` — how much of that host's cumulative credit
+    /// `credited[peer_rank]` — how much of that peer's cumulative credit
     /// return we have already applied to our send window.
     credited: Vec<u64>,
     /// Counters.
@@ -61,36 +67,39 @@ pub struct GoBackN {
 }
 
 impl GoBackN {
-    /// Fresh state for a process with `nprocs` peer ranks among `hosts`.
-    pub fn new(nprocs: usize, hosts: usize) -> Self {
+    /// Fresh state for a process of a job with `ranks` ranks. Allocates
+    /// no table until traffic writes one.
+    pub fn new(ranks: usize) -> Self {
         GoBackN {
-            ring: vec![VecDeque::new(); nprocs],
-            acked: vec![0; nprocs],
-            consumed_total: vec![0; hosts],
-            credited: vec![0; hosts],
+            ranks,
+            ring: Vec::new(),
+            acked: Vec::new(),
+            consumed_total: Vec::new(),
+            credited: Vec::new(),
             stats: RelStats::default(),
         }
     }
 
     /// Remember an injected fragment until its ack arrives.
     pub fn track(&mut self, pkt: &Packet) {
+        let ring = peers::entry(&mut self.ring, pkt.dst_rank, self.ranks, VecDeque::new());
         debug_assert!(
-            self.ring[pkt.dst_rank]
-                .back()
-                .is_none_or(|p| p.seq + 1 == pkt.seq),
+            ring.back().is_none_or(|p| p.seq + 1 == pkt.seq),
             "retransmit ring must stay in sequence order"
         );
-        self.ring[pkt.dst_rank].push_back(pkt.clone());
+        ring.push_back(pkt.clone());
     }
 
     /// Apply a cumulative ack for the stream toward `dst_rank`: drop every
     /// ring entry the ack covers. Returns how many packets were released.
     pub fn on_ack(&mut self, dst_rank: usize, ack: u64) -> usize {
-        if ack <= self.acked[dst_rank] {
+        if ack <= peers::get(&self.acked, dst_rank, self.ranks, 0) {
             return 0; // stale or duplicate ack — cumulative, so a no-op
         }
-        self.acked[dst_rank] = ack;
-        let ring = &mut self.ring[dst_rank];
+        *peers::entry(&mut self.acked, dst_rank, self.ranks, 0) = ack;
+        let Some(ring) = self.ring.get_mut(dst_rank) else {
+            return 0; // nothing was ever sent to any peer
+        };
         let mut released = 0;
         while ring.front().is_some_and(|p| p.seq < ack) {
             ring.pop_front();
@@ -99,35 +108,35 @@ impl GoBackN {
         released
     }
 
-    /// Apply a cumulative credit return from `peer_host`. Returns the
+    /// Apply a cumulative credit return from rank `peer`. Returns the
     /// fresh (positive) delta to hand to
     /// [`FlowControl::refill`](crate::flow::FlowControl::refill); stale or
     /// repeated values yield zero.
-    pub fn credit_delta(&mut self, peer_host: usize, credits_total: u64) -> usize {
-        let applied = &mut self.credited[peer_host];
-        if credits_total <= *applied {
+    pub fn credit_delta(&mut self, peer: usize, credits_total: u64) -> usize {
+        let applied = peers::get(&self.credited, peer, self.ranks, 0);
+        if credits_total <= applied {
             return 0;
         }
-        let delta = credits_total - *applied;
-        *applied = credits_total;
-        delta as usize
+        *peers::entry(&mut self.credited, peer, self.ranks, 0) = credits_total;
+        (credits_total - applied) as usize
     }
 
-    /// Advance the lifetime consumed tally for `peer_host` by `units` and
+    /// Advance the lifetime consumed tally for rank `peer` by `units` and
     /// return the new total. Demand windows use this to make a window move
     /// loss-proof: a withheld credit adds 0 units (the sender's cumulative
     /// view never sees it), a grant adds extra units on top of the
     /// consume's own — either way the tally stays monotone, so duplicated
     /// or retransmitted refills remain harmless.
-    pub fn add_consumed(&mut self, peer_host: usize, units: u64) -> u64 {
-        self.consumed_total[peer_host] += units;
-        self.consumed_total[peer_host]
+    pub fn add_consumed(&mut self, peer: usize, units: u64) -> u64 {
+        let total = peers::entry(&mut self.consumed_total, peer, self.ranks, 0);
+        *total += units;
+        *total
     }
 
-    /// Lifetime consumed count toward `peer_host` (what outgoing packets
+    /// Lifetime consumed count toward rank `peer` (what outgoing packets
     /// carry in `credits_total`).
-    pub fn consumed_total(&self, peer_host: usize) -> u64 {
-        self.consumed_total[peer_host]
+    pub fn consumed_total(&self, peer: usize) -> u64 {
+        peers::get(&self.consumed_total, peer, self.ranks, 0)
     }
 
     /// Total packets sent but not yet acked, across all streams.
@@ -184,7 +193,7 @@ mod tests {
 
     #[test]
     fn cumulative_ack_releases_prefix() {
-        let mut g = GoBackN::new(2, 2);
+        let mut g = GoBackN::new(2);
         for s in 0..4 {
             g.track(&pkt(1, s));
         }
@@ -200,7 +209,7 @@ mod tests {
 
     #[test]
     fn credit_deltas_are_idempotent() {
-        let mut g = GoBackN::new(2, 2);
+        let mut g = GoBackN::new(2);
         assert_eq!(g.credit_delta(1, 5), 5);
         // A retransmitted stale value or duplicated refill changes nothing.
         assert_eq!(g.credit_delta(1, 5), 0);
@@ -210,7 +219,7 @@ mod tests {
 
     #[test]
     fn window_packets_caps_and_orders() {
-        let mut g = GoBackN::new(2, 2);
+        let mut g = GoBackN::new(2);
         for s in 0..5 {
             g.track(&pkt(1, s));
         }

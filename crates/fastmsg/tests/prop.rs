@@ -15,7 +15,7 @@ proptest! {
     /// (consumed-but-unreturned at the receiver).
     #[test]
     fn credit_conservation(c0 in 1usize..64, ops in proptest::collection::vec(any::<bool>(), 0..500)) {
-        // Host 0 sends to host 1.
+        // Rank 0 sends to rank 1.
         let mut sender = FlowControl::new(0, 2, c0);
         let mut receiver = FlowControl::new(1, 2, c0);
         let mut in_flight = 0usize; // packets sent, not yet consumed
@@ -33,7 +33,7 @@ proptest! {
                 }
             }
             let missing = c0 - sender.credits(1);
-            let unreturned = receiver.consumed_counters()[0] as usize;
+            let unreturned = receiver.unreturned(0);
             prop_assert_eq!(missing, in_flight + unreturned,
                 "missing {} != in_flight {} + unreturned {}", missing, in_flight, unreturned);
             prop_assert!(sender.credits(1) <= c0);
@@ -85,8 +85,8 @@ proptest! {
     #[test]
     fn process_pair_message_accounting(sizes in proptest::collection::vec(0u64..10_000, 1..50)) {
         let placement: Rc<[usize]> = Rc::from([0, 1]);
-        let mut a = FmProcess::new(9, 0, placement.clone(), 2, 1_000_000);
-        let mut b = FmProcess::new(9, 1, placement, 2, 1_000_000);
+        let mut a = FmProcess::new(9, 0, placement.clone(), 1_000_000);
+        let mut b = FmProcess::new(9, 1, placement, 1_000_000);
         let mut total_bytes = 0;
         for &sz in &sizes {
             let n = fragments_for(sz);
@@ -115,10 +115,10 @@ proptest! {
         ops in proptest::collection::vec(0u8..7, 0..400),
     ) {
         let placement: Rc<[usize]> = Rc::from([0, 1]);
-        let mut a = FmProcess::new(3, 0, placement.clone(), 2, c0);
-        let mut b = FmProcess::new(3, 1, placement, 2, c0);
-        a.enable_reliability(2);
-        b.enable_reliability(2);
+        let mut a = FmProcess::new(3, 0, placement.clone(), c0);
+        let mut b = FmProcess::new(3, 1, placement, c0);
+        a.enable_reliability();
+        b.enable_reliability();
         let mut wire_ab: VecDeque<Packet> = VecDeque::new(); // data toward b
         let mut wire_ba: VecDeque<Packet> = VecDeque::new(); // refills toward a
         let mut next_delivery = 0u64; // seq the next *delivered* packet must carry
@@ -140,8 +140,8 @@ proptest! {
                                 pkt.seq, next_delivery);
                             next_delivery += 1;
                         }
-                        if let Some((host, k)) = r.refill_due {
-                            wire_ba.push_back(b.make_refill(host, k));
+                        if let Some((peer, k)) = r.refill_due {
+                            wire_ba.push_back(b.make_refill(peer, k));
                         }
                     }
                 }
@@ -185,8 +185,8 @@ proptest! {
                     prop_assert_eq!(pkt.seq, next_delivery);
                     next_delivery += 1;
                 }
-                if let Some((host, k)) = r.refill_due {
-                    wire_ba.push_back(b.make_refill(host, k));
+                if let Some((peer, k)) = r.refill_due {
+                    wire_ba.push_back(b.make_refill(peer, k));
                 }
             }
             while let Some(pkt) = wire_ba.pop_front() {

@@ -19,7 +19,8 @@ use crate::job::JobId;
 pub struct Placement {
     /// Row (time slot).
     pub slot: usize,
-    /// Columns (nodes), ascending; `nodes[rank]` hosts rank `rank`.
+    /// Columns (nodes), distinct; `nodes[rank]` hosts rank `rank`.
+    /// Ascending, except for a pinned request, which keeps its order.
     pub nodes: Vec<usize>,
 }
 
@@ -34,6 +35,9 @@ pub enum PlaceError {
     PinnedBusy,
     /// The job id is already placed.
     Duplicate,
+    /// A pinned request names this node more than once: a job runs one
+    /// process per node, so its ranks and hosts must match one to one.
+    RepeatedNode(usize),
 }
 
 /// The matrix itself.
@@ -158,13 +162,20 @@ impl GangMatrix {
     }
 
     /// Place a job on exactly `nodes`, in the earliest slot where all of
-    /// them are free.
+    /// them are free. Rank `r` runs on `nodes[r]`, so no node may repeat.
     pub fn place_pinned(&mut self, job: JobId, nodes: &[usize]) -> Result<Placement, PlaceError> {
         if self.contains(job) {
             return Err(PlaceError::Duplicate);
         }
         if nodes.is_empty() || nodes.iter().any(|&n| n >= self.nodes) {
             return Err(PlaceError::TooLarge);
+        }
+        let mut seen = vec![false; self.nodes];
+        if let Some(&n) = nodes
+            .iter()
+            .find(|&&n| std::mem::replace(&mut seen[n], true))
+        {
+            return Err(PlaceError::RepeatedNode(n));
         }
         for slot in 0..self.slots {
             if nodes.iter().all(|&n| self.cells[slot][n].is_none()) {
@@ -290,5 +301,21 @@ mod tests {
         m.place_pinned(JobId(1), &[0, 1]).unwrap();
         assert_eq!(m.place_pinned(JobId(2), &[0]), Err(PlaceError::PinnedBusy));
         assert_eq!(m.place_pinned(JobId(3), &[7]), Err(PlaceError::TooLarge));
+    }
+
+    #[test]
+    fn pinned_repeated_node_rejected() {
+        let mut m = GangMatrix::new(4, 2);
+        assert_eq!(
+            m.place_pinned(JobId(1), &[2, 0, 2]),
+            Err(PlaceError::RepeatedNode(2))
+        );
+        assert_eq!(
+            m.place_pinned(JobId(1), &[0, 1, 1]),
+            Err(PlaceError::RepeatedNode(1))
+        );
+        assert!(!m.contains(JobId(1)), "a rejected request takes no cell");
+        // A non-ascending request of distinct nodes keeps its rank order.
+        assert_eq!(m.place_pinned(JobId(1), &[3, 1]).unwrap().nodes, vec![3, 1]);
     }
 }

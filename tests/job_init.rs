@@ -139,3 +139,18 @@ fn sixteen_node_job_loads_everywhere() {
         assert!(n.nic.stats.data_received > 0);
     }
 }
+
+#[test]
+fn pinning_a_job_twice_on_one_node_is_rejected_at_submit() {
+    // A job runs one process per node: a repeated node would need two
+    // contexts of one job on one NIC. Submission refuses it up front,
+    // and the rejected job leaves the cluster free for a valid one.
+    let mut sim = Sim::new(ClusterConfig::parpar(4, 2, BufferPolicy::FullBuffer));
+    let bench = P2pBandwidth::with_count(1024, 10);
+    assert_eq!(
+        sim.submit(&bench, Some(vec![1, 1])),
+        Err(parpar::matrix::PlaceError::RepeatedNode(1))
+    );
+    sim.submit(&bench, Some(vec![1, 0])).unwrap();
+    assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(5)));
+}

@@ -127,11 +127,12 @@ fn credits_are_conserved_across_switches() {
     for n in &w.nodes {
         for e in &n.exited {
             // credits held + consumed-but-unreturned on the peer side = C0
-            // per peer; with everything drained at teardown the only slack
-            // is refills that were never triggered (bounded by the
-            // low-water mark).
+            // per peer rank of the job (each p2p job is two ranks wide);
+            // with everything drained at teardown the only slack is
+            // refills that were never triggered (bounded by the low-water
+            // mark).
             let held = e.held_credits;
-            let peers = w.cfg.nodes - 1;
+            let peers = 1;
             assert!(held <= peers * c0, "credit overflow on {}", e.pid);
             assert!(
                 held >= peers * c0 - peers * c0.div_ceil(2),
