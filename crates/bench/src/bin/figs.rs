@@ -1,7 +1,7 @@
 //! Regenerate the paper's figures, the extension tables and the
 //! wall-clock snapshots: `figs [NAME…] [--full] [--csv DIR] [--seed N]
-//! [--max-n N] [--max-rate R] [--out DIR]`. With no name, every
-//! experiment in [`bench_harness::experiments::REGISTRY`] runs in order.
+//! [--out DIR]`. With no name, every experiment in
+//! [`bench_harness::experiments::REGISTRY`] runs in order.
 
 use bench_harness::{experiments, HarnessOpts};
 

@@ -17,16 +17,16 @@
 //! * `edge/agg/spine_pkts` — per-tier data-packet counts from
 //!   [`cluster::TierTraffic`].
 //!
-//! Rows ascend in N, so the CSV from `--max-n 256` (the CI smoke run) is
-//! a byte prefix of the committed full `results/scale_sweep.csv`. All
-//! table values come from deterministic simulation stats, and per-cell
-//! `DIGEST` lines pin each cell's event stream. With `--out DIR`,
+//! Rows ascend in N. All table values come from deterministic simulation
+//! stats, so CI compares the CSV with the committed
+//! `results/scale_sweep.csv` byte for byte, and per-cell `DIGEST` lines
+//! pin each cell's event stream. With `--out DIR`,
 //! wall-clock throughput of each cell (the median of three runs) is
 //! written to `DIR/BENCH_scale.json` via [`crate::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- scale_sweep \
-//!     [--max-n N] [--out DIR] [--full] [--csv DIR] [--seed N]
+//!     [--out DIR] [--full] [--csv DIR] [--seed N]
 //! ```
 
 use crate::snapshot::{median_wall_ms, Row, Snapshot};
@@ -146,16 +146,16 @@ fn run_cell(
     }
 }
 
-/// Run the sweep up to `--max-n` and emit its table and snapshot.
+/// Run the sweep and emit its table and snapshot.
 pub fn run(opts: &HarnessOpts) {
     let controls = [
         (ControlPlane::Serial, "serial"),
         (ControlPlane::Tree { fanout: 8 }, "tree8"),
     ];
     let mut cells = Vec::new();
-    for n in SCALE_NODES.iter().filter(|&&n| n <= opts.max_n) {
+    for n in SCALE_NODES {
         for (control, name) in controls {
-            cells.push(run_cell(*n, control, name, opts));
+            cells.push(run_cell(n, control, name, opts));
         }
     }
 

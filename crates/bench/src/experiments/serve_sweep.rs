@@ -8,10 +8,9 @@
 //! percentiles, plus SLO attainment at 1 s and the jobrep queue depth.
 //! Reliability is on — the serving operating point cannot assume a
 //! perfect SAN. Rows ascend in offered rate with all three disciplines
-//! per rate, so the CSV from `--max-rate 2` (the CI smoke run) is a byte
-//! prefix of the committed full `results/serve_sweep.csv`. Cells are
-//! deterministic, and per-cell `DIGEST` lines print the logical
-//! fingerprint for CI to diff. With `--out DIR`, wall-clock throughput
+//! per rate. Cells are deterministic, so CI compares the CSV with the
+//! committed `results/serve_sweep.csv` byte for byte, and per-cell
+//! `DIGEST` lines print the logical fingerprint. With `--out DIR`, wall-clock throughput
 //! (engine logical events per second) goes to `DIR/BENCH_serve.json`.
 //! Cells run one at a time, each timed as the median of three runs, so a
 //! row's `wall_ms` is one cell on an otherwise idle harness.
@@ -25,7 +24,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- serve_sweep \
-//!     [--max-rate R] [--out DIR] [--csv DIR] [--seed N]
+//!     [--out DIR] [--csv DIR] [--seed N]
 //! ```
 
 use crate::snapshot::{median_wall_ms, Row, Snapshot};
@@ -71,10 +70,10 @@ fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessO
     }
 }
 
-/// Run the sweep up to `--max-rate` and emit its table and snapshot.
+/// Run the sweep and emit its table and snapshot.
 pub fn run(opts: &HarnessOpts) {
     let mut cells = Vec::new();
-    for &rate in RATES.iter().filter(|&&r| r <= opts.max_rate) {
+    for rate in RATES {
         for (mode, name) in MODES {
             cells.push(run_cell(mode, name, rate, opts));
         }

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- [NAME…] [--full] [--csv DIR] \
-//!     [--seed N] [--max-n N] [--max-rate R] [--out DIR]
+//!     [--seed N] [--out DIR]
 //! ```
 //!
 //! With no name, every experiment runs in registry order.
@@ -17,8 +17,6 @@
 //!   steady-state-converged quick runs);
 //! * `--csv DIR` — also write `DIR/<table>.csv`;
 //! * `--seed N` — override the deterministic seed;
-//! * `--max-n N` — cap `scale_sweep`'s cluster size;
-//! * `--max-rate R` — cap `serve_sweep`'s offered rate;
 //! * `--out DIR` — write the `BENCH_*.json` wall-clock snapshots into
 //!   `DIR` (without it, no snapshot file is written).
 
@@ -35,7 +33,7 @@ use sim_core::report::Table;
 use snapshot::Snapshot;
 
 /// The flags `figs` accepts, for usage and error messages.
-const FLAGS: &str = "--full --csv DIR --seed N --max-n N --max-rate R --out DIR";
+const FLAGS: &str = "--full --csv DIR --seed N --out DIR";
 
 /// Parsed harness options.
 #[derive(Debug, Clone)]
@@ -48,10 +46,6 @@ pub struct HarnessOpts {
     pub csv: Option<PathBuf>,
     /// Simulation seed.
     pub seed: u64,
-    /// Largest cluster size `scale_sweep` runs.
-    pub max_n: usize,
-    /// Largest offered rate, jobs per second, `serve_sweep` runs.
-    pub max_rate: f64,
     /// Directory to write `BENCH_*.json` snapshots into.
     pub out: Option<PathBuf>,
 }
@@ -81,8 +75,6 @@ impl HarnessOpts {
             full: false,
             csv: None,
             seed: 42,
-            max_n: usize::MAX,
-            max_rate: f64::INFINITY,
             out: None,
         };
         let mut args = args.into_iter();
@@ -93,8 +85,6 @@ impl HarnessOpts {
                 "--csv" => opts.csv = Some(PathBuf::from(val())),
                 "--out" => opts.out = Some(PathBuf::from(val())),
                 "--seed" => opts.seed = value(&a, "a non-negative integer", val()),
-                "--max-n" => opts.max_n = value(&a, "a non-negative integer", val()),
-                "--max-rate" => opts.max_rate = value(&a, "a number", val()),
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: figs [NAME…] [{FLAGS}]\nexperiments: {}",
@@ -267,8 +257,6 @@ mod tests {
         assert!(!opts.full);
         assert_eq!(opts.csv, None);
         assert_eq!(opts.seed, 42);
-        assert_eq!(opts.max_n, usize::MAX);
-        assert_eq!(opts.max_rate, f64::INFINITY);
         assert_eq!(opts.out, None);
     }
 
@@ -276,11 +264,7 @@ mod tests {
     fn parse_reads_names_and_typed_flags() {
         let opts = parse(&[
             "scale_sweep",
-            "--max-n",
-            "256",
             "serve_sweep",
-            "--max-rate",
-            "2",
             "--out",
             "snap",
             "--csv",
@@ -291,8 +275,6 @@ mod tests {
             "fig5",
         ]);
         assert_eq!(opts.experiments, ["scale_sweep", "serve_sweep", "fig5"]);
-        assert_eq!(opts.max_n, 256);
-        assert_eq!(opts.max_rate, 2.0);
         assert_eq!(opts.out, Some(PathBuf::from("snap")));
         assert_eq!(opts.csv, Some(PathBuf::from("figs")));
         assert_eq!(opts.seed, 7);

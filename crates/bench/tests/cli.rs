@@ -12,10 +12,10 @@ fn figs(args: &[&str]) -> Output {
 
 #[test]
 fn bad_numeric_flag_names_the_flag_and_value() {
-    let out = figs(&["scale_sweep", "--max-n", "x"]);
-    assert!(!out.status.success(), "figs accepted --max-n x");
+    let out = figs(&["scale_sweep", "--seed", "x"]);
+    assert!(!out.status.success(), "figs accepted --seed x");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--max-n"), "stderr: {stderr}");
+    assert!(stderr.contains("--seed"), "stderr: {stderr}");
     assert!(stderr.contains("\"x\""), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "an experiment ran: {out:?}");
 }
@@ -36,5 +36,5 @@ fn unknown_flag_lists_the_flags() {
     assert!(!out.status.success(), "figs accepted --quick");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--quick"), "stderr: {stderr}");
-    assert!(stderr.contains("--max-rate"), "stderr: {stderr}");
+    assert!(stderr.contains("--out DIR"), "stderr: {stderr}");
 }

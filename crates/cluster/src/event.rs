@@ -18,19 +18,15 @@ use sim_core::engine::Scheduler;
 pub enum Frame {
     /// An FM data or refill packet.
     Data(Packet),
-    /// A per-packet acknowledgement (AckDrain strategy only).
-    Ack {
-        /// Node whose packet is being acknowledged.
-        to: usize,
-    },
-    /// A packet for a non-resident context was discarded; the receiving
+    /// A per-packet acknowledgement to the packet's sender (AckDrain
+    /// strategy only).
+    Ack,
+    /// A packet for a non-resident context was discarded; the sender's
     /// NIC returns the credit so the higher-layer retransmission the
     /// SHARE/PM baselines assume does not wedge flow control.
     DropNotify {
         /// Job whose packet was dropped.
         job: u32,
-        /// Host that sent the dropped packet.
-        src_host: usize,
         /// Rank whose context dropped it (the packet's destination).
         drop_rank: usize,
     },

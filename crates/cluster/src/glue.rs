@@ -19,6 +19,7 @@ use gang_comm::sequencer::SwitchPhase;
 use sim_core::time::SimTime;
 
 use crate::event::{Event, Sched};
+use crate::handlers::nic::Signal;
 use crate::world::World;
 
 impl World {
@@ -126,7 +127,6 @@ impl World {
         if n.seq.phase() != SwitchPhase::Halting {
             return Err(CommError::BadPhase);
         }
-        n.halt_requested = true;
         n.halt_broadcast_started = false;
         n.nic.set_halt_bit(true);
         if !n.send_engine_busy {
@@ -185,7 +185,7 @@ impl World {
         if self.nodes[node].seq.phase() != SwitchPhase::Releasing {
             return Err(CommError::BadPhase);
         }
-        self.begin_ready_broadcast(now, node, sched);
+        self.serial_control_broadcast(now, node, Signal::Ready, sched);
         Ok(())
     }
 }

@@ -146,16 +146,7 @@ impl World {
                 let byte = proc.pipe.read_byte();
                 debug_assert_eq!(byte, Some(1));
                 proc.blocked = None;
-                proc.busy = true;
-                let r = self.nodes[node].cpu.reserve(now, host::PIPE_READ);
-                sched.at(
-                    r.end,
-                    Event::HostOpDone {
-                        node,
-                        pid,
-                        op: HostOp::InitStep,
-                    },
-                );
+                self.host_op(now, node, pid, host::PIPE_READ, HostOp::InitStep, sched);
                 return Step::Park;
             }
             proc.blocked = None;
@@ -185,11 +176,8 @@ impl World {
                     next_frag: 0,
                     nfrags: fragments_for(bytes),
                 });
-                if proc.first_send.is_none() {
-                    proc.first_send = Some(now);
-                    let job = proc.job;
-                    self.stats.job_first_send.entry(job).or_insert(now);
-                }
+                let job = proc.job;
+                self.stats.job_first_send.entry(job).or_insert(now);
                 Step::Continue
             }
             workloads::program::Op::WaitRecvMsgs { target } => {
@@ -202,17 +190,7 @@ impl World {
                 Step::Park
             }
             workloads::program::Op::Compute(c) => {
-                let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
-                proc.busy = true;
-                let r = self.nodes[node].cpu.reserve(now, c);
-                sched.at(
-                    r.end,
-                    Event::HostOpDone {
-                        node,
-                        pid,
-                        op: HostOp::ComputeDone,
-                    },
-                );
+                self.host_op(now, node, pid, c, HostOp::ComputeDone, sched);
                 Step::Park
             }
             workloads::program::Op::Done => {
@@ -227,16 +205,7 @@ impl World {
         let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
         match proc.init.advance() {
             InitStep::HostWork(c) => {
-                proc.busy = true;
-                let r = self.nodes[node].cpu.reserve(now, c);
-                sched.at(
-                    r.end,
-                    Event::HostOpDone {
-                        node,
-                        pid,
-                        op: HostOp::InitStep,
-                    },
-                );
+                self.host_op(now, node, pid, c, HostOp::InitStep, sched);
                 Step::Park
             }
             InitStep::GrmRoundTrip | InitStep::CmRoundTrip => {
@@ -260,16 +229,7 @@ impl World {
                 // the noded's write knows to wake us.
                 if let Some(byte) = proc.pipe.read_byte() {
                     debug_assert_eq!(byte, 1);
-                    proc.busy = true;
-                    let r = self.nodes[node].cpu.reserve(now, host::PIPE_READ);
-                    sched.at(
-                        r.end,
-                        Event::HostOpDone {
-                            node,
-                            pid,
-                            op: HostOp::InitStep,
-                        },
-                    );
+                    self.host_op(now, node, pid, host::PIPE_READ, HostOp::InitStep, sched);
                 } else {
                     proc.blocked = Some(BlockReason::PipeRead);
                 }
@@ -284,7 +244,7 @@ impl World {
                 // If this job's slot is not the active one — or a buffer
                 // switch into it is still mid-flight, so the context has
                 // not been copied back yet — the process waits stopped
-                // until the rotation completes and resume_incoming wakes
+                // until the rotation completes and `switch_slot` wakes
                 // it. (VN caching is exempt: a missing endpoint there is
                 // served by a context fault, not a switch.)
                 let n = &self.nodes[node];
@@ -344,16 +304,7 @@ impl World {
         if sp.next_frag == 0 {
             cost += costs::SEND_CALL;
         }
-        proc.busy = true;
-        let r = n.cpu.reserve(now, cost);
-        sched.at(
-            r.end,
-            Event::HostOpDone {
-                node,
-                pid,
-                op: HostOp::SendFragment,
-            },
-        );
+        self.host_op(now, node, pid, cost, HostOp::SendFragment, sched);
         Step::Park
     }
 
@@ -381,20 +332,29 @@ impl World {
             }
             return;
         };
-        let n = &mut self.nodes[node];
-        let Some(pkt) = n.nic.context_mut(ctx_id).unwrap().recv_q.pop() else {
+        let nic = &mut self.nodes[node].nic;
+        let Some(pkt) = nic.context_mut(ctx_id).unwrap().recv_q.pop() else {
             return;
         };
+        let op = HostOp::Extract(pkt);
+        self.host_op(now, node, pid, costs::EXTRACT_PER_PACKET, op, sched);
+    }
+
+    /// Run `cost` of host-CPU work for `pid`: the process is busy until
+    /// the node's CPU has served it, and `op` completes then.
+    fn host_op(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        cost: Cycles,
+        op: HostOp,
+        sched: &mut Sched,
+    ) {
+        let n = &mut self.nodes[node];
         n.apps.get_mut(&pid).unwrap().busy = true;
-        let r = n.cpu.reserve(now, costs::EXTRACT_PER_PACKET);
-        sched.at(
-            r.end,
-            Event::HostOpDone {
-                node,
-                pid,
-                op: HostOp::Extract(pkt),
-            },
-        );
+        let r = n.cpu.reserve(now, cost);
+        sched.at(r.end, Event::HostOpDone { node, pid, op });
     }
 
     /// A host work item completed.

@@ -15,6 +15,7 @@ use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
 use crate::event::{Event, Sched};
+use crate::handlers::nic::Signal;
 use crate::procsim::ProcSim;
 use crate::world::{QueuedSub, World};
 
@@ -29,19 +30,12 @@ impl World {
         pid: Pid,
         sched: &mut Sched,
     ) {
-        let n = &mut self.nodes[node];
-        let Some(target_slot) = n.apps.get(&pid).map(|p| p.slot) else {
-            return;
-        };
-        if n.current_slot == target_slot {
-            return; // already scheduled
+        let n = &self.nodes[node];
+        let cur = n.current_slot;
+        // Already scheduled, or no longer live: nothing to preempt.
+        if let Some(to) = n.apps.get(&pid).map(|p| p.slot).filter(|&s| s != cur) {
+            self.switch_slot(now, node, cur, to, sched);
         }
-        if let Some(cur_pid) = n.app_in_slot(n.current_slot) {
-            n.stop(cur_pid);
-        }
-        n.current_slot = target_slot;
-        n.cont(pid);
-        sched.at(now + host::SIGNAL, Event::ProcKick { node, pid });
     }
 
     /// The masterd's quantum timer fired: rotate if there is anything to
@@ -156,17 +150,10 @@ impl World {
     /// node's processes without any cluster-wide coordination.
     pub(super) fn on_node_tick(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         debug_assert!(!self.cfg.gang_scheduling);
-        let n = &mut self.nodes[node];
+        let n = &self.nodes[node];
         let cur = n.current_slot;
         if let Some(next) = n.apps.next_slot(cur).filter(|&s| s != cur) {
-            if let Some(pid) = n.app_in_slot(cur) {
-                n.stop(pid);
-            }
-            n.current_slot = next;
-            if let Some(pid) = n.app_in_slot(next) {
-                n.cont(pid);
-                sched.at(now + host::SIGNAL, Event::ProcKick { node, pid });
-            }
+            self.switch_slot(now, node, cur, next, sched);
         }
         sched.at(now + self.cfg.quantum, Event::NodeTick { node });
     }
@@ -421,13 +408,13 @@ impl World {
                 // been the lost frame) or our SwitchSlot has not been acted
                 // on yet (nothing to re-send).
                 if n.seq.last_finished() == Some(epoch) {
-                    self.rebroadcast_ready(now, node, sched);
+                    self.rebroadcast(now, node, Signal::Ready, sched);
                 }
             }
             SwitchPhase::Halting => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 if n.halt_broadcast_started {
-                    self.rebroadcast_halt(now, node, sched);
+                    self.rebroadcast(now, node, Signal::Halt, sched);
                 } else {
                     // The original halt broadcast never ran (the engine was
                     // busy when the halt bit was set and went idle without
@@ -438,14 +425,14 @@ impl World {
             }
             SwitchPhase::Copying => {
                 debug_assert_eq!(n.seq.epoch, epoch);
-                self.rebroadcast_halt(now, node, sched);
+                self.rebroadcast(now, node, Signal::Halt, sched);
             }
             SwitchPhase::Releasing => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 // A peer may have missed our halt *or* our ready; re-send
                 // both (the ready re-broadcast chains off the halt
                 // completion, see `on_halt_broadcast_done`).
-                self.rebroadcast_halt(now, node, sched);
+                self.rebroadcast(now, node, Signal::Halt, sched);
             }
         }
     }

@@ -21,11 +21,10 @@ use fastmsg::division::BufferPolicy;
 use fastmsg::packet::Packet;
 use gang_comm::switcher;
 use hostsim::process::Pid;
-use myrinet::broadcast::CONTROL_PACKET_BYTES;
 use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Category;
 
-use crate::event::{Event, Frame, Sched};
+use crate::event::{Event, Sched};
 use crate::procsim::ProcPhase;
 use crate::world::World;
 
@@ -79,22 +78,7 @@ impl World {
         let n = &mut self.nodes[node];
         let parked_for_job = n.parked.iter().filter(|p| p.job == job).count();
         if parked_for_job >= cap {
-            n.nic.stats.dropped_no_context += 1;
-            self.stats.drops += 1;
-            let tx = self
-                .net
-                .transmit(now, node, pkt.src_host, CONTROL_PACKET_BYTES);
-            sched.at(
-                tx.arrival,
-                Event::FrameArrive {
-                    node: pkt.src_host,
-                    frame: Frame::DropNotify {
-                        job,
-                        src_host: pkt.src_host,
-                        drop_rank: pkt.dst_rank,
-                    },
-                },
-            );
+            self.drop_no_context(now, node, &pkt, sched);
             return;
         }
         n.parked.push(pkt);

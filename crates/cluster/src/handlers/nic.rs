@@ -29,7 +29,9 @@ impl World {
             return;
         }
         if n.nic.halt_bit() {
-            if n.halt_requested && !n.halt_broadcast_started {
+            // Only the flush protocol broadcasts its halt; a baseline's
+            // halt bit just stops sending.
+            if self.cfg.strategy.uses_flush_protocol() && !n.halt_broadcast_started {
                 self.begin_halt_broadcast(now, node, sched);
             }
             return;
@@ -47,42 +49,64 @@ impl World {
         // The single LANai processor must be free of queued receive work
         // before the send context can run.
         let fw_done = n.nic.reserve_engine(now, costs::SEND_PER_PACKET);
-        let tx = self
-            .net
-            .transmit(fw_done, node, pkt.dst_host, pkt.wire_bytes());
-        let n = &mut self.nodes[node];
-        n.nic.engine_extend_to(tx.injection_done);
         n.nic.stats.data_sent += 1;
         n.send_engine_busy = true;
         if self.cfg.strategy.uses_acks() && pkt.kind == PacketKind::Data {
             n.outstanding += 1;
         }
-        let dst = pkt.dst_host;
-        sched.at(tx.injection_done, Event::SendEngineDone { node });
-        if self.lose_frame() {
-            return;
+        let injected = self.send_frame(fw_done, node, pkt.dst_host, Frame::Data(pkt), sched);
+        self.nodes[node].nic.engine_extend_to(injected);
+        sched.at(injected, Event::SendEngineDone { node });
+    }
+
+    /// Put one unicast frame on the wire from `src` to `dst` at `t`, and
+    /// return when its injection ends. The frame's kind sets its size, and
+    /// only FM packets go through the loss draw: acks and drop notices are
+    /// NIC-generated control packets that the recovery paths rely on.
+    pub(crate) fn send_frame(
+        &mut self,
+        t: SimTime,
+        src: usize,
+        dst: usize,
+        frame: Frame,
+        sched: &mut Sched,
+    ) -> SimTime {
+        let (bytes, lossy) = match &frame {
+            Frame::Data(pkt) => (pkt.wire_bytes(), true),
+            Frame::Ack | Frame::DropNotify { .. } => (CONTROL_PACKET_BYTES, false),
+        };
+        let tx = self.net.transmit(t, src, dst, bytes);
+        if !(lossy && self.lose_frame()) {
+            sched.at(tx.arrival, Event::FrameArrive { node: dst, frame });
         }
-        sched.at(
-            tx.arrival,
-            Event::FrameArrive {
-                node: dst,
-                frame: Frame::Data(pkt),
-            },
-        );
+        tx.injection_done
+    }
+
+    /// Discard a data packet that found no context to land in, and send
+    /// its sender a drop notice that returns the packet's credit.
+    pub(crate) fn drop_no_context(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pkt: &Packet,
+        sched: &mut Sched,
+    ) {
+        self.nodes[node].nic.stats.dropped_no_context += 1;
+        self.stats.drops += 1;
+        let notice = Frame::DropNotify {
+            job: pkt.job,
+            drop_rank: pkt.dst_rank,
+        };
+        self.send_frame(now, node, pkt.src_host, notice, sched);
     }
 
     /// Start the serial halt broadcast (the send engine is at a packet
     /// boundary with the halt bit set).
     pub(crate) fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let n = &mut self.nodes[node];
-        debug_assert!(n.nic.halt_bit() && n.halt_requested);
+        debug_assert!(n.nic.halt_bit());
         n.halt_broadcast_started = true;
         self.serial_control_broadcast(now, node, Signal::Halt, sched);
-    }
-
-    /// Start the serial ready broadcast (release phase).
-    pub(crate) fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        self.serial_control_broadcast(now, node, Signal::Ready, sched);
     }
 
     /// The receive engine landed one packet (also the re-entry point for
@@ -133,18 +157,7 @@ impl World {
                 // takes this branch.
                 n.nic.stats.dropped_no_context += 1;
                 let ghost = pkt.ghost_ack();
-                let tx = self
-                    .net
-                    .transmit(now, node, ghost.dst_host, ghost.wire_bytes());
-                if !self.lose_frame() {
-                    sched.at(
-                        tx.arrival,
-                        Event::FrameArrive {
-                            node: ghost.dst_host,
-                            frame: Frame::Data(ghost),
-                        },
-                    );
-                }
+                self.send_frame(now, node, ghost.dst_host, Frame::Data(ghost), sched);
             }
             None if vn => {
                 // Virtual-networks semantics: hold the packet and fault
@@ -160,23 +173,7 @@ impl World {
                     self.cfg.strategy.name(),
                     pkt.job
                 );
-                n.nic.stats.dropped_no_context += 1;
-                self.stats.drops += 1;
-                let notify = Frame::DropNotify {
-                    job: pkt.job,
-                    src_host: pkt.src_host,
-                    drop_rank: pkt.dst_rank,
-                };
-                let tx = self
-                    .net
-                    .transmit(now, node, pkt.src_host, CONTROL_PACKET_BYTES);
-                sched.at(
-                    tx.arrival,
-                    Event::FrameArrive {
-                        node: pkt.src_host,
-                        frame: notify,
-                    },
-                );
+                self.drop_no_context(now, node, &pkt, sched);
             }
             Some(ctx_id) => {
                 let src_host = pkt.src_host;
@@ -218,14 +215,7 @@ impl World {
                 }
                 // AckDrain: acknowledge receipt to the sender's NIC.
                 if self.cfg.strategy.uses_acks() {
-                    let tx = self.net.transmit(now, node, src_host, CONTROL_PACKET_BYTES);
-                    sched.at(
-                        tx.arrival,
-                        Event::FrameArrive {
-                            node: src_host,
-                            frame: Frame::Ack { to: src_host },
-                        },
-                    );
+                    self.send_frame(now, node, src_host, Frame::Ack, sched);
                 }
             }
         }
@@ -292,8 +282,7 @@ impl World {
                 let end = n.nic.reserve_engine(now, work);
                 sched.at(end, Event::RecvEngineDone { node, pkt });
             }
-            Frame::Ack { to } => {
-                debug_assert_eq!(to, node);
+            Frame::Ack => {
                 let n = &mut self.nodes[node];
                 n.nic.stats.control_received += 1;
                 assert!(n.outstanding > 0, "ack without outstanding packet");
@@ -302,12 +291,7 @@ impl World {
                     self.baseline_halt_maybe_done(now, node, sched);
                 }
             }
-            Frame::DropNotify {
-                job,
-                src_host,
-                drop_rank,
-            } => {
-                debug_assert_eq!(src_host, node);
+            Frame::DropNotify { job, drop_rank } => {
                 // Return the credit the dropped packet consumed, standing
                 // in for the higher-layer retransmission path.
                 let pid = self.nodes[node].find_proc_by_job(job);
@@ -349,7 +333,7 @@ impl World {
             // This completion was a recovery re-broadcast from a node
             // already past the flush: repeat the ready broadcast too, in
             // case that was the frame that got lost.
-            self.rebroadcast_ready(now, node, sched);
+            self.rebroadcast(now, node, Signal::Ready, sched);
         }
     }
 
@@ -367,20 +351,16 @@ impl World {
         }
     }
 
-    /// Reliability layer: repeat the halt broadcast for the in-flight
-    /// epoch (a ResendProtocol response). Every receiver treats the copies
-    /// idempotently, including our own completion event.
-    pub(crate) fn rebroadcast_halt(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        self.rebroadcast(now, node, Signal::Halt, sched);
-    }
-
-    /// Reliability layer: repeat the ready broadcast (see
-    /// [`World::rebroadcast_halt`]).
-    pub(crate) fn rebroadcast_ready(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
-        self.rebroadcast(now, node, Signal::Ready, sched);
-    }
-
-    fn rebroadcast(&mut self, now: SimTime, node: usize, signal: Signal, sched: &mut Sched) {
+    /// Reliability layer: repeat this node's halt or ready broadcast for
+    /// the in-flight epoch (a ResendProtocol response). Every receiver
+    /// treats the copies idempotently, including our own completion event.
+    pub(crate) fn rebroadcast(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        signal: Signal,
+        sched: &mut Sched,
+    ) {
         debug_assert!(self.cfg.reliability.enabled);
         debug_assert!(!self.nodes[node].send_engine_busy);
         self.stats.rebroadcasts += 1;
@@ -397,7 +377,7 @@ impl World {
     /// are parked as a train and sorted by `(time, seq)` — on a fat-tree
     /// they are not monotone in emission order — and only the earliest is
     /// queued.
-    fn serial_control_broadcast(
+    pub(crate) fn serial_control_broadcast(
         &mut self,
         now: SimTime,
         node: usize,
@@ -467,7 +447,7 @@ impl World {
 
 /// Which serial control broadcast a NIC sends.
 #[derive(Debug, Clone, Copy)]
-enum Signal {
+pub(crate) enum Signal {
     /// Flush phase: the specially-tagged halt packet.
     Halt,
     /// Release phase: the ready packet.

@@ -2,7 +2,7 @@
 //! the §5 baseline strategies.
 
 use fastmsg::division::BufferPolicy;
-use gang_comm::sequencer::{StageBreakdown, SwitchPhase};
+use gang_comm::sequencer::SwitchPhase;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
 use hostsim::costs as host;
@@ -32,47 +32,65 @@ impl World {
         to: usize,
         sched: &mut Sched,
     ) {
-        self.nodes[node].current_slot = to;
         self.trace.emit(now, Category::Switch, Some(node), || {
             format!("switch epoch {epoch}: slot {from} -> {to}")
         });
-
-        // SIGSTOP the outgoing process first: "at this point it is assured
-        // that the process will not produce any more packets".
-        if let Some(pid) = self.nodes[node].app_in_slot(from) {
-            self.nodes[node].stop(pid);
+        if self.cfg.fm.policy != BufferPolicy::FullBuffer {
+            // Every context is permanently resident: whatever the
+            // strategy, nothing to flush or copy — the switch is just
+            // signals.
+            self.switch_slot(now, node, from, to, sched);
+            self.nodes[node].switches_done += 1;
+            self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
+            return;
         }
 
+        // SIGSTOP the outgoing process first: "at this point it is assured
+        // that the process will not produce any more packets". The
+        // incoming one is continued once the release completes.
+        let n = &mut self.nodes[node];
+        if let Some(pid) = n.app_in_slot(from) {
+            n.stop(pid);
+        }
+        n.current_slot = to;
+        n.seq.start(now, epoch, from, to);
         match self.cfg.strategy {
             // The paper's scheme: halt + global flush, copy, release (three
-            // phases, each a broadcast barrier).
-            SwitchStrategy::GangFlush => {
-                if matches!(
-                    self.cfg.fm.policy,
-                    BufferPolicy::StaticDivision
-                        | BufferPolicy::CachedEndpoints
-                        | BufferPolicy::Demand
-                ) {
-                    // Every context is permanently resident: nothing to
-                    // flush or copy — the switch is just signals.
-                    self.resume_incoming(now, node, to, sched);
-                    self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
-                    return;
-                }
-                self.nodes[node].seq.start(now, epoch, from, to);
-                // COMM_halt_network: stop sending on a packet boundary and
-                // run the global flush protocol.
-                self.comm_halt_network(now, node, sched)
-                    .expect("halt ordered while idle");
-            }
+            // phases, each a broadcast barrier). COMM_halt_network: stop
+            // sending on a packet boundary and run the global flush
+            // protocol.
+            SwitchStrategy::GangFlush => self
+                .comm_halt_network(now, node, sched)
+                .expect("halt ordered while idle"),
             // The §5 baselines run the same three phases with no peers to
             // wait on: stop sending, halt once this node alone is quiet,
             // copy, and release at once.
             SwitchStrategy::ShareDiscard | SwitchStrategy::AckDrain => {
-                self.nodes[node].nic.set_halt_bit(true);
-                self.nodes[node].seq.start(now, epoch, from, to);
+                n.nic.set_halt_bit(true);
                 self.baseline_halt_maybe_done(now, node, sched);
             }
+        }
+    }
+
+    /// SIGSTOP the process in slot `from`, make `to` the node's current
+    /// slot, and SIGCONT and kick the process in it: the whole of a switch
+    /// that moves no buffers, and the end of one that does.
+    pub(crate) fn switch_slot(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        from: usize,
+        to: usize,
+        sched: &mut Sched,
+    ) {
+        let n = &mut self.nodes[node];
+        if let Some(pid) = n.app_in_slot(from) {
+            n.stop(pid);
+        }
+        n.current_slot = to;
+        if let Some(pid) = n.app_in_slot(to) {
+            n.cont(pid);
+            sched.at(now + host::SIGNAL, Event::ProcKick { node, pid });
         }
     }
 
@@ -134,14 +152,23 @@ impl World {
             .expect("copy ordered before flush completed");
     }
 
-    /// Release protocol complete: restart communication and resume the
-    /// incoming process. Called by the NIC handler when the last ready
-    /// message is counted, or at once after a baseline's copy.
+    /// Release protocol complete: record the switch's stages, clear the
+    /// halt state, restart sending, resume the incoming process and ack
+    /// the masterd. Called by the NIC handler when the last ready message
+    /// is counted, or at once after a baseline's copy.
     pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, sched: &mut Sched) {
         let breakdown = self.nodes[node].seq.finish(now);
-        let seq = &self.nodes[node].seq;
-        let (epoch, to) = (seq.epoch, seq.to_slot);
-        self.end_switch(now, node, epoch, to, breakdown, sched);
+        let n = &mut self.nodes[node];
+        let (epoch, to) = (n.seq.epoch, n.seq.to_slot);
+        self.stats.record_switch(node, epoch, breakdown);
+        n.nic.set_halt_bit(false);
+        n.halt_broadcast_started = false;
+        n.switches_done += 1;
+        self.kick_send_engine(now, node, sched);
+        // Only the incoming process is left to run: the outgoing one was
+        // stopped, and `to` made current, when the switch began.
+        self.switch_slot(now, node, to, to, sched);
+        self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
     }
 
     /// (send, recv) occupancy of the outgoing job's resident context in
@@ -198,35 +225,5 @@ impl World {
         self.trace.emit(now, Category::Switch, Some(node), || {
             format!("buffers switched (slot {from} -> {to})")
         });
-    }
-
-    /// The end of every switch that copied buffers: record its stages,
-    /// clear the halt state, restart sending, resume the incoming process
-    /// and ack the masterd.
-    fn end_switch(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        to: usize,
-        breakdown: StageBreakdown,
-        sched: &mut Sched,
-    ) {
-        self.stats.record_switch(node, epoch, breakdown);
-        let n = &mut self.nodes[node];
-        n.nic.set_halt_bit(false);
-        n.halt_requested = false;
-        n.halt_broadcast_started = false;
-        n.switches_done += 1;
-        self.kick_send_engine(now, node, sched);
-        self.resume_incoming(now, node, to, sched);
-        self.route_ack(now, node, MasterMsg::SwitchDone { epoch, count: 1 }, sched);
-    }
-
-    fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, sched: &mut Sched) {
-        if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
-            self.nodes[node].cont(pid_in);
-            sched.at(now + host::SIGNAL, Event::ProcKick { node, pid: pid_in });
-        }
     }
 }

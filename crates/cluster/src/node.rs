@@ -146,9 +146,6 @@ pub struct NodeSim {
     pub exited: Vec<ExitRecord>,
     /// True while a SendEngineDone event is outstanding.
     pub send_engine_busy: bool,
-    /// The noded asked for a halt; the engine starts the halt broadcast at
-    /// the next packet boundary.
-    pub halt_requested: bool,
     /// The halt broadcast has been started (at most once per switch).
     pub halt_broadcast_started: bool,
     /// COMM_init_node has run (control program loaded into the LANai).
@@ -188,7 +185,6 @@ impl NodeSim {
             apps: AppMap::default(),
             exited: Vec::new(),
             send_engine_busy: false,
-            halt_requested: false,
             halt_broadcast_started: false,
             nic_initialized: false,
             in_service: true,

@@ -101,9 +101,6 @@ pub struct ProcSim {
     /// A fragment built while the endpoint was being evicted; injected as
     /// soon as the endpoint faults back in (CachedEndpoints only).
     pub deferred_pkt: Option<Packet>,
-    /// When this process issued its first Send (opens the paper's
-    /// bandwidth-measurement interval).
-    pub first_send: Option<SimTime>,
     /// Reliability layer: a RetransTimeout event is outstanding.
     pub rel_timer_armed: bool,
     /// Reliability layer: consecutive timer firings without ack progress
@@ -159,7 +156,6 @@ impl ProcSim {
             pipe: Pipe::new(),
             pending_refills: BTreeMap::new(),
             deferred_pkt: None,
-            first_send: None,
             rel_timer_armed: false,
             rel_backoff: 0,
             rel_progress_mark: 0,

@@ -30,10 +30,10 @@ fn all_up_happens_before_any_send() {
     assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(5)));
     let w = sim.world();
     let all_up = w.stats.job_all_up[&job];
-    let first_send = w.stats.job_first_send[&job];
+    let sent = w.stats.job_first_send[&job];
     assert!(
-        first_send > all_up,
-        "a process sent ({first_send:?}) before the sync point ({all_up:?})"
+        sent > all_up,
+        "a process sent ({sent:?}) before the sync point ({all_up:?})"
     );
 }
 

@@ -13,6 +13,7 @@ use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher::CopyStrategy;
 use sim_core::time::{Cycles, SimTime};
 use workloads::alltoall::AllToAll;
+use workloads::p2p::P2pBandwidth;
 
 const SHARE: SwitchStrategy = SwitchStrategy::ShareDiscard;
 
@@ -174,6 +175,52 @@ fn every_strategy_reports_its_stages_through_the_sequencer() {
                 strategy.name(),
                 n.id
             );
+        }
+    }
+}
+
+#[test]
+fn resident_policies_switch_by_signals_alone() {
+    // Under a policy that keeps every context on the NIC there is nothing
+    // to flush or copy, whatever the strategy: each switch is a SIGSTOP
+    // and a SIGCONT, so no baseline copies buffers or drops stragglers,
+    // and every node counts the switch it made. Each cell time-shares
+    // nodes 0 and 1 of a 4-node, 2-slot cluster between two 2,000 × 4 KB
+    // `p2p` jobs (20 ms quantum, seed 1).
+    const SWITCHES: u64 = 4;
+    let horizon = SimTime::ZERO + Cycles::from_secs(30);
+    for policy in [
+        BufferPolicy::StaticDivision,
+        BufferPolicy::Demand,
+        BufferPolicy::CachedEndpoints,
+    ] {
+        for strategy in [SwitchStrategy::GangFlush, SHARE, SwitchStrategy::AckDrain] {
+            let cell = format!("{policy:?} × {strategy:?}");
+            let mut cfg = ClusterConfig::parpar(4, 2, policy);
+            cfg.strategy = strategy;
+            cfg.quantum = Cycles::from_ms(20);
+            cfg.seed = 1;
+            let mut sim = Sim::new(cfg);
+            let p2p = P2pBandwidth::with_count(4096, 2000);
+            sim.submit(&p2p, Some(vec![0, 1])).unwrap();
+            sim.submit(&p2p, Some(vec![0, 1])).unwrap();
+            sim.engine
+                .run_until_pred(horizon, |w| w.stats.switches >= SWITCHES);
+            let w = sim.world();
+            assert_eq!(w.stats.switches, SWITCHES, "{cell}: rotation stalled");
+            for n in &w.nodes {
+                assert_eq!(n.switches_done, SWITCHES, "{cell}: node {}", n.id);
+            }
+            assert!(sim.run_until_jobs_done(horizon), "{cell}: jobs unfinished");
+            let w = sim.world();
+            assert_eq!(w.stats.drops, 0, "{cell}: drops");
+            assert!(w.stats.queue_samples.is_empty(), "{cell}: queue samples");
+            let copies = sim
+                .engine
+                .dispatch_counts()
+                .find(|(kind, _)| *kind == "copy_done")
+                .map_or(0, |(_, n)| n);
+            assert_eq!(copies, 0, "{cell}: buffer copies");
         }
     }
 }
