@@ -67,12 +67,13 @@ pub enum Event {
         /// The epoch the watchdog was armed for.
         epoch: u64,
     },
-    /// A masterd command reached a noded.
+    /// The earliest still-undelivered command of a masterd fan-out reached
+    /// its noded. Its destination and contents live in the world's
+    /// command-train slab, so a fan-out keeps one pending event instead of
+    /// one per node.
     CtrlToNode {
-        /// Destination node.
-        node: usize,
-        /// The command.
-        cmd: NodedCmd,
+        /// Slab index of the command train.
+        train: u32,
     },
     /// A noded report reached the masterd.
     CtrlToMaster {

@@ -7,7 +7,7 @@ use fastmsg::proc::FmProcess;
 use gang_comm::state::SavedCommState;
 use hostsim::costs as host;
 use hostsim::process::Pid;
-use parpar::control::ControlPlane;
+use parpar::control::{ControlPlane, PER_MSG_WIRE};
 use parpar::job::JobId;
 use parpar::jobrep::Admission;
 use parpar::protocol::{MasterMsg, NodedCmd, TreeMsg};
@@ -107,42 +107,49 @@ impl World {
     /// master's link), or the combining tree (one unicast to the root;
     /// each node forwards to its children over its own link).
     fn fan_out(&mut self, now: SimTime, cmd: NodedCmd, sched: &mut Sched) {
-        match self.cfg.control {
-            ControlPlane::Flat => {
-                let deliver = self.ctrl.multicast(now);
-                for node in 0..self.cfg.nodes {
-                    sched.at(
-                        deliver,
-                        Event::CtrlToNode {
-                            node,
-                            cmd: cmd.clone(),
-                        },
-                    );
-                }
-            }
-            ControlPlane::Serial => {
-                for node in 0..self.cfg.nodes {
-                    let t = self.ctrl.unicast_to_node(now);
-                    sched.at(
-                        t,
-                        Event::CtrlToNode {
-                            node,
-                            cmd: cmd.clone(),
-                        },
-                    );
-                }
-            }
+        let multicast = match self.cfg.control {
+            ControlPlane::Flat => true,
+            ControlPlane::Serial => false,
             ControlPlane::Tree { .. } => {
                 let root = self.tree.as_ref().expect("tree control plane").root();
                 let t = self.ctrl.unicast_to_node(now);
-                sched.at(
-                    t,
-                    Event::CtrlToPeer {
-                        node: root,
-                        msg: TreeMsg::Bcast(cmd),
-                    },
-                );
+                let msg = TreeMsg::Bcast(cmd);
+                sched.at(t, Event::CtrlToPeer { node: root, msg });
+                return;
             }
+        };
+        let every = Commands::Every(cmd, self.cfg.nodes);
+        self.send_commands(now, multicast, every, sched);
+    }
+
+    /// Send `cmds` from the masterd at `now`, as one multicast (every
+    /// delivery at once) or as a serial unicast loop on its link. The
+    /// deliveries claim one block of seqs where the loop would have
+    /// scheduled them, one per delivery, and are parked as a command
+    /// train of which only the head is queued (DESIGN.md §3i).
+    pub(crate) fn send_commands(
+        &mut self,
+        now: SimTime,
+        multicast: bool,
+        cmds: Commands,
+        sched: &mut Sched,
+    ) {
+        let len = cmds.len();
+        let (first, gap) = if multicast {
+            (self.ctrl.multicast(now), Cycles::ZERO)
+        } else {
+            (self.ctrl.unicast_train(now, len), PER_MSG_WIRE)
+        };
+        let base_seq = sched.claim_seqs(len as u64);
+        if len > 0 {
+            let train = self.cmd_trains.open(CmdTrain {
+                first,
+                gap,
+                base_seq,
+                cmds,
+                next: 0,
+            });
+            sched.push_claimed(first, base_seq, Event::CtrlToNode { train });
         }
     }
 
@@ -170,15 +177,14 @@ impl World {
         host::DAEMON_DISPATCH + jitter
     }
 
-    /// A masterd command was delivered to a node's socket: the noded wakes
-    /// up after its scheduling jitter and dispatch cost.
-    pub(super) fn on_ctrl_to_node(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        cmd: NodedCmd,
-        sched: &mut Sched,
-    ) {
+    /// The head of a command train was delivered to its node's socket:
+    /// queue the train's next delivery, then wake the noded after its
+    /// scheduling jitter and dispatch cost.
+    pub(super) fn on_ctrl_to_node(&mut self, now: SimTime, train: u32, sched: &mut Sched) {
+        let (node, cmd, next) = self.cmd_trains.advance(train);
+        if let Some((t, seq)) = next {
+            sched.push_claimed(t, seq, Event::CtrlToNode { train });
+        }
         let delay = self.daemon_wake_delay();
         sched.at(now + delay, Event::NodedAct { node, cmd });
     }
@@ -268,15 +274,13 @@ impl World {
     pub(super) fn on_ctrl_to_master(&mut self, now: SimTime, msg: MasterMsg, sched: &mut Sched) {
         match msg {
             MasterMsg::ProcStarted { job } => {
-                if let Some(cmds) = self.master.on_proc_started(job) {
+                if let Some(nodes) = self.master.on_proc_started(job) {
+                    let all_up = Commands::Listed(NodedCmd::AllUp { job }, nodes.to_vec());
                     self.stats.job_all_up.insert(job, now);
                     self.stats.job_bytes.entry(job).or_default();
                     self.trace
                         .emit(now, Category::Gang, None, || format!("{job} all up"));
-                    for (n, cmd) in cmds {
-                        let t = self.ctrl.unicast_to_node(now);
-                        sched.at(t, Event::CtrlToNode { node: n, cmd });
-                    }
+                    self.send_commands(now, false, all_up, sched);
                 }
             }
             MasterMsg::SwitchDone { epoch, count } => {
@@ -450,10 +454,7 @@ impl World {
         sched: &mut Sched,
     ) {
         let geo = self.cfg.fm.geometry();
-        let program = self
-            .pending_programs
-            .remove(&(job, rank))
-            .expect("no program registered for (job, rank)");
+        let program = self.take_program(job, rank);
 
         // COMM_init_job: make the context able to receive *before* the
         // fork. Under static division every context is resident; under the
@@ -510,5 +511,242 @@ impl World {
             },
         );
         sched.at(after_fork, Event::ProcKick { node, pid });
+    }
+}
+
+/// What a command train delivers, in delivery order.
+pub(crate) enum Commands {
+    /// A command per delivery, each to its own node (a submission's
+    /// LoadJob commands).
+    Each(Vec<(usize, NodedCmd)>),
+    /// One command to each of nodes `0..n` (a switch order or its
+    /// re-send).
+    Every(NodedCmd, usize),
+    /// One command to each listed node (a job's AllUp).
+    Listed(NodedCmd, Vec<usize>),
+}
+
+impl Commands {
+    fn len(&self) -> usize {
+        match self {
+            Commands::Each(cmds) => cmds.len(),
+            Commands::Every(_, n) => *n,
+            Commands::Listed(_, nodes) => nodes.len(),
+        }
+    }
+
+    /// Delivery `i`'s node and command.
+    fn get(&self, i: usize) -> (usize, NodedCmd) {
+        match self {
+            Commands::Each(cmds) => cmds[i].clone(),
+            Commands::Every(cmd, _) => (i, cmd.clone()),
+            Commands::Listed(cmd, nodes) => (nodes[i], cmd.clone()),
+        }
+    }
+}
+
+/// One in-flight masterd fan-out: delivery `i` lands at `first + i·gap`
+/// under seq `base_seq + i`. Times never fall and seqs rise, so delivery
+/// order is `(time, seq)` order and no sort is needed.
+struct CmdTrain {
+    /// Delivery 0's arrival.
+    first: SimTime,
+    /// Spacing: one wire time on a unicast loop, zero for a multicast.
+    gap: Cycles,
+    /// Seq of delivery 0.
+    base_seq: u64,
+    cmds: Commands,
+    /// The queued delivery.
+    next: usize,
+}
+
+/// Slab of in-flight command trains, indexed by
+/// [`Event::CtrlToNode`]'s `train`. A finished train drops its commands
+/// and its slot is reused.
+#[derive(Default)]
+pub(crate) struct CmdTrains {
+    slab: Vec<Option<CmdTrain>>,
+    free: Vec<u32>,
+}
+
+impl CmdTrains {
+    /// Park a train; returns its slot.
+    fn open(&mut self, train: CmdTrain) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.slab[id as usize] = Some(train);
+                id
+            }
+            None => {
+                self.slab.push(Some(train));
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take a train's head: its node and command, plus the next
+    /// delivery's `(time, seq)`. A train whose last delivery this was is
+    /// freed.
+    fn advance(&mut self, id: u32) -> (usize, NodedCmd, Option<(SimTime, u64)>) {
+        let slot = &mut self.slab[id as usize];
+        let train = slot.as_mut().expect("command train already finished");
+        let (node, cmd) = train.cmds.get(train.next);
+        train.next += 1;
+        let i = train.next as u64;
+        let next = (train.next < train.cmds.len())
+            .then(|| (train.first + train.gap * i, train.base_seq + i));
+        if next.is_none() {
+            *slot = None;
+            self.free.push(id);
+        }
+        (node, cmd, next)
+    }
+
+    /// Trains still delivering.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fastmsg::division::BufferPolicy;
+    use parpar::control::ControlNet;
+
+    use super::*;
+    use crate::config::ClusterConfig;
+    use crate::world::Sim;
+
+    /// An idle `nodes`-node cluster on `control`, with no timer armed.
+    fn idle(nodes: usize, control: ControlPlane) -> Sim {
+        let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::FullBuffer);
+        cfg.control = control;
+        cfg.auto_rotate = false;
+        cfg.daemon_jitter_max = Cycles::ZERO;
+        Sim::new(cfg)
+    }
+
+    /// Drain train `id`: each delivery's `(time, seq, node, command)`.
+    fn drain(trains: &mut CmdTrains, id: u32) -> Vec<(SimTime, u64, usize, NodedCmd)> {
+        let train = trains.slab[id as usize].as_ref().unwrap();
+        let mut head = Some((train.first, train.base_seq));
+        let mut got = Vec::new();
+        while let Some((t, seq)) = head {
+            let (node, cmd, next) = trains.advance(id);
+            got.push((t, seq, node, cmd));
+            head = next;
+        }
+        got
+    }
+
+    #[test]
+    fn a_flat_train_delivers_at_one_instant_in_node_order() {
+        let mut sim = idle(256, ControlPlane::Flat);
+        let cmd = NodedCmd::ResendProtocol { epoch: 1 };
+        sim.engine.drive(|w, sched| {
+            let base = sched.claim_seqs(0);
+            w.fan_out(SimTime::ZERO, cmd.clone(), sched);
+            assert_eq!((sched.pending(), w.cmd_trains.live()), (1, 1));
+            let at = ControlNet::new().multicast(SimTime::ZERO);
+            let want: Vec<_> = (0..256)
+                .map(|n| (at, base + n as u64, n, cmd.clone()))
+                .collect();
+            assert_eq!(drain(&mut w.cmd_trains, 0), want);
+            assert_eq!(w.cmd_trains.live(), 0);
+            assert_eq!(w.ctrl.messages, 1);
+        });
+    }
+
+    #[test]
+    fn a_serial_switch_order_is_one_train_landing_like_a_unicast_loop() {
+        let hosts = 256;
+        let mut sim = idle(hosts, ControlPlane::Serial);
+        let job = workloads::registry::build("compute", hosts, 1, 1_000).unwrap();
+        for _ in 0..2 {
+            sim.submit(&*job, Some((0..hosts).collect())).unwrap();
+        }
+        let now = SimTime::ZERO;
+        sim.engine.drive(|w, sched| {
+            // Two LoadJob trains are still on the master's link.
+            assert_eq!((sched.pending(), w.cmd_trains.live()), (2, 2));
+            let mut lp = w.ctrl.clone();
+            let times: Vec<SimTime> = (0..hosts).map(|_| lp.unicast_to_node(now)).collect();
+            let base = sched.claim_seqs(0);
+            w.order_switch(now, sched);
+            assert_eq!((sched.pending(), w.cmd_trains.live()), (3, 3));
+            assert_eq!(w.ctrl.messages, lp.messages);
+            let cmd = NodedCmd::SwitchSlot {
+                epoch: 1,
+                from: 0,
+                to: 1,
+            };
+            let want: Vec<_> = (0..hosts)
+                .map(|n| (times[n], base + n as u64, n, cmd.clone()))
+                .collect();
+            assert_eq!(drain(&mut w.cmd_trains, 2), want);
+        });
+    }
+
+    /// Step `sim` once; the kind index of the event it dispatched.
+    fn step_kind(sim: &mut Sim) -> usize {
+        let before: Vec<u64> = sim.engine.dispatch_counts().map(|(_, c)| c).collect();
+        sim.engine.step().expect("an event is due");
+        let after = sim.engine.dispatch_counts().map(|(_, c)| c);
+        after.zip(before).position(|(a, b)| a != b).unwrap()
+    }
+
+    /// The kinds `sim` dispatches until it idles, without the nodeds'
+    /// `noded_act`s (which fall between the deliveries of a serial train).
+    fn kinds_to_idle(sim: &mut Sim) -> Vec<usize> {
+        let noded_act = Event::NodedAct {
+            node: 0,
+            cmd: NodedCmd::ResendProtocol { epoch: 0 },
+        }
+        .kind_index();
+        let mut kinds = Vec::new();
+        while sim.engine.pending() > 0 {
+            kinds.push(step_kind(sim));
+        }
+        kinds.retain(|&k| k != noded_act);
+        kinds
+    }
+
+    #[test]
+    fn a_train_interleaves_with_same_instant_pushes_in_time_seq_order() {
+        // A masterd with no switch in flight ignores a watchdog and a
+        // ResendProtocol, so both make harmless markers.
+        let mark = Event::SwitchRetryCheck { epoch: 7 };
+        let (ctrl, check) = (
+            Event::CtrlToNode { train: 0 }.kind_index(),
+            mark.kind_index(),
+        );
+        let cmd = NodedCmd::ResendProtocol { epoch: 7 };
+
+        // Flat: a marker pushed before the fan-out at its delivery instant
+        // comes first, one pushed after comes last.
+        let mut sim = idle(16, ControlPlane::Flat);
+        let at = ControlNet::new().multicast(SimTime::ZERO);
+        sim.engine.drive(|w, sched| {
+            sched.at(at, mark.clone());
+            w.fan_out(SimTime::ZERO, cmd.clone(), sched);
+            sched.at(at, mark.clone());
+        });
+        let mut want = vec![check];
+        want.extend([ctrl; 16]);
+        want.push(check);
+        assert_eq!(kinds_to_idle(&mut sim), want);
+
+        // Serial: markers tied with deliveries 3 (pushed before the
+        // fan-out) and 5 (pushed after) pop before and after them.
+        let mut sim = idle(8, ControlPlane::Serial);
+        let first = ControlNet::new().unicast_to_node(SimTime::ZERO);
+        sim.engine.drive(|w, sched| {
+            sched.at(first + PER_MSG_WIRE * 3, mark.clone());
+            w.fan_out(SimTime::ZERO, cmd.clone(), sched);
+            sched.at(first + PER_MSG_WIRE * 5, mark.clone());
+        });
+        let want = [ctrl, ctrl, ctrl, check, ctrl, ctrl, ctrl, check, ctrl, ctrl];
+        assert_eq!(kinds_to_idle(&mut sim), want);
     }
 }

@@ -39,7 +39,7 @@ impl Model for World {
             Event::QuantumExpired => self.on_quantum_expired(now, sched),
             Event::NodeTick { node } => self.on_node_tick(now, node, sched),
             Event::SwitchRetryCheck { epoch } => self.on_switch_retry_check(now, epoch, sched),
-            Event::CtrlToNode { node, cmd } => self.on_ctrl_to_node(now, node, cmd, sched),
+            Event::CtrlToNode { train } => self.on_ctrl_to_node(now, train, sched),
             Event::CtrlToMaster { msg } => self.on_ctrl_to_master(now, msg, sched),
             Event::NodedAct { node, cmd } => self.on_noded_act(now, node, cmd, sched),
             Event::CtrlToPeer { node, msg } => self.on_ctrl_to_peer(now, node, msg, sched),

@@ -284,7 +284,6 @@ impl World {
             }
             Frame::Ack => {
                 let n = &mut self.nodes[node];
-                n.nic.stats.control_received += 1;
                 assert!(n.outstanding > 0, "ack without outstanding packet");
                 n.outstanding -= 1;
                 if n.outstanding == 0 {
@@ -423,7 +422,6 @@ impl World {
             sched.push_claimed(t, seq, Event::BroadcastArrive { train });
         }
         let ControlFrame { signal, epoch, src } = frame;
-        self.nodes[node].nic.stats.control_received += 1;
         match signal {
             Signal::Halt => {
                 self.trace.emit(now, Category::Switch, Some(node), || {

@@ -23,6 +23,7 @@ use workloads::program::{Program, Workload};
 
 use crate::config::ClusterConfig;
 use crate::event::{Event, Sched};
+use crate::handlers::daemon::{CmdTrains, Commands};
 use crate::handlers::nic::{Trains, MAX_NODES};
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
@@ -39,6 +40,15 @@ pub struct QueuedSub {
 pub(crate) struct PlannedArrival {
     pub(crate) spec: JobSpec,
     pub(crate) programs: Vec<Box<dyn Program>>,
+}
+
+/// A submitted job's programs, from its submission until every rank's
+/// LoadJob has taken its own.
+pub(crate) struct Loading {
+    /// Rank `r`'s program, until its LoadJob takes it.
+    programs: Vec<Option<Box<dyn Program>>>,
+    /// Ranks not loaded yet.
+    left: usize,
 }
 
 /// The full simulated ParPar system.
@@ -61,8 +71,9 @@ pub struct World {
     pub stats: WorldStats,
     /// The job representative's submission queue.
     pub jobrep: JobRep<QueuedSub>,
-    /// Programs awaiting their LoadJob, keyed by (job, rank).
-    pub(crate) pending_programs: BTreeMap<(JobId, usize), Box<dyn Program>>,
+    /// Programs of the jobs still loading; a job's entry goes when its
+    /// last rank has loaded.
+    pub(crate) loading: BTreeMap<JobId, Loading>,
     /// The installed open-loop arrival plan (serving mode); each entry is
     /// taken when its `JobArrival` event fires.
     pub(crate) arrivals: Vec<Option<PlannedArrival>>,
@@ -79,6 +90,8 @@ pub struct World {
     pub(crate) switch_ordered_at: SimTime,
     /// In-flight serial halt/ready broadcasts (see `handlers::nic`).
     pub(crate) trains: Trains,
+    /// In-flight masterd fan-outs (see `handlers::daemon`).
+    pub(crate) cmd_trains: CmdTrains,
     /// Pooled pid buffer for `on_send_engine_done`'s resident scan.
     pub(crate) pid_buf: Vec<Pid>,
 }
@@ -148,13 +161,14 @@ impl World {
             rng: DetRng::new(cfg.seed),
             stats: WorldStats::default(),
             jobrep: JobRep::new(),
-            pending_programs: BTreeMap::new(),
+            loading: BTreeMap::new(),
             arrivals: Vec::new(),
             arrivals_pending: 0,
             tree,
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
             trains: Trains::default(),
+            cmd_trains: CmdTrains::default(),
             pid_buf: Vec::new(),
             cfg,
         };
@@ -176,7 +190,7 @@ impl World {
     }
 
     /// Register an admitted submission's programs and send its LoadJob
-    /// commands over the control network.
+    /// commands over the control network, one unicast per rank.
     pub(crate) fn dispatch_submission(
         &mut self,
         now: SimTime,
@@ -184,9 +198,9 @@ impl World {
         programs: Vec<Box<dyn Program>>,
         sched: &mut Sched,
     ) {
-        for (rank, program) in programs.into_iter().enumerate() {
-            self.pending_programs.insert((sub.job, rank), program);
-        }
+        let left = programs.len();
+        let programs = programs.into_iter().map(Some).collect();
+        self.loading.insert(sub.job, Loading { programs, left });
         if let Some(tree) = self.tree {
             // Pre-register the job's ack reduction: every node on a
             // member's root path expects its subtree's share of the
@@ -196,14 +210,30 @@ impl World {
                 self.tree_agg[n].register_job(sub.job, expected);
             }
         }
-        for (node, cmd) in sub.cmds {
+        for &(node, _) in &sub.cmds {
             assert!(
                 self.nodes[node].in_service,
                 "job placed on out-of-service node {node}"
             );
-            let t = self.ctrl.unicast_to_node(now);
-            sched.at(t, Event::CtrlToNode { node, cmd });
         }
+        self.send_commands(now, false, Commands::Each(sub.cmds), sched);
+    }
+
+    /// Rank `rank`'s program, for its LoadJob. The job's entry goes with
+    /// its last rank's program.
+    pub(crate) fn take_program(&mut self, job: JobId, rank: usize) -> Box<dyn Program> {
+        let loading = self
+            .loading
+            .get_mut(&job)
+            .expect("no programs registered for the job");
+        let program = loading.programs[rank]
+            .take()
+            .expect("the rank's program was already taken");
+        loading.left -= 1;
+        if loading.left == 0 {
+            self.loading.remove(&job);
+        }
+        program
     }
 
     /// Record an admitted submission's submit time, dispatch time and
@@ -311,6 +341,19 @@ impl Sim {
         assert!(
             !(gang && cfg.reliability.enabled) || cfg.reliability.switch_retry > Cycles::ZERO,
             "cfg.reliability.switch_retry must be positive when reliability is on"
+        );
+        // A zero window would let every job initialize and then never
+        // send. Static division's collapse to zero stays allowed: Fig. 5
+        // measures it.
+        let geo = cfg.fm.geometry();
+        assert!(
+            cfg.fm.policy != fastmsg::division::BufferPolicy::FullBuffer || geo.credits > 0,
+            "FullBuffer with {} hosts and {} receive slots gives C0 = {} credits per \
+             peer: no process could ever send; use CreditRounding::Ceil or a larger \
+             receive region (cfg.fm.recv_slots_total)",
+            cfg.fm.hosts,
+            geo.recv_slots,
+            geo.credits
         );
         let mut engine = Engine::new(World::new(cfg));
         engine.event_limit = 2_000_000_000;
@@ -508,6 +551,24 @@ mod tests {
     #[should_panic(expected = "65537 nodes: a serial broadcast reaches at most 65536")]
     fn clusters_past_the_broadcast_key_width_are_rejected() {
         let _ = World::new(ClusterConfig::parpar(65_537, 1, BufferPolicy::FullBuffer));
+    }
+
+    #[test]
+    #[should_panic(expected = "FullBuffer with 1024 hosts and 668 receive slots gives C0 = 0")]
+    fn a_zero_credit_full_buffer_cluster_is_rejected() {
+        let _ = Sim::new(ClusterConfig::parpar(1024, 2, BufferPolicy::FullBuffer));
+    }
+
+    #[test]
+    fn only_a_zero_credit_full_buffer_is_rejected() {
+        // Static division starves at scale on purpose (Fig. 5).
+        let starved = ClusterConfig::parpar(1024, 2, BufferPolicy::StaticDivision);
+        assert_eq!(starved.fm.geometry().credits, 0);
+        let _ = Sim::new(starved);
+        let mut ceil = ClusterConfig::parpar(1024, 2, BufferPolicy::FullBuffer);
+        ceil.fm.rounding = fastmsg::division::CreditRounding::Ceil;
+        assert_eq!(ceil.fm.geometry().credits, 1);
+        let _ = Sim::new(ceil);
     }
 
     #[test]

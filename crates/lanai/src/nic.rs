@@ -51,8 +51,6 @@ pub struct NicStats {
     pub data_received: u64,
     /// Control packets (halt/ready) emitted.
     pub control_sent: u64,
-    /// Control packets counted.
-    pub control_received: u64,
     /// Arrivals dropped because no resident context matched (only possible
     /// under the no-flush ablation strategies).
     pub dropped_no_context: u64,

@@ -91,8 +91,20 @@ impl ControlNet {
 
     /// Master unicasts to a single node.
     pub fn unicast_to_node(&mut self, now: SimTime) -> SimTime {
+        self.unicast_train(now, 1)
+    }
+
+    /// Master unicasts one message to each of `n` nodes at `now`, back to
+    /// back on its link (the serial loop of a fan-out). Returns the first
+    /// delivery; each later one lands [`PER_MSG_WIRE`] after the one
+    /// before. The link and the message count end up as after `n` calls
+    /// to [`ControlNet::unicast_to_node`].
+    pub fn unicast_train(&mut self, now: SimTime, n: usize) -> SimTime {
         // Same shared-link discipline as the multicast.
-        self.multicast(now)
+        let start = now.max(self.master_link_free);
+        self.master_link_free = start + PER_MSG_WIRE * n as u64;
+        self.messages += n as u64;
+        start + PER_MSG_WIRE + MULTICAST_LATENCY
     }
 
     /// Node `from` unicasts one message to another node at `now`;
@@ -135,6 +147,25 @@ mod tests {
         // Node replies queue behind too.
         let r = c.unicast_to_master(SimTime::ZERO);
         assert!(r > d2);
+    }
+
+    #[test]
+    fn a_unicast_train_reserves_the_link_like_a_unicast_loop() {
+        for (busy_until, now) in [(0, 0), (0, 5_000), (90_000, 5_000)] {
+            let (mut lp, mut train) = (ControlNet::new(), ControlNet::new());
+            lp.multicast(SimTime(busy_until));
+            train.multicast(SimTime(busy_until));
+            let times: Vec<SimTime> = (0..7).map(|_| lp.unicast_to_node(SimTime(now))).collect();
+            let first = train.unicast_train(SimTime(now), 7);
+            let spaced: Vec<SimTime> = (0..7).map(|i| first + PER_MSG_WIRE * i).collect();
+            assert_eq!(spaced, times);
+            assert_eq!(train.messages, lp.messages);
+            // The next message queues behind the whole loop on both.
+            assert_eq!(
+                train.unicast_to_master(SimTime(now)),
+                lp.unicast_to_master(SimTime(now))
+            );
+        }
     }
 
     #[test]

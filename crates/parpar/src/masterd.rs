@@ -155,9 +155,10 @@ impl Masterd {
     }
 
     /// A noded reports its process started. When the last one arrives, the
-    /// job becomes Running and AllUp commands are returned for its nodes
-    /// (the "collect all notifications" step of Fig. 2).
-    pub fn on_proc_started(&mut self, job: JobId) -> Option<Vec<(usize, NodedCmd)>> {
+    /// job becomes Running and the nodes that get its `AllUp` command are
+    /// returned, in rank order (the "collect all notifications" step of
+    /// Fig. 2).
+    pub fn on_proc_started(&mut self, job: JobId) -> Option<&[usize]> {
         let rec = self.jobs.get_mut(&job).expect("unknown job");
         assert_eq!(
             rec.state,
@@ -167,13 +168,7 @@ impl Masterd {
         rec.up += 1;
         if rec.up == rec.spec.nprocs {
             rec.state = JobState::Running;
-            Some(
-                rec.placement
-                    .nodes
-                    .iter()
-                    .map(|&n| (n, NodedCmd::AllUp { job }))
-                    .collect(),
-            )
+            Some(&rec.placement.nodes)
         } else {
             None
         }
@@ -307,7 +302,7 @@ mod tests {
         assert!(m.on_proc_started(s.job).is_none());
         assert!(m.on_proc_started(s.job).is_none());
         let all_up = m.on_proc_started(s.job).unwrap();
-        assert_eq!(all_up.len(), 3);
+        assert_eq!(all_up, s.placement.nodes.as_slice());
         assert_eq!(m.job(s.job).unwrap().state, JobState::Running);
     }
 
