@@ -8,13 +8,13 @@
 //!
 //! Each scenario is one row carrying the run's event-stream digest,
 //! printed as a stable `DIGEST` line for CI to diff. The row format, its
-//! writer and the median-of-three timer live in [`crate::snapshot`].
+//! writer and the best-of-three timer live in [`crate::snapshot`].
 //!
 //! ```text
 //! cargo run --release -p bench-harness -- perf_snapshot [--seed N] [--out DIR]
 //! ```
 
-use crate::snapshot::{median_wall_ms, Row, Snapshot};
+use crate::snapshot::{best_wall_ms, Row, Snapshot};
 use crate::HarnessOpts;
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
@@ -51,9 +51,9 @@ fn pairs64(seed: u64) -> Sim {
 }
 
 /// One row: run a freshly built `scenario` to completion three times and
-/// keep the median wall time. Building the cluster is not timed.
+/// keep the fastest wall time. Building the cluster is not timed.
 fn measure(scenario: &str, build: impl Fn() -> Sim) -> Row {
-    let (wall_ms, sim) = median_wall_ms(build, |mut sim| {
+    let (wall_ms, sim) = best_wall_ms(build, |mut sim| {
         assert!(
             sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)),
             "{scenario} did not finish"

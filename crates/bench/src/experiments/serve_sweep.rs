@@ -12,7 +12,7 @@
 //! committed `results/serve_sweep.csv` byte for byte, and per-cell
 //! `DIGEST` lines print the logical fingerprint. With `--out DIR`, wall-clock throughput
 //! (engine logical events per second) goes to `DIR/BENCH_serve.json`.
-//! Cells run one at a time, each timed as the median of three runs, so a
+//! Cells run one at a time, each timed as the fastest of three runs, so a
 //! row's `wall_ms` is one cell on an otherwise idle harness.
 //!
 //! The figure to look for: every discipline holds the e2e tail near the
@@ -27,7 +27,7 @@
 //!     [--out DIR] [--csv DIR] [--seed N]
 //! ```
 
-use crate::snapshot::{median_wall_ms, Row, Snapshot};
+use crate::snapshot::{best_wall_ms, Row, Snapshot};
 use crate::HarnessOpts;
 use cluster::measure::{Measurement, SchedulingMode, ServeCell};
 use sim_core::report::{Cell, Table};
@@ -51,7 +51,7 @@ struct CellOut {
 }
 
 fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessOpts) -> CellOut {
-    let (wall_ms, cell) = median_wall_ms(
+    let (wall_ms, cell) = best_wall_ms(
         || {
             Measurement::serve(8, 2, mode)
                 .arrival_rate(rate)

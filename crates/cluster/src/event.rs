@@ -69,10 +69,10 @@ pub enum Event {
     },
     /// The earliest still-undelivered command of a masterd fan-out reached
     /// its noded. Its destination and contents live in the world's
-    /// command-train slab, so a fan-out keeps one pending event instead of
-    /// one per node.
+    /// fan-out [train](crate::train) slab, so a fan-out keeps one pending
+    /// event instead of one per node.
     CtrlToNode {
-        /// Slab index of the command train.
+        /// Slab index of the fan-out train.
         train: u32,
     },
     /// A noded report reached the masterd.
@@ -137,8 +137,8 @@ pub enum Event {
     },
     /// The earliest still-undelivered halt or ready packet of a serial
     /// broadcast arrived. Its destination and contents live in the world's
-    /// broadcast-train slab, so a broadcast keeps one pending event
-    /// instead of one per peer.
+    /// broadcast [train](crate::train) slab, so a broadcast keeps one
+    /// pending event instead of one per peer.
     BroadcastArrive {
         /// Slab index of the broadcast train.
         train: u32,

@@ -123,10 +123,10 @@ impl World {
     }
 
     /// Send `cmds` from the masterd at `now`, as one multicast (every
-    /// delivery at once) or as a serial unicast loop on its link. The
-    /// deliveries claim one block of seqs where the loop would have
-    /// scheduled them, one per delivery, and are parked as a command
-    /// train of which only the head is queued (DESIGN.md §3i).
+    /// delivery at once) or as a serial unicast loop on its link, parked
+    /// as a [train](crate::train) that opens where the loop stood
+    /// (DESIGN.md §3i). Delivery `i` lands at `first + i · gap`, so the
+    /// keys are already sorted.
     pub(crate) fn send_commands(
         &mut self,
         now: SimTime,
@@ -140,17 +140,11 @@ impl World {
         } else {
             (self.ctrl.unicast_train(now, len), PER_MSG_WIRE)
         };
-        let base_seq = sched.claim_seqs(len as u64);
-        if len > 0 {
-            let train = self.cmd_trains.open(CmdTrain {
-                first,
-                gap,
-                base_seq,
-                cmds,
-                next: 0,
-            });
-            sched.push_claimed(first, base_seq, Event::CtrlToNode { train });
+        let train = self.fan_outs.open(cmds, first, len, sched);
+        for i in 0..len {
+            self.fan_outs.add(train, i, first + gap * i as u64);
         }
+        self.fan_outs.seal(train, sched);
     }
 
     /// A node-local scheduler tick (uncoordinated mode): rotate this
@@ -177,14 +171,11 @@ impl World {
         host::DAEMON_DISPATCH + jitter
     }
 
-    /// The head of a command train was delivered to its node's socket:
+    /// The head of a fan-out train was delivered to its node's socket:
     /// queue the train's next delivery, then wake the noded after its
     /// scheduling jitter and dispatch cost.
     pub(super) fn on_ctrl_to_node(&mut self, now: SimTime, train: u32, sched: &mut Sched) {
-        let (node, cmd, next) = self.cmd_trains.advance(train);
-        if let Some((t, seq)) = next {
-            sched.push_claimed(t, seq, Event::CtrlToNode { train });
-        }
+        let (node, cmd) = self.fan_outs.advance(train, sched, Commands::get);
         let delay = self.daemon_wake_delay();
         sched.at(now + delay, Event::NodedAct { node, cmd });
     }
@@ -514,7 +505,7 @@ impl World {
     }
 }
 
-/// What a command train delivers, in delivery order.
+/// What a masterd fan-out's train delivers, in delivery order.
 pub(crate) enum Commands {
     /// A command per delivery, each to its own node (a submission's
     /// LoadJob commands).
@@ -545,70 +536,6 @@ impl Commands {
     }
 }
 
-/// One in-flight masterd fan-out: delivery `i` lands at `first + i·gap`
-/// under seq `base_seq + i`. Times never fall and seqs rise, so delivery
-/// order is `(time, seq)` order and no sort is needed.
-struct CmdTrain {
-    /// Delivery 0's arrival.
-    first: SimTime,
-    /// Spacing: one wire time on a unicast loop, zero for a multicast.
-    gap: Cycles,
-    /// Seq of delivery 0.
-    base_seq: u64,
-    cmds: Commands,
-    /// The queued delivery.
-    next: usize,
-}
-
-/// Slab of in-flight command trains, indexed by
-/// [`Event::CtrlToNode`]'s `train`. A finished train drops its commands
-/// and its slot is reused.
-#[derive(Default)]
-pub(crate) struct CmdTrains {
-    slab: Vec<Option<CmdTrain>>,
-    free: Vec<u32>,
-}
-
-impl CmdTrains {
-    /// Park a train; returns its slot.
-    fn open(&mut self, train: CmdTrain) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                self.slab[id as usize] = Some(train);
-                id
-            }
-            None => {
-                self.slab.push(Some(train));
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Take a train's head: its node and command, plus the next
-    /// delivery's `(time, seq)`. A train whose last delivery this was is
-    /// freed.
-    fn advance(&mut self, id: u32) -> (usize, NodedCmd, Option<(SimTime, u64)>) {
-        let slot = &mut self.slab[id as usize];
-        let train = slot.as_mut().expect("command train already finished");
-        let (node, cmd) = train.cmds.get(train.next);
-        train.next += 1;
-        let i = train.next as u64;
-        let next = (train.next < train.cmds.len())
-            .then(|| (train.first + train.gap * i, train.base_seq + i));
-        if next.is_none() {
-            *slot = None;
-            self.free.push(id);
-        }
-        (node, cmd, next)
-    }
-
-    /// Trains still delivering.
-    #[cfg(test)]
-    fn live(&self) -> usize {
-        self.slab.len() - self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use fastmsg::division::BufferPolicy;
@@ -627,19 +554,6 @@ mod tests {
         Sim::new(cfg)
     }
 
-    /// Drain train `id`: each delivery's `(time, seq, node, command)`.
-    fn drain(trains: &mut CmdTrains, id: u32) -> Vec<(SimTime, u64, usize, NodedCmd)> {
-        let train = trains.slab[id as usize].as_ref().unwrap();
-        let mut head = Some((train.first, train.base_seq));
-        let mut got = Vec::new();
-        while let Some((t, seq)) = head {
-            let (node, cmd, next) = trains.advance(id);
-            got.push((t, seq, node, cmd));
-            head = next;
-        }
-        got
-    }
-
     #[test]
     fn a_flat_train_delivers_at_one_instant_in_node_order() {
         let mut sim = idle(256, ControlPlane::Flat);
@@ -647,13 +561,13 @@ mod tests {
         sim.engine.drive(|w, sched| {
             let base = sched.claim_seqs(0);
             w.fan_out(SimTime::ZERO, cmd.clone(), sched);
-            assert_eq!((sched.pending(), w.cmd_trains.live()), (1, 1));
+            assert_eq!((sched.pending(), w.fan_outs.live()), (1, 1));
             let at = ControlNet::new().multicast(SimTime::ZERO);
             let want: Vec<_> = (0..256)
-                .map(|n| (at, base + n as u64, n, cmd.clone()))
+                .map(|n| (at, base + n as u64, (n, cmd.clone())))
                 .collect();
-            assert_eq!(drain(&mut w.cmd_trains, 0), want);
-            assert_eq!(w.cmd_trains.live(), 0);
+            assert_eq!(w.fan_outs.drain(0, sched, Commands::get), want);
+            assert_eq!(w.fan_outs.live(), 0);
             assert_eq!(w.ctrl.messages, 1);
         });
     }
@@ -669,12 +583,12 @@ mod tests {
         let now = SimTime::ZERO;
         sim.engine.drive(|w, sched| {
             // Two LoadJob trains are still on the master's link.
-            assert_eq!((sched.pending(), w.cmd_trains.live()), (2, 2));
+            assert_eq!((sched.pending(), w.fan_outs.live()), (2, 2));
             let mut lp = w.ctrl.clone();
             let times: Vec<SimTime> = (0..hosts).map(|_| lp.unicast_to_node(now)).collect();
             let base = sched.claim_seqs(0);
             w.order_switch(now, sched);
-            assert_eq!((sched.pending(), w.cmd_trains.live()), (3, 3));
+            assert_eq!((sched.pending(), w.fan_outs.live()), (3, 3));
             assert_eq!(w.ctrl.messages, lp.messages);
             let cmd = NodedCmd::SwitchSlot {
                 epoch: 1,
@@ -682,9 +596,9 @@ mod tests {
                 to: 1,
             };
             let want: Vec<_> = (0..hosts)
-                .map(|n| (times[n], base + n as u64, n, cmd.clone()))
+                .map(|n| (times[n], base + n as u64, (n, cmd.clone())))
                 .collect();
-            assert_eq!(drain(&mut w.cmd_trains, 2), want);
+            assert_eq!(w.fan_outs.drain(2, sched, Commands::get), want);
         });
     }
 

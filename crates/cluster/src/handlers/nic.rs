@@ -3,11 +3,8 @@
 //!
 //! A serial broadcast sends N−1 frames back to back (paper §3.2). Rather
 //! than queueing N−1 arrival events at once, the world parks the
-//! broadcast's arrivals as a *train* (`Trains`) and keeps only the
-//! earliest in the engine queue; handling it queues the next. Frame `e`
-//! of a broadcast owns seq `base + e` of one claimed block, so arrivals
-//! are delivered in the order they would be as separate events
-//! (DESIGN.md §3i).
+//! broadcast's arrivals as a [train](crate::train) and keeps only the
+//! earliest in the engine queue (DESIGN.md §3i).
 
 use fastmsg::packet::{Packet, PacketKind};
 use lanai::costs;
@@ -370,12 +367,11 @@ impl World {
     /// every peer, with its send engine held for the whole loop.
     ///
     /// The frames go on the wire (and through the loss draw) in
-    /// [`serial_peer`] order. Before anything else is scheduled, the
-    /// broadcast claims one block of seqs, one per frame, so frame `e` owns
-    /// seq `base + e` whether or not it survives. The surviving arrivals
-    /// are parked as a train and sorted by `(time, seq)` — on a fat-tree
-    /// they are not monotone in emission order — and only the earliest is
-    /// queued.
+    /// [`serial_peer`] order. The broadcast opens its train before
+    /// anything else is scheduled, so frame `e` owns seq `base + e`
+    /// whether or not it survives. The surviving arrivals are sorted by
+    /// `(time, seq)` when the train is sealed — on a fat-tree they are not
+    /// monotone in emission order — and only the earliest is queued.
     pub(crate) fn serial_control_broadcast(
         &mut self,
         now: SimTime,
@@ -395,32 +391,28 @@ impl World {
         };
         n.nic.stats.control_sent += peers as u64;
         let start = n.nic.reserve_engine(now, firmware);
-        let train = self
-            .trains
-            .open(frame, start, sched.claim_seqs(peers as u64));
+        let train = self.broadcasts.open(frame, start, peers, sched);
         let mut t = start;
         for e in 0..peers {
             let dst = serial_peer(node, e, hosts);
             let tx = self.net.transmit(t, node, dst, CONTROL_PACKET_BYTES);
             t = tx.injection_done;
             if !self.lose_frame() {
-                self.trains.add(train, e, tx.arrival);
+                self.broadcasts.add(train, e, tx.arrival);
             }
         }
         self.nodes[node].nic.engine_extend_to(t);
         sched.at(t, signal.done(node));
-        if let Some((t, seq)) = self.trains.seal(train) {
-            sched.push_claimed(t, seq, Event::BroadcastArrive { train });
-        }
+        self.broadcasts.seal(train, sched);
     }
 
     /// The head of a broadcast train arrived: queue the train's next
     /// arrival, then deliver this one.
     pub(super) fn on_broadcast_arrive(&mut self, now: SimTime, train: u32, sched: &mut Sched) {
-        let (node, frame, next) = self.trains.advance(train, self.cfg.nodes);
-        if let Some((t, seq)) = next {
-            sched.push_claimed(t, seq, Event::BroadcastArrive { train });
-        }
+        let hosts = self.cfg.nodes;
+        let (node, frame) = self.broadcasts.advance(train, sched, |frame, e| {
+            (serial_peer(frame.src, e, hosts), *frame)
+        });
         let ControlFrame { signal, epoch, src } = frame;
         match signal {
             Signal::Halt => {
@@ -464,225 +456,10 @@ impl Signal {
 
 /// The control packet a serial broadcast carries to every peer.
 #[derive(Debug, Clone, Copy)]
-struct ControlFrame {
+pub(crate) struct ControlFrame {
     signal: Signal,
     /// Switch epoch it belongs to.
     epoch: u64,
     /// Emitting node.
     src: usize,
-}
-
-/// Bits of a train key that hold the frame index: a broadcast sends at
-/// most `2^16` frames, so the cluster has at most [`MAX_NODES`] nodes.
-const FRAME_BITS: u32 = 16;
-
-/// Low bits of a train key: the frame index.
-const FRAME_MASK: u64 = (1 << FRAME_BITS) - 1;
-
-/// Largest cluster a serial broadcast's train keys can index.
-pub(crate) const MAX_NODES: usize = 1 << FRAME_BITS;
-
-/// One in-flight serial broadcast: the frame and its undelivered arrivals.
-///
-/// Each surviving frame `e` is one `u64` key, `(arrival − start) << 16 |
-/// e`: integer order on the keys is `(arrival, e)` order, which is
-/// `(time, seq)` order because frame `e` owns seq `base_seq + e`. The key
-/// also gives back the destination, [`serial_peer`]`(src, e, hosts)`.
-#[derive(Debug)]
-struct Train {
-    frame: ControlFrame,
-    /// When the first frame went on the wire; every arrival is later.
-    start: SimTime,
-    /// Seq of frame 0; frame `e` owns `base_seq + e`.
-    base_seq: u64,
-    /// Packed arrivals, sorted once sealed; `keys[next]` is the queued one.
-    keys: Vec<u64>,
-    next: usize,
-}
-
-impl Train {
-    /// Arrival time and seq of the stop under `key`.
-    fn stop(&self, key: u64) -> (SimTime, u64) {
-        let t = SimTime(self.start.raw() + (key >> FRAME_BITS));
-        (t, self.base_seq + (key & FRAME_MASK))
-    }
-}
-
-/// Slab of in-flight broadcast trains, indexed by
-/// [`Event::BroadcastArrive`]'s `train`. Finished slots (and their key
-/// buffers) are recycled, so a steady rotation allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Trains {
-    slab: Vec<Train>,
-    free: Vec<u32>,
-}
-
-impl Trains {
-    /// Start an empty train carrying `frame`, whose frames went on the
-    /// wire from `start` on and own the seqs from `base_seq` on.
-    fn open(&mut self, frame: ControlFrame, start: SimTime, base_seq: u64) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                let t = &mut self.slab[id as usize];
-                t.frame = frame;
-                t.start = start;
-                t.base_seq = base_seq;
-                t.keys.clear();
-                t.next = 0;
-                id
-            }
-            None => {
-                self.slab.push(Train {
-                    frame,
-                    start,
-                    base_seq,
-                    keys: Vec::new(),
-                    next: 0,
-                });
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Add frame `e`'s arrival to an open train. Inlined, like
-    /// [`Trains::advance`]: each runs once per frame, and left as calls
-    /// they measurably slowed the broadcast and arrival handlers
-    /// (DESIGN.md §3i).
-    #[inline]
-    fn add(&mut self, id: u32, e: usize, arrival: SimTime) {
-        let train = &mut self.slab[id as usize];
-        assert!(
-            e < MAX_NODES,
-            "broadcast frame {e}: a train indexes at most {MAX_NODES} frames"
-        );
-        let offset = arrival.raw() - train.start.raw();
-        assert!(
-            offset < 1 << (64 - FRAME_BITS),
-            "broadcast frame {e} arrives {offset} cycles after its start: \
-             a train key holds at most 2^48"
-        );
-        train.keys.push(offset << FRAME_BITS | e as u64);
-    }
-
-    /// Close a train: sort its keys and return the head's `(time, seq)`,
-    /// or free the slot and return `None` if every frame was lost.
-    fn seal(&mut self, id: u32) -> Option<(SimTime, u64)> {
-        let train = &mut self.slab[id as usize];
-        train.keys.sort_unstable();
-        match train.keys.first() {
-            Some(&key) => Some(train.stop(key)),
-            None => {
-                self.free.push(id);
-                None
-            }
-        }
-    }
-
-    /// Take a train's head: its destination among `hosts` nodes and its
-    /// frame, plus the next arrival's `(time, seq)`. A train whose last
-    /// arrival this was is freed.
-    #[inline]
-    fn advance(&mut self, id: u32, hosts: usize) -> (usize, ControlFrame, Option<(SimTime, u64)>) {
-        let train = &mut self.slab[id as usize];
-        let e = (train.keys[train.next] & FRAME_MASK) as usize;
-        train.next += 1;
-        let next = train.keys.get(train.next).map(|&key| train.stop(key));
-        let frame = train.frame;
-        if next.is_none() {
-            self.free.push(id);
-        }
-        (serial_peer(frame.src, e, hosts), frame, next)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn frame(src: usize) -> ControlFrame {
-        ControlFrame {
-            signal: Signal::Halt,
-            epoch: 1,
-            src,
-        }
-    }
-
-    /// Park `src`'s broadcast over `hosts` nodes, where `arrivals[e]` is
-    /// frame `e`'s arrival (`None`: lost), then drain it through
-    /// `seal`/`advance`, checking it against a plain sort of
-    /// `(time, seq, dst)` tuples. Returns the train's slot.
-    fn check(trains: &mut Trains, src: usize, hosts: usize, arrivals: &[Option<u64>]) -> u32 {
-        assert_eq!(arrivals.len(), hosts - 1);
-        let (start, base) = (SimTime(1_000), 7_000);
-        let id = trains.open(frame(src), start, base);
-        let mut want = Vec::new();
-        for (e, at) in arrivals.iter().enumerate() {
-            if let Some(at) = *at {
-                trains.add(id, e, SimTime(at));
-                want.push((SimTime(at), base + e as u64, serial_peer(src, e, hosts)));
-            }
-        }
-        want.sort_unstable();
-        let mut got = Vec::new();
-        let mut head = trains.seal(id);
-        while let Some((t, seq)) = head {
-            let (dst, f, next) = trains.advance(id, hosts);
-            assert_eq!(f.src, src);
-            got.push((t, seq, dst));
-            head = next;
-        }
-        assert_eq!(got, want);
-        id
-    }
-
-    #[test]
-    fn tied_arrivals_keep_emission_order() {
-        let mut trains = Trains::default();
-        let at = [5_000, 4_000, 5_000, 4_000, 6_000, 4_000, 5_000];
-        check(&mut trains, 5, 8, &at.map(Some));
-        check(&mut trains, 0, 8, &[Some(1_001); 7]);
-    }
-
-    #[test]
-    fn lost_frames_leave_gaps_in_the_block() {
-        let mut trains = Trains::default();
-        let at = [
-            Some(9_000),
-            None,
-            Some(3_000),
-            None,
-            None,
-            Some(3_000),
-            Some(2_000),
-        ];
-        check(&mut trains, 2, 8, &at);
-    }
-
-    #[test]
-    fn a_train_whose_every_frame_was_lost_is_freed() {
-        let mut trains = Trains::default();
-        let id = trains.open(frame(1), SimTime(10), 0);
-        assert_eq!(trains.seal(id), None);
-        assert_eq!(trains.free, vec![id]);
-        // The freed slot is the next one opened, and a drained train
-        // frees its slot too.
-        assert_eq!(check(&mut trains, 3, 6, &[Some(1_050); 5]), id);
-        assert_eq!(trains.free, vec![id]);
-    }
-
-    #[test]
-    fn two_nodes_broadcast_one_frame() {
-        let mut trains = Trains::default();
-        check(&mut trains, 0, 2, &[Some(1_200)]);
-        check(&mut trains, 1, 2, &[Some(1_200)]);
-        check(&mut trains, 1, 2, &[None]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 65536 frames")]
-    fn frame_index_past_the_key_width_panics() {
-        let mut trains = Trains::default();
-        let id = trains.open(frame(0), SimTime(0), 0);
-        trains.add(id, MAX_NODES, SimTime(1));
-    }
 }

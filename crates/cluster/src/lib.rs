@@ -18,6 +18,7 @@ pub mod measure;
 pub mod node;
 pub mod procsim;
 pub mod stats;
+pub mod train;
 pub mod world;
 
 pub use config::{ClusterConfig, TopologyKind};

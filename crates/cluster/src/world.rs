@@ -23,10 +23,11 @@ use workloads::program::{Program, Workload};
 
 use crate::config::ClusterConfig;
 use crate::event::{Event, Sched};
-use crate::handlers::daemon::{CmdTrains, Commands};
-use crate::handlers::nic::{Trains, MAX_NODES};
+use crate::handlers::daemon::Commands;
+use crate::handlers::nic::ControlFrame;
 use crate::node::NodeSim;
 use crate::stats::WorldStats;
+use crate::train::{Trains, MAX_NODES};
 
 /// The payload of a jobrep submission: when it was submitted (for the
 /// wait-latency sketch) and the programs to dispatch on admission.
@@ -89,9 +90,9 @@ pub struct World {
     /// time).
     pub(crate) switch_ordered_at: SimTime,
     /// In-flight serial halt/ready broadcasts (see `handlers::nic`).
-    pub(crate) trains: Trains,
+    pub(crate) broadcasts: Trains<ControlFrame>,
     /// In-flight masterd fan-outs (see `handlers::daemon`).
-    pub(crate) cmd_trains: CmdTrains,
+    pub(crate) fan_outs: Trains<Commands>,
     /// Pooled pid buffer for `on_send_engine_done`'s resident scan.
     pub(crate) pid_buf: Vec<Pid>,
 }
@@ -167,8 +168,8 @@ impl World {
             tree,
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
-            trains: Trains::default(),
-            cmd_trains: CmdTrains::default(),
+            broadcasts: Trains::new(|train| Event::BroadcastArrive { train }),
+            fan_outs: Trains::new(|train| Event::CtrlToNode { train }),
             pid_buf: Vec::new(),
             cfg,
         };

@@ -199,18 +199,18 @@ fn logical_fingerprint_goldens_per_policy() {
     }
 }
 
-/// A 64-host fat-tree gang rotation under FullBuffer, serial control: slot
-/// 0 holds a whole-machine compute job, slot 1 a whole-machine 64 KB ring,
+/// A 64-host fat-tree gang rotation under FullBuffer on `control`: slot 0
+/// holds a whole-machine compute job, slot 1 a whole-machine 64 KB ring,
 /// and the run stops after [`ROTATE64_SWITCHES`] switches. Every switch
 /// runs 64 serial halt broadcasts and 64 serial ready broadcasts of 63
 /// frames each, so this is the scenario where the broadcast trains matter.
-fn rotate64(wire_loss_ppm: u32) -> Sim {
+fn rotate64(control: ControlPlane, wire_loss_ppm: u32) -> Sim {
     let hosts = 64;
     let mut cfg = ClusterConfig::parpar(hosts, 2, BufferPolicy::FullBuffer);
     cfg.topology = TopologyKind::FatTree {
         shape: FatTreeShape::for_hosts(hosts),
     };
-    cfg.control = ControlPlane::Serial;
+    cfg.control = control;
     cfg.quantum = Cycles::from_ms(10);
     cfg.seed = 6401;
     cfg.wire_loss_ppm = wire_loss_ppm;
@@ -228,8 +228,8 @@ fn rotate64(wire_loss_ppm: u32) -> Sim {
 const ROTATE64_SWITCHES: u64 = 6;
 
 /// Run [`rotate64`] to its switch count: `(events, digest, fingerprint)`.
-fn run_rotate64(wire_loss_ppm: u32) -> (u64, u64, u64) {
-    let mut sim = rotate64(wire_loss_ppm);
+fn run_rotate64(control: ControlPlane, wire_loss_ppm: u32) -> (u64, u64, u64) {
+    let mut sim = rotate64(control, wire_loss_ppm);
     sim.engine
         .run_until_pred(SimTime::ZERO + Cycles::from_secs(60), |w| {
             w.stats.switches >= ROTATE64_SWITCHES
@@ -255,10 +255,10 @@ fn run_rotate64(wire_loss_ppm: u32) -> (u64, u64, u64) {
 }
 
 /// Golden event count, stream digest and logical fingerprint of
-/// [`rotate64`]: plain, and with 2000 ppm wire loss and reliability on
-/// (lost halt/ready frames and the recovery re-broadcasts). Recorded with
-/// every serial broadcast's frames queued as separate engine events, so
-/// they pin that delivery order.
+/// [`rotate64`] on serial control: plain, and with 2000 ppm wire loss and
+/// reliability on (lost halt/ready frames and the recovery
+/// re-broadcasts). Recorded with every serial broadcast's frames queued as
+/// separate engine events, so they pin that delivery order.
 #[test]
 fn fat_tree_rotation_goldens() {
     let cells: &[(u32, u64, u64, u64)] = &[
@@ -266,10 +266,22 @@ fn fat_tree_rotation_goldens() {
         (2000, 123_614, 0x345f_20ba_81c0_1e53, 0x8fb8_29c5_e17e_0665),
     ];
     for &(loss, events, digest, fingerprint) in cells {
-        let got = run_rotate64(loss);
+        let got = run_rotate64(ControlPlane::Serial, loss);
         let want = (events, digest, fingerprint);
         assert_eq!(got, want, "wire_loss_ppm={loss}");
     }
+}
+
+/// Golden event count, stream digest and logical fingerprint of
+/// [`rotate64`] on the combining tree (fan-out 8, depth 2): the LoadJob
+/// and AllUp command trains on the master's link, and switch orders that
+/// descend the tree. Recorded with the masterd's fan-outs in a command
+/// train of their own, so they pin that order for any train type.
+#[test]
+fn tree_control_rotation_goldens() {
+    let got = run_rotate64(ControlPlane::Tree { fanout: 8 }, 0);
+    let want = (73_274, 0xf808_0f40_949f_83b1, 0xf969_8d9a_46c7_2c27);
+    assert_eq!(got, want);
 }
 
 /// A serial broadcast keeps one engine event pending, not one per peer:
@@ -277,7 +289,7 @@ fn fat_tree_rotation_goldens() {
 /// 8 events per host.
 #[test]
 fn fat_tree_rotation_pending_stays_linear_in_hosts() {
-    let mut sim = rotate64(0);
+    let mut sim = rotate64(ControlPlane::Serial, 0);
     let bound = 8 * sim.world().cfg.nodes;
     let horizon = SimTime::ZERO + Cycles::from_secs(60);
     let mut peak = 0;
